@@ -14,23 +14,15 @@ from .levy_model import (
     HideSmall,
     HideLarge,
     SignalScenario,
-    MuMeasure,
     DiscreteJumpGrid,
     build_grid,
-    mu_measure,
-    eta_hat,
-    v_eta,
     c_kappa_eta,
 )
 from .drivers import (
     DriverContext,
     h_lambda,
     u_lambda_norm,
-    f1_discrete,
-    driver_f,
     driver_f_batch,
-    p_star,
-    penalized_driver_fm,
     penalized_driver_fm_batch,
     driver_bounds,
     local_lipschitz_constant,
@@ -55,12 +47,8 @@ from .bsde_solver import (
     BasisPartition,
     StepRecord,
     BackwardSolution,
-    MultiRunResult,
-    fit_conditional_expectation,
-    backward_step,
     solve,
     value_and_strategy,
-    multi_run,
     make_driver_fn,
     constant_driver,
 )

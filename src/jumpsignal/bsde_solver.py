@@ -9,41 +9,36 @@ basis over the current price and applies the driver,
     Ybar_k  = E[Ybar_{k+1} | S_k] + dt_k f(Zbar_k, Ubar_k),
 
 with conditional expectations replaced by least-squares projections on
-per-step equiprobable quantile cells of the S sample (constant per cell
-by default, optionally constant+linear). The t_0 regressor is constant
-so the last projection is a plain mean and Y_0 = mean(Ybar_0).
+piecewise-constant functions over per-step equiprobable quantile cells
+of the S sample (local regression in the style of Gobet, Lemor and
+Warin, 2005). The t_0 regressor is constant so the last projection is a
+plain mean and Y_0 = mean(Ybar_0).
 
-With the constant design the regressed fields are cell-constant, so the
-driver is evaluated once per cell and scattered back, which keeps the
-driver cost independent of the path count.
+The regressed fields are cell-constant, so the driver is evaluated once
+per cell and scattered back, which keeps the driver cost independent of
+the path count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Union
 
 import numpy as np
 
-from .drivers import DriverContext, driver_f_batch, penalized_driver_fm_batch
+from .drivers import DriverContext, driver_f_batch
 from .simulate import PathBatch, StrategyTable
 
 __all__ = [
     "BasisPartition",
     "StepRecord",
     "BackwardSolution",
-    "MultiRunResult",
-    "fit_conditional_expectation",
-    "backward_step",
     "solve",
     "value_and_strategy",
-    "multi_run",
     "make_driver_fn",
     "constant_driver",
 ]
-
-_DESIGNS = ("const", "const-linear")
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,12 +52,9 @@ class BasisPartition:
     """
 
     edges: np.ndarray
-    design: str
     counts: np.ndarray
 
     def __post_init__(self):
-        if self.design not in _DESIGNS:
-            raise ValueError(f"design must be one of {_DESIGNS}, got {self.design!r}")
         e = np.asarray(self.edges, dtype=float)
         if e.ndim != 1 or np.any(np.diff(e) <= 0):
             raise ValueError("edges must be a strictly increasing 1d array")
@@ -77,8 +69,7 @@ class BasisPartition:
         return np.searchsorted(self.edges, np.asarray(s, dtype=float), side="right")
 
     @classmethod
-    def from_sample(cls, s, n_cells: int = 64, min_count: int = 50,
-                    design: str = "const") -> "BasisPartition":
+    def from_sample(cls, s, n_cells: int = 64, min_count: int = 50) -> "BasisPartition":
         s = np.asarray(s, dtype=float)
         if s.ndim != 1 or s.size == 0:
             raise ValueError("sample must be a nonempty 1d array")
@@ -99,79 +90,23 @@ class BasisPartition:
                 # merge toward the smaller neighbor, ties to the left
                 drop = j - 1 if counts[j - 1] <= counts[j + 1] else j
             edges = np.delete(edges, drop)
-        return cls(edges=edges, design=design, counts=counts)
+        return cls(edges=edges, counts=counts)
 
 
-def _cell_sums(ids: np.ndarray, n_cells: int, rows: np.ndarray) -> np.ndarray:
-    """Per-cell sums of each row; rows (m, n_paths) -> (m, n_cells)."""
-    return np.stack([np.bincount(ids, weights=r, minlength=n_cells) for r in rows])
-
-
-def _fit_cells(ids, partition, s, targets):
-    """Least-squares coefficients per cell.
-
-    targets (m, n_paths). Returns (coef, s_centers, n_singular): coef
-    (m, 2, n_cells) holds value-at-center and slope in (s - center),
-    where center is the in-cell mean of s; the constant design has zero
-    slope. Singular in-cell designs fall back to the mean.
-    """
+def _cell_means(ids: np.ndarray, partition: BasisPartition, rows: np.ndarray) -> np.ndarray:
+    """Least-squares constant per cell: in-cell means; rows (m, n_paths) -> (m, n_cells)."""
     nc = partition.n_cells
-    counts = np.maximum(partition.counts, 1)
-    means = _cell_sums(ids, nc, targets) / counts
-    m = targets.shape[0]
-    coef = np.zeros((m, 2, nc))
-    coef[:, 0, :] = means
-    s_centers = np.bincount(ids, weights=s, minlength=nc) / counts
-    n_singular = 0
-    if partition.design == "const-linear":
-        ds = s - s_centers[ids]
-        var = np.bincount(ids, weights=ds * ds, minlength=nc) / counts
-        cov = _cell_sums(ids, nc, targets * ds) / counts
-        ok = var > 1e-24 * np.maximum(s_centers, 1.0) ** 2
-        n_singular = int(np.count_nonzero(~ok))
-        coef[:, 1, :] = np.where(ok, cov / np.where(ok, var, 1.0), 0.0)
-    return coef, s_centers, n_singular
-
-
-def _eval_cells(coef, ids, s, s_centers):
-    """Evaluate fitted coefficients at query points; (m, n_points).
-
-    The centering comes from the training sample, so fresh queries are
-    evaluated with the same affine map that was fitted.
-    """
-    return coef[:, 0, ids] + coef[:, 1, ids] * (s - s_centers[ids])
-
-
-def fit_conditional_expectation(targets, regressor, partition: BasisPartition) -> np.ndarray:
-    """Projection of targets on the cell design, evaluated on the sample.
-
-    targets may be (n_paths,) or (m, n_paths); the predictor has the
-    same shape. The partition must have been built from this sample.
-    """
-    t = np.asarray(targets, dtype=float)
-    s = np.asarray(regressor, dtype=float)
-    squeeze = t.ndim == 1
-    rows = t[None, :] if squeeze else t
-    if rows.shape[-1] != s.size:
-        raise ValueError(f"targets {t.shape} not aligned with regressor ({s.size},)")
-    ids = partition.assign(s)
-    coef, s_centers, _ = _fit_cells(ids, partition, s, rows)
-    out = _eval_cells(coef, ids, s, s_centers)
-    return out[0] if squeeze else out
+    sums = np.stack([np.bincount(ids, weights=r, minlength=nc) for r in rows])
+    return sums / np.maximum(partition.counts, 1)
 
 
 DriverFn = Callable[[np.ndarray, np.ndarray], tuple]
 
 
-def make_driver_fn(driver: Union[DriverContext, DriverFn],
-                   m: Optional[int] = None) -> DriverFn:
+def make_driver_fn(driver: Union[DriverContext, DriverFn]) -> DriverFn:
     """Normalize a driver spec to a callable (Z, U) -> (values, p0)."""
     if isinstance(driver, DriverContext):
-        if m is None:
-            return lambda Z, U: driver_f_batch(Z, U, driver)
-        return lambda Z, U: penalized_driver_fm_batch(Z, U, m, driver)
-    if m is not None:
-        raise ValueError("penalization level m applies to driver contexts only")
+        return lambda Z, U: driver_f_batch(Z, U, driver)
     return driver
 
 
@@ -187,120 +122,60 @@ class StepRecord:
     """Per-cell regression output at one time step."""
 
     partition: BasisPartition
-    cell_ids: np.ndarray          # (n_paths,) int32
-    s_centers: np.ndarray         # (n_cells,) in-cell price means
-    y_coef: np.ndarray            # (2, n_cells)
-    z_coef: np.ndarray            # (2, n_cells)
-    u_coef: np.ndarray            # (n_bins, 2, n_cells)
+    y_coef: np.ndarray            # (n_cells,) E[Ybar_{k+1} | cell]
+    z_coef: np.ndarray            # (n_cells,) Zbar_k
+    u_coef: np.ndarray            # (n_bins, n_cells) Ubar_k
     f_cells: np.ndarray           # (n_cells,) driver values
     p_cells: np.ndarray           # (n_cells,) no-signal argmin
-    n_singular: int
 
 
 def _step_core(y_next, batch, k, partition, driver_fn):
     dtk = float(batch.time_grid.dt[k])
-    s = batch.S[k]
-    ids = partition.assign(s).astype(np.int32)
+    ids = partition.assign(batch.S[k]).astype(np.int32)
     nu = batch.grid.weights
-    nb = nu.size
 
-    targets = np.empty((2 + nb, y_next.size))
+    targets = np.empty((2 + nu.size, y_next.size))
     targets[0] = y_next
     targets[1] = y_next * batch.dW[k]
     targets[2:] = y_next[None, :] * batch.dN_compensated(k)
-    coef, s_centers, n_singular = _fit_cells(ids, partition, s, targets)
-    y_coef = coef[0]
-    z_coef = coef[1] / dtk
-    u_coef = coef[2:] / (nu[:, None, None] * dtk)
+    means = _cell_means(ids, partition, targets)
+    y_coef = means[0]
+    z_coef = means[1] / dtk
+    u_coef = means[2:] / (nu[:, None] * dtk)
 
     try:
-        if partition.design == "const":
-            f_cells, p_cells = driver_fn(z_coef[0], u_coef[:, 0, :].T)
-            y_vals = y_coef[0, ids] + dtk * f_cells[ids]
-        else:
-            fields = _eval_cells(np.concatenate([y_coef[None], z_coef[None], u_coef]),
-                                 ids, s, s_centers)
-            f_path, p_path = driver_fn(fields[1], fields[2:].T)
-            y_vals = fields[0] + dtk * f_path
-            f_cells = np.bincount(ids, weights=f_path, minlength=partition.n_cells) \
-                / np.maximum(partition.counts, 1)
-            p_cells = np.bincount(ids, weights=p_path, minlength=partition.n_cells) \
-                / np.maximum(partition.counts, 1)
+        f_cells, p_cells = driver_fn(z_coef, u_coef.T)
     except (ValueError, ArithmeticError) as exc:
         raise type(exc)(f"driver failed at step {k}: {exc}") from exc
+    f_cells = np.asarray(f_cells)
+    y_vals = y_coef[ids] + dtk * f_cells[ids]
 
-    rec = StepRecord(partition=partition, cell_ids=ids, s_centers=s_centers,
-                     y_coef=y_coef, z_coef=z_coef, u_coef=u_coef,
-                     f_cells=np.asarray(f_cells), p_cells=np.asarray(p_cells),
-                     n_singular=n_singular)
+    rec = StepRecord(partition=partition, y_coef=y_coef, z_coef=z_coef,
+                     u_coef=u_coef, f_cells=f_cells, p_cells=np.asarray(p_cells))
     return y_vals, rec
-
-
-def backward_step(y_next, batch: PathBatch, k: int, partition: BasisPartition,
-                  driver: Union[DriverContext, DriverFn], m: Optional[int] = None):
-    """One scheme step; returns per-path (Ybar_k, Zbar_k, Ubar_k).
-
-    Ubar_k has shape (n_paths, n_bins).
-    """
-    y_next = np.asarray(y_next, dtype=float)
-    if y_next.shape != (batch.n_paths,):
-        raise ValueError(f"y_next shape {y_next.shape} != ({batch.n_paths},)")
-    driver_fn = make_driver_fn(driver, m)
-    y_vals, rec = _step_core(y_next, batch, k, partition, driver_fn)
-    zu = _eval_cells(np.concatenate([rec.z_coef[None], rec.u_coef]),
-                     rec.cell_ids, batch.S[k], rec.s_centers)
-    return y_vals, zu[0], zu[1:].T
 
 
 @dataclass(eq=False)
 class BackwardSolution:
-    """Full backward pass: per-step cell tables plus per-path values.
-
-    Per-path Zbar/Ubar arrays are reconstructed on demand from the cell
-    tables, which keeps the stored solution small at desk scale.
-    """
+    """Full backward pass: per-step cell tables plus per-path values."""
 
     batch: PathBatch
     steps: List[StepRecord]
     y_paths: np.ndarray           # (n_steps + 1, n_paths), y_paths[-1] = F
     y0: float
-    design: str
-
-    def y_path(self, k: int) -> np.ndarray:
-        return self.y_paths[k]
-
-    def z_path(self, k: int) -> np.ndarray:
-        rec = self.steps[k]
-        out = _eval_cells(rec.z_coef[None], rec.cell_ids, self.batch.S[k], rec.s_centers)
-        return out[0]
-
-    def u_path(self, k: int) -> np.ndarray:
-        rec = self.steps[k]
-        out = _eval_cells(rec.u_coef, rec.cell_ids, self.batch.S[k], rec.s_centers)
-        return out.T
-
-    @property
-    def n_singular(self) -> int:
-        return sum(rec.n_singular for rec in self.steps)
-
-    def abs_y_max(self) -> float:
-        return float(np.max(np.abs(self.y_paths)))
 
 
 def solve(batch: PathBatch, f_values, driver: Union[DriverContext, DriverFn],
-          n_cells: int = 64, min_count: int = 50, design: str = "const",
-          m: Optional[int] = None, clip_bound: Optional[float] = None) -> BackwardSolution:
+          n_cells: int = 64, min_count: int = 50) -> BackwardSolution:
     """Run the scheme from Ybar_n = F down to Y_0.
 
-    ``driver`` is a driver context (optionally penalized at level m) or
-    any callable (Z, U) -> (values, argmin). ``clip_bound`` optionally
-    clips Ybar between steps at a known a priori bound; off by default
-    so bound violations stay visible.
+    ``driver`` is a driver context or any callable (Z, U) -> (values,
+    argmin). A non-finite Ybar raises ArithmeticError naming the step.
     """
     F = np.asarray(f_values, dtype=float)
     if F.shape != (batch.n_paths,):
         raise ValueError(f"terminal values shape {F.shape} != ({batch.n_paths},)")
-    driver_fn = make_driver_fn(driver, m)
+    driver_fn = make_driver_fn(driver)
     n_steps = batch.time_grid.n_steps
 
     y_paths = np.empty((n_steps + 1, batch.n_paths))
@@ -309,14 +184,14 @@ def solve(batch: PathBatch, f_values, driver: Union[DriverContext, DriverFn],
     y = F
     for k in range(n_steps - 1, -1, -1):
         partition = BasisPartition.from_sample(batch.S[k], n_cells=n_cells,
-                                               min_count=min_count, design=design)
+                                               min_count=min_count)
         y, rec = _step_core(y, batch, k, partition, driver_fn)
-        if clip_bound is not None:
-            y = np.clip(y, -clip_bound, clip_bound)
+        if not np.all(np.isfinite(y)):
+            raise ArithmeticError(f"non-finite Ybar at step {k}")
         y_paths[k] = y
         steps[k] = rec
     return BackwardSolution(batch=batch, steps=list(steps), y_paths=y_paths,
-                            y0=float(np.mean(y_paths[0])), design=design)
+                            y0=float(np.mean(y_paths[0])))
 
 
 def value_and_strategy(sol: BackwardSolution, x: float,
@@ -326,54 +201,21 @@ def value_and_strategy(sol: BackwardSolution, x: float,
     V = -exp(-lam (x - Y_0)). The strategy trades the inner argmin when
     no signal arrives and the boundary position on signal bins.
     """
-    lam = ctx.lam
-    arg = -lam * (x - sol.y0)
+    arg = -ctx.lam * (x - sol.y0)
     if arg > 700.0:
         raise ValueError("value exponent exceeds the overflow guard")
     value = -math.exp(arg)
 
     steps = sol.steps
-    design = sol.design
     boundary = ctx.boundary_p
 
     def fn(k, s):
         s = np.atleast_1d(np.asarray(s, dtype=float))
         rec = steps[k]
-        ids = rec.partition.assign(s)
-        if design == "const":
-            p0 = rec.p_cells[ids]
-        else:
-            flds = np.concatenate([rec.z_coef[None], rec.u_coef])
-            zu = _eval_cells(flds, ids, s, rec.s_centers)
-            _, p0 = driver_f_batch(zu[0], zu[1:].T, ctx)
+        p0 = rec.p_cells[rec.partition.assign(s)]
         p_sig = np.broadcast_to(boundary[:, None], (boundary.size, s.size))
         return p0, p_sig
 
     table = StrategyTable(scenario=ctx.scenario, pi_lower=ctx.pi_lower,
                           pi_upper=ctx.pi_upper, fn=fn)
     return value, table
-
-
-@dataclass(frozen=True)
-class MultiRunResult:
-    y0s: np.ndarray
-    mean: float
-    spread: float
-
-
-def multi_run(batches: Sequence[PathBatch], payoff_values: Sequence[np.ndarray],
-              driver: Union[DriverContext, DriverFn], n_cells: int = 64,
-              min_count: int = 50, design: str = "const",
-              m: Optional[int] = None) -> MultiRunResult:
-    """Solve on several independently seeded batches; Y_0 mean and max-min spread."""
-    if len(batches) < 2:
-        raise ValueError("multi_run needs at least two batches")
-    if len(payoff_values) != len(batches):
-        raise ValueError("payoff values must align with batches")
-    y0s = np.array([
-        solve(b, f, driver, n_cells=n_cells, min_count=min_count,
-              design=design, m=m).y0
-        for b, f in zip(batches, payoff_values)
-    ])
-    return MultiRunResult(y0s=y0s, mean=float(np.mean(y0s)),
-                          spread=float(np.max(y0s) - np.min(y0s)))

@@ -26,12 +26,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from .bsde_solver import solve, value_and_strategy
+from .bsde_solver import make_driver_fn, solve, value_and_strategy
 from .config import (
     ExperimentConfig,
-    ScenarioBlock,
     config_hash,
-    dump_config,
     load_config,
 )
 from .drivers import driver_f_batch
@@ -116,7 +114,10 @@ def _solve_point(cfg, spec, grid, tg, scenario, seed, batch=None):
     F = cfg.payoff_values(batch.S[-1])
     ctx = cfg.driver_context(spec, grid, scenario)
     sol = solve(batch, F, ctx, n_cells=cfg.scheme.n_cells,
-                min_count=cfg.scheme.min_count, design=cfg.scheme.design)
+                min_count=cfg.scheme.min_count)
+    bound = verify_mod.check_y_bound(sol, float(np.max(np.abs(F))), ctx, 0.0)
+    if not bound.passed:
+        raise ValueError(f"backward values break the a priori bound: {bound.line()}")
     value, _ = value_and_strategy(sol, cfg.utility.x, ctx)
     wall = time.perf_counter() - t0
     c = getattr(scenario, "c", "")
@@ -230,11 +231,10 @@ def cmd_verify(args) -> int:
         reports.append(verify_mod.check_scheme_oracles(batch, F, n_cells=nc,
                                                        min_count=mc))
         delta = 0.05
-        shifted = verify_mod.make_driver_fn(ctx)
-        base_fn = verify_mod.make_driver_fn(ctx)
+        base_fn = make_driver_fn(ctx)
 
         def plus_delta(Z, U):
-            vals, p0 = shifted(Z, U)
+            vals, p0 = base_fn(Z, U)
             return vals + delta, p0
 
         reports.append(verify_mod.check_comparison(batch, F, F, base_fn,

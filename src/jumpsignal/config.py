@@ -35,7 +35,6 @@ __all__ = [
     "ScenarioBlock",
     "PayoffBlock",
     "UtilityBlock",
-    "FlagsBlock",
     "ExperimentConfig",
     "load_config",
     "load_config_text",
@@ -74,7 +73,6 @@ class SchemeBlock:
     n_steps: int = 10
     n_paths: int = 65536
     n_cells: int = 64
-    design: str = "const"
     min_count: int = 50
     seeds: Tuple[int, ...] = (1, 2, 3, 4, 5)
 
@@ -82,8 +80,6 @@ class SchemeBlock:
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if len(self.seeds) == 0:
             raise ValueError("seeds must be nonempty")
-        if self.design not in ("const", "const-linear"):
-            raise ValueError(f"unknown design {self.design!r}")
 
 
 @dataclass(frozen=True)
@@ -119,11 +115,6 @@ class UtilityBlock:
             raise ValueError("position bounds must be >= 0")
 
 
-@dataclass(frozen=True)
-class FlagsBlock:
-    sigma_in_square: bool = True
-
-
 _BLOCKS = {
     "market": MarketBlock,
     "grid": GridBlock,
@@ -131,7 +122,6 @@ _BLOCKS = {
     "scenario": ScenarioBlock,
     "payoff": PayoffBlock,
     "utility": UtilityBlock,
-    "flags": FlagsBlock,
 }
 
 
@@ -143,7 +133,6 @@ class ExperimentConfig:
     scenario: ScenarioBlock = field(default_factory=ScenarioBlock)
     payoff: PayoffBlock = field(default_factory=PayoffBlock)
     utility: UtilityBlock = field(default_factory=UtilityBlock)
-    flags: FlagsBlock = field(default_factory=FlagsBlock)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -179,12 +168,11 @@ class ExperimentConfig:
 
     def market_spec(self) -> LevyMarketSpec:
         mb = self.market
-        base = dict(rho=mb.rho, alpha=mb.alpha, epsilon=mb.epsilon,
-                    sigma=mb.sigma, s0=mb.s0, T=mb.T)
-        if mb.kappa == "compensate":
-            probe = LevyMarketSpec(kappa=0.0, **base)
-            return LevyMarketSpec(kappa=probe.eta_integral(), **base)
-        return LevyMarketSpec(kappa=float(mb.kappa), **base)
+        # "compensate" sets kappa to the integral of eta against nu, which
+        # is zero because eta is odd and nu symmetric (eta_integral)
+        kappa = 0.0 if mb.kappa == "compensate" else float(mb.kappa)
+        return LevyMarketSpec(rho=mb.rho, alpha=mb.alpha, epsilon=mb.epsilon,
+                              kappa=kappa, sigma=mb.sigma, s0=mb.s0, T=mb.T)
 
     def jump_grid(self, spec: LevyMarketSpec) -> DiscreteJumpGrid:
         gb = self.grid
@@ -204,8 +192,7 @@ class ExperimentConfig:
                        scenario: SignalScenario) -> DriverContext:
         ub = self.utility
         return DriverContext.build(spec, grid, scenario, ub.lam,
-                                   pi_lower=ub.pi_lower, pi_upper=ub.pi_upper,
-                                   sigma_in_square=self.flags.sigma_in_square)
+                                   pi_lower=ub.pi_lower, pi_upper=ub.pi_upper)
 
     def payoff_values(self, s_t):
         return payoff_terminal(s_t, self.payoff.type, self.payoff.strike)

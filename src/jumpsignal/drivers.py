@@ -4,14 +4,15 @@ The driver f(z, u) is built from a pointwise infimum over the trading
 position p in [-pi_lower, pi_upper]:
 
 * a no-signal part, strictly convex in p, mixing the quadratic
-  (sigma p - (z + C/lam))^2 with the exponential jump integrand over the
-  bins whose jumps carry no signal; minimized numerically,
+  (lam/2)(sigma p - (z + C/lam))^2 with the exponential jump integrand
+  over the bins whose jumps carry no signal; minimized numerically,
 * a signal part where the optimal position is known in closed form:
-  pi_upper when the signal is positive, -pi_lower when negative, so the
-  bins are summed at those boundary positions,
+  pi_upper when the signal is positive, -pi_lower when negative (eta
+  keeps the sign of the signal, so the objective is monotone in p), so
+  the bins are summed at those boundary positions,
 * an affine tail -lam C z - C^2 / (2 lam).
 
-``penalized_driver_fm`` implements the Lipschitz approximations f_m:
+``penalized_driver_fm_batch`` implements the Lipschitz approximations f_m:
 bins with |e_i| <= 1/m are dropped from the exponential sums, the
 quadratic is faded by rho_m(z), the exponential nonlinearity is tamed by
 the arctan cap phi_m, and the signal branch is additionally faded by
@@ -33,7 +34,6 @@ import numpy as np
 from .levy_model import (
     DiscreteJumpGrid,
     LevyMarketSpec,
-    NoSignal,
     SignalScenario,
     c_kappa_eta,
 )
@@ -42,11 +42,7 @@ __all__ = [
     "DriverContext",
     "h_lambda",
     "u_lambda_norm",
-    "f1_discrete",
-    "driver_f",
     "driver_f_batch",
-    "p_star",
-    "penalized_driver_fm",
     "penalized_driver_fm_batch",
     "driver_bounds",
     "local_lipschitz_constant",
@@ -171,11 +167,6 @@ class DriverContext:
     constant, the jump grid and the scenario split of its bins into
     no-signal bins (position chosen by the inner minimization) and
     signal bins (position pinned at the boundary by the signal's sign).
-
-    ``sigma_in_square`` controls whether the quadratic reads
-    (sigma p - (z + C/lam))^2 (True, the default) or
-    (p - (z + C/lam))^2 (False, the form used by the reference
-    experiments).
     """
 
     lam: float
@@ -185,7 +176,6 @@ class DriverContext:
     c_const: float
     grid: DiscreteJumpGrid
     scenario: SignalScenario
-    sigma_in_square: bool = True
 
     # derived, filled in __post_init__
     eta_g: np.ndarray = field(init=False, repr=False)
@@ -212,18 +202,11 @@ class DriverContext:
     @classmethod
     def build(cls, spec: LevyMarketSpec, grid: DiscreteJumpGrid,
               scenario: SignalScenario, lam: float,
-              pi_lower: float = 1.0, pi_upper: float = 1.0,
-              sigma_in_square: bool = True) -> "DriverContext":
+              pi_lower: float = 1.0, pi_upper: float = 1.0) -> "DriverContext":
         return cls(
             lam=lam, pi_lower=pi_lower, pi_upper=pi_upper, sigma=spec.sigma,
             c_const=c_kappa_eta(spec, lam), grid=grid, scenario=scenario,
-            sigma_in_square=sigma_in_square,
         )
-
-    @property
-    def p_scale(self) -> float:
-        """Factor multiplying p inside the quadratic."""
-        return self.sigma if self.sigma_in_square else 1.0
 
     def affine_tail(self, z):
         return -self.lam * self.c_const * np.asarray(z, dtype=float) \
@@ -240,17 +223,18 @@ def u_lambda_norm(u, ctx: DriverContext):
 def _nosignal_objective(Z, U, P, ctx: DriverContext, m: Optional[int] = None):
     """Inner objective of the no-signal part, vectorized over rows.
 
-    With m None this is the exact f1; with an integer m it is the
-    penalized f1_m (rho_m fade on the quadratic, phi_m cap inside
-    h_lam, bins |e_i| <= 1/m dropped from the h-sum, linear term kept
-    on the full grid).
+    (lam/2)(sigma p - (z + C/lam))^2 plus the exponential jump integrand
+    over the no-signal bins; strictly convex in p. With m None this is
+    the exact f1; with an integer m it is the penalized f1_m (rho_m fade
+    on the quadratic, phi_m cap inside h_lam, bins |e_i| <= 1/m dropped
+    from the h-sum, linear term kept on the full grid).
     """
     lam = ctx.lam
     ns = ~ctx.sig_mask
     eta = ctx.eta_g[ns]
     nu = ctx.nu_g[ns]
     x = U[:, ns] - P[:, None] * eta[None, :]
-    quad = 0.5 * lam * (ctx.p_scale * P - (Z + ctx.c_const / lam)) ** 2
+    quad = 0.5 * lam * (ctx.sigma * P - (Z + ctx.c_const / lam)) ** 2
     lin = -P * float(eta @ nu)
     if m is None:
         hsum = h_lambda(x, lam) @ nu
@@ -277,69 +261,8 @@ def _signal_sum(U, ctx: DriverContext, m: Optional[int] = None):
     return (hterm * active[None, :]) @ nu + lin
 
 
-def f1_discrete(z: float, u, p: float, ctx: DriverContext) -> float:
-    """No-signal part of the driver at position p.
-
-    (lam/2)(p_scale p - (z + C/lam))^2 plus the exponential jump
-    integrand over the no-signal bins. Strictly convex in p.
-    """
-    U = _as_u_matrix(u, ctx.grid)
-    val = _nosignal_objective(np.atleast_1d(float(z)), U, np.atleast_1d(float(p)), ctx)
-    return float(val[0])
-
-
-def driver_f_batch(Z, U, ctx: DriverContext):
-    """Evaluate the driver on rows of (z, u).
-
-    Returns
-    -------
-    values, p_default : arrays over rows
-        Driver values and the minimizing no-signal positions p*(0, z, u).
-    """
-    Z = np.atleast_1d(np.asarray(Z, dtype=float))
-    U = _as_u_matrix(U, ctx.grid, Z.size)
-    if U.shape[0] == 1 and Z.size > 1:
-        U = np.broadcast_to(U, (Z.size, U.shape[1]))
-    lo = np.full(Z.shape, -ctx.pi_lower)
-    hi = np.full(Z.shape, ctx.pi_upper)
-    p0, f1min = minimize_on_interval(
-        lambda P: _nosignal_objective(Z, U, P, ctx), lo, hi
-    )
-    vals = f1min + _signal_sum(U, ctx) + ctx.affine_tail(Z)
-    return vals, p0
-
-
-def driver_f(z: float, u, ctx: DriverContext):
-    """Driver value and the no-signal argmin position, scalar interface."""
-    vals, p0 = driver_f_batch(float(z), u, ctx)
-    return float(vals[0]), float(p0[0])
-
-
-def p_star(g: float, z: float, u, ctx: DriverContext) -> float:
-    """Optimal position given signal value g.
-
-    g = 0: argmin of the strictly convex no-signal part. g > 0: the
-    upper bound pi_upper. g < 0: -pi_lower. The boundary values are the
-    exact minimizers because eta keeps the sign of g on the
-    conditioning set, making the objective monotone in p.
-    """
-    if g == 0.0:
-        Z = np.atleast_1d(float(z))
-        U = _as_u_matrix(u, ctx.grid)
-        p0, _ = minimize_on_interval(
-            lambda P: _nosignal_objective(Z, U, P, ctx),
-            [-ctx.pi_lower], [ctx.pi_upper],
-        )
-        return float(p0[0])
-    from .levy_model import _check_signal_value
-    _check_signal_value(g, ctx.scenario, ctx.grid.spec)
-    return ctx.pi_upper if g > 0 else -ctx.pi_lower
-
-
-def penalized_driver_fm_batch(Z, U, m: int, ctx: DriverContext):
-    """Penalized driver f_m over rows of (z, u); see module docstring."""
-    if m < 1:
-        raise ValueError(f"penalization index m must be >= 1, got {m}")
+def _driver_rows(Z, U, ctx: DriverContext, m: Optional[int] = None):
+    """f (m None) or f_m on rows of (z, u); returns (values, no-signal argmin)."""
     Z = np.atleast_1d(np.asarray(Z, dtype=float))
     U = _as_u_matrix(U, ctx.grid, Z.size)
     if U.shape[0] == 1 and Z.size > 1:
@@ -353,9 +276,22 @@ def penalized_driver_fm_batch(Z, U, m: int, ctx: DriverContext):
     return vals, p0
 
 
-def penalized_driver_fm(z: float, u, m: int, ctx: DriverContext) -> float:
-    vals, _ = penalized_driver_fm_batch(float(z), u, m, ctx)
-    return float(vals[0])
+def driver_f_batch(Z, U, ctx: DriverContext):
+    """Evaluate the driver on rows of (z, u).
+
+    Returns
+    -------
+    values, p_default : arrays over rows
+        Driver values and the minimizing no-signal positions p*(0, z, u).
+    """
+    return _driver_rows(Z, U, ctx)
+
+
+def penalized_driver_fm_batch(Z, U, m: int, ctx: DriverContext):
+    """Penalized driver f_m over rows of (z, u); see module docstring."""
+    if m < 1:
+        raise ValueError(f"penalization index m must be >= 1, got {m}")
+    return _driver_rows(Z, U, ctx, m=m)
 
 
 def driver_bounds(z: float, u, ctx: DriverContext):

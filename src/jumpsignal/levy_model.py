@@ -9,11 +9,6 @@ receives a signal gamma(e) about each incoming jump mark e:
 * ``HideSmall(c)``  gamma(e) = eta(e) for |e| >= c, small jumps hidden,
 * ``HideLarge(c)``  gamma(e) = eta(e) for |e| <= c, large jumps hidden.
 
-The image measure mu = nu o gamma^(-1) and the disintegration kernel are
-available in closed form for both scenarios; the conditional mean of eta
-given a signal value g is g itself and its conditional variance is zero,
-because eta is constant on every conditioning set.
-
 ``build_grid`` produces the finite-activity surrogate of nu used by the
 simulation and the backward solver: symmetric marks e_{-q}..e_q (0
 excluded) with midpoint-bin weights integrating the exact density, the
@@ -23,7 +18,7 @@ outermost bins absorbing the tails up to infinity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -34,12 +29,8 @@ __all__ = [
     "HideSmall",
     "HideLarge",
     "SignalScenario",
-    "MuMeasure",
     "DiscreteJumpGrid",
     "build_grid",
-    "mu_measure",
-    "eta_hat",
-    "v_eta",
     "c_kappa_eta",
 ]
 
@@ -177,91 +168,6 @@ class HideLarge:
 
 
 SignalScenario = Union[NoSignal, HideSmall, HideLarge]
-
-
-@dataclass(frozen=True)
-class MuMeasure:
-    """Closed-form description of the image measure mu = nu o gamma^(-1).
-
-    mu consists of two symmetric atoms at +-(1 - epsilon) plus, possibly,
-    the nu-density restricted to a symmetric pair of intervals
-    +-(density_lo, density_hi].
-    """
-
-    atom_value: float
-    atom_mass: float
-    density_lo: float  # 0 means the density part reaches down to the origin
-    density_hi: float  # <= density_lo means no density part
-    spec: LevyMarketSpec
-
-    @property
-    def has_density(self) -> bool:
-        return self.density_hi > self.density_lo
-
-    def density_mass(self) -> float:
-        """nu-mass of one density interval; inf if it touches the origin."""
-        if not self.has_density:
-            return 0.0
-        if self.density_lo == 0.0:
-            return math.inf
-        return self.spec.nu_interval(self.density_lo, self.density_hi)
-
-    def total_mass(self) -> float:
-        return 2.0 * self.atom_mass + 2.0 * self.density_mass()
-
-
-def mu_measure(scenario: SignalScenario, spec: LevyMarketSpec) -> MuMeasure:
-    """Closed-form mu for a signal scenario.
-
-    Raises
-    ------
-    ValueError
-        For ``NoSignal``: mu lives on gamma(R) minus {0}, which is empty.
-    """
-    cap = 1.0 - spec.epsilon
-    am1 = spec.alpha - 1.0
-    if isinstance(scenario, HideSmall):
-        c = scenario.c
-        atom = spec.rho * max(c, cap) ** (-am1) / am1
-        if c < cap:
-            return MuMeasure(cap, atom, c, cap, spec)
-        return MuMeasure(cap, atom, 0.0, 0.0, spec)
-    if isinstance(scenario, HideLarge):
-        c = scenario.c
-        atom = spec.rho * (cap ** (-am1) - max(c, cap) ** (-am1)) / am1
-        return MuMeasure(cap, atom, 0.0, min(c, cap), spec)
-    raise ValueError("mu is undefined for the no-signal scenario")
-
-
-def _check_signal_value(g: float, scenario: SignalScenario, spec: LevyMarketSpec) -> None:
-    cap = 1.0 - spec.epsilon
-    tol = 1e-12
-    if isinstance(scenario, HideSmall):
-        lo = min(scenario.c, cap)
-        ok = lo - tol <= abs(g) <= cap + tol and g != 0.0
-    elif isinstance(scenario, HideLarge):
-        ok = 0.0 < abs(g) <= min(scenario.c, cap) + tol
-    else:
-        ok = False
-    if not ok:
-        raise ValueError(f"signal value {g} is outside gamma's range for {scenario}")
-
-
-def eta_hat(g: float, scenario: SignalScenario, spec: LevyMarketSpec) -> float:
-    """Conditional mean of eta given signal value g.
-
-    In both scenarios eta is constant (equal to g) on each conditioning
-    set {gamma = g}: the atoms at +-(1 - epsilon) collect exactly the
-    capped marks, and every other signal value is a Dirac point.
-    """
-    _check_signal_value(g, scenario, spec)
-    return float(g)
-
-
-def v_eta(g: float, scenario: SignalScenario, spec: LevyMarketSpec) -> float:
-    """Conditional variance of eta given signal value g; always zero here."""
-    _check_signal_value(g, scenario, spec)
-    return 0.0
 
 
 def c_kappa_eta(spec: LevyMarketSpec, lam: float) -> float:

@@ -14,7 +14,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .bsde_solver import BackwardSolution, make_driver_fn, solve, value_and_strategy
+from .bsde_solver import BackwardSolution, constant_driver, solve, value_and_strategy
 from .drivers import (
     DriverContext,
     driver_bounds,
@@ -23,7 +23,7 @@ from .drivers import (
     local_lipschitz_constant,
     penalized_driver_fm_batch,
 )
-from .levy_model import HideLarge, HideSmall, NoSignal
+from .levy_model import HideLarge, HideSmall
 from .simulate import PathBatch, StrategyTable, mc_expected_utility, wealth_forward
 
 __all__ = [
@@ -142,12 +142,10 @@ def check_scenario_limits(ctx_nosignal: DriverContext, n_samples: int = 1000,
     c_lo = float(grid.first_midpoint()) * 0.5
     ctx_hs = DriverContext.build(spec, grid, HideSmall(c=c_hi), ctx_nosignal.lam,
                                  pi_lower=ctx_nosignal.pi_lower,
-                                 pi_upper=ctx_nosignal.pi_upper,
-                                 sigma_in_square=ctx_nosignal.sigma_in_square)
+                                 pi_upper=ctx_nosignal.pi_upper)
     ctx_hl = DriverContext.build(spec, grid, HideLarge(c=c_lo), ctx_nosignal.lam,
                                  pi_lower=ctx_nosignal.pi_lower,
-                                 pi_upper=ctx_nosignal.pi_upper,
-                                 sigma_in_square=ctx_nosignal.sigma_in_square)
+                                 pi_upper=ctx_nosignal.pi_upper)
     rng = np.random.default_rng(seed)
     z, u = _sample_zu(rng, n_samples, grid.points.size)
     f0, p0 = driver_f_batch(z, u, ctx_nosignal)
@@ -161,8 +159,7 @@ def check_scenario_limits(ctx_nosignal: DriverContext, n_samples: int = 1000,
 
 
 def check_comparison(batch: PathBatch, f1_values, f2_values, driver1, driver2,
-                     eps_reg: float, n_cells: int = 64, min_count: int = 50,
-                     design: str = "const") -> CheckReport:
+                     eps_reg: float, n_cells: int = 64, min_count: int = 50) -> CheckReport:
     """Ordered terminals and ordered drivers give ordered Y_0 within eps_reg.
 
     Caller guarantees f2 >= f1 pathwise and driver2 >= driver1 pointwise;
@@ -172,8 +169,8 @@ def check_comparison(batch: PathBatch, f1_values, f2_values, driver1, driver2,
     F2 = np.asarray(f2_values, dtype=float)
     if np.any(F2 < F1):
         raise ValueError("terminal ordering violated: need F2 >= F1 pathwise")
-    y1 = solve(batch, F1, driver1, n_cells=n_cells, min_count=min_count, design=design).y0
-    y2 = solve(batch, F2, driver2, n_cells=n_cells, min_count=min_count, design=design).y0
+    y1 = solve(batch, F1, driver1, n_cells=n_cells, min_count=min_count).y0
+    y2 = solve(batch, F2, driver2, n_cells=n_cells, min_count=min_count).y0
     margin = (y2 - y1) + eps_reg
     return _report("comparison", 1, [margin], 0.0)
 
@@ -184,19 +181,22 @@ def check_penalization(batch: PathBatch, f_values, ctx: DriverContext,
     """Y_0 under f_m is nondecreasing in m and hits Y_0 under f exactly
     once every truncation is inactive along the solved fields."""
     F = np.asarray(f_values, dtype=float)
+
+    def y0_fm(m):
+        return solve(batch, F, lambda Z, U: penalized_driver_fm_batch(Z, U, m, ctx),
+                     n_cells=n_cells, min_count=min_count).y0
+
     sol_f = solve(batch, F, ctx, n_cells=n_cells, min_count=min_count)
-    y0s = [solve(batch, F, ctx, n_cells=n_cells, min_count=min_count, m=int(m)).y0
-           for m in m_values]
+    y0s = [y0_fm(int(m)) for m in m_values]
     margins = [y0s[j + 1] - y0s[j] + eps_reg for j in range(len(y0s) - 1)]
 
     thresh = 0.0
     for rec in sol_f.steps:
-        z = rec.z_coef[0]
-        u = rec.u_coef[:, 0, :].T
-        for j in range(z.size):
-            thresh = max(thresh, fm_exact_threshold(z[j], u[j], ctx))
+        u = rec.u_coef.T
+        for j in range(rec.z_coef.size):
+            thresh = max(thresh, fm_exact_threshold(rec.z_coef[j], u[j], ctx))
     m_star = int(math.floor(thresh)) + 1
-    y0_exact = solve(batch, F, ctx, n_cells=n_cells, min_count=min_count, m=m_star).y0
+    y0_exact = y0_fm(m_star)
     margins.append(1e-12 - abs(y0_exact - sol_f.y0))
     return _report("penalization", len(margins), margins, 0.0)
 
@@ -263,8 +263,6 @@ def check_scheme_oracles(batch: PathBatch, f_values, c0: float = 0.05,
     Both must hold to 1e-12 relative to the payoff scale; the constant
     case adds c0 T through the time sum.
     """
-    from .bsde_solver import constant_driver
-
     F = np.asarray(f_values, dtype=float)
     mean_f = float(np.mean(F))
     scale = max(1.0, abs(mean_f))
@@ -301,23 +299,19 @@ def check_y_bound(sol: BackwardSolution, f_sup: float, ctx: DriverContext,
 
 
 def calibrate_eps_reg(batches: Sequence[PathBatch], payoff_values: Sequence[np.ndarray],
-                      ctx: DriverContext, n_cells: int = 64, min_count: int = 50,
-                      design: str = "const") -> float:
+                      ctx: DriverContext, n_cells: int = 64, min_count: int = 50) -> float:
     """Regression-noise tolerance from the exactly solvable zero driver.
 
     Three times the worst |Y_0 - mean(F)| under the zero driver, plus
     the seed spread of Y_0 under the real driver.
     """
-    zero = make_driver_fn(lambda Z, U: (np.zeros(np.shape(Z)[0]),
-                                        np.zeros(np.shape(Z)[0])))
+    zero = constant_driver(0.0)
     worst = 0.0
     y0s = []
     for b, F in zip(batches, payoff_values):
-        y_zero = solve(b, F, zero, n_cells=n_cells, min_count=min_count,
-                       design=design).y0
+        y_zero = solve(b, F, zero, n_cells=n_cells, min_count=min_count).y0
         worst = max(worst, abs(y_zero - float(np.mean(F))))
-        y0s.append(solve(b, F, ctx, n_cells=n_cells, min_count=min_count,
-                         design=design).y0)
+        y0s.append(solve(b, F, ctx, n_cells=n_cells, min_count=min_count).y0)
     spread = max(y0s) - min(y0s) if len(y0s) > 1 else 0.0
     return 3.0 * worst + spread
 

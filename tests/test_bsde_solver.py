@@ -16,13 +16,10 @@ from jumpsignal import (
     NoSignal,
     PathBatch,
     TimeGrid,
-    backward_step,
     build_grid,
     constant_driver,
-    driver_f,
-    fit_conditional_expectation,
+    driver_f_batch,
     make_driver_fn,
-    multi_run,
     payoff_put,
     simulate_batch,
     solve,
@@ -43,11 +40,7 @@ def test_partition_basic(rng):
     with pytest.raises(ValueError):
         BasisPartition.from_sample(np.array([]), 4)
     with pytest.raises(ValueError):
-        BasisPartition(edges=np.array([2.0, 1.0]), design="const",
-                       counts=np.array([1, 1, 1]))
-    with pytest.raises(ValueError):
-        BasisPartition(edges=np.array([1.0]), design="cubic",
-                       counts=np.array([1, 1]))
+        BasisPartition(edges=np.array([2.0, 1.0]), counts=np.array([1, 1, 1]))
 
 
 def test_partition_merges_small_cells(rng):
@@ -62,35 +55,24 @@ def test_partition_merges_small_cells(rng):
     assert np.unique(ids).size == 1
 
 
-def test_fit_recovers_cell_means(rng):
-    s = rng.uniform(0.5, 2.0, size=2000)
-    part = BasisPartition.from_sample(s, n_cells=8, min_count=50)
-    ids = part.assign(s)
+def test_fit_recovers_cell_means(spec_small, grid_small, rng):
+    # one step: the regression of F on the t_0 price sample is the table
+    # of in-cell means of F
+    batch = _flat_batch(spec_small, grid_small, np.zeros((1, 2000)), 2000, 1, rng)
+    s = batch.S[0]
     t = s ** 2
-    fitted = fit_conditional_expectation(t, s, part)
-    for c in range(part.n_cells):
+    rec = solve(batch, t, constant_driver(0.0), n_cells=8).steps[0]
+    ids = rec.partition.assign(s)
+    assert rec.y_coef.shape == (8,)
+    for c in range(rec.partition.n_cells):
         cell = ids == c
-        if np.any(cell):
-            assert fitted[cell] == pytest.approx(float(np.mean(t[cell])),
-                                                 rel=1e-12)
+        assert rec.y_coef[c] == pytest.approx(float(np.mean(t[cell])), rel=1e-12)
     # piecewise-constant targets are reproduced exactly
-    g = np.cos(np.arange(part.n_cells))[ids]
-    assert fit_conditional_expectation(g, s, part) == pytest.approx(g, rel=1e-12)
+    g = np.cos(np.arange(rec.partition.n_cells))[ids]
+    sol = solve(batch, g, constant_driver(0.0), n_cells=8)
+    assert sol.y_paths[0] == pytest.approx(g, rel=1e-12)
     with pytest.raises(ValueError):
-        fit_conditional_expectation(t[:100], s, part)
-
-
-def test_fit_const_linear_recovers_affine(rng):
-    s = rng.uniform(0.5, 2.0, size=2000)
-    part = BasisPartition.from_sample(s, n_cells=8, min_count=50,
-                                      design="const-linear")
-    t = 2.0 - 3.0 * s
-    fitted = fit_conditional_expectation(t, s, part)
-    assert fitted == pytest.approx(t, rel=1e-10)
-    rows = np.stack([t, np.ones_like(s)])
-    out = fit_conditional_expectation(rows, s, part)
-    assert out.shape == (2, 2000)
-    assert out[1] == pytest.approx(1.0, rel=1e-12)
+        solve(batch, t[:100], constant_driver(0.0), n_cells=8)
 
 
 def test_make_driver_fn(ctx_hidesmall):
@@ -98,17 +80,12 @@ def test_make_driver_fn(ctx_hidesmall):
     u = np.zeros((2, 6))
     fn = make_driver_fn(ctx_hidesmall)
     vals, p0 = fn(z, u)
-    ref, pref = driver_f(0.3, u[0], ctx_hidesmall)
-    assert vals[0] == pytest.approx(ref, rel=1e-12, abs=1e-9)
-    fm = make_driver_fn(ctx_hidesmall, m=2)
-    vm, _ = fm(z, u)
-    assert np.all(vm <= vals + 1e-9)
+    ref, pref = driver_f_batch(z[:1], u[:1], ctx_hidesmall)
+    assert vals[0] == pytest.approx(ref[0], rel=1e-12, abs=1e-9)
     c = constant_driver(0.25)
     vc, pc = c(z, u)
     assert np.array_equal(vc, [0.25, 0.25]) and np.array_equal(pc, [0.0, 0.0])
     assert make_driver_fn(c) is c
-    with pytest.raises(ValueError):
-        make_driver_fn(c, m=3)
 
 
 def test_zero_and_constant_driver_telescopes(batch_small, payoff_small):
@@ -159,8 +136,8 @@ def test_one_step_enumeration_oracle():
         EFN += prob * ef * np.array(combo, float)
     z_star = EFx / math.sqrt(dt)
     u_star = (EFN - mu * EF) / mu
-    f_star, _ = driver_f(z_star, u_star, ctx)
-    y0_star = EF + dt * f_star
+    f_star, _ = driver_f_batch([z_star], u_star[None, :], ctx)
+    y0_star = EF + dt * float(f_star[0])
 
     batch = simulate_batch(spec, grid, tg, 262144, seed=7)
     F = payoff_put(batch.S[-1], 1.0)
@@ -171,10 +148,10 @@ def test_one_step_enumeration_oracle():
     assert abs(sol.y0 - y0_star) < 1e-3
 
     # the regressed fields behind that value sit near their exact targets
-    part = BasisPartition.from_sample(batch.S[0])
-    _, z, u = backward_step(F, batch, 0, part, ctx)
-    assert abs(float(z[0]) - z_star) < 5e-3
-    assert np.max(np.abs(u[0] - u_star)) < 5e-2
+    rec = sol.steps[0]
+    cell = rec.partition.assign(batch.S[0][:1])[0]
+    assert abs(float(rec.z_coef[cell]) - z_star) < 5e-3
+    assert np.max(np.abs(rec.u_coef[:, cell] - u_star)) < 5e-2
 
 
 def _flat_batch(spec, grid, dW, n_paths, n_steps, rng):
@@ -204,27 +181,26 @@ def test_jump_free_closed_form(spec_small, grid_small, rng):
     assert np.max(np.abs(sol.y_paths - 0.3)) < 1e-15
 
 
-def test_backward_step_cellwise_oracle(batch_small, payoff_small):
+def test_step_cellwise_oracle(batch_small, payoff_small):
+    # the last step (k = 3 of 4) regresses on the terminal values
     k = 3
-    part = BasisPartition.from_sample(batch_small.S[k], n_cells=8, min_count=50)
-    y, z, u = backward_step(payoff_small, batch_small, k, part,
-                            constant_driver(0.0))
-    assert y.shape == (4096,) and z.shape == (4096,) and u.shape == (4096, 6)
-    ids = part.assign(batch_small.S[k])
+    sol = solve(batch_small, payoff_small, constant_driver(0.0), n_cells=8,
+                min_count=50)
+    rec = sol.steps[k]
+    assert rec.y_coef.shape == (8,) and rec.z_coef.shape == (8,)
+    assert rec.u_coef.shape == (6, 8)
+    ids = rec.partition.assign(batch_small.S[k])
     dtk = float(batch_small.time_grid.dt[k])
     for c in (0, 4, 7):
         cell = ids == c
         z_hand = float(np.mean(payoff_small[cell] * batch_small.dW[k][cell])) / dtk
-        assert z[cell] == pytest.approx(z_hand, rel=1e-10, abs=1e-14)
+        assert rec.z_coef[c] == pytest.approx(z_hand, rel=1e-10, abs=1e-14)
         y_hand = float(np.mean(payoff_small[cell]))
-        assert y[cell] == pytest.approx(y_hand, rel=1e-12)
+        assert sol.y_paths[k][cell] == pytest.approx(y_hand, rel=1e-12)
         comp0 = batch_small.dN_compensated(k)[0][cell]
         u_hand = float(np.mean(payoff_small[cell] * comp0)) \
             / (batch_small.grid.weights[0] * dtk)
-        assert u[cell, 0] == pytest.approx(u_hand, rel=1e-10, abs=1e-14)
-    with pytest.raises(ValueError):
-        backward_step(payoff_small[:-1], batch_small, k, part,
-                      constant_driver(0.0))
+        assert rec.u_coef[0, c] == pytest.approx(u_hand, rel=1e-10, abs=1e-14)
 
 
 def test_solve_records(batch_small, payoff_small, ctx_hidesmall):
@@ -232,13 +208,10 @@ def test_solve_records(batch_small, payoff_small, ctx_hidesmall):
     assert len(sol.steps) == 4
     assert np.array_equal(sol.y_paths[-1], payoff_small)
     assert sol.y0 == pytest.approx(float(np.mean(sol.y_paths[0])), rel=1e-15)
-    assert sol.design == "const"
-    assert sol.n_singular == 0
-    assert sol.z_path(0).shape == (4096,)
-    assert sol.u_path(0).shape == (4096, 6)
-    assert sol.abs_y_max() >= abs(sol.y0)
-    clipped = solve(batch_small, payoff_small, ctx_hidesmall, clip_bound=0.01)
-    assert abs(clipped.y0) <= 0.01 + 1e-15
+    rec = sol.steps[0]
+    n = rec.partition.n_cells
+    assert rec.z_coef.shape == (n,) and rec.u_coef.shape == (6, n)
+    assert rec.f_cells.shape == (n,) and rec.p_cells.shape == (n,)
 
 
 def test_driver_failure_reports_step(batch_small, payoff_small):
@@ -247,6 +220,15 @@ def test_driver_failure_reports_step(batch_small, payoff_small):
 
     with pytest.raises(ValueError, match=r"driver failed at step 3: boom"):
         solve(batch_small, payoff_small, bad)
+
+
+def test_nonfinite_y_reports_step(batch_small, payoff_small):
+    def nan_driver(Z, U):
+        n = np.shape(Z)[0]
+        return np.full(n, np.nan), np.zeros(n)
+
+    with pytest.raises(ArithmeticError, match=r"non-finite Ybar at step 3"):
+        solve(batch_small, payoff_small, nan_driver)
 
 
 def test_value_and_strategy(batch_small, payoff_small, ctx_hidesmall):
@@ -262,31 +244,3 @@ def test_value_and_strategy(batch_small, payoff_small, ctx_hidesmall):
     assert np.all(p0 >= -1.0) and np.all(p0 <= 1.0)
     with pytest.raises(ValueError):
         value_and_strategy(sol, -2000.0, ctx_hidesmall)
-
-
-def test_const_linear_design(batch_small, payoff_small, ctx_hidesmall):
-    # 16 cells on 4096 paths keeps the per-cell slope noise small enough
-    # for the two designs to sit on the same value
-    sol = solve(batch_small, payoff_small, ctx_hidesmall, n_cells=16,
-                design="const-linear")
-    base = solve(batch_small, payoff_small, ctx_hidesmall, n_cells=16)
-    assert abs(sol.y0 - base.y0) < 0.02
-    _, table = value_and_strategy(sol, 0.0, ctx_hidesmall)
-    p0, _ = table.fn(1, np.array([1.05]))
-    assert -1.0 - 1e-9 <= float(p0[0]) <= 1.0 + 1e-9
-
-
-def test_multi_run(batch_small, batch_small_b, payoff_small, payoff_small_b,
-                   ctx_hidesmall):
-    twin = multi_run([batch_small, batch_small], [payoff_small, payoff_small],
-                     ctx_hidesmall)
-    assert twin.spread == 0.0
-    assert twin.mean == twin.y0s[0]
-    res = multi_run([batch_small, batch_small_b],
-                    [payoff_small, payoff_small_b], ctx_hidesmall)
-    assert res.spread > 0.0
-    assert res.mean == pytest.approx(float(np.mean(res.y0s)), rel=1e-15)
-    with pytest.raises(ValueError):
-        multi_run([batch_small], [payoff_small], ctx_hidesmall)
-    with pytest.raises(ValueError):
-        multi_run([batch_small, batch_small_b], [payoff_small], ctx_hidesmall)

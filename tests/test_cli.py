@@ -86,13 +86,19 @@ def test_config_rejects_unknown_keys():
         load_config_text("- 1\n- 2\n")
 
 
+def test_config_rejects_removed_keys():
+    # the regression design and the quadratic's form are fixed, not settable
+    with pytest.raises(ValueError, match="design"):
+        load_config_text("scheme: {design: const}")
+    with pytest.raises(ValueError, match="flags"):
+        load_config_text("flags: {}")
+
+
 def test_block_validation():
     with pytest.raises(ValueError, match="kappa"):
         MarketBlock(kappa="offset")
     with pytest.raises(ValueError, match="seeds"):
         SchemeBlock(seeds=())
-    with pytest.raises(ValueError, match="design"):
-        SchemeBlock(design="quadratic")
     with pytest.raises(ValueError, match="variant"):
         ScenarioBlock(variant="hideall")
     with pytest.raises(ValueError, match="cutoffs"):
@@ -213,6 +219,31 @@ def test_sweep_results(sweep_files):
         assert int(srow[2]) == 2
         assert float(srow[3]) == np.mean(ys)
         assert float(srow[4]) == np.max(ys) - np.min(ys)
+
+
+def test_sweep_marks_bound_violation_as_error(cfg_file, tmp_path, monkeypatch):
+    # a driver shifted far up at c = 1.5 pushes Ybar past the a priori bound;
+    # those rows fail and the summary keeps only the sound cutoff
+    from jumpsignal import bsde_solver
+
+    exact = bsde_solver.driver_f_batch
+
+    def broken(Z, U, ctx):
+        vals, p0 = exact(Z, U, ctx)
+        return (vals + 20.0 if ctx.scenario.c == 1.5 else vals), p0
+
+    monkeypatch.setattr(bsde_solver, "driver_f_batch", broken)
+    results, summary = tmp_path / "results.csv", tmp_path / "summary.csv"
+    assert main(["sweep", "--config", str(cfg_file), "--out", str(results),
+                 "--summary", str(summary)]) == 0
+    recs = [dict(zip(RESULT_COLUMNS, r)) for r in _read_csv(results)[1:]]
+    status = {(r["c"], r["seed"]): r["status"] for r in recs}
+    assert status[("0.7", "1")] == status[("0.7", "2")] == "ok"
+    for seed in ("1", "2"):
+        assert status[("1.5", seed)].startswith("error: ")
+        assert "a priori bound" in status[("1.5", seed)]
+    srows = _read_csv(summary)
+    assert [r[1] for r in srows[1:]] == ["0.7"]
 
 
 def test_report_files(sweep_files, tmp_path, capsys):

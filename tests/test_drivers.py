@@ -10,26 +10,41 @@ from scipy.optimize import minimize_scalar
 
 from jumpsignal import (
     driver_bounds,
-    driver_f,
     driver_f_batch,
-    f1_discrete,
     fm_exact_threshold,
     h_lambda,
     local_lipschitz_constant,
     minimize_on_interval,
-    p_star,
-    penalized_driver_fm,
     penalized_driver_fm_batch,
     phi_m,
     rho_m,
     u_lambda_norm,
 )
+from jumpsignal.drivers import _nosignal_objective
 
 # frozen, 40-digit source
 H_04_1 = 0.229561744103175794562132382093    # h_0.4(1)
 H_04_M05 = 0.046826882694954646674838771548  # h_0.4(-0.5)
 PHI_1_2 = 1.785398163397448309615660845820   # 1 + arctan(1)
 ABS_ETA_SMALL = 0.626321305522333299687586321957  # sum |eta_i| nu_i, small grid
+
+
+def _f_row(z, u, ctx):
+    """Driver value and no-signal argmin at one (z, u), as floats."""
+    vals, p0 = driver_f_batch([z], u, ctx)
+    return float(vals[0]), float(p0[0])
+
+
+def _fm_row(z, u, m, ctx):
+    """Penalized driver f_m at one (z, u), as a float."""
+    vals, _ = penalized_driver_fm_batch([z], u, m, ctx)
+    return float(vals[0])
+
+
+def _f1_row(z, u, p, ctx):
+    """No-signal objective at one (z, u, p), as a float."""
+    return float(_nosignal_objective(np.array([z]), np.asarray(u)[None, :],
+                                     np.array([p]), ctx)[0])
 
 
 def _hand_h(x, lam=0.4):
@@ -39,7 +54,7 @@ def _hand_h(x, lam=0.4):
 def _hand_f1(z, u, p, ctx):
     """Independent scalar re-implementation of the no-signal part."""
     lam, C = ctx.lam, ctx.c_const
-    val = 0.5 * lam * (ctx.p_scale * p - (z + C / lam)) ** 2
+    val = 0.5 * lam * (ctx.sigma * p - (z + C / lam)) ** 2
     for i in range(ctx.grid.points.size):
         if ctx.sig_mask[i]:
             continue
@@ -137,7 +152,7 @@ def test_f1_matches_hand_reimplementation(ctx_hidesmall, ctx_drift, rng):
             z = rng.uniform(-3, 3)
             u = rng.uniform(-1.5, 1.5, size=6)
             p = rng.uniform(-1, 1)
-            assert f1_discrete(z, u, p, ctx) == pytest.approx(
+            assert _f1_row(z, u, p, ctx) == pytest.approx(
                 _hand_f1(z, u, p, ctx), rel=1e-12, abs=1e-12)
 
 
@@ -147,7 +162,7 @@ def test_driver_matches_hand_reimplementation(ctx_hidesmall, ctx_hidelarge,
         for _ in range(8):
             z = rng.uniform(-3, 3)
             u = rng.uniform(-1.5, 1.5, size=6)
-            val, p0 = driver_f(z, u, ctx)
+            val, p0 = _f_row(z, u, ctx)
             assert val == pytest.approx(_hand_driver(z, u, ctx),
                                         rel=1e-9, abs=1e-9)
             assert -ctx.pi_lower - 1e-9 <= p0 <= ctx.pi_upper + 1e-9
@@ -155,7 +170,7 @@ def test_driver_matches_hand_reimplementation(ctx_hidesmall, ctx_hidelarge,
 
 def test_driver_boundary_argmin(ctx_drift):
     # C/lam = 9.375 pushes the quadratic vertex far beyond the box
-    _, p0 = driver_f(0.0, np.zeros(6), ctx_drift)
+    _, p0 = _f_row(0.0, np.zeros(6), ctx_drift)
     assert p0 == pytest.approx(1.0, abs=1e-9)
 
 
@@ -172,7 +187,7 @@ def test_minimizer_against_bruteforce(ctx_hidesmall, ctx_drift, rng):
             lo = p_grid[::2000][max(j - 1, 0)]
             hi = p_grid[::2000][min(j + 1, vals.size - 1)]
             dense = np.linspace(lo, hi, 200001)
-            dvals = 0.5 * ctx.lam * (ctx.p_scale * dense
+            dvals = 0.5 * ctx.lam * (ctx.sigma * dense
                                      - (z + ctx.c_const / ctx.lam)) ** 2
             ns = ~ctx.sig_mask
             for i in np.flatnonzero(ns):
@@ -180,8 +195,8 @@ def test_minimizer_against_bruteforce(ctx_hidesmall, ctx_drift, rng):
                 dvals += ((np.exp(ctx.lam * x) - ctx.lam * x - 1.0) / ctx.lam
                           - dense * ctx.eta_g[i]) * ctx.nu_g[i]
             k = int(np.argmin(dvals))
-            _, p0 = driver_f(z, u, ctx)
-            assert f1_discrete(z, u, p0, ctx) <= dvals[k] + 1e-10
+            _, p0 = _f_row(z, u, ctx)
+            assert _f1_row(z, u, p0, ctx) <= dvals[k] + 1e-10
             assert abs(p0 - dense[k]) < 1e-4
 
 
@@ -203,32 +218,32 @@ def test_driver_batch_matches_scalar(ctx_hidesmall, rng):
     # the batch stop rule iterates until the widest row converges, so
     # row-wise results agree to minimizer tolerance, not bitwise
     for j in range(12):
-        vj, pj = driver_f(z[j], u[j], ctx_hidesmall)
+        vj, pj = _f_row(z[j], u[j], ctx_hidesmall)
         assert vals[j] == pytest.approx(vj, rel=1e-12, abs=1e-9)
         assert p0[j] == pytest.approx(pj, abs=1e-8)
     # one u row broadcast over every z
     vb, _ = driver_f_batch(z, u[:1], ctx_hidesmall)
-    v0, _ = driver_f(z[3], u[0], ctx_hidesmall)
+    v0, _ = _f_row(z[3], u[0], ctx_hidesmall)
     assert vb[3] == pytest.approx(v0, rel=1e-12, abs=1e-9)
 
 
 def test_driver_overflow_guard(ctx_hidesmall):
     with pytest.raises(ValueError):
-        driver_f(0.0, np.full(6, 3000.0), ctx_hidesmall)
+        _f_row(0.0, np.full(6, 3000.0), ctx_hidesmall)
 
 
 def test_p_star(ctx_hidesmall, ctx_hidelarge):
+    # signal g > 0 trades pi_upper, g < 0 trades -pi_lower: the boundary
+    # position of each bin follows the sign of its mark
+    for ctx in (ctx_hidesmall, ctx_hidelarge):
+        assert np.array_equal(ctx.boundary_p, [-1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
+    # g = 0: the no-signal argmin, inside the box and, to the minimizer
+    # tolerance, no worse than either end of it
     u = np.array([0.2, -0.1, 0.05, 0.0, 0.3, -0.2])
-    _, p0 = driver_f(0.7, u, ctx_hidesmall)
-    assert p_star(0.0, 0.7, u, ctx_hidesmall) == p0
-    assert p_star(0.8, 0.7, u, ctx_hidesmall) == 1.0
-    assert p_star(-0.75, 0.7, u, ctx_hidesmall) == -1.0
-    for bad in (0.3, 1.5):
-        with pytest.raises(ValueError):
-            p_star(bad, 0.7, u, ctx_hidesmall)
-    assert p_star(0.5, 0.7, u, ctx_hidelarge) == 1.0
-    with pytest.raises(ValueError):
-        p_star(0.9, 0.7, u, ctx_hidelarge)
+    _, p0 = _f_row(0.7, u, ctx_hidesmall)
+    assert -1.0 <= p0 <= 1.0
+    ends = [_f1_row(0.7, u, p, ctx_hidesmall) for p in (-1.0, 1.0)]
+    assert _f1_row(0.7, u, p0, ctx_hidesmall) <= min(ends) + 1e-10
 
 
 def test_scenario_limit_bit_exact(spec_small, grid_small, ctx_nosignal, rng):
@@ -251,15 +266,15 @@ def test_sandwich_and_monotone(ctx_hidesmall, ctx_hidelarge, rng):
             z = rng.uniform(-4, 4)
             u = rng.uniform(-2, 2, size=6)
             m = int(rng.integers(1, 20))
-            fm = penalized_driver_fm(z, u, m, ctx)
-            fm_next = penalized_driver_fm(z, u, m + 1, ctx)
-            f, _ = driver_f(z, u, ctx)
+            fm_val = _fm_row(z, u, m, ctx)
+            fm_next = _fm_row(z, u, m + 1, ctx)
+            f, _ = _f_row(z, u, ctx)
             lo, hi = driver_bounds(z, u, ctx)
-            scale = max(1.0, abs(fm), abs(f))
-            assert lo - 1e-10 <= fm <= hi + 1e-10
+            scale = max(1.0, abs(fm_val), abs(f))
+            assert lo - 1e-10 <= fm_val <= hi + 1e-10
             assert lo - 1e-10 <= f <= hi + 1e-10
-            assert fm_next >= fm - 1e-12 * scale
-            assert f >= fm - 1e-12 * scale
+            assert fm_next >= fm_val - 1e-12 * scale
+            assert f >= fm_val - 1e-12 * scale
 
 
 def test_driver_bounds_values(ctx_hidesmall):
@@ -278,12 +293,12 @@ def test_fm_exact_threshold_and_exactness(ctx_hidesmall):
     # max over |z|, |u|_inf, u_i + pmax |eta_i| (= 2.2 + 0.99), 1/e_1
     assert thresh == pytest.approx(3.19, rel=1e-14)
     m_star = int(math.floor(thresh)) + 1
-    f, _ = driver_f(z, u, ctx_hidesmall)
-    assert penalized_driver_fm(z, u, m_star, ctx_hidesmall) == f
-    assert penalized_driver_fm(z, u, 50, ctx_hidesmall) == f
-    assert penalized_driver_fm(z, u, 1, ctx_hidesmall) != f
+    f, _ = _f_row(z, u, ctx_hidesmall)
+    assert _fm_row(z, u, m_star, ctx_hidesmall) == f
+    assert _fm_row(z, u, 50, ctx_hidesmall) == f
+    assert _fm_row(z, u, 1, ctx_hidesmall) != f
     with pytest.raises(ValueError):
-        penalized_driver_fm(z, u, 0, ctx_hidesmall)
+        _fm_row(z, u, 0, ctx_hidesmall)
 
 
 def test_fm_hand_reimplementation(ctx_hidesmall):
@@ -315,7 +330,7 @@ def test_fm_hand_reimplementation(ctx_hidesmall):
     for _ in range(10):
         z = rng.uniform(-3, 3)
         u = rng.uniform(-2.5, 2.5, size=6)
-        got = penalized_driver_fm(z, u, 1, ctx_hidesmall)
+        got = _fm_row(z, u, 1, ctx_hidesmall)
         assert got == pytest.approx(hand_fm1(z, u), rel=1e-9, abs=1e-9)
 
 
@@ -325,10 +340,9 @@ def test_fm_dropped_bins_are_inert(ctx_hidesmall):
     u1 = np.array([0.5, 0.1, -0.3, 0.2, -0.4, 0.6])
     u2 = u1.copy()
     u2[[1, 2, 3, 4]] += 0.7  # bins at +-0.5 and +-1
-    assert penalized_driver_fm(z, u1, 1, ctx_hidesmall) == \
-        penalized_driver_fm(z, u2, 1, ctx_hidesmall)
-    f1_val, _ = driver_f(z, u1, ctx_hidesmall)
-    f2_val, _ = driver_f(z, u2, ctx_hidesmall)
+    assert _fm_row(z, u1, 1, ctx_hidesmall) == _fm_row(z, u2, 1, ctx_hidesmall)
+    f1_val, _ = _f_row(z, u1, ctx_hidesmall)
+    f2_val, _ = _f_row(z, u2, ctx_hidesmall)
     assert f1_val != f2_val
 
 
@@ -339,27 +353,9 @@ def test_local_lipschitz_constant(ctx_hidesmall, ctx_drift, rng):
     for _ in range(40):
         z1, z2 = rng.uniform(-5, 5, size=2)
         u = rng.uniform(-2, 2, size=6)
-        f1v, _ = driver_f(z1, u, ctx_drift)
-        f2v, _ = driver_f(z2, u, ctx_drift)
+        f1v, _ = _f_row(z1, u, ctx_drift)
+        f2v, _ = _f_row(z2, u, ctx_drift)
         assert abs(f1v - f2v) <= K * (1 + abs(z1) + abs(z2)) * abs(z1 - z2) + 1e-10
-
-
-def test_sigma_in_square_flag(spec_small, grid_small):
-    from jumpsignal import DriverContext, NoSignal
-
-    ctx_a = DriverContext.build(spec_small, grid_small, NoSignal(), lam=0.4,
-                                sigma_in_square=True)
-    ctx_b = DriverContext.build(spec_small, grid_small, NoSignal(), lam=0.4,
-                                sigma_in_square=False)
-    assert ctx_a.p_scale == 0.2 and ctx_b.p_scale == 1.0
-    u = np.zeros(6)
-    _, p_b = driver_f(0.5, u, ctx_b)
-    _, p_a = driver_f(0.5, u, ctx_a)
-    res = minimize_scalar(lambda p: _hand_f1(0.5, u, p, ctx_b),
-                          bounds=(-1, 1), method="bounded",
-                          options={"xatol": 1e-12})
-    assert p_b == pytest.approx(res.x, abs=1e-6)
-    assert abs(p_a - p_b) > 0.05
 
 
 def test_context_validation(spec_small, grid_small):

@@ -15,9 +15,6 @@ from jumpsignal import (
     NoSignal,
     build_grid,
     c_kappa_eta,
-    eta_hat,
-    mu_measure,
-    v_eta,
 )
 
 # frozen oracles, rho=0.1 alpha=1.5 eps=0.01 unless stated
@@ -25,9 +22,6 @@ W1_SMALL = 0.169059892324149694196340487799       # nu(0.25, 0.75]
 W2_SMALL = 0.067640791490305099257173907220       # nu(0.75, 1.5]
 W3_SMALL = 0.163299316185545206546485604980       # nu(1.5, inf)
 ETA_ABS_INT = 0.795989949685295963787583856801    # integral |eta| d nu
-HS_ATOM_C2 = 0.141421356237309504880168872421     # HideSmall c=2 atom
-HS_ATOM_C03 = 0.201007563051842415097874711313    # HideSmall c=0.3 atom
-HL_ATOM_C2 = 0.059586206814532910217705838892     # HideLarge c=2 atom
 Q20_W_FIRST = 0.426149532588869543000601245635   # q=20 grid, |e|=0.05 bin
 Q20_W_LAST = 0.094682579882039078848272130938    # q=20 grid, |e|=5 tail bin
 Q20_TOTAL = 2.529822128134703465599114835546     # q=20 grid intensity
@@ -107,54 +101,6 @@ def test_gamma_by_scenario(spec_small):
         HideSmall(c=0.0)
     with pytest.raises(ValueError):
         HideLarge(c=-1.0)
-
-
-def test_mu_hidesmall(spec_small):
-    mu = mu_measure(HideSmall(c=2.0), spec_small)
-    assert mu.atom_value == 0.99
-    assert mu.atom_mass == pytest.approx(HS_ATOM_C2, rel=1e-14)
-    assert not mu.has_density
-    # large-cutoff mass equals the nu tail beyond c
-    assert mu.total_mass() == pytest.approx(
-        2.0 * spec_small.nu_interval(2.0, math.inf), rel=1e-13)
-
-    mu = mu_measure(HideSmall(c=0.3), spec_small)
-    assert mu.atom_mass == pytest.approx(HS_ATOM_C03, rel=1e-14)
-    assert mu.has_density and (mu.density_lo, mu.density_hi) == (0.3, 0.99)
-    assert mu.total_mass() == pytest.approx(
-        2.0 * spec_small.nu_interval(0.3, math.inf), rel=1e-13)
-
-
-def test_mu_hidelarge(spec_small):
-    mu = mu_measure(HideLarge(c=2.0), spec_small)
-    assert mu.atom_mass == pytest.approx(HL_ATOM_C2, rel=1e-14)
-    # revealed small jumps reach the origin: infinite activity survives
-    assert mu.density_lo == 0.0 and mu.density_hi == 0.99
-    assert math.isinf(mu.density_mass()) and math.isinf(mu.total_mass())
-
-    # cutoff below the cap leaves no capped mark revealed
-    mu = mu_measure(HideLarge(c=0.5), spec_small)
-    assert mu.atom_mass == 0.0
-    assert mu.density_hi == 0.5
-
-
-def test_mu_nosignal_raises(spec_small):
-    with pytest.raises(ValueError):
-        mu_measure(NoSignal(), spec_small)
-
-
-def test_eta_hat_and_v_eta(spec_small):
-    hs = HideSmall(c=0.7)
-    assert eta_hat(0.8, hs, spec_small) == 0.8
-    assert eta_hat(-0.99, hs, spec_small) == -0.99
-    assert v_eta(0.8, hs, spec_small) == 0.0
-    for bad in (0.0, 0.3, 1.5):
-        with pytest.raises(ValueError):
-            eta_hat(bad, hs, spec_small)
-    hl = HideLarge(c=0.7)
-    assert eta_hat(0.5, hl, spec_small) == 0.5
-    with pytest.raises(ValueError):
-        v_eta(0.9, hl, spec_small)
 
 
 def test_grid_small_points_and_weights(grid_small):
