@@ -20,16 +20,11 @@ from .levy_model import (
 )
 from .drivers import (
     DriverContext,
-    h_lambda,
-    u_lambda_norm,
     driver_f_batch,
     penalized_driver_fm_batch,
     driver_bounds,
     local_lipschitz_constant,
     fm_exact_threshold,
-    rho_m,
-    phi_m,
-    minimize_on_interval,
 )
 from .simulate import (
     TimeGrid,
@@ -37,7 +32,6 @@ from .simulate import (
     StrategyTable,
     simulate_batch,
     payoff_put,
-    payoff_call,
     payoff_digital,
     payoff_terminal,
     wealth_forward,

@@ -115,7 +115,7 @@ def _solve_point(cfg, spec, grid, tg, scenario, seed, batch=None):
     ctx = cfg.driver_context(spec, grid, scenario)
     sol = solve(batch, F, ctx, n_cells=cfg.scheme.n_cells,
                 min_count=cfg.scheme.min_count)
-    bound = verify_mod.check_y_bound(sol, float(np.max(np.abs(F))), ctx, 0.0)
+    bound = verify_mod.check_y_bound(sol, ctx, 0.0)
     if not bound.passed:
         raise ValueError(f"backward values break the a priori bound: {bound.line()}")
     value, _ = value_and_strategy(sol, cfg.utility.x, ctx)
@@ -247,8 +247,7 @@ def cmd_verify(args) -> int:
         fresh = simulate_batch(spec, grid, tg, cfg.scheme.n_paths, fresh_seed)
         reports.append(verify_mod.check_martingale_optimality(
             fresh, sol, ctx, cfg.payoff_values, cfg.utility.x, eps_reg))
-        reports.append(verify_mod.check_y_bound(sol, cfg.payoff.strike, ctx,
-                                                eps_reg))
+        reports.append(verify_mod.check_y_bound(sol, ctx, eps_reg))
 
     print(verify_mod.format_reports(reports))
     if args.csv:

@@ -26,7 +26,7 @@ from .levy_model import (
     SignalScenario,
     build_grid,
 )
-from .simulate import TimeGrid, payoff_terminal
+from .simulate import _PAYOFFS, TimeGrid, payoff_terminal
 
 __all__ = [
     "MarketBlock",
@@ -99,6 +99,10 @@ class ScenarioBlock:
 class PayoffBlock:
     type: str = "put"
     strike: float = 1.0
+
+    def __post_init__(self):
+        if self.type not in _PAYOFFS:
+            raise ValueError(f"payoff type must be one of {tuple(_PAYOFFS)}, got {self.type!r}")
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ signals a bug upstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -40,22 +41,20 @@ from .levy_model import (
 
 __all__ = [
     "DriverContext",
-    "h_lambda",
-    "u_lambda_norm",
     "driver_f_batch",
     "penalized_driver_fm_batch",
     "driver_bounds",
     "local_lipschitz_constant",
     "fm_exact_threshold",
-    "rho_m",
-    "phi_m",
-    "minimize_on_interval",
 ]
 
 EXP_ARG_MAX = 700.0
 
 # golden-section interior ratio
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+# position minimizer: coarse scan points and absolute tolerance in p
+_COARSE = 33
+_TOL = 1e-10
 
 
 def _guarded_exp(arg):
@@ -91,39 +90,40 @@ def phi_m(x, m: int):
     return out if out.ndim else float(out)
 
 
-def minimize_on_interval(objective: Callable, a, b, tol: float = 1e-10,
-                         max_iter: int = 200, coarse: int = 33):
-    """Minimize a scalar-in-p objective on [a, b], vectorized over rows.
+def minimize_on_interval(objective: Callable, a: float, b: float):
+    """Minimize a scalar-in-p objective on [a, b], independently per row.
 
-    A coarse scan brackets the global basin (the penalized drivers can
-    plateau), then golden-section search refines to absolute tolerance
-    ``tol`` in p. ``objective`` maps a position vector (one entry per
-    row) to the per-row objective values.
+    A coarse scan of ``_COARSE`` points brackets the global basin (the
+    penalized drivers can plateau), then golden-section search refines
+    the bracket. Every row takes the same number of golden-section steps:
+    enough to shrink the widest bracket the scan can return,
+    2 (b - a) / (_COARSE - 1), below ``_TOL`` in p. The step count never
+    depends on the data, so a row's result does not depend on the other
+    rows of its batch. ``objective`` maps a position (a scalar shared by
+    every row, or one entry per row) to the per-row objective values.
 
     Returns
     -------
     (p_min, f_min) : per-row arrays.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=float)).copy()
-    b = np.atleast_1d(np.asarray(b, dtype=float)).copy()
-    if np.any(b < a):
+    if b < a:
         raise ValueError("empty search interval")
+    span = b - a
+    widest = 2.0 * span / (_COARSE - 1)
+    n_steps = math.ceil(math.log(_TOL / widest, _INVPHI)) if widest > _TOL else 0
 
     # coarse bracket around the best scan point
-    grid_t = np.linspace(0.0, 1.0, coarse)
-    vals = np.stack([objective(a + t * (b - a)) for t in grid_t])
+    grid_t = np.linspace(0.0, 1.0, _COARSE)
+    vals = np.stack([objective(a + t * span) for t in grid_t])
     best = np.argmin(vals, axis=0)
-    span = b - a
     lo = a + grid_t[np.maximum(best - 1, 0)] * span
-    hi = a + grid_t[np.minimum(best + 1, coarse - 1)] * span
+    hi = a + grid_t[np.minimum(best + 1, _COARSE - 1)] * span
 
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
     fc = objective(c)
     fd = objective(d)
-    for _ in range(max_iter):
-        if np.all(hi - lo <= tol):
-            break
+    for _ in range(n_steps):
         left = fc < fd
         hi = np.where(left, d, hi)
         lo = np.where(left, lo, c)
@@ -133,11 +133,6 @@ def minimize_on_interval(objective: Callable, a, b, tol: float = 1e-10,
         # one probe is inherited from the previous pair, the other is fresh
         fresh = objective(np.where(left, c, d))
         fc, fd = np.where(left, fresh, fd), np.where(left, fc, fresh)
-    else:
-        raise ArithmeticError(
-            "position minimizer failed to converge: interval "
-            f"{np.max(hi - lo):.3g} > tol {tol} after {max_iter} iterations"
-        )
     p = 0.5 * (lo + hi)
     return p, objective(p)
 
@@ -154,8 +149,8 @@ def _as_u_matrix(u, grid: DiscreteJumpGrid, n_rows: Optional[int] = None) -> np.
         raise ValueError(f"u must be (rows, {nb}), got shape {u.shape}")
     if not np.all(np.isfinite(u)):
         raise ValueError("u must be finite on every bin")
-    if n_rows is not None and u.shape[0] not in (1, n_rows):
-        raise ValueError(f"u rows {u.shape[0]} incompatible with {n_rows}")
+    if n_rows is not None and u.shape[0] != n_rows:
+        raise ValueError(f"u rows {u.shape[0]} != z rows {n_rows}")
     return u
 
 
@@ -233,7 +228,7 @@ def _nosignal_objective(Z, U, P, ctx: DriverContext, m: Optional[int] = None):
     ns = ~ctx.sig_mask
     eta = ctx.eta_g[ns]
     nu = ctx.nu_g[ns]
-    x = U[:, ns] - P[:, None] * eta[None, :]
+    x = U[:, ns] - np.multiply.outer(P, eta)
     quad = 0.5 * lam * (ctx.sigma * P - (Z + ctx.c_const / lam)) ** 2
     lin = -P * float(eta @ nu)
     if m is None:
@@ -265,12 +260,9 @@ def _driver_rows(Z, U, ctx: DriverContext, m: Optional[int] = None):
     """f (m None) or f_m on rows of (z, u); returns (values, no-signal argmin)."""
     Z = np.atleast_1d(np.asarray(Z, dtype=float))
     U = _as_u_matrix(U, ctx.grid, Z.size)
-    if U.shape[0] == 1 and Z.size > 1:
-        U = np.broadcast_to(U, (Z.size, U.shape[1]))
-    lo = np.full(Z.shape, -ctx.pi_lower)
-    hi = np.full(Z.shape, ctx.pi_upper)
     p0, f1min = minimize_on_interval(
-        lambda P: _nosignal_objective(Z, U, P, ctx, m=m), lo, hi
+        lambda P: _nosignal_objective(Z, U, P, ctx, m=m),
+        -ctx.pi_lower, ctx.pi_upper,
     )
     vals = f1min + _signal_sum(U, ctx, m=m) + ctx.affine_tail(Z)
     return vals, p0
@@ -294,13 +286,15 @@ def penalized_driver_fm_batch(Z, U, m: int, ctx: DriverContext):
     return _driver_rows(Z, U, ctx, m=m)
 
 
-def driver_bounds(z: float, u, ctx: DriverContext):
-    """Sandwich bounds (lower, upper) that every f_m and f respect.
+def driver_bounds(z, u, ctx: DriverContext):
+    """Sandwich bounds (lower, upper) that every f_m and f respect, per row.
 
     lower = -z C - C^2/(2 lam) - (pi_lower + pi_upper) sum |eta_i| nu_i,
     upper = (lam/2) z^2 + |u|_lam.
+
+    A scalar z with a single u row gives floats; rows give arrays.
     """
-    z = float(z)
+    z = np.asarray(z, dtype=float)
     abs_eta_mass = float(np.abs(ctx.eta_g) @ ctx.nu_g)
     lower = (
         -z * ctx.c_const
@@ -308,6 +302,8 @@ def driver_bounds(z: float, u, ctx: DriverContext):
         - (ctx.pi_lower + ctx.pi_upper) * abs_eta_mass
     )
     upper = 0.5 * ctx.lam * z ** 2 + u_lambda_norm(u, ctx)
+    if z.ndim == 0 and np.ndim(u) == 1:
+        return float(lower), float(upper)
     return lower, upper
 
 
@@ -317,19 +313,17 @@ def local_lipschitz_constant(ctx: DriverContext) -> float:
         + abs(ctx.c_const) * (1.0 + ctx.lam)
 
 
-def fm_exact_threshold(z: float, u, ctx: DriverContext) -> float:
-    """Smallest bound on m past which f_m(z, u) = f(z, u) exactly.
+def fm_exact_threshold(z, u, ctx: DriverContext):
+    """Smallest bound on m past which f_m(z, u) = f(z, u) exactly, per row.
 
     Needs rho_m(z) = 1, every bin inside the truncated measure, the
     phi_m cap inactive for every admissible position, and rho_m(u_i) = 1
-    on the signal bins.
+    on the signal bins. A scalar z with a single u row gives a float.
     """
-    U = _as_u_matrix(u, ctx.grid)[0]
+    z = np.asarray(z, dtype=float)
+    U = _as_u_matrix(u, ctx.grid)
     pmax = max(ctx.pi_lower, ctx.pi_upper)
-    phi_need = float(np.max(U + pmax * np.abs(ctx.eta_g)))
-    return max(
-        abs(float(z)),
-        float(np.max(np.abs(U))),
-        phi_need,
-        1.0 / float(ctx.grid.points[ctx.grid.q]),
-    )
+    phi_need = np.max(U + pmax * np.abs(ctx.eta_g), axis=1)
+    out = np.maximum(np.maximum(np.abs(z), np.max(np.abs(U), axis=1)),
+                     np.maximum(phi_need, 1.0 / float(ctx.grid.points[ctx.grid.q])))
+    return float(out[0]) if z.ndim == 0 and np.ndim(u) == 1 else out

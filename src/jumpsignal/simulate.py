@@ -41,7 +41,6 @@ __all__ = [
     "StrategyTable",
     "simulate_batch",
     "payoff_put",
-    "payoff_call",
     "payoff_digital",
     "payoff_terminal",
     "wealth_forward",
@@ -209,13 +208,6 @@ def payoff_put(s_t, strike: float):
     return out if out.ndim else float(out)
 
 
-def payoff_call(s_t, strike: float):
-    if not strike > 0:
-        raise ValueError(f"strike must be > 0, got {strike}")
-    out = np.maximum(np.asarray(s_t, dtype=float) - strike, 0.0)
-    return out if out.ndim else float(out)
-
-
 def payoff_digital(s_t, strike: float):
     """Cash-or-nothing: pays 1 when S_T <= strike."""
     if not strike > 0:
@@ -224,7 +216,8 @@ def payoff_digital(s_t, strike: float):
     return out if out.ndim else float(out)
 
 
-_PAYOFFS = {"put": payoff_put, "call": payoff_call, "digital": payoff_digital}
+# bounded terminal values only: the a priori bound needs a finite sup |F|
+_PAYOFFS = {"put": payoff_put, "digital": payoff_digital}
 
 
 def payoff_terminal(s_t, kind: str, strike: float):

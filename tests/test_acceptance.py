@@ -182,11 +182,10 @@ def test_martingale_optimality(cfg, spec, grid, sol_ref, ctx_hs, eps_hs):
     assert r.passed and r.violations == 0
 
 
-def test_scheme_oracles_and_bound(cfg, batches, payoffs, sol_ref, ctx_hs, eps_hs):
+def test_scheme_oracles_and_bound(batches, payoffs, sol_ref, ctx_hs, eps_hs):
     r = check_scheme_oracles(batches[0], payoffs[0])
     print(r.line())
     assert r.passed and r.violations == 0
-    # the put payoff is capped by its strike
-    rb = check_y_bound(sol_ref, cfg.payoff.strike, ctx_hs, eps_hs)
+    rb = check_y_bound(sol_ref, ctx_hs, eps_hs)
     print(rb.line())
     assert rb.passed and rb.violations == 0

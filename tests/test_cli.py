@@ -92,6 +92,9 @@ def test_config_rejects_removed_keys():
         load_config_text("scheme: {design: const}")
     with pytest.raises(ValueError, match="flags"):
         load_config_text("flags: {}")
+    # the call payoff is unbounded, so the a priori bound does not apply
+    with pytest.raises(ValueError, match=r"'put', 'digital'.*'call'"):
+        load_config_text("payoff: {type: call, strike: 1.0}")
 
 
 def test_block_validation():

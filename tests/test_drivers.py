@@ -12,15 +12,17 @@ from jumpsignal import (
     driver_bounds,
     driver_f_batch,
     fm_exact_threshold,
-    h_lambda,
     local_lipschitz_constant,
-    minimize_on_interval,
     penalized_driver_fm_batch,
+)
+from jumpsignal.drivers import (
+    _nosignal_objective,
+    h_lambda,
+    minimize_on_interval,
     phi_m,
     rho_m,
     u_lambda_norm,
 )
-from jumpsignal.drivers import _nosignal_objective
 
 # frozen, 40-digit source
 H_04_1 = 0.229561744103175794562132382093    # h_0.4(1)
@@ -202,29 +204,35 @@ def test_minimizer_against_bruteforce(ctx_hidesmall, ctx_drift, rng):
 
 def test_minimizer_quadratic_family(rng):
     targets = rng.uniform(-2.0, 2.0, size=64)
-    p, v = minimize_on_interval(lambda P: (P - targets) ** 2,
-                                np.full(64, -1.0), np.full(64, 1.0))
+    p, v = minimize_on_interval(lambda P: (P - targets) ** 2, -1.0, 1.0)
     assert p == pytest.approx(np.clip(targets, -1, 1), abs=1e-9)
     # boundary minima carry first-order value error of order tol
     assert np.all(v <= (np.clip(targets, -1, 1) - targets) ** 2 + 1e-9)
     with pytest.raises(ValueError):
-        minimize_on_interval(lambda P: P, [1.0], [0.0])
+        minimize_on_interval(lambda P: P, 1.0, 0.0)
 
 
-def test_driver_batch_matches_scalar(ctx_hidesmall, rng):
-    z = rng.uniform(-3, 3, size=12)
-    u = rng.uniform(-1.5, 1.5, size=(12, 6))
-    vals, p0 = driver_f_batch(z, u, ctx_hidesmall)
-    # the batch stop rule iterates until the widest row converges, so
-    # row-wise results agree to minimizer tolerance, not bitwise
-    for j in range(12):
-        vj, pj = _f_row(z[j], u[j], ctx_hidesmall)
-        assert vals[j] == pytest.approx(vj, rel=1e-12, abs=1e-9)
-        assert p0[j] == pytest.approx(pj, abs=1e-8)
-    # one u row broadcast over every z
-    vb, _ = driver_f_batch(z, u[:1], ctx_hidesmall)
-    v0, _ = _f_row(z[3], u[0], ctx_hidesmall)
-    assert vb[3] == pytest.approx(v0, rel=1e-12, abs=1e-9)
+def test_driver_batch_matches_scalar(ctx_hidesmall, ctx_drift, rng):
+    # a row's value does not depend on its batch: only BLAS and reduction
+    # rounding may differ; comparing objective values places the argmin
+    # no closer than about sqrt(eps), so p agrees to 1e-7
+    n = 20
+    z = rng.uniform(-4, 4, size=n)
+    u = rng.uniform(-2, 2, size=(n, 6))
+    for ctx in (ctx_hidesmall, ctx_drift):
+        vals, p0 = driver_f_batch(z, u, ctx)
+        for m in (2, 20):
+            fm_vals, fm_p0 = penalized_driver_fm_batch(z, u, m, ctx)
+            for j in range(n):
+                vj, pj = penalized_driver_fm_batch([z[j]], u[j], m, ctx)
+                assert fm_vals[j] == pytest.approx(vj[0], rel=1e-14, abs=0.0)
+                assert abs(fm_p0[j] - pj[0]) <= 1e-7
+        for j in range(n):
+            vj, pj = _f_row(z[j], u[j], ctx)
+            assert vals[j] == pytest.approx(vj, rel=1e-14, abs=0.0)
+            assert abs(p0[j] - pj) <= 1e-7
+    with pytest.raises(ValueError):
+        driver_f_batch(z, u[:1], ctx_hidesmall)
 
 
 def test_driver_overflow_guard(ctx_hidesmall):

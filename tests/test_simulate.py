@@ -15,7 +15,6 @@ from jumpsignal import (
     StrategyTable,
     TimeGrid,
     mc_expected_utility,
-    payoff_call,
     payoff_digital,
     payoff_put,
     payoff_terminal,
@@ -136,14 +135,15 @@ def test_compensated_increments(batch_small, grid_small):
 def test_payoffs():
     s = np.array([0.5, 1.0, 1.5])
     assert np.array_equal(payoff_put(s, 1.0), [0.5, 0.0, 0.0])
-    assert np.array_equal(payoff_call(s, 1.0), [0.0, 0.0, 0.5])
     assert np.array_equal(payoff_digital(s, 1.0), [1.0, 1.0, 0.0])
     assert payoff_put(0.25, 1.0) == 0.75
     assert np.array_equal(payoff_terminal(s, "put", 1.0), payoff_put(s, 1.0))
     with pytest.raises(ValueError):
         payoff_put(s, 0.0)
-    with pytest.raises(ValueError):
-        payoff_terminal(s, "lookback", 1.0)
+    # an unbounded payoff is outside the bounded-terminal-value setting
+    for kind in ("call", "lookback"):
+        with pytest.raises(ValueError):
+            payoff_terminal(s, kind, 1.0)
 
 
 def _hand_batch(spec, grid, dW, dN_sparse, n_paths):

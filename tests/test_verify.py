@@ -111,13 +111,26 @@ def test_scheme_oracles_pass(batch_small, payoff_small):
 
 def test_y_bound_pass(batch_small, payoff_small, ctx_hidesmall, eps_reg):
     sol = solve(batch_small, payoff_small, ctx_hidesmall, n_cells=N_CELLS)
-    r = check_y_bound(sol, 1.0, ctx_hidesmall, eps_reg)
-    assert r.passed
+    r = check_y_bound(sol, ctx_hidesmall, eps_reg)
+    assert r.passed and r.samples == batch_small.time_grid.n_steps + 1
     # the log-sum floor keeps the bound above log(2)/lam, so shrink the
-    # allowance to zero and blow up the solution to force a violation
-    sol.y_paths = [y + 50.0 for y in sol.y_paths]
-    r_bad = check_y_bound(sol, 1.0, ctx_hidesmall, 0.0)
-    assert not r_bad.passed and r_bad.violations > 0
+    # allowance to zero and blow up the solution to force a violation;
+    # the terminal row is F itself and sets the bound, so it stays
+    sol.y_paths[:-1] += 50.0
+    r_bad = check_y_bound(sol, ctx_hidesmall, 0.0)
+    assert not r_bad.passed
+    assert r_bad.violations == batch_small.time_grid.n_steps
+
+
+def test_y_bound_reads_sup_from_terminal(batch_small, payoff_small,
+                                         ctx_hidesmall):
+    # max|F| above the strike: a bound built on the strike (1.0) sits at
+    # log(e^0.4 + 1)/0.4 = 2.28 at maturity, below the payoff itself
+    F = payoff_small + 3.0
+    assert np.max(F) > 3.0
+    sol = solve(batch_small, F, ctx_hidesmall, n_cells=N_CELLS)
+    r = check_y_bound(sol, ctx_hidesmall, 0.0)
+    assert r.passed and r.violations == 0
 
 
 def test_format_reports_sorted():
