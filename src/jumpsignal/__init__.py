@@ -39,6 +39,7 @@ from .simulate import (
 )
 from .bsde_solver import (
     BasisPartition,
+    CellIndex,
     StepRecord,
     BackwardSolution,
     solve,

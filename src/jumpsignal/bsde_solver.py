@@ -17,13 +17,24 @@ plain mean and Y_0 = mean(Ybar_0).
 The regressed fields are cell-constant, so the driver is evaluated once
 per cell and scattered back, which keeps the driver cost independent of
 the path count.
+
+The jump target of cell j and bin i is a scatter over the step's jump
+events (the jump regression of Bouchard and Elie, 2008),
+
+    (sum over events of bin i in j of Ybar_{k+1} count
+     - nu_i dt_k sum over paths in j of Ybar_{k+1}) / n_j,
+
+so no dense (n_bins, n_paths) matrix is formed. The cells, each path's
+cell and each event's (bin, cell) key depend only on the batch, n_cells
+and min_count: a ``CellIndex`` holds them, is built once per batch, and
+every solve on that batch shares it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -32,6 +43,7 @@ from .simulate import PathBatch, StrategyTable
 
 __all__ = [
     "BasisPartition",
+    "CellIndex",
     "StepRecord",
     "BackwardSolution",
     "solve",
@@ -93,11 +105,33 @@ class BasisPartition:
         return cls(edges=edges, counts=counts)
 
 
-def _cell_means(ids: np.ndarray, partition: BasisPartition, rows: np.ndarray) -> np.ndarray:
-    """Least-squares constant per cell: in-cell means; rows (m, n_paths) -> (m, n_cells)."""
-    nc = partition.n_cells
-    sums = np.stack([np.bincount(ids, weights=r, minlength=nc) for r in rows])
-    return sums / np.maximum(partition.counts, 1)
+@dataclass(frozen=True, eq=False)
+class CellIndex:
+    """The regression cells of one batch, per step.
+
+    ``partitions[k]`` are the cells of S_k, ``cell_ids[k]`` the cell of
+    each path and ``event_keys[k]`` the key ``bin * n_cells + cell`` of
+    each jump event of step k.
+    """
+
+    batch: PathBatch
+    partitions: Tuple[BasisPartition, ...]
+    cell_ids: Tuple[np.ndarray, ...]
+    event_keys: Tuple[np.ndarray, ...]
+
+    @classmethod
+    def build(cls, batch: PathBatch, n_cells: int = 64,
+              min_count: int = 50) -> "CellIndex":
+        partitions, cell_ids, event_keys = [], [], []
+        for k, ev in enumerate(batch.jumps):
+            partition = BasisPartition.from_sample(batch.S[k], n_cells=n_cells,
+                                                   min_count=min_count)
+            ids = partition.assign(batch.S[k])
+            partitions.append(partition)
+            cell_ids.append(ids)
+            event_keys.append(ev.bin * partition.n_cells + ids[ev.path])
+        return cls(batch=batch, partitions=tuple(partitions),
+                   cell_ids=tuple(cell_ids), event_keys=tuple(event_keys))
 
 
 DriverFn = Callable[[np.ndarray, np.ndarray], tuple]
@@ -129,19 +163,21 @@ class StepRecord:
     p_cells: np.ndarray           # (n_cells,) no-signal argmin
 
 
-def _step_core(y_next, batch, k, partition, driver_fn):
+def _step_core(y_next, cells, k, driver_fn):
+    batch = cells.batch
     dtk = float(batch.time_grid.dt[k])
-    ids = partition.assign(batch.S[k]).astype(np.int32)
-    nu = batch.grid.weights
+    partition, ids = cells.partitions[k], cells.cell_ids[k]
+    nc, n = partition.n_cells, partition.counts
+    nu_dt = batch.grid.weights[:, None] * dtk
+    ev = batch.jumps[k]
 
-    targets = np.empty((2 + nu.size, y_next.size))
-    targets[0] = y_next
-    targets[1] = y_next * batch.dW[k]
-    targets[2:] = y_next[None, :] * batch.dN_compensated(k)
-    means = _cell_means(ids, partition, targets)
-    y_coef = means[0]
-    z_coef = means[1] / dtk
-    u_coef = means[2:] / (nu[:, None] * dtk)
+    y_sum = np.bincount(ids, weights=y_next, minlength=nc)
+    z_sum = np.bincount(ids, weights=y_next * batch.dW[k], minlength=nc)
+    jump_sum = np.bincount(cells.event_keys[k], weights=y_next[ev.path] * ev.count,
+                           minlength=nu_dt.size * nc).reshape(nu_dt.size, nc)
+    y_coef = y_sum / n
+    z_coef = z_sum / n / dtk
+    u_coef = (jump_sum - nu_dt * y_sum) / n / nu_dt
 
     try:
         f_cells, p_cells = driver_fn(z_coef, u_coef.T)
@@ -166,15 +202,20 @@ class BackwardSolution:
 
 
 def solve(batch: PathBatch, f_values, driver: Union[DriverContext, DriverFn],
-          n_cells: int = 64, min_count: int = 50) -> BackwardSolution:
+          cells: Optional[CellIndex] = None) -> BackwardSolution:
     """Run the scheme from Ybar_n = F down to Y_0.
 
     ``driver`` is a driver context or any callable (Z, U) -> (values,
-    argmin). A non-finite Ybar raises ArithmeticError naming the step.
+    argmin). ``cells`` is the batch's cell index, built at its defaults
+    when absent. A non-finite Ybar raises ArithmeticError naming the step.
     """
     F = np.asarray(f_values, dtype=float)
     if F.shape != (batch.n_paths,):
         raise ValueError(f"terminal values shape {F.shape} != ({batch.n_paths},)")
+    if cells is None:
+        cells = CellIndex.build(batch)
+    elif cells.batch is not batch:
+        raise ValueError("the cell index belongs to another batch")
     driver_fn = make_driver_fn(driver)
     n_steps = batch.time_grid.n_steps
 
@@ -183,9 +224,7 @@ def solve(batch: PathBatch, f_values, driver: Union[DriverContext, DriverFn],
     steps: List[Optional[StepRecord]] = [None] * n_steps
     y = F
     for k in range(n_steps - 1, -1, -1):
-        partition = BasisPartition.from_sample(batch.S[k], n_cells=n_cells,
-                                               min_count=min_count)
-        y, rec = _step_core(y, batch, k, partition, driver_fn)
+        y, rec = _step_core(y, cells, k, driver_fn)
         if not np.all(np.isfinite(y)):
             raise ArithmeticError(f"non-finite Ybar at step {k}")
         y_paths[k] = y

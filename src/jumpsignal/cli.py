@@ -26,7 +26,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .bsde_solver import make_driver_fn, solve, value_and_strategy
+from .bsde_solver import CellIndex, make_driver_fn, solve, value_and_strategy
 from .config import (
     ExperimentConfig,
     config_hash,
@@ -106,22 +106,30 @@ def cmd_driver_table(args) -> int:
     return 0
 
 
-def _solve_point(cfg, spec, grid, tg, scenario, seed, batch=None):
-    """One (scenario, seed) pipeline; returns a result row dict."""
+def _cells(cfg, spec, grid, tg, seed) -> CellIndex:
+    """The seed's batch and its regression cells, shared by every scenario."""
+    batch = simulate_batch(spec, grid, tg, cfg.scheme.n_paths, seed)
+    return CellIndex.build(batch, cfg.scheme.n_cells, cfg.scheme.min_count)
+
+
+def _solve_point(cfg, spec, grid, scenario, cells):
+    """One scenario on a seed's cells; returns a result row dict.
+
+    ``wall_time`` is the solve with its checks, without the simulation
+    and the cell index, which every scenario of the seed shares.
+    """
     t0 = time.perf_counter()
-    if batch is None:
-        batch = simulate_batch(spec, grid, tg, cfg.scheme.n_paths, seed)
+    batch = cells.batch
     F = cfg.payoff_values(batch.S[-1])
     ctx = cfg.driver_context(spec, grid, scenario)
-    sol = solve(batch, F, ctx, n_cells=cfg.scheme.n_cells,
-                min_count=cfg.scheme.min_count)
+    sol = solve(batch, F, ctx, cells)
     bound = verify_mod.check_y_bound(sol, ctx, 0.0)
     if not bound.passed:
         raise ValueError(f"backward values break the a priori bound: {bound.line()}")
     value, _ = value_and_strategy(sol, cfg.utility.x, ctx)
     wall = time.perf_counter() - t0
     c = getattr(scenario, "c", "")
-    return {"scenario": scenario.label(), "c": c, "seed": seed,
+    return {"scenario": scenario.label(), "c": c, "seed": batch.seed,
             "y0": repr(sol.y0), "value": repr(value),
             "wall_time": f"{wall:.3f}", "config_hash": config_hash(cfg),
             "status": "ok"}
@@ -133,8 +141,8 @@ def cmd_solve(args) -> int:
     grid = cfg.jump_grid(spec)
     tg = cfg.time_grid()
     scenario = cfg.scenarios()[0]
-    seed = cfg.scheme.seeds[0]
-    row = _solve_point(cfg, spec, grid, tg, scenario, seed)
+    cells = _cells(cfg, spec, grid, tg, cfg.scheme.seeds[0])
+    row = _solve_point(cfg, spec, grid, scenario, cells)
     w = csv.DictWriter(sys.stdout, fieldnames=RESULT_COLUMNS)
     w.writeheader()
     w.writerow(row)
@@ -149,13 +157,12 @@ def cmd_sweep(args) -> int:
     scenarios = cfg.scenarios()
 
     rows: List[dict] = []
-    # batches do not depend on the scenario, so simulate once per seed
+    # batches and cells do not depend on the scenario: build them once per seed
     for seed in cfg.scheme.seeds:
-        batch = simulate_batch(spec, grid, tg, cfg.scheme.n_paths, seed)
+        cells = _cells(cfg, spec, grid, tg, seed)
         for scenario in scenarios:
             try:
-                rows.append(_solve_point(cfg, spec, grid, tg, scenario, seed,
-                                         batch=batch))
+                rows.append(_solve_point(cfg, spec, grid, scenario, cells))
             except (ValueError, ArithmeticError) as exc:
                 rows.append({"scenario": scenario.label(),
                              "c": getattr(scenario, "c", ""), "seed": seed,
@@ -221,15 +228,11 @@ def cmd_verify(args) -> int:
     if not args.driver_only:
         seeds = cfg.scheme.seeds[:2] if len(cfg.scheme.seeds) >= 2 \
             else (cfg.scheme.seeds[0], cfg.scheme.seeds[0] + 1)
-        batches = [simulate_batch(spec, grid, tg, cfg.scheme.n_paths, s)
-                   for s in seeds]
-        payoffs = [cfg.payoff_values(b.S[-1]) for b in batches]
-        nc, mc = cfg.scheme.n_cells, cfg.scheme.min_count
-        eps_reg = verify_mod.calibrate_eps_reg(batches, payoffs, ctx,
-                                               n_cells=nc, min_count=mc)
-        batch, F = batches[0], payoffs[0]
-        reports.append(verify_mod.check_scheme_oracles(batch, F, n_cells=nc,
-                                                       min_count=mc))
+        cell_indices = [_cells(cfg, spec, grid, tg, s) for s in seeds]
+        payoffs = [cfg.payoff_values(c.batch.S[-1]) for c in cell_indices]
+        eps_reg = verify_mod.calibrate_eps_reg(cell_indices, payoffs, ctx)
+        cells, F = cell_indices[0], payoffs[0]
+        reports.append(verify_mod.check_scheme_oracles(cells, F))
         delta = 0.05
         base_fn = make_driver_fn(ctx)
 
@@ -237,12 +240,10 @@ def cmd_verify(args) -> int:
             vals, p0 = base_fn(Z, U)
             return vals + delta, p0
 
-        reports.append(verify_mod.check_comparison(batch, F, F, base_fn,
-                                                   plus_delta, eps_reg,
-                                                   n_cells=nc, min_count=mc))
-        reports.append(verify_mod.check_penalization(batch, F, ctx, eps_reg,
-                                                     n_cells=nc, min_count=mc))
-        sol = solve(batch, F, ctx, n_cells=nc, min_count=mc)
+        reports.append(verify_mod.check_comparison(cells, F, F, base_fn,
+                                                   plus_delta, eps_reg))
+        reports.append(verify_mod.check_penalization(cells, F, ctx, eps_reg))
+        sol = solve(cells.batch, F, ctx, cells)
         fresh_seed = max(cfg.scheme.seeds) + 1009
         fresh = simulate_batch(spec, grid, tg, cfg.scheme.n_paths, fresh_seed)
         reports.append(verify_mod.check_martingale_optimality(

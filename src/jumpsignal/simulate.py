@@ -14,6 +14,11 @@ with the path index addressing the position inside the stream. Chunking
 the paths across any number of workers therefore reproduces the exact
 same numbers as a single pass.
 
+Jump counts are stored as events, not as a dense (n_steps, n_bins,
+n_paths) array: at the reference scale fewer than 1% of the counts are
+nonzero. Every uniform is still drawn, but only those at or above
+exp(-nu_i dt_k), the Poisson probability of no jump, are inverted.
+
 Wealth under a signal strategy realizes the semimartingale decomposition
 of the extended jump integral at finite activity: the jump sum applies
 the signal-dependent position to each jump while the compensator drift
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -37,6 +42,7 @@ from .levy_model import DiscreteJumpGrid, LevyMarketSpec, SignalScenario
 
 __all__ = [
     "TimeGrid",
+    "JumpEvents",
     "PathBatch",
     "StrategyTable",
     "simulate_batch",
@@ -123,12 +129,37 @@ def _poisson_invcdf(u: np.ndarray, mu: float) -> np.ndarray:
     return np.searchsorted(np.asarray(cdf), u, side="right").astype(np.int64)
 
 
+def _poisson_events(u: np.ndarray, mu: float) -> tuple:
+    """Positions and counts of the nonzero Poisson(mu) draws among u.
+
+    Equal to ``np.flatnonzero(c)`` and its entries for ``c =
+    _poisson_invcdf(u, mu)``: the inverse CDF gives 0 exactly when u lies
+    below the first CDF value exp(-mu), and a uniform equal to it already
+    counts one jump (the search is right-sided), hence ``>=``. With mu = 0
+    the threshold is 1, which no uniform reaches.
+    """
+    idx = np.flatnonzero(u >= math.exp(-mu))
+    return idx, _poisson_invcdf(u[idx], mu)
+
+
+@dataclass(frozen=True, eq=False)
+class JumpEvents:
+    """The nonzero jump counts of one step: ``count[e]`` jumps of bin
+    ``bin[e]`` on path ``path[e]``, bin-major with paths increasing
+    inside a bin."""
+
+    path: np.ndarray
+    bin: np.ndarray
+    count: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class PathBatch:
     """Simulated increments and prices for a block of paths.
 
-    dW has shape (n_steps, n_paths), dN (n_steps, n_bins, n_paths) as
-    small integers, S (n_steps + 1, n_paths) with S[0] = s0.
+    dW has shape (n_steps, n_paths) and S (n_steps + 1, n_paths) with
+    S[0] = s0; ``jumps[k]`` holds the jump events of step k, path indices
+    counted from the first path of the batch.
     """
 
     spec: LevyMarketSpec
@@ -137,17 +168,23 @@ class PathBatch:
     seed: int
     path_offset: int
     dW: np.ndarray
-    dN: np.ndarray
+    jumps: Tuple[JumpEvents, ...]
     S: np.ndarray
 
     @property
     def n_paths(self) -> int:
         return self.dW.shape[1]
 
-    def dN_compensated(self, k: int) -> np.ndarray:
-        """Compensated jump increments dN_k(i) - nu_i dt_k, shape (n_bins, n_paths)."""
-        dtk = self.time_grid.dt[k]
-        return self.dN[k].astype(float) - self.grid.weights[:, None] * dtk
+    @property
+    def dN(self) -> np.ndarray:
+        """Dense int16 counts (n_steps, n_bins, n_paths), built from the
+        events on every access; for outside readers of the dense layout
+        only, the package never builds it."""
+        dN = np.zeros((self.time_grid.n_steps, self.grid.points.size,
+                       self.n_paths), dtype=np.int16)
+        for k, ev in enumerate(self.jumps):
+            dN[k, ev.bin, ev.path] = ev.count
+        return dN
 
 
 def simulate_batch(
@@ -158,7 +195,7 @@ def simulate_batch(
     seed: int,
     path_offset: int = 0,
 ) -> PathBatch:
-    """Simulate dW, per-bin jump counts, and the exact price paths.
+    """Simulate dW, the jump events, and the exact price paths.
 
     Same seed gives the same batch for any chunking of the path range
     (``path_offset`` addresses the first path of the chunk).
@@ -170,33 +207,37 @@ def simulate_batch(
     dt = time_grid.dt
 
     dW = np.empty((n_steps, n_paths))
-    dN = np.empty((n_steps, nb, n_paths), dtype=np.int16)
+    jumps = []
     for k in range(n_steps):
         dW[k] = math.sqrt(dt[k]) * _normals(seed, k, 0, n_paths, path_offset)
+        paths, counts = [], []
         for j in range(nb):
             u = _uniforms(seed, k, 1 + j, n_paths, path_offset)
-            counts = _poisson_invcdf(u, grid.weights[j] * dt[k])
-            if np.any(counts > np.iinfo(np.int16).max):
-                raise ValueError("jump count overflow")
-            dN[k, j] = counts.astype(np.int16)
+            idx, cnt = _poisson_events(u, grid.weights[j] * dt[k])
+            paths.append(idx)
+            counts.append(cnt)
+        bins = np.repeat(np.arange(nb), [p.size for p in paths])
+        jumps.append(JumpEvents(path=np.concatenate(paths), bin=bins,
+                                count=np.concatenate(counts)))
 
     eta = grid.eta_values()
     comp = float(eta @ grid.weights)
     log_jump = np.log1p(eta)  # 1 + eta > 0 by the cap, prices stay positive
     S = np.empty((n_steps + 1, n_paths))
     S[0] = spec.s0
-    for k in range(n_steps):
+    for k, ev in enumerate(jumps):
         expo = (
             (spec.kappa - 0.5 * spec.sigma ** 2 - comp) * dt[k]
             + spec.sigma * dW[k]
-            + log_jump @ dN[k].astype(float)
+            + np.bincount(ev.path, weights=log_jump[ev.bin] * ev.count,
+                          minlength=n_paths)
         )
         S[k + 1] = S[k] * np.exp(expo)
     if not np.all(S > 0):
         raise AssertionError("simulated price lost positivity")
     return PathBatch(
         spec=spec, grid=grid, time_grid=time_grid, seed=seed,
-        path_offset=path_offset, dW=dW, dN=dN, S=S,
+        path_offset=path_offset, dW=dW, jumps=tuple(jumps), S=S,
     )
 
 
@@ -278,19 +319,18 @@ def wealth_forward(batch: PathBatch, strategy: StrategyTable, x: float) -> np.nd
 
     X = np.full(batch.n_paths, float(x))
     tol = 1e-12
-    for k in range(batch.time_grid.n_steps):
+    for k, ev in enumerate(batch.jumps):
         p0, p_sig = strategy.fn(k, batch.S[k])
         p0 = np.broadcast_to(np.asarray(p0, float), (batch.n_paths,))
-        p_sig = np.asarray(p_sig, float)
-        if p_sig.shape[0] == 1:
-            p_sig = np.broadcast_to(p_sig, (nb, batch.n_paths))
-        pos_bins = np.where(sig_mask[:, None], p_sig, p0[None, :])
-        if (np.min(p0) < -strategy.pi_lower - tol
-                or np.max(p0) > strategy.pi_upper + tol
-                or np.min(pos_bins) < -strategy.pi_lower - tol
-                or np.max(pos_bins) > strategy.pi_upper + tol):
+        p_sig = np.broadcast_to(np.asarray(p_sig, float), (nb, batch.n_paths))
+        # signal positions are checked on every path, jump or not
+        lo = np.min(np.append(np.min(p_sig, axis=1)[sig_mask], np.min(p0)))
+        hi = np.max(np.append(np.max(p_sig, axis=1)[sig_mask], np.max(p0)))
+        if lo < -strategy.pi_lower - tol or hi > strategy.pi_upper + tol:
             raise ValueError("strategy position outside [-pi_lower, pi_upper]")
-        jump_pnl = np.einsum("bp,b,bp->p", pos_bins, eta, batch.dN[k].astype(float))
+        pos = np.where(sig_mask[ev.bin], p_sig[ev.bin, ev.path], p0[ev.path])
+        jump_pnl = np.bincount(ev.path, weights=pos * eta[ev.bin] * ev.count,
+                               minlength=batch.n_paths)
         X = X + p0 * (spec.kappa * dt[k] + spec.sigma * batch.dW[k]) \
             + jump_pnl - p0 * comp * dt[k]
     return X

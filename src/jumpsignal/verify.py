@@ -7,7 +7,8 @@ the driver in batches, one call per penalization level m: a row's driver
 value does not depend on the other rows of its batch (see
 ``drivers.minimize_on_interval``). Statistical checks (optimality,
 regression noise) always run on freshly seeded batches, never on the
-batch the solution was trained on.
+batch the solution was trained on. The checks that solve on a batch take
+its cell index, so all their solves share one set of cells.
 """
 
 from __future__ import annotations
@@ -18,7 +19,13 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from .bsde_solver import BackwardSolution, constant_driver, solve, value_and_strategy
+from .bsde_solver import (
+    BackwardSolution,
+    CellIndex,
+    constant_driver,
+    solve,
+    value_and_strategy,
+)
 from .drivers import (
     DriverContext,
     driver_bounds,
@@ -160,8 +167,8 @@ def check_scenario_limits(ctx_nosignal: DriverContext,
     return _report("scenario_limits", 2 * n_samples, np.concatenate(margins), 0.0)
 
 
-def check_comparison(batch: PathBatch, f1_values, f2_values, driver1, driver2,
-                     eps_reg: float, n_cells: int = 64, min_count: int = 50) -> CheckReport:
+def check_comparison(cells: CellIndex, f1_values, f2_values, driver1, driver2,
+                     eps_reg: float) -> CheckReport:
     """Ordered terminals and ordered drivers give ordered Y_0 within eps_reg.
 
     Caller guarantees f2 >= f1 pathwise and driver2 >= driver1 pointwise;
@@ -171,24 +178,23 @@ def check_comparison(batch: PathBatch, f1_values, f2_values, driver1, driver2,
     F2 = np.asarray(f2_values, dtype=float)
     if np.any(F2 < F1):
         raise ValueError("terminal ordering violated: need F2 >= F1 pathwise")
-    y1 = solve(batch, F1, driver1, n_cells=n_cells, min_count=min_count).y0
-    y2 = solve(batch, F2, driver2, n_cells=n_cells, min_count=min_count).y0
+    y1 = solve(cells.batch, F1, driver1, cells).y0
+    y2 = solve(cells.batch, F2, driver2, cells).y0
     margin = (y2 - y1) + eps_reg
     return _report("comparison", 1, [margin], 0.0)
 
 
-def check_penalization(batch: PathBatch, f_values, ctx: DriverContext,
-                       eps_reg: float, m_values: Sequence[int] = tuple(range(1, 21)),
-                       n_cells: int = 64, min_count: int = 50) -> CheckReport:
+def check_penalization(cells: CellIndex, f_values, ctx: DriverContext, eps_reg: float,
+                       m_values: Sequence[int] = tuple(range(1, 21))) -> CheckReport:
     """Y_0 under f_m is nondecreasing in m and hits Y_0 under f exactly
     once every truncation is inactive along the solved fields."""
     F = np.asarray(f_values, dtype=float)
 
     def y0_fm(m):
-        return solve(batch, F, lambda Z, U: penalized_driver_fm_batch(Z, U, m, ctx),
-                     n_cells=n_cells, min_count=min_count).y0
+        return solve(cells.batch, F,
+                     lambda Z, U: penalized_driver_fm_batch(Z, U, m, ctx), cells).y0
 
-    sol_f = solve(batch, F, ctx, n_cells=n_cells, min_count=min_count)
+    sol_f = solve(cells.batch, F, ctx, cells)
     y0s = [y0_fm(int(m)) for m in m_values]
     margins = [y0s[j + 1] - y0s[j] + eps_reg for j in range(len(y0s) - 1)]
 
@@ -255,8 +261,7 @@ def check_martingale_optimality(fresh_batch: PathBatch, sol: BackwardSolution,
     return _report("martingale_optimality", len(margins), margins, 0.0)
 
 
-def check_scheme_oracles(batch: PathBatch, f_values, c0: float = 0.05,
-                         n_cells: int = 64, min_count: int = 50) -> CheckReport:
+def check_scheme_oracles(cells: CellIndex, f_values, c0: float = 0.05) -> CheckReport:
     """Exactly solvable drivers: zero gives mean(F), a constant telescopes.
 
     Both must hold to 1e-12 relative to the payoff scale; the constant
@@ -265,11 +270,9 @@ def check_scheme_oracles(batch: PathBatch, f_values, c0: float = 0.05,
     F = np.asarray(f_values, dtype=float)
     mean_f = float(np.mean(F))
     scale = max(1.0, abs(mean_f))
-    T = batch.time_grid.T
-    zero = constant_driver(0.0)
-    y0_zero = solve(batch, F, zero, n_cells=n_cells, min_count=min_count).y0
-    y0_const = solve(batch, F, constant_driver(c0), n_cells=n_cells,
-                     min_count=min_count).y0
+    T = cells.batch.time_grid.T
+    y0_zero = solve(cells.batch, F, constant_driver(0.0), cells).y0
+    y0_const = solve(cells.batch, F, constant_driver(c0), cells).y0
     margins = [1e-12 * scale - abs(y0_zero - mean_f),
                1e-12 * scale - abs(y0_const - (mean_f + c0 * T))]
     return _report("scheme_oracles", 2, margins, 0.0)
@@ -295,8 +298,8 @@ def check_y_bound(sol: BackwardSolution, ctx: DriverContext,
     return _report("y_bound", margins.size, margins, 0.0)
 
 
-def calibrate_eps_reg(batches: Sequence[PathBatch], payoff_values: Sequence[np.ndarray],
-                      ctx: DriverContext, n_cells: int = 64, min_count: int = 50) -> float:
+def calibrate_eps_reg(cell_indices: Sequence[CellIndex],
+                      payoff_values: Sequence[np.ndarray], ctx: DriverContext) -> float:
     """Regression-noise tolerance from the exactly solvable zero driver.
 
     Three times the worst |Y_0 - mean(F)| under the zero driver, plus
@@ -305,10 +308,10 @@ def calibrate_eps_reg(batches: Sequence[PathBatch], payoff_values: Sequence[np.n
     zero = constant_driver(0.0)
     worst = 0.0
     y0s = []
-    for b, F in zip(batches, payoff_values):
-        y_zero = solve(b, F, zero, n_cells=n_cells, min_count=min_count).y0
+    for cells, F in zip(cell_indices, payoff_values):
+        y_zero = solve(cells.batch, F, zero, cells).y0
         worst = max(worst, abs(y_zero - float(np.mean(F))))
-        y0s.append(solve(b, F, ctx, n_cells=n_cells, min_count=min_count).y0)
+        y0s.append(solve(cells.batch, F, ctx, cells).y0)
     spread = max(y0s) - min(y0s) if len(y0s) > 1 else 0.0
     return 3.0 * worst + spread
 

@@ -19,6 +19,7 @@ from jumpsignal import (
     payoff_put,
     simulate_batch,
 )
+from jumpsignal.simulate import _poisson_invcdf, _uniforms
 
 
 @pytest.fixture(scope="session")
@@ -88,6 +89,22 @@ def payoff_small(batch_small):
 @pytest.fixture(scope="session")
 def payoff_small_b(batch_small_b):
     return payoff_put(batch_small_b.S[-1], 1.0)
+
+
+@pytest.fixture(scope="session")
+def dense_counts():
+    """counts(batch, k): the (n_bins, n_paths) jump counts of step k drawn
+    straight from the batch's uniform streams by the full inverse CDF,
+    independently of the batch's jump events."""
+
+    def counts(batch, k):
+        mu = batch.grid.weights * batch.time_grid.dt[k]
+        return np.stack([
+            _poisson_invcdf(_uniforms(batch.seed, k, 1 + j, batch.n_paths,
+                                      batch.path_offset), mu[j])
+            for j in range(mu.size)])
+
+    return counts
 
 
 @pytest.fixture()

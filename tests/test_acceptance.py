@@ -22,7 +22,7 @@ strike 1, 65536 paths, 10 steps, 64 cells, 40-point jump grid, seeds
 import numpy as np
 import pytest
 
-from jumpsignal.bsde_solver import make_driver_fn, solve
+from jumpsignal.bsde_solver import CellIndex, make_driver_fn, solve
 from jumpsignal.config import ExperimentConfig
 from jumpsignal.levy_model import HideLarge, HideSmall, NoSignal
 from jumpsignal.simulate import simulate_batch
@@ -65,6 +65,12 @@ def batches(cfg, spec, grid):
 
 
 @pytest.fixture(scope="module")
+def cells(batches):
+    # one cell index per batch, shared by every solve on it
+    return [CellIndex.build(b) for b in batches]
+
+
+@pytest.fixture(scope="module")
 def payoffs(cfg, batches):
     return [cfg.payoff_values(b.S[-1]) for b in batches]
 
@@ -85,28 +91,28 @@ def ctx_ns(cfg, spec, grid):
 
 
 @pytest.fixture(scope="module")
-def eps_hs(batches, payoffs, ctx_hs):
-    return calibrate_eps_reg(batches, payoffs, ctx_hs)
+def eps_hs(cells, payoffs, ctx_hs):
+    return calibrate_eps_reg(cells, payoffs, ctx_hs)
 
 
 @pytest.fixture(scope="module")
-def eps_hl(batches, payoffs, ctx_hl):
-    return calibrate_eps_reg(batches, payoffs, ctx_hl)
+def eps_hl(cells, payoffs, ctx_hl):
+    return calibrate_eps_reg(cells, payoffs, ctx_hl)
 
 
 @pytest.fixture(scope="module")
-def sol_ref(batches, payoffs, ctx_hs):
-    return solve(batches[0], payoffs[0], ctx_hs)
+def sol_ref(batches, cells, payoffs, ctx_hs):
+    return solve(batches[0], payoffs[0], ctx_hs, cells[0])
 
 
-def test_c_sweep_monotonicity(cfg, spec, grid, batches, payoffs, eps_hs, eps_hl):
+def test_c_sweep_monotonicity(cfg, spec, grid, cells, payoffs, eps_hs, eps_hl):
     means = {}
     for variant, eps in ((HideSmall, eps_hs), (HideLarge, eps_hl)):
         ms = []
         for c in C_VALUES:
             ctx = cfg.driver_context(spec, grid, variant(c=c))
-            ms.append(float(np.mean([solve(b, f, ctx).y0
-                                     for b, f in zip(batches, payoffs)])))
+            ms.append(float(np.mean([solve(c.batch, f, ctx, c).y0
+                                     for c, f in zip(cells, payoffs)])))
         means[variant.__name__] = (ms, eps)
 
     hs, eps = means["HideSmall"]
@@ -120,7 +126,8 @@ def test_c_sweep_monotonicity(cfg, spec, grid, batches, payoffs, eps_hs, eps_hl)
     assert all(b - a <= eps for a, b in zip(hl, hl[1:])), hl
 
 
-def test_scenario_limit_exactness(cfg, spec, grid, batches, payoffs, ctx_ns):
+def test_scenario_limit_exactness(cfg, spec, grid, batches, cells, payoffs,
+                                  ctx_ns):
     r = check_scenario_limits(ctx_ns, n_samples=1000)
     print(r.line())
     assert r.passed and r.violations == 0
@@ -129,10 +136,10 @@ def test_scenario_limit_exactness(cfg, spec, grid, batches, payoffs, ctx_ns):
     # through the whole backward recursion, so Y0 agrees bit for bit
     c_hi = 2.0 * float(grid.points[-1])
     c_lo = 0.5 * float(grid.first_midpoint())
-    y_ns = solve(batches[0], payoffs[0], ctx_ns).y0
+    y_ns = solve(batches[0], payoffs[0], ctx_ns, cells[0]).y0
     for scenario in (HideSmall(c=c_hi), HideLarge(c=c_lo)):
         ctx = cfg.driver_context(spec, grid, scenario)
-        y = solve(batches[0], payoffs[0], ctx).y0
+        y = solve(batches[0], payoffs[0], ctx, cells[0]).y0
         print(f"{scenario.label()} c={scenario.c:g}: Y0 {y!r} vs {y_ns!r}")
         assert y == y_ns
 
@@ -145,7 +152,7 @@ def test_driver_property_suite(ctx_hs):
         assert report.passed and report.violations == 0
 
 
-def test_comparison_oracle(cfg, batches, payoffs, ctx_hs, eps_hs, sol_ref):
+def test_comparison_oracle(cfg, batches, cells, payoffs, ctx_hs, eps_hs, sol_ref):
     base_fn = make_driver_fn(ctx_hs)
     delta = 0.05
 
@@ -153,23 +160,23 @@ def test_comparison_oracle(cfg, batches, payoffs, ctx_hs, eps_hs, sol_ref):
         vals, p0 = base_fn(Z, U)
         return vals + delta, p0
 
-    r_term = check_comparison(batches[0], payoffs[0], payoffs[0] + 0.1,
+    r_term = check_comparison(cells[0], payoffs[0], payoffs[0] + 0.1,
                               ctx_hs, ctx_hs, eps_hs)
-    r_driver = check_comparison(batches[0], payoffs[0], payoffs[0],
+    r_driver = check_comparison(cells[0], payoffs[0], payoffs[0],
                                 base_fn, shifted_fn, eps_hs)
     for r in (r_term, r_driver):
         print(r.line())
         assert r.passed
 
     T = cfg.market.T
-    y_shift = solve(batches[0], payoffs[0], shifted_fn).y0
+    y_shift = solve(batches[0], payoffs[0], shifted_fn, cells[0]).y0
     gap = y_shift - sol_ref.y0
     print(f"driver shift {delta:g}: Y0 gap {gap:.6f} target {delta * T:.6f}")
     assert abs(gap - delta * T) <= eps_hs + 1e-10
 
 
-def test_penalization_convergence(batches, payoffs, ctx_hs, eps_hs):
-    r = check_penalization(batches[0], payoffs[0], ctx_hs, eps_hs)
+def test_penalization_convergence(cells, payoffs, ctx_hs, eps_hs):
+    r = check_penalization(cells[0], payoffs[0], ctx_hs, eps_hs)
     print(r.line())
     assert r.passed and r.violations == 0
 
@@ -182,8 +189,8 @@ def test_martingale_optimality(cfg, spec, grid, sol_ref, ctx_hs, eps_hs):
     assert r.passed and r.violations == 0
 
 
-def test_scheme_oracles_and_bound(batches, payoffs, sol_ref, ctx_hs, eps_hs):
-    r = check_scheme_oracles(batches[0], payoffs[0])
+def test_scheme_oracles_and_bound(cells, payoffs, sol_ref, ctx_hs, eps_hs):
+    r = check_scheme_oracles(cells[0], payoffs[0])
     print(r.line())
     assert r.passed and r.violations == 0
     rb = check_y_bound(sol_ref, ctx_hs, eps_hs)

@@ -11,6 +11,7 @@ from scipy.stats import norm, poisson
 
 from jumpsignal import (
     BasisPartition,
+    CellIndex,
     DriverContext,
     LevyMarketSpec,
     NoSignal,
@@ -25,6 +26,7 @@ from jumpsignal import (
     solve,
     value_and_strategy,
 )
+from jumpsignal.simulate import JumpEvents
 
 
 def test_partition_basic(rng):
@@ -61,7 +63,9 @@ def test_fit_recovers_cell_means(spec_small, grid_small, rng):
     batch = _flat_batch(spec_small, grid_small, np.zeros((1, 2000)), 2000, 1, rng)
     s = batch.S[0]
     t = s ** 2
-    rec = solve(batch, t, constant_driver(0.0), n_cells=8).steps[0]
+    cells = CellIndex.build(batch, n_cells=8)
+    rec = solve(batch, t, constant_driver(0.0), cells).steps[0]
+    assert rec.partition is cells.partitions[0]
     ids = rec.partition.assign(s)
     assert rec.y_coef.shape == (8,)
     for c in range(rec.partition.n_cells):
@@ -69,10 +73,14 @@ def test_fit_recovers_cell_means(spec_small, grid_small, rng):
         assert rec.y_coef[c] == pytest.approx(float(np.mean(t[cell])), rel=1e-12)
     # piecewise-constant targets are reproduced exactly
     g = np.cos(np.arange(rec.partition.n_cells))[ids]
-    sol = solve(batch, g, constant_driver(0.0), n_cells=8)
+    sol = solve(batch, g, constant_driver(0.0), cells)
     assert sol.y_paths[0] == pytest.approx(g, rel=1e-12)
     with pytest.raises(ValueError):
-        solve(batch, t[:100], constant_driver(0.0), n_cells=8)
+        solve(batch, t[:100], constant_driver(0.0), cells)
+    # a cell index only serves the batch it was built on
+    twin = _flat_batch(spec_small, grid_small, np.zeros((1, 2000)), 2000, 1, rng)
+    with pytest.raises(ValueError, match="another batch"):
+        solve(twin, t, constant_driver(0.0), cells)
 
 
 def test_make_driver_fn(ctx_hidesmall):
@@ -155,11 +163,13 @@ def test_one_step_enumeration_oracle():
 
 
 def _flat_batch(spec, grid, dW, n_paths, n_steps, rng):
-    dN = np.zeros((n_steps, grid.points.size, n_paths), dtype=np.int16)
+    none = np.zeros(0, dtype=np.intp)
+    jumps = tuple(JumpEvents(path=none, bin=none, count=none)
+                  for _ in range(n_steps))
     S = 1.0 + 0.3 * rng.random((n_steps + 1, n_paths))
     tg = TimeGrid.uniform(n_steps, 1.0)
     return PathBatch(spec=spec, grid=grid, time_grid=tg, seed=0,
-                     path_offset=0, dW=dW, dN=dN, S=S)
+                     path_offset=0, dW=dW, jumps=jumps, S=S)
 
 
 def test_jump_free_closed_form(spec_small, grid_small, rng):
@@ -172,20 +182,20 @@ def test_jump_free_closed_form(spec_small, grid_small, rng):
 
     dW = rng.uniform(-0.05, 0.05, size=(4, 200))
     batch = _flat_batch(spec_small, grid_small, dW, 200, 4, rng)
-    y0_zero = solve(batch, np.zeros(200), sigma_only, n_cells=4,
-                    min_count=10).y0
+    cells = CellIndex.build(batch, n_cells=4, min_count=10)
+    y0_zero = solve(batch, np.zeros(200), sigma_only, cells).y0
     assert y0_zero == 0.0
-    sol = solve(batch, np.full(200, 0.3), sigma_only, n_cells=4, min_count=10)
+    sol = solve(batch, np.full(200, 0.3), sigma_only, cells)
     # |Z| <= 0.3 * 0.05 / 0.25 < 0.2 keeps the quadratic vertex in the box
     assert abs(sol.y0 - 0.3) < 1e-15
     assert np.max(np.abs(sol.y_paths - 0.3)) < 1e-15
 
 
-def test_step_cellwise_oracle(batch_small, payoff_small):
+def test_step_cellwise_oracle(batch_small, payoff_small, dense_counts):
     # the last step (k = 3 of 4) regresses on the terminal values
     k = 3
-    sol = solve(batch_small, payoff_small, constant_driver(0.0), n_cells=8,
-                min_count=50)
+    sol = solve(batch_small, payoff_small, constant_driver(0.0),
+                CellIndex.build(batch_small, n_cells=8, min_count=50))
     rec = sol.steps[k]
     assert rec.y_coef.shape == (8,) and rec.z_coef.shape == (8,)
     assert rec.u_coef.shape == (6, 8)
@@ -197,10 +207,30 @@ def test_step_cellwise_oracle(batch_small, payoff_small):
         assert rec.z_coef[c] == pytest.approx(z_hand, rel=1e-10, abs=1e-14)
         y_hand = float(np.mean(payoff_small[cell]))
         assert sol.y_paths[k][cell] == pytest.approx(y_hand, rel=1e-12)
-        comp0 = batch_small.dN_compensated(k)[0][cell]
+        comp0 = dense_counts(batch_small, k)[0][cell] \
+            - batch_small.grid.weights[0] * dtk
         u_hand = float(np.mean(payoff_small[cell] * comp0)) \
             / (batch_small.grid.weights[0] * dtk)
         assert rec.u_coef[0, c] == pytest.approx(u_hand, rel=1e-10, abs=1e-14)
+
+
+def test_jump_target_event_scatter(batch_small, ctx_hidesmall, payoff_small,
+                                   dense_counts):
+    # every step, bin and cell: the event scatter equals the in-cell mean
+    # of Ybar_{k+1} (dN_k(i) - nu_i dt_k) over the dense counts, / nu_i dt_k
+    cells = CellIndex.build(batch_small, n_cells=8, min_count=50)
+    sol = solve(batch_small, payoff_small, ctx_hidesmall, cells)
+    nu = batch_small.grid.weights
+    for k, rec in enumerate(sol.steps):
+        nu_dt = nu[:, None] * batch_small.time_grid.dt[k]
+        comp = dense_counts(batch_small, k) - nu_dt
+        y = sol.y_paths[k + 1]
+        ids = cells.cell_ids[k]
+        assert np.array_equal(ids, rec.partition.assign(batch_small.S[k]))
+        hand = np.stack([[np.mean(y[ids == c] * comp[i, ids == c])
+                          for c in range(rec.partition.n_cells)]
+                         for i in range(nu.size)]) / nu_dt
+        assert rec.u_coef == pytest.approx(hand, rel=1e-10, abs=1e-12)
 
 
 def test_solve_records(batch_small, payoff_small, ctx_hidesmall):

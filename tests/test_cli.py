@@ -224,6 +224,20 @@ def test_sweep_results(sweep_files):
         assert float(srow[4]) == np.max(ys) - np.min(ys)
 
 
+def test_sweep_rows_match_standalone_solves(cfg_file, sweep_files, capsys):
+    # the cells shared by a seed's cutoffs must not couple them: each row
+    # is the standalone solve of its (c, seed), bit for bit
+    results, _ = sweep_files
+    recs = [dict(zip(RESULT_COLUMNS, r)) for r in _read_csv(results)[1:]]
+    assert len(recs) == 4
+    for rec in recs:
+        assert main(["solve", "--config", str(cfg_file), "--c", rec["c"],
+                     "--seed", rec["seed"]]) == 0
+        row = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))[0]
+        assert (row["c"], row["seed"]) == (rec["c"], rec["seed"])
+        assert row["y0"] == rec["y0"] and row["value"] == rec["value"]
+
+
 def test_sweep_marks_bound_violation_as_error(cfg_file, tmp_path, monkeypatch):
     # a driver shifted far up at c = 1.5 pushes Ybar past the a priori bound;
     # those rows fail and the summary keeps only the sound cutoff

@@ -161,13 +161,16 @@ def test_f1_matches_hand_reimplementation(ctx_hidesmall, ctx_drift, rng):
 def test_driver_matches_hand_reimplementation(ctx_hidesmall, ctx_hidelarge,
                                               ctx_nosignal, ctx_drift, rng):
     for ctx in (ctx_hidesmall, ctx_hidelarge, ctx_nosignal, ctx_drift):
-        for _ in range(8):
-            z = rng.uniform(-3, 3)
-            u = rng.uniform(-1.5, 1.5, size=6)
-            val, p0 = _f_row(z, u, ctx)
-            assert val == pytest.approx(_hand_driver(z, u, ctx),
-                                        rel=1e-9, abs=1e-9)
-            assert -ctx.pi_lower - 1e-9 <= p0 <= ctx.pi_upper + 1e-9
+        rows = [(rng.uniform(-3, 3), rng.uniform(-1.5, 1.5, size=6))
+                for _ in range(8)]
+        z = np.array([r[0] for r in rows])
+        u = np.array([r[1] for r in rows])
+        vals, p0 = driver_f_batch(z, u, ctx)
+        for j in range(z.size):
+            assert vals[j] == pytest.approx(_hand_driver(z[j], u[j], ctx),
+                                            rel=1e-9, abs=1e-9)
+        assert np.all(p0 >= -ctx.pi_lower - 1e-9)
+        assert np.all(p0 <= ctx.pi_upper + 1e-9)
 
 
 def test_driver_boundary_argmin(ctx_drift):
@@ -270,19 +273,24 @@ def test_scenario_limit_bit_exact(spec_small, grid_small, ctx_nosignal, rng):
 def test_sandwich_and_monotone(ctx_hidesmall, ctx_hidelarge, rng):
     # the affine/quadratic sandwich is exercised at C = 0
     for ctx in (ctx_hidesmall, ctx_hidelarge):
-        for _ in range(60):
-            z = rng.uniform(-4, 4)
-            u = rng.uniform(-2, 2, size=6)
-            m = int(rng.integers(1, 20))
-            fm_val = _fm_row(z, u, m, ctx)
-            fm_next = _fm_row(z, u, m + 1, ctx)
-            f, _ = _f_row(z, u, ctx)
-            lo, hi = driver_bounds(z, u, ctx)
-            scale = max(1.0, abs(fm_val), abs(f))
-            assert lo - 1e-10 <= fm_val <= hi + 1e-10
-            assert lo - 1e-10 <= f <= hi + 1e-10
-            assert fm_next >= fm_val - 1e-12 * scale
-            assert f >= fm_val - 1e-12 * scale
+        rows = [(rng.uniform(-4, 4), rng.uniform(-2, 2, size=6),
+                 int(rng.integers(1, 20))) for _ in range(60)]
+        z = np.array([r[0] for r in rows])
+        u = np.array([r[1] for r in rows])
+        ms = np.array([r[2] for r in rows])
+        fm_val = np.empty(z.size)
+        fm_next = np.empty(z.size)
+        for m in np.unique(ms):
+            at = ms == m
+            fm_val[at] = penalized_driver_fm_batch(z[at], u[at], int(m), ctx)[0]
+            fm_next[at] = penalized_driver_fm_batch(z[at], u[at], int(m) + 1, ctx)[0]
+        f, _ = driver_f_batch(z, u, ctx)
+        lo, hi = driver_bounds(z, u, ctx)
+        scale = np.maximum(1.0, np.maximum(np.abs(fm_val), np.abs(f)))
+        assert np.all((lo - 1e-10 <= fm_val) & (fm_val <= hi + 1e-10))
+        assert np.all((lo - 1e-10 <= f) & (f <= hi + 1e-10))
+        assert np.all(fm_next >= fm_val - 1e-12 * scale)
+        assert np.all(f >= fm_val - 1e-12 * scale)
 
 
 def test_driver_bounds_values(ctx_hidesmall):
@@ -358,12 +366,14 @@ def test_local_lipschitz_constant(ctx_hidesmall, ctx_drift, rng):
     assert local_lipschitz_constant(ctx_hidesmall) == 1.0
     assert local_lipschitz_constant(ctx_drift) == pytest.approx(6.25, rel=1e-14)
     K = local_lipschitz_constant(ctx_drift)
-    for _ in range(40):
-        z1, z2 = rng.uniform(-5, 5, size=2)
-        u = rng.uniform(-2, 2, size=6)
-        f1v, _ = _f_row(z1, u, ctx_drift)
-        f2v, _ = _f_row(z2, u, ctx_drift)
-        assert abs(f1v - f2v) <= K * (1 + abs(z1) + abs(z2)) * abs(z1 - z2) + 1e-10
+    rows = [(rng.uniform(-5, 5, size=2), rng.uniform(-2, 2, size=6))
+            for _ in range(40)]
+    z1, z2 = np.array([z for z, _ in rows]).T
+    u = np.array([u for _, u in rows])
+    f1v, _ = driver_f_batch(z1, u, ctx_drift)
+    f2v, _ = driver_f_batch(z2, u, ctx_drift)
+    assert np.all(np.abs(f1v - f2v)
+                  <= K * (1 + np.abs(z1) + np.abs(z2)) * np.abs(z1 - z2) + 1e-10)
 
 
 def test_context_validation(spec_small, grid_small):

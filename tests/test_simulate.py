@@ -21,7 +21,7 @@ from jumpsignal import (
     simulate_batch,
     wealth_forward,
 )
-from jumpsignal.simulate import _poisson_invcdf
+from jumpsignal.simulate import JumpEvents, _poisson_events, _poisson_invcdf
 
 NEG_EXP_01 = -1.105170918075647624811707826490  # -exp(0.1), frozen
 
@@ -41,15 +41,32 @@ def test_time_grid_uniform():
         TimeGrid(np.array([0.1, 0.5]))
 
 
-def test_batch_shapes_and_determinism(spec_small, grid_small, tg_small):
+def _events(ev, shift=0):
+    """(bin, path, count) rows of one step's events, paths shifted."""
+    return np.column_stack([ev.bin, ev.path + shift, ev.count])
+
+
+def test_batch_shapes_and_determinism(spec_small, grid_small, tg_small,
+                                      dense_counts):
     b = simulate_batch(spec_small, grid_small, tg_small, 64, seed=9)
     assert b.dW.shape == (4, 64)
-    assert b.dN.shape == (4, 6, 64) and b.dN.dtype == np.int16
     assert b.S.shape == (5, 64)
     assert np.all(b.S[0] == 1.0) and np.all(b.S > 0)
+    assert len(b.jumps) == 4
+    for k, ev in enumerate(b.jumps):
+        # bin-major with paths increasing inside a bin: the key rises
+        assert np.all(np.diff(ev.bin * 64 + ev.path) > 0)
+        # exactly the nonzero counts of the full inverse-CDF draw
+        dense = dense_counts(b, k)
+        assert np.array_equal(ev.count, dense[ev.bin, ev.path])
+        assert ev.count.size == np.count_nonzero(dense)
+        # the dense view for outside readers agrees
+        assert np.array_equal(b.dN[k], dense)
+    assert b.dN.shape == (4, 6, 64) and b.dN.dtype == np.int16
     again = simulate_batch(spec_small, grid_small, tg_small, 64, seed=9)
     assert np.array_equal(b.dW, again.dW)
-    assert np.array_equal(b.dN, again.dN)
+    for ev, ev_again in zip(b.jumps, again.jumps):
+        assert np.array_equal(_events(ev), _events(ev_again))
     assert np.array_equal(b.S, again.S)
     other = simulate_batch(spec_small, grid_small, tg_small, 64, seed=10)
     assert not np.array_equal(b.dW, other.dW)
@@ -65,8 +82,13 @@ def test_chunked_paths_reproduce_full_run(spec_small, grid_small, tg_small):
                           path_offset=23)
     assert np.array_equal(full.dW[:, :23], head.dW)
     assert np.array_equal(full.dW[:, 23:], tail.dW)
-    assert np.array_equal(full.dN[:, :, :23], head.dN)
-    assert np.array_equal(full.dN[:, :, 23:], tail.dN)
+    n_events = 0
+    for ev, ev_head, ev_tail in zip(full.jumps, head.jumps, tail.jumps):
+        merged = np.concatenate([_events(ev_head), _events(ev_tail, 23)])
+        merged = merged[np.lexsort((merged[:, 1], merged[:, 0]))]
+        assert np.array_equal(_events(ev), merged)
+        n_events += ev.count.size
+    assert n_events > 0
     assert np.array_equal(full.S[:, 23:], tail.S)
 
 
@@ -92,26 +114,52 @@ def test_poisson_invcdf_matches_scipy():
         _poisson_invcdf(u, -1.0)
 
 
+def test_poisson_events_are_the_nonzero_inverse_cdf():
+    u = np.random.default_rng(78).random(20000)
+    for mu in (0.0, 1e-3, 0.05, 0.5, 3.0):
+        v = u.copy()
+        if mu > 0:
+            # exactly at the zero-count probability and one ulp below it
+            v[:2] = [math.exp(-mu), np.nextafter(math.exp(-mu), 0.0)]
+        dense = _poisson_invcdf(v, mu)
+        idx, counts = _poisson_events(v, mu)
+        assert np.array_equal(idx, np.flatnonzero(dense))
+        assert np.array_equal(counts, dense[idx])
+        if mu > 0:
+            assert dense[0] == 1 and dense[1] == 0 and idx[0] == 0
+        else:
+            assert idx.size == 0
+    with pytest.raises(ValueError):
+        _poisson_events(u, -1.0)
+
+
 def test_jump_count_moments(spec_small, grid_small):
     tg = TimeGrid.uniform(1, 0.5)
     b = simulate_batch(spec_small, grid_small, tg, 16384, seed=21)
+    ev = b.jumps[0]
     for j in range(6):
         mu = grid_small.weights[j] * 0.5
-        got = float(np.mean(b.dN[0, j]))
+        got = float(np.sum(ev.count[ev.bin == j])) / 16384
         assert abs(got - mu) < 4.0 * math.sqrt(mu / 16384)
 
 
-def test_price_path_hand_recomputation(spec_small, grid_small, batch_small):
+def test_price_path_hand_recomputation(spec_small, grid_small, batch_small,
+                                      dense_counts):
     eta = grid_small.eta_values()
     comp = sum(float(eta[i] * grid_small.weights[i]) for i in range(6))
     dt = batch_small.time_grid.dt
-    for p in range(30):
+    dN = [dense_counts(batch_small, k) for k in range(4)]
+    # the first 30 paths, plus every path with two or more jumps in a step
+    multi = [int(p) for k in range(4)
+             for p in np.flatnonzero(dN[k].sum(axis=0) >= 2)]
+    assert len(multi) > 0
+    for p in list(range(30)) + multi:
         s = 1.0
         for k in range(4):
             drift = (spec_small.kappa - 0.5 * spec_small.sigma ** 2 - comp) * dt[k]
             s *= math.exp(drift + spec_small.sigma * batch_small.dW[k, p])
             for j in range(6):
-                s *= (1.0 + eta[j]) ** int(batch_small.dN[k, j, p])
+                s *= (1.0 + eta[j]) ** int(dN[k][j, p])
             assert batch_small.S[k + 1, p] == pytest.approx(s, rel=1e-12)
 
 
@@ -120,16 +168,6 @@ def test_price_mean_is_martingale(spec_small, grid_small, tg_small):
     b = simulate_batch(spec_small, grid_small, tg_small, 32768, seed=13)
     se = float(np.std(b.S[-1], ddof=1)) / math.sqrt(32768)
     assert abs(float(np.mean(b.S[-1])) - 1.0) < 4.0 * se
-
-
-def test_compensated_increments(batch_small, grid_small):
-    comp = batch_small.dN_compensated(0)
-    assert comp.shape == (6, batch_small.n_paths)
-    manual = batch_small.dN[0].astype(float) \
-        - grid_small.weights[:, None] * batch_small.time_grid.dt[0]
-    assert np.array_equal(comp, manual)
-    se = float(np.std(comp.sum(axis=0), ddof=1)) / math.sqrt(batch_small.n_paths)
-    assert abs(float(np.mean(comp.sum(axis=0)))) < 4.0 * se
 
 
 def test_payoffs():
@@ -147,21 +185,23 @@ def test_payoffs():
 
 
 def _hand_batch(spec, grid, dW, dN_sparse, n_paths):
-    """One-step batch with prescribed increments; prices are only used
-    as regressors so any positive values do."""
+    """One-step batch with prescribed increments, jumps given as
+    {(bin, path): count}; prices are only used as regressors so any
+    positive values do."""
     tg = TimeGrid.uniform(1, 0.5)
-    dN = np.zeros((1, 6, n_paths), dtype=np.int16)
-    for (j, p), n in dN_sparse.items():
-        dN[0, j, p] = n
+    keys = sorted(dN_sparse)  # (bin, path) order is bin-major
+    ev = JumpEvents(path=np.array([p for _, p in keys], dtype=np.intp),
+                    bin=np.array([j for j, _ in keys], dtype=np.intp),
+                    count=np.array([dN_sparse[key] for key in keys], dtype=np.int64))
     S = np.ones((2, n_paths))
     return PathBatch(spec=spec, grid=grid, time_grid=tg, seed=0,
                      path_offset=0, dW=np.asarray(dW, float).reshape(1, -1),
-                     dN=dN, S=S)
+                     jumps=(ev,), S=S)
 
 
 def test_wealth_hand_case(spec_small, grid_small):
-    batch = _hand_batch(spec_small, grid_small, [0.1, 0.0, -0.2],
-                        {(5, 1): 1, (2, 2): 1}, 3)
+    batch = _hand_batch(spec_small, grid_small, [0.1, 0.0, -0.2, 0.0],
+                        {(5, 1): 1, (2, 2): 1, (2, 3): 1, (5, 3): 2}, 4)
     eta = grid_small.eta_values()
     comp = sum(float(eta[i] * grid_small.weights[i]) for i in range(6))
     p_sig = np.array([-1.0, -1.0, 0.25, 0.25, 1.0, 1.0])
@@ -169,10 +209,12 @@ def test_wealth_hand_case(spec_small, grid_small):
     X = wealth_forward(batch, table, 0.0)
     drift = -0.5 * comp * 0.5  # p0 * comp * dt charged on every path
     # path 0: Brownian only; path 1: signal jump at +2 trades p_sig = 1;
-    # path 2: no-signal jump at -0.5 trades p0 despite p_sig = 0.25
+    # path 2: no-signal jump at -0.5 trades p0 despite p_sig = 0.25;
+    # path 3: both, the signal jump twice in the step
     assert X[0] == pytest.approx(0.5 * 0.2 * 0.1 + drift, abs=1e-14)
     assert X[1] == pytest.approx(1.0 * 0.99 + drift, abs=1e-14)
     assert X[2] == pytest.approx(0.5 * 0.2 * -0.2 + 0.5 * -0.5 + drift, abs=1e-14)
+    assert X[3] == pytest.approx(2 * 1.0 * 0.99 + 0.5 * -0.5 + drift, abs=1e-14)
 
 
 def test_wealth_nosignal_ignores_psig(spec_small, grid_small):

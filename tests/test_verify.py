@@ -4,7 +4,7 @@ just as importantly, fail loudly on a corrupted one."""
 import numpy as np
 import pytest
 
-from jumpsignal import make_driver_fn, payoff_put, solve
+from jumpsignal import CellIndex, make_driver_fn, payoff_put, solve
 from jumpsignal.verify import (
     CheckReport,
     calibrate_eps_reg,
@@ -25,11 +25,16 @@ N_CELLS = 16  # 4096-path batches: keep cells well populated
 
 
 @pytest.fixture(scope="module")
-def eps_reg(batch_small, batch_small_b, payoff_small, payoff_small_b,
+def cells_small(batch_small):
+    return CellIndex.build(batch_small, n_cells=N_CELLS)
+
+
+@pytest.fixture(scope="module")
+def eps_reg(cells_small, batch_small_b, payoff_small, payoff_small_b,
             ctx_hidesmall):
-    return calibrate_eps_reg([batch_small, batch_small_b],
-                             [payoff_small, payoff_small_b],
-                             ctx_hidesmall, n_cells=N_CELLS)
+    return calibrate_eps_reg([cells_small,
+                              CellIndex.build(batch_small_b, n_cells=N_CELLS)],
+                             [payoff_small, payoff_small_b], ctx_hidesmall)
 
 
 def test_eps_reg_magnitude(eps_reg):
@@ -64,7 +69,7 @@ def test_scenario_limits_pass(ctx_nosignal):
     assert r.passed and r.tolerance == 0.0 and r.samples == 400
 
 
-def test_comparison_pass_and_ordering_guard(batch_small, payoff_small,
+def test_comparison_pass_and_ordering_guard(cells_small, payoff_small,
                                             ctx_hidesmall, eps_reg):
     base = make_driver_fn(ctx_hidesmall)
 
@@ -72,45 +77,46 @@ def test_comparison_pass_and_ordering_guard(batch_small, payoff_small,
         vals, p0 = base(Z, U)
         return vals + 0.05, p0
 
-    r = check_comparison(batch_small, payoff_small, payoff_small, base, plus,
-                         eps_reg, n_cells=N_CELLS)
+    r = check_comparison(cells_small, payoff_small, payoff_small, base, plus,
+                         eps_reg)
     assert r.passed
     with pytest.raises(ValueError):
-        check_comparison(batch_small, payoff_small, payoff_small - 0.1,
-                         base, plus, eps_reg, n_cells=N_CELLS)
+        check_comparison(cells_small, payoff_small, payoff_small - 0.1,
+                         base, plus, eps_reg)
 
 
-def test_penalization_pass(batch_small, payoff_small, ctx_hidesmall, eps_reg):
-    r = check_penalization(batch_small, payoff_small, ctx_hidesmall, eps_reg,
-                           m_values=range(1, 6), n_cells=N_CELLS)
+def test_penalization_pass(cells_small, payoff_small, ctx_hidesmall, eps_reg):
+    r = check_penalization(cells_small, payoff_small, ctx_hidesmall, eps_reg,
+                           m_values=range(1, 6))
     assert r.passed
     # last margin certifies the bit-level lock past the threshold
     assert r.worst_margin <= 1e-12 + 1e-15
 
 
 def test_martingale_optimality_pass(batch_small, batch_small_b, payoff_small,
-                                    ctx_hidesmall, eps_reg):
-    sol = solve(batch_small, payoff_small, ctx_hidesmall, n_cells=N_CELLS)
+                                    cells_small, ctx_hidesmall, eps_reg):
+    sol = solve(batch_small, payoff_small, ctx_hidesmall, cells_small)
     r = check_martingale_optimality(batch_small_b, sol, ctx_hidesmall,
                                     lambda s: payoff_put(s, 1.0), 0.0, eps_reg)
     assert r.passed and r.violations == 0
 
 
-def test_martingale_rejects_training_seed(batch_small, payoff_small,
+def test_martingale_rejects_training_seed(batch_small, payoff_small, cells_small,
                                           ctx_hidesmall, eps_reg):
-    sol = solve(batch_small, payoff_small, ctx_hidesmall, n_cells=N_CELLS)
+    sol = solve(batch_small, payoff_small, ctx_hidesmall, cells_small)
     with pytest.raises(ValueError):
         check_martingale_optimality(batch_small, sol, ctx_hidesmall,
                                     lambda s: payoff_put(s, 1.0), 0.0, eps_reg)
 
 
-def test_scheme_oracles_pass(batch_small, payoff_small):
-    r = check_scheme_oracles(batch_small, payoff_small, n_cells=N_CELLS)
+def test_scheme_oracles_pass(cells_small, payoff_small):
+    r = check_scheme_oracles(cells_small, payoff_small)
     assert r.passed and r.samples == 2
 
 
-def test_y_bound_pass(batch_small, payoff_small, ctx_hidesmall, eps_reg):
-    sol = solve(batch_small, payoff_small, ctx_hidesmall, n_cells=N_CELLS)
+def test_y_bound_pass(batch_small, payoff_small, cells_small, ctx_hidesmall,
+                     eps_reg):
+    sol = solve(batch_small, payoff_small, ctx_hidesmall, cells_small)
     r = check_y_bound(sol, ctx_hidesmall, eps_reg)
     assert r.passed and r.samples == batch_small.time_grid.n_steps + 1
     # the log-sum floor keeps the bound above log(2)/lam, so shrink the
@@ -122,13 +128,13 @@ def test_y_bound_pass(batch_small, payoff_small, ctx_hidesmall, eps_reg):
     assert r_bad.violations == batch_small.time_grid.n_steps
 
 
-def test_y_bound_reads_sup_from_terminal(batch_small, payoff_small,
+def test_y_bound_reads_sup_from_terminal(batch_small, payoff_small, cells_small,
                                          ctx_hidesmall):
     # max|F| above the strike: a bound built on the strike (1.0) sits at
     # log(e^0.4 + 1)/0.4 = 2.28 at maturity, below the payoff itself
     F = payoff_small + 3.0
     assert np.max(F) > 3.0
-    sol = solve(batch_small, F, ctx_hidesmall, n_cells=N_CELLS)
+    sol = solve(batch_small, F, ctx_hidesmall, cells_small)
     r = check_y_bound(sol, ctx_hidesmall, 0.0)
     assert r.passed and r.violations == 0
 
