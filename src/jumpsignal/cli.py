@@ -219,6 +219,7 @@ def cmd_verify(args) -> int:
     ctx0 = cfg.driver_context(spec, grid, NoSignal())
 
     reports = [
+        verify_mod.check_driver_kkt(n, ctx),
         verify_mod.check_driver_sandwich(n, ctx),
         verify_mod.check_fm_monotone(n, ctx),
         verify_mod.check_lipschitz_z(n, ctx),

@@ -80,6 +80,8 @@ class SchemeBlock:
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if len(self.seeds) == 0:
             raise ValueError("seeds must be nonempty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {list(self.seeds)}")
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,8 @@ class ScenarioBlock:
         object.__setattr__(self, "c_values", tuple(float(c) for c in self.c_values))
         if any(c <= 0 for c in self.c_values):
             raise ValueError("cutoffs must be > 0")
+        if len(set(self.c_values)) != len(self.c_values):
+            raise ValueError(f"c_values must be distinct, got {list(self.c_values)}")
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ position p in [-pi_lower, pi_upper]:
 
 * a no-signal part, strictly convex in p, mixing the quadratic
   (lam/2)(sigma p - (z + C/lam))^2 with the exponential jump integrand
-  over the bins whose jumps carry no signal; minimized numerically,
+  over the bins whose jumps carry no signal; its argmin is the clipped
+  root of the increasing derivative f1', found by safeguarded Newton,
 * a signal part where the optimal position is known in closed form:
   pi_upper when the signal is positive, -pi_lower when negative (eta
   keeps the sign of the signal, so the objective is monotone in p), so
@@ -17,7 +18,10 @@ bins with |e_i| <= 1/m are dropped from the exponential sums, the
 quadratic is faded by rho_m(z), the exponential nonlinearity is tamed by
 the arctan cap phi_m, and the signal branch is additionally faded by
 rho_m(u_i). f_m is nondecreasing in m and coincides with f once every
-truncation is inactive (see ``fm_exact_threshold``).
+truncation is inactive (see ``fm_exact_threshold``). The truncations can
+make the f_m objective plateau, so it is minimized by a coarse scan plus
+golden-section search (``minimize_on_interval``); rows with no active
+truncation take the exact path, so f_m equals f on them bit for bit.
 
 All exponentials are overflow-guarded: an exponent beyond 700 raises,
 because the bounded-solution regime never gets near it and reaching it
@@ -52,9 +56,13 @@ EXP_ARG_MAX = 700.0
 
 # golden-section interior ratio
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-# position minimizer: coarse scan points and absolute tolerance in p
+# position minimizer of f_m: coarse scan points and absolute tolerance in p
 _COARSE = 33
 _TOL = 1e-10
+# exact argmin of f1: a row stops once its Newton step is at most
+# _NEWTON_TOL in p; no row takes more than _NEWTON_CAP iterations
+_NEWTON_TOL = 1e-15
+_NEWTON_CAP = 64
 
 
 def _guarded_exp(arg):
@@ -93,14 +101,16 @@ def phi_m(x, m: int):
 def minimize_on_interval(objective: Callable, a: float, b: float):
     """Minimize a scalar-in-p objective on [a, b], independently per row.
 
-    A coarse scan of ``_COARSE`` points brackets the global basin (the
-    penalized drivers can plateau), then golden-section search refines
-    the bracket. Every row takes the same number of golden-section steps:
-    enough to shrink the widest bracket the scan can return,
-    2 (b - a) / (_COARSE - 1), below ``_TOL`` in p. The step count never
-    depends on the data, so a row's result does not depend on the other
-    rows of its batch. ``objective`` maps a position (a scalar shared by
-    every row, or one entry per row) to the per-row objective values.
+    Used for the penalized drivers f_m only; the exact driver's argmin is
+    the root of f1' (``_exact_argmin``). A coarse scan of ``_COARSE``
+    points brackets the global basin (f_m can plateau), then golden-section
+    search refines the bracket. Comparing objective values resolves the
+    argmin only to about sqrt(eps). Every row takes the same number of
+    golden-section steps: enough to shrink the widest bracket the scan can
+    return, 2 (b - a) / (_COARSE - 1), below ``_TOL`` in p. The step count
+    never depends on the data, so a row's result does not depend on the
+    other rows of its batch. ``objective`` maps a position (a scalar shared
+    by every row, or one entry per row) to the per-row objective values.
 
     Returns
     -------
@@ -240,6 +250,62 @@ def _nosignal_objective(Z, U, P, ctx: DriverContext, m: Optional[int] = None):
     return quad + hsum + lin
 
 
+def nosignal_slope(Z, U, P, ctx: DriverContext):
+    """First and second derivative in p of the exact no-signal objective f1.
+
+    f1'(p) = lam sigma (sigma p - z - C/lam) - sum_ns nu_i eta_i e_i and
+    f1''(p) = lam sigma^2 + lam sum_ns nu_i eta_i^2 e_i > 0, with
+    e_i = exp(lam (u_i - p eta_i)) over the no-signal bins, per row.
+    """
+    lam, sigma = ctx.lam, ctx.sigma
+    ns = ~ctx.sig_mask
+    eta = ctx.eta_g[ns]
+    nu_eta = ctx.nu_g[ns] * eta
+    e = _guarded_exp(lam * (U[:, ns] - np.multiply.outer(P, eta)))
+    d1 = lam * sigma * (sigma * P - (Z + ctx.c_const / lam)) - e @ nu_eta
+    d2 = lam * sigma ** 2 + lam * (e @ (nu_eta * eta))
+    return d1, d2
+
+
+def _exact_argmin(Z, U, ctx: DriverContext):
+    """Argmin of the exact f1 on [-pi_lower, pi_upper], per row.
+
+    f1 is strictly convex, so the argmin is the clipped root of the
+    increasing f1'. A row with f1' >= 0 at -pi_lower or f1' <= 0 at
+    pi_upper is clipped to that end. Every other row runs Newton on f1'
+    inside a bracket on its sign, bisecting only when a step leaves the
+    bracket, and stops on its own step, so its result does not depend on
+    the other rows. Both ends pass the overflow guard first; the exponent
+    is linear in p, so no position inside the box exceeds them.
+    """
+    a, b = -ctx.pi_lower, ctx.pi_upper
+    ga, _ = nosignal_slope(Z, U, np.full(Z.size, a), ctx)
+    gb, _ = nosignal_slope(Z, U, np.full(Z.size, b), ctx)
+    at_a = ga >= 0.0
+    at_b = ~at_a & (gb <= 0.0)
+    lo = np.full(Z.size, a)
+    hi = np.full(Z.size, b)
+    # start from the secant of f1' across the box
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.clip(a - ga * (b - a) / (gb - ga), a, b)
+    p = np.where(at_a, a, np.where(at_b, b, p))
+    active = ~(at_a | at_b)
+    for _ in range(_NEWTON_CAP):
+        if not active.any():
+            break
+        g, h = nosignal_slope(Z, U, p, ctx)
+        lo = np.where(g < 0.0, p, lo)
+        hi = np.where(g > 0.0, p, hi)
+        step = p - g / h
+        # inclusive test: a step landing on a bracket end is kept, and ends
+        # the row, since evaluating that end again cannot shrink the bracket
+        step = np.where((step < lo) | (step > hi), 0.5 * (lo + hi), step)
+        done = (np.abs(step - p) <= _NEWTON_TOL) | (step == lo) | (step == hi)
+        p = np.where(active, step, p)
+        active &= ~done
+    return p
+
+
 def _signal_sum(U, ctx: DriverContext, m: Optional[int] = None):
     """Signal-branch sum at the closed-form boundary positions."""
     sig = ctx.sig_mask
@@ -260,10 +326,14 @@ def _driver_rows(Z, U, ctx: DriverContext, m: Optional[int] = None):
     """f (m None) or f_m on rows of (z, u); returns (values, no-signal argmin)."""
     Z = np.atleast_1d(np.asarray(Z, dtype=float))
     U = _as_u_matrix(U, ctx.grid, Z.size)
-    p0, f1min = minimize_on_interval(
-        lambda P: _nosignal_objective(Z, U, P, ctx, m=m),
-        -ctx.pi_lower, ctx.pi_upper,
-    )
+    if m is None:
+        p0 = _exact_argmin(Z, U, ctx)
+        f1min = _nosignal_objective(Z, U, p0, ctx)
+    else:
+        p0, f1min = minimize_on_interval(
+            lambda P: _nosignal_objective(Z, U, P, ctx, m=m),
+            -ctx.pi_lower, ctx.pi_upper,
+        )
     vals = f1min + _signal_sum(U, ctx, m=m) + ctx.affine_tail(Z)
     return vals, p0
 
@@ -280,10 +350,22 @@ def driver_f_batch(Z, U, ctx: DriverContext):
 
 
 def penalized_driver_fm_batch(Z, U, m: int, ctx: DriverContext):
-    """Penalized driver f_m over rows of (z, u); see module docstring."""
+    """Penalized driver f_m over rows of (z, u); see module docstring.
+
+    A row whose ``fm_exact_threshold`` is below m has no active truncation
+    and takes the exact driver's path, so f_m equals f on it bit for bit.
+    """
     if m < 1:
         raise ValueError(f"penalization index m must be >= 1, got {m}")
-    return _driver_rows(Z, U, ctx, m=m)
+    Z = np.atleast_1d(np.asarray(Z, dtype=float))
+    U = _as_u_matrix(U, ctx.grid, Z.size)
+    exact = fm_exact_threshold(Z, U, ctx) < m
+    vals = np.empty(Z.size)
+    p0 = np.empty(Z.size)
+    for rows, level in ((exact, None), (~exact, m)):
+        if rows.any():
+            vals[rows], p0[rows] = _driver_rows(Z[rows], U[rows], ctx, m=level)
+    return vals, p0
 
 
 def driver_bounds(z, u, ctx: DriverContext):

@@ -4,11 +4,14 @@ Each check samples its domain, counts violations, and emits a
 CheckReport; a report passes iff no violation occurred. The driver
 checks draw their samples from fixed seeds of their own and evaluate
 the driver in batches, one call per penalization level m: a row's driver
-value does not depend on the other rows of its batch (see
-``drivers.minimize_on_interval``). Statistical checks (optimality,
-regression noise) always run on freshly seeded batches, never on the
-batch the solution was trained on. The checks that solve on a batch take
-its cell index, so all their solves share one set of cells.
+value does not depend on the other rows of its batch (each row of the
+exact driver ends its Newton search on its own test, see
+``drivers._exact_argmin``; every f_m row takes the same number of
+golden-section steps, see ``drivers.minimize_on_interval``). Statistical
+checks (optimality, regression noise) always run on freshly seeded
+batches, never on the batch the solution was trained on. The checks
+that solve on a batch take its cell index, so all their solves share one
+set of cells.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .drivers import (
     driver_f_batch,
     fm_exact_threshold,
     local_lipschitz_constant,
+    nosignal_slope,
     penalized_driver_fm_batch,
 )
 from .levy_model import HideLarge, HideSmall
@@ -39,6 +43,7 @@ from .simulate import PathBatch, StrategyTable, mc_expected_utility, wealth_forw
 
 __all__ = [
     "CheckReport",
+    "check_driver_kkt",
     "check_driver_sandwich",
     "check_fm_monotone",
     "check_lipschitz_z",
@@ -105,6 +110,27 @@ def check_driver_sandwich(n_samples: int, ctx: DriverContext,
     lo, hi = driver_bounds(z, u, ctx)
     return _report("driver_sandwich", n_samples,
                    np.concatenate([vals - lo, hi - vals]), 1e-10)
+
+
+def check_driver_kkt(n_samples: int, ctx: DriverContext) -> CheckReport:
+    """The driver's no-signal position satisfies the KKT conditions of f1.
+
+    f1 is strictly convex in p, so p* minimizes it on [-pi_lower, pi_upper]
+    iff f1'(p*) = 0 inside the box, f1'(p*) >= 0 at -pi_lower and
+    f1'(p*) <= 0 at pi_upper. Each condition is measured as a distance in
+    p, f1'(p*) / f1''(p*), to 1e-12; a position outside the box fails.
+    """
+    rng = np.random.default_rng(19)
+    z, u = _sample_zu(rng, n_samples, ctx.grid.points.size)
+    _, p = driver_f_batch(z, u, ctx)
+    a, b = -ctx.pi_lower, ctx.pi_upper
+    d1, d2 = nosignal_slope(z, u, p, ctx)
+    step = d1 / d2
+    # f1' may be positive only at the lower end, negative only at the upper
+    margins = np.minimum(np.where(p == a, np.inf, -step),
+                         np.where(p == b, np.inf, step))
+    margins = np.where((p >= a) & (p <= b), margins, -np.inf)
+    return _report("driver_kkt", n_samples, margins, 1e-12)
 
 
 def check_fm_monotone(n_samples: int, ctx: DriverContext) -> CheckReport:

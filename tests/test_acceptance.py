@@ -7,8 +7,8 @@ strike 1, 65536 paths, 10 steps, 64 cells, 40-point jump grid, seeds
 * cutoff sweep: mean Y0 monotone in c, up for hide-small, down for
   hide-large, within the calibrated regression tolerance
 * degenerate cutoffs reproduce the no-signal solve bit for bit
-* driver sandwich / penalization monotonicity / Lipschitz growth on
-  1000 random samples with zero violations
+* driver KKT conditions / sandwich / penalization monotonicity /
+  Lipschitz growth on 1000 random samples with zero violations
 * comparison: ordered terminals order Y0; a constant driver shift delta
   moves Y0 by delta T
 * penalized solves increase in m and match the unpenalized solve to
@@ -29,6 +29,7 @@ from jumpsignal.simulate import simulate_batch
 from jumpsignal.verify import (
     calibrate_eps_reg,
     check_comparison,
+    check_driver_kkt,
     check_driver_sandwich,
     check_fm_monotone,
     check_lipschitz_z,
@@ -145,7 +146,8 @@ def test_scenario_limit_exactness(cfg, spec, grid, batches, cells, payoffs,
 
 
 def test_driver_property_suite(ctx_hs):
-    for report in (check_driver_sandwich(1000, ctx_hs),
+    for report in (check_driver_kkt(1000, ctx_hs),
+                   check_driver_sandwich(1000, ctx_hs),
                    check_fm_monotone(1000, ctx_hs),
                    check_lipschitz_z(1000, ctx_hs)):
         print(report.line())

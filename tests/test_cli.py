@@ -97,6 +97,15 @@ def test_config_rejects_removed_keys():
         load_config_text("payoff: {type: call, strike: 1.0}")
 
 
+def test_config_rejects_duplicate_seeds_and_cutoffs():
+    # a repeated seed would be simulated twice and weigh twice in the mean
+    with pytest.raises(ValueError, match="seeds must be distinct"):
+        load_config_text("scheme: {seeds: [1, 1, 2]}")
+    with pytest.raises(ValueError, match="c_values must be distinct"):
+        load_config_text("scenario: {c_values: [0.5, 1.0, 0.50]}")
+    assert load_config_text("scheme: {seeds: [2, 1]}").scheme.seeds == (2, 1)
+
+
 def test_block_validation():
     with pytest.raises(ValueError, match="kappa"):
         MarketBlock(kappa="offset")
@@ -320,10 +329,11 @@ def test_verify_driver_only(cfg_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     lines = [ln for ln in out.splitlines() if ln.strip()]
-    assert len(lines) == 4
+    assert len(lines) == 5
     assert all("PASS" in ln for ln in lines)
+    assert lines[0].startswith("driver_kkt: PASS")
     rows = _read_csv(csv_path.read_text())
     assert rows[0] == ["name", "samples", "violations", "worst_margin",
                        "tolerance", "passed"]
-    assert len(rows) - 1 == 4
+    assert len(rows) - 1 == 5
     assert all(r[-1] == "True" for r in rows[1:])

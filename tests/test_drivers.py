@@ -1,12 +1,15 @@
 """Driver oracles: frozen closed-form values, an independent
-re-implementation of the driver on the small grid, and brute-force
-position scans against the golden-section minimizer."""
+re-implementation of the driver on the small grid, brute-force position
+scans and scipy root-finding on a hand-written derivative against the
+exact driver's Newton argmin, and checks of the scan plus golden-section
+minimizer that the penalized drivers f_m keep."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from jumpsignal import (
     driver_bounds,
@@ -62,6 +65,18 @@ def _hand_f1(z, u, p, ctx):
             continue
         eta, nu = ctx.eta_g[i], ctx.nu_g[i]
         val += (_hand_h(u[i] - p * eta, lam) - p * eta) * nu
+    return val
+
+
+def _hand_f1_slope(z, u, p, ctx):
+    """Derivative in p of ``_hand_f1``, term by term: h'(x) = e^(lam x) - 1."""
+    lam, C = ctx.lam, ctx.c_const
+    val = lam * ctx.sigma * (ctx.sigma * p - (z + C / lam))
+    for i in range(ctx.grid.points.size):
+        if ctx.sig_mask[i]:
+            continue
+        eta, nu = ctx.eta_g[i], ctx.nu_g[i]
+        val += (-eta * (math.exp(lam * (u[i] - p * eta)) - 1.0) - eta) * nu
     return val
 
 
@@ -215,10 +230,36 @@ def test_minimizer_quadratic_family(rng):
         minimize_on_interval(lambda P: P, 1.0, 0.0)
 
 
+def test_argmin_matches_derivative_root(ctx_hidesmall, ctx_hidelarge, ctx_drift,
+                                        rng):
+    # the argmin is the clipped root of the increasing derivative: brentq
+    # on the hand-written slope, or the end of the box the slope points to
+    def root(z, u, ctx):
+        lo, hi = -ctx.pi_lower, ctx.pi_upper
+        if _hand_f1_slope(z, u, lo, ctx) >= 0.0:
+            return lo
+        if _hand_f1_slope(z, u, hi, ctx) <= 0.0:
+            return hi
+        return brentq(lambda p: _hand_f1_slope(z, u, p, ctx), lo, hi,
+                      xtol=1e-15, rtol=8.9e-16, maxiter=200)
+
+    n_inside = 0
+    for ctx in (ctx_hidesmall, ctx_hidelarge, ctx_drift):
+        z = rng.uniform(-3, 3, size=40)
+        u = rng.uniform(-1.5, 1.5, size=(40, 6))
+        _, p0 = driver_f_batch(z, u, ctx)
+        for j in range(z.size):
+            assert abs(p0[j] - root(z[j], u[j], ctx)) <= 1e-12
+        n_inside += int(np.count_nonzero(np.abs(p0) < 1.0))
+    assert n_inside >= 20  # the interior roots are exercised, not only ends
+    # C/lam = 9.375 puts every drift row at the upper end, exactly
+    assert np.all(p0 == ctx_drift.pi_upper)
+
+
 def test_driver_batch_matches_scalar(ctx_hidesmall, ctx_drift, rng):
     # a row's value does not depend on its batch: only BLAS and reduction
-    # rounding may differ; comparing objective values places the argmin
-    # no closer than about sqrt(eps), so p agrees to 1e-7
+    # rounding may differ; the golden-section argmin of f_m compares
+    # objective values, which places it no closer than about sqrt(eps)
     n = 20
     z = rng.uniform(-4, 4, size=n)
     u = rng.uniform(-2, 2, size=(n, 6))
@@ -233,7 +274,7 @@ def test_driver_batch_matches_scalar(ctx_hidesmall, ctx_drift, rng):
         for j in range(n):
             vj, pj = _f_row(z[j], u[j], ctx)
             assert vals[j] == pytest.approx(vj, rel=1e-14, abs=0.0)
-            assert abs(p0[j] - pj) <= 1e-7
+            assert abs(p0[j] - pj) <= 1e-12
     with pytest.raises(ValueError):
         driver_f_batch(z, u[:1], ctx_hidesmall)
 
@@ -241,6 +282,15 @@ def test_driver_batch_matches_scalar(ctx_hidesmall, ctx_drift, rng):
 def test_driver_overflow_guard(ctx_hidesmall):
     with pytest.raises(ValueError):
         _f_row(0.0, np.full(6, 3000.0), ctx_hidesmall)
+
+
+def test_overflow_guard_precedes_exp(ctx_hidesmall):
+    # the exponent is linear in p and the guard sees both ends of the box
+    # first, so it raises before any exponential overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow guard"):
+            _f_row(0.0, np.full(6, 3000.0), ctx_hidesmall)
 
 
 def test_p_star(ctx_hidesmall, ctx_hidelarge):

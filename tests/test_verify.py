@@ -3,12 +3,14 @@ just as importantly, fail loudly on a corrupted one."""
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from jumpsignal import CellIndex, make_driver_fn, payoff_put, solve
+from jumpsignal import CellIndex, make_driver_fn, payoff_put, solve, verify
 from jumpsignal.verify import (
     CheckReport,
     calibrate_eps_reg,
     check_comparison,
+    check_driver_kkt,
     check_driver_sandwich,
     check_fm_monotone,
     check_lipschitz_z,
@@ -19,7 +21,13 @@ from jumpsignal.verify import (
     check_y_bound,
     format_reports,
 )
-from jumpsignal.drivers import penalized_driver_fm_batch
+from jumpsignal.drivers import (
+    _nosignal_objective,
+    driver_f_batch,
+    minimize_on_interval,
+    nosignal_slope,
+    penalized_driver_fm_batch,
+)
 
 N_CELLS = 16  # 4096-path batches: keep cells well populated
 
@@ -62,6 +70,47 @@ def test_sandwich_detects_mutation(ctx_hidesmall):
     assert not r.passed
     assert r.violations > 0
     assert "FAIL" in r.line()
+
+
+def test_driver_kkt_pass(ctx_hidesmall, ctx_hidelarge, ctx_drift):
+    for ctx in (ctx_hidesmall, ctx_hidelarge, ctx_drift):
+        r = check_driver_kkt(300, ctx)
+        assert r.passed and r.violations == 0 and r.tolerance == 1e-12
+        assert r.worst_margin >= -1e-14
+
+
+def test_driver_kkt_detects_inexact_argmin(ctx_hidesmall, ctx_drift, monkeypatch):
+    # the scan plus golden-section argmin of the exact objective resolves p
+    # to about sqrt(eps) and leaves boundary argmins just inside the box;
+    # an exact argmin moved by 1e-9 is no better
+    def golden(Z, U, ctx):
+        vals, _ = driver_f_batch(Z, U, ctx)
+        p, _ = minimize_on_interval(
+            lambda P: _nosignal_objective(Z, U, P, ctx),
+            -ctx.pi_lower, ctx.pi_upper)
+        return vals, p
+
+    def shifted(Z, U, ctx):
+        vals, p = driver_f_batch(Z, U, ctx)
+        return vals, np.where(p < ctx.pi_upper, p + 1e-9, p - 1e-9)
+
+    for wrong in (golden, shifted):
+        monkeypatch.setattr(verify, "driver_f_batch", wrong)
+        for ctx in (ctx_hidesmall, ctx_drift):
+            r = check_driver_kkt(300, ctx)
+            assert not r.passed and r.violations > 0
+
+    # an unclipped root sits past pi_upper under drift, where f1' = 0
+    def unclipped(Z, U, ctx):
+        vals, _ = driver_f_batch(Z, U, ctx)
+        p = [brentq(lambda q: nosignal_slope(Z[j:j + 1], U[j:j + 1],
+                                             np.array([q]), ctx)[0][0],
+                    -50.0, 50.0) for j in range(Z.size)]
+        return vals, np.array(p)
+
+    monkeypatch.setattr(verify, "driver_f_batch", unclipped)
+    r = check_driver_kkt(50, ctx_drift)
+    assert not r.passed and r.violations == 50
 
 
 def test_scenario_limits_pass(ctx_nosignal):
