@@ -38,7 +38,7 @@ from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .drivers import DriverContext, driver_f_batch
+from .drivers import DriverContext, driver_f_batch, guarded_exp
 from .simulate import PathBatch, StrategyTable
 
 __all__ = [
@@ -240,21 +240,11 @@ def value_and_strategy(sol: BackwardSolution, x: float,
     V = -exp(-lam (x - Y_0)). The strategy trades the inner argmin when
     no signal arrives and the boundary position on signal bins.
     """
-    arg = -ctx.lam * (x - sol.y0)
-    if arg > 700.0:
-        raise ValueError("value exponent exceeds the overflow guard")
-    value = -math.exp(arg)
-
+    value = -guarded_exp(-ctx.lam * (x - sol.y0), math.exp)
     steps = sol.steps
-    boundary = ctx.boundary_p
 
-    def fn(k, s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
+    def p0(k, s):
         rec = steps[k]
-        p0 = rec.p_cells[rec.partition.assign(s)]
-        p_sig = np.broadcast_to(boundary[:, None], (boundary.size, s.size))
-        return p0, p_sig
+        return rec.p_cells[rec.partition.assign(s)]
 
-    table = StrategyTable(scenario=ctx.scenario, pi_lower=ctx.pi_lower,
-                          pi_upper=ctx.pi_upper, fn=fn)
-    return value, table
+    return value, StrategyTable(ctx=ctx, p0=p0, p_sig=ctx.boundary_p)

@@ -112,7 +112,7 @@ def _cells(cfg, spec, grid, tg, seed) -> CellIndex:
     return CellIndex.build(batch, cfg.scheme.n_cells, cfg.scheme.min_count)
 
 
-def _solve_point(cfg, spec, grid, scenario, cells):
+def _solve_point(cfg, cfg_hash, spec, grid, scenario, cells):
     """One scenario on a seed's cells; returns a result row dict.
 
     ``wall_time`` is the solve with its checks, without the simulation
@@ -131,7 +131,7 @@ def _solve_point(cfg, spec, grid, scenario, cells):
     c = getattr(scenario, "c", "")
     return {"scenario": scenario.label(), "c": c, "seed": batch.seed,
             "y0": repr(sol.y0), "value": repr(value),
-            "wall_time": f"{wall:.3f}", "config_hash": config_hash(cfg),
+            "wall_time": f"{wall:.3f}", "config_hash": cfg_hash,
             "status": "ok"}
 
 
@@ -142,7 +142,7 @@ def cmd_solve(args) -> int:
     tg = cfg.time_grid()
     scenario = cfg.scenarios()[0]
     cells = _cells(cfg, spec, grid, tg, cfg.scheme.seeds[0])
-    row = _solve_point(cfg, spec, grid, scenario, cells)
+    row = _solve_point(cfg, config_hash(cfg), spec, grid, scenario, cells)
     w = csv.DictWriter(sys.stdout, fieldnames=RESULT_COLUMNS)
     w.writeheader()
     w.writerow(row)
@@ -155,6 +155,7 @@ def cmd_sweep(args) -> int:
     grid = cfg.jump_grid(spec)
     tg = cfg.time_grid()
     scenarios = cfg.scenarios()
+    cfg_hash = config_hash(cfg)
 
     rows: List[dict] = []
     # batches and cells do not depend on the scenario: build them once per seed
@@ -162,15 +163,14 @@ def cmd_sweep(args) -> int:
         cells = _cells(cfg, spec, grid, tg, seed)
         for scenario in scenarios:
             try:
-                rows.append(_solve_point(cfg, spec, grid, scenario, cells))
+                rows.append(_solve_point(cfg, cfg_hash, spec, grid, scenario, cells))
             except (ValueError, ArithmeticError) as exc:
                 rows.append({"scenario": scenario.label(),
                              "c": getattr(scenario, "c", ""), "seed": seed,
                              "y0": "", "value": "", "wall_time": "",
-                             "config_hash": config_hash(cfg),
+                             "config_hash": cfg_hash,
                              "status": f"error: {exc}"})
-    rows.sort(key=lambda r: (r["scenario"], float(r["c"]) if r["c"] != "" else -1.0,
-                             r["seed"]))
+    rows.sort(key=lambda r: (r["scenario"], _c_key(r["c"]), r["seed"]))
 
     fh, close = _open_out(args.out)
     try:
@@ -193,19 +193,24 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _summarize(rows):
+def _c_key(c):
+    """Sort key of a cutoff; the empty cutoff of no-signal rows sorts first."""
+    return float(c) if c != "" else -1.0
+
+
+def _ok_groups(rows):
+    """Y0 of the ``ok`` rows per (scenario, c), sorted by scenario, then c."""
     groups = {}
     for r in rows:
-        if r["status"] != "ok":
-            continue
-        groups.setdefault((r["scenario"], r["c"]), []).append(float(r["y0"]))
-    out = []
-    for (scen, c), ys in sorted(groups.items(),
-                                key=lambda kv: (kv[0][0],
-                                                float(kv[0][1]) if kv[0][1] != "" else -1.0)):
-        out.append([scen, c, len(ys), repr(float(np.mean(ys))),
-                    repr(float(np.max(ys) - np.min(ys)))])
-    return out
+        if r["status"] == "ok":
+            groups.setdefault((r["scenario"], r["c"]), []).append(float(r["y0"]))
+    return sorted(groups.items(), key=lambda kv: (kv[0][0], _c_key(kv[0][1])))
+
+
+def _summarize(rows):
+    return [[scen, c, len(ys), repr(float(np.mean(ys))),
+             repr(float(np.max(ys) - np.min(ys)))]
+            for (scen, c), ys in _ok_groups(rows)]
 
 
 def cmd_verify(args) -> int:
@@ -277,23 +282,22 @@ def cmd_report(args) -> int:
             rec = dict(zip(RESULT_COLUMNS, row))
             if rec["status"] == "ok":
                 try:
-                    rec["y0"] = float(rec["y0"])
+                    float(rec["y0"])
                 except ValueError as exc:
                     raise ValueError(f"{args.results}:{lineno}: bad y0: {exc}")
-                rows.append(rec)
+            rows.append(rec)
 
-    groups = {}
-    for rec in rows:
-        groups.setdefault(rec["scenario"], {}).setdefault(rec["c"], []).append(rec["y0"])
+    by_scen = {}
+    for (scen, c), ys in _ok_groups(rows):
+        by_scen.setdefault(scen, []).append((c, ys))
     os.makedirs(args.out_dir, exist_ok=True)
-    for scen, by_c in sorted(groups.items()):
+    for scen, cuts in by_scen.items():
         path = os.path.join(args.out_dir, f"{scen}.dat")
         with open(path, "w") as fh:
-            for c, ys in sorted(by_c.items(),
-                                key=lambda kv: float(kv[0]) if kv[0] != "" else -1.0):
+            for c, ys in cuts:
                 label = c if c != "" else "-"
                 fh.write(f"{label} {float(np.mean(ys))!r}\n")
-        print(f"{scen}: {len(by_c)} cutoff(s) -> {path}")
+        print(f"{scen}: {len(cuts)} cutoff(s) -> {path}")
     return 0
 
 

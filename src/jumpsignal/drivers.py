@@ -23,9 +23,10 @@ make the f_m objective plateau, so it is minimized by a coarse scan plus
 golden-section search (``minimize_on_interval``); rows with no active
 truncation take the exact path, so f_m equals f on them bit for bit.
 
-All exponentials are overflow-guarded: an exponent beyond 700 raises,
-because the bounded-solution regime never gets near it and reaching it
-signals a bug upstream.
+The exponentials of the utility problem (h_lam, the driver's slope, the
+utilities and the value V) go through ``guarded_exp``: an exponent beyond
+``EXP_ARG_MAX`` = 700 raises, because the bounded-solution regime never
+gets near it and reaching it signals a bug upstream.
 """
 
 from __future__ import annotations
@@ -65,14 +66,20 @@ _NEWTON_TOL = 1e-15
 _NEWTON_CAP = 64
 
 
-def _guarded_exp(arg):
-    """exp with a hard overflow guard on the exponent."""
+def guarded_exp(arg, exp=np.exp):
+    """exp(arg) with a hard overflow guard on the exponent.
+
+    Raises before any exponential is taken if an entry of arg exceeds
+    ``EXP_ARG_MAX``. ``exp`` is the exponential applied after the check:
+    the scalar value V of ``value_and_strategy`` has always been taken
+    with ``math.exp``, whose last bit can differ from ``np.exp``.
+    """
     a = np.asarray(arg, dtype=float)
     if np.any(a > EXP_ARG_MAX):
         raise ValueError(
             f"exponent {np.max(a):.3g} exceeds the overflow guard {EXP_ARG_MAX}"
         )
-    return np.exp(a)
+    return exp(a)
 
 
 def h_lambda(x, lam: float):
@@ -80,22 +87,19 @@ def h_lambda(x, lam: float):
     if not lam > 0:
         raise ValueError(f"lam must be > 0, got {lam}")
     x = np.asarray(x, dtype=float)
-    out = (_guarded_exp(lam * x) - lam * x - 1.0) / lam
-    return out if out.ndim else float(out)
+    return (guarded_exp(lam * x) - lam * x - 1.0) / lam
 
 
 def rho_m(x, m: int):
     """Plateau cutoff: 1 on [-m, m], linear to 0 on the unit bands outside."""
     x = np.asarray(x, dtype=float)
-    out = np.clip(np.minimum(x + m + 1.0, m + 1.0 - x), 0.0, 1.0)
-    return out if out.ndim else float(out)
+    return np.clip(np.minimum(x + m + 1.0, m + 1.0 - x), 0.0, 1.0)
 
 
 def phi_m(x, m: int):
     """Identity up to m, then m + arctan(x - m): caps growth above the knee."""
     x = np.asarray(x, dtype=float)
-    out = np.where(x <= m, x, m + np.arctan(np.where(x > m, x - m, 0.0)))
-    return out if out.ndim else float(out)
+    return np.where(x <= m, x, m + np.arctan(np.where(x > m, x - m, 0.0)))
 
 
 def minimize_on_interval(objective: Callable, a: float, b: float):
@@ -172,6 +176,8 @@ class DriverContext:
     constant, the jump grid and the scenario split of its bins into
     no-signal bins (position chosen by the inner minimization) and
     signal bins (position pinned at the boundary by the signal's sign).
+    The signal bins are the marks where the scenario's gamma is nonzero,
+    so a cutoff equal to a mark follows gamma's inclusive test.
     """
 
     lam: float
@@ -197,8 +203,8 @@ class DriverContext:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
         object.__setattr__(self, "eta_g", self.grid.eta_values())
         object.__setattr__(self, "nu_g", np.asarray(self.grid.weights, dtype=float))
-        mask = self.grid.signal_mask(self.scenario)
-        object.__setattr__(self, "sig_mask", mask)
+        object.__setattr__(self, "sig_mask",
+                           self.scenario.gamma(self.grid.points, self.grid.spec) != 0)
         object.__setattr__(
             self, "boundary_p",
             np.where(self.grid.points > 0, self.pi_upper, -self.pi_lower),
@@ -219,10 +225,9 @@ class DriverContext:
 
 
 def u_lambda_norm(u, ctx: DriverContext):
-    """Discrete norm sum_i h_lam(u_i) nu_i; zero iff u vanishes on the grid."""
-    u = _as_u_matrix(u, ctx.grid)
-    out = h_lambda(u, ctx.lam) @ ctx.nu_g
-    return float(out[0]) if out.size == 1 else out
+    """Discrete norm sum_i h_lam(u_i) nu_i per row of u; zero iff the row
+    vanishes on the grid."""
+    return h_lambda(_as_u_matrix(u, ctx.grid), ctx.lam) @ ctx.nu_g
 
 
 def _nosignal_objective(Z, U, P, ctx: DriverContext, m: Optional[int] = None):
@@ -261,7 +266,7 @@ def nosignal_slope(Z, U, P, ctx: DriverContext):
     ns = ~ctx.sig_mask
     eta = ctx.eta_g[ns]
     nu_eta = ctx.nu_g[ns] * eta
-    e = _guarded_exp(lam * (U[:, ns] - np.multiply.outer(P, eta)))
+    e = guarded_exp(lam * (U[:, ns] - np.multiply.outer(P, eta)))
     d1 = lam * sigma * (sigma * P - (Z + ctx.c_const / lam)) - e @ nu_eta
     d2 = lam * sigma ** 2 + lam * (e @ (nu_eta * eta))
     return d1, d2
@@ -374,7 +379,7 @@ def driver_bounds(z, u, ctx: DriverContext):
     lower = -z C - C^2/(2 lam) - (pi_lower + pi_upper) sum |eta_i| nu_i,
     upper = (lam/2) z^2 + |u|_lam.
 
-    A scalar z with a single u row gives floats; rows give arrays.
+    lower has the shape of z; upper has one entry per row of u.
     """
     z = np.asarray(z, dtype=float)
     abs_eta_mass = float(np.abs(ctx.eta_g) @ ctx.nu_g)
@@ -384,8 +389,6 @@ def driver_bounds(z, u, ctx: DriverContext):
         - (ctx.pi_lower + ctx.pi_upper) * abs_eta_mass
     )
     upper = 0.5 * ctx.lam * z ** 2 + u_lambda_norm(u, ctx)
-    if z.ndim == 0 and np.ndim(u) == 1:
-        return float(lower), float(upper)
     return lower, upper
 
 
@@ -400,12 +403,11 @@ def fm_exact_threshold(z, u, ctx: DriverContext):
 
     Needs rho_m(z) = 1, every bin inside the truncated measure, the
     phi_m cap inactive for every admissible position, and rho_m(u_i) = 1
-    on the signal bins. A scalar z with a single u row gives a float.
+    on the signal bins. One entry per row of u.
     """
     z = np.asarray(z, dtype=float)
     U = _as_u_matrix(u, ctx.grid)
     pmax = max(ctx.pi_lower, ctx.pi_upper)
     phi_need = np.max(U + pmax * np.abs(ctx.eta_g), axis=1)
-    out = np.maximum(np.maximum(np.abs(z), np.max(np.abs(U), axis=1)),
-                     np.maximum(phi_need, 1.0 / float(ctx.grid.points[ctx.grid.q])))
-    return float(out[0]) if z.ndim == 0 and np.ndim(u) == 1 else out
+    return np.maximum(np.maximum(np.abs(z), np.max(np.abs(U), axis=1)),
+                      np.maximum(phi_need, 1.0 / float(ctx.grid.points[ctx.grid.q])))

@@ -84,14 +84,12 @@ class LevyMarketSpec:
         e = np.asarray(e, dtype=float)
         if np.any(e == 0.0):
             raise ValueError("nu has no density value at e = 0")
-        out = self.rho * np.abs(e) ** (-self.alpha)
-        return out if out.ndim else float(out)
+        return self.rho * np.abs(e) ** (-self.alpha)
 
     def eta(self, e):
         """Capped relative jump size: identity on [-(1-eps), 1-eps], clipped outside."""
         cap = 1.0 - self.epsilon
-        out = np.clip(np.asarray(e, dtype=float), -cap, cap)
-        return out if out.ndim else float(out)
+        return np.clip(np.asarray(e, dtype=float), -cap, cap)
 
     def nu_interval(self, a, b):
         """Mass of nu on the one-sided interval (a, b], 0 < a < b <= inf.
@@ -122,8 +120,7 @@ class NoSignal:
     """No information scenario: gamma is identically zero."""
 
     def gamma(self, e, spec: LevyMarketSpec):
-        out = np.zeros_like(np.asarray(e, dtype=float))
-        return out if out.ndim else 0.0
+        return np.zeros_like(np.asarray(e, dtype=float))
 
     def label(self) -> str:
         return "no-signal"
@@ -141,8 +138,7 @@ class HideSmall:
 
     def gamma(self, e, spec: LevyMarketSpec):
         e = np.asarray(e, dtype=float)
-        out = np.where(np.abs(e) >= self.c, spec.eta(e), 0.0)
-        return out if out.ndim else float(out)
+        return np.where(np.abs(e) >= self.c, spec.eta(e), 0.0)
 
     def label(self) -> str:
         return "hide-small"
@@ -160,8 +156,7 @@ class HideLarge:
 
     def gamma(self, e, spec: LevyMarketSpec):
         e = np.asarray(e, dtype=float)
-        out = np.where(np.abs(e) <= self.c, spec.eta(e), 0.0)
-        return out if out.ndim else float(out)
+        return np.where(np.abs(e) <= self.c, spec.eta(e), 0.0)
 
     def label(self) -> str:
         return "hide-large"
@@ -230,28 +225,6 @@ class DiscreteJumpGrid:
     def first_midpoint(self) -> float:
         """Smallest positive bin edge e_1 / 2."""
         return float(self.points[self.q]) / 2.0
-
-    def split_index(self, c: float) -> int:
-        """Largest index l with e_l < c (0 if c <= e_1, q if c > e_q)."""
-        if not c > 0:
-            raise ValueError(f"cutoff must be > 0, got {c}")
-        pos = self.points[self.q:]
-        return int(np.searchsorted(pos, c, side="left"))
-
-    def signal_mask(self, scenario: SignalScenario) -> np.ndarray:
-        """Boolean mask of the bins whose jumps emit a nonzero signal."""
-        q = self.q
-        absi = np.abs(self.signed_indices)
-        if isinstance(scenario, NoSignal):
-            return np.zeros(2 * q, dtype=bool)
-        ell = self.split_index(scenario.c)
-        if isinstance(scenario, HideSmall):
-            return absi > ell
-        return absi <= ell
-
-    def gamma_values(self, scenario: SignalScenario) -> np.ndarray:
-        """Signal value attached to each bin: eta(e_i) on signal bins, else 0."""
-        return np.where(self.signal_mask(scenario), self.eta_values(), 0.0)
 
 
 def build_grid(

@@ -32,13 +32,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
-from .levy_model import DiscreteJumpGrid, LevyMarketSpec, SignalScenario
+from .drivers import DriverContext, guarded_exp
+from .levy_model import DiscreteJumpGrid, LevyMarketSpec
 
 __all__ = [
     "TimeGrid",
@@ -52,8 +53,6 @@ __all__ = [
     "wealth_forward",
     "mc_expected_utility",
 ]
-
-_EXP_ARG_MAX = 700.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,37 +268,31 @@ def payoff_terminal(s_t, kind: str, strike: float):
     return fn(s_t, strike)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class StrategyTable:
-    """Positions as a function of the jump signal (and optionally state).
+    """Trading positions under the signal split of a driver context.
 
-    ``fn(k, s)`` maps the step index and the per-path prices S_{t_k} to
-    a pair (p0, p_sig): the no-signal position per path and the
-    per-bin positions applied when a jump of that bin arrives carrying a
-    signal. Bins without signal always trade at p0.
+    ``p0(k, s)`` maps the step index and the per-path prices S_{t_k} to
+    the no-signal position of each path. ``p_sig`` holds one position per
+    bin, applied when a jump of a signal bin (``ctx.sig_mask``) arrives;
+    jumps of the other bins trade at p0.
     """
 
-    scenario: SignalScenario
-    pi_lower: float
-    pi_upper: float
-    fn: Callable[[int, np.ndarray], tuple]
+    ctx: DriverContext
+    p0: Callable[[int, np.ndarray], np.ndarray]
+    p_sig: np.ndarray
+
+    def __post_init__(self):
+        p_sig = np.asarray(self.p_sig, dtype=float)
+        if p_sig.shape != self.ctx.sig_mask.shape:
+            raise ValueError(f"p_sig must have one entry per bin, got shape {p_sig.shape}")
+        object.__setattr__(self, "p_sig", p_sig)
 
     @classmethod
-    def constant(cls, scenario: SignalScenario, p0: float,
-                 p_sig: Optional[np.ndarray] = None,
-                 pi_lower: float = 1.0, pi_upper: float = 1.0) -> "StrategyTable":
-        """Time- and state-independent table; p_sig defaults to p0 on every bin."""
-
-        def fn(k, s):
-            n = s.size
-            base = np.full(n, p0)
-            if p_sig is None:
-                sig = np.broadcast_to(base, (1, n))
-            else:
-                sig = np.broadcast_to(np.asarray(p_sig, float)[:, None], (len(p_sig), n))
-            return base, sig
-
-        return cls(scenario=scenario, pi_lower=pi_lower, pi_upper=pi_upper, fn=fn)
+    def constant(cls, ctx: DriverContext, p: float) -> "StrategyTable":
+        """Position p on every path, bin and step."""
+        return cls(ctx=ctx, p0=lambda k, s: np.full(s.size, float(p)),
+                   p_sig=np.full(ctx.sig_mask.size, float(p)))
 
 
 def wealth_forward(batch: PathBatch, strategy: StrategyTable, x: float) -> np.ndarray:
@@ -307,28 +300,28 @@ def wealth_forward(batch: PathBatch, strategy: StrategyTable, x: float) -> np.nd
 
     Positions are taken from the state at the left endpoint of each
     step; the signal argument is the jump's bin. Raises if any position
-    leaves [-pi_lower, pi_upper].
+    leaves [-pi_lower, pi_upper] or is NaN.
     """
-    grid = batch.grid
-    spec = batch.spec
-    eta = grid.eta_values()
-    comp = float(eta @ grid.weights)
-    sig_mask = grid.signal_mask(strategy.scenario)
+    ctx, spec = strategy.ctx, batch.spec
+    if not np.array_equal(ctx.grid.points, batch.grid.points):
+        raise ValueError("the strategy's jump grid differs from the batch's")
+    eta = batch.grid.eta_values()
+    comp = float(eta @ batch.grid.weights)
+    sig_mask = ctx.sig_mask
     dt = batch.time_grid.dt
-    nb = grid.points.size
+    lo, hi = -ctx.pi_lower - 1e-12, ctx.pi_upper + 1e-12
 
-    X = np.full(batch.n_paths, float(x))
-    tol = 1e-12
-    for k, ev in enumerate(batch.jumps):
-        p0, p_sig = strategy.fn(k, batch.S[k])
-        p0 = np.broadcast_to(np.asarray(p0, float), (batch.n_paths,))
-        p_sig = np.broadcast_to(np.asarray(p_sig, float), (nb, batch.n_paths))
-        # signal positions are checked on every path, jump or not
-        lo = np.min(np.append(np.min(p_sig, axis=1)[sig_mask], np.min(p0)))
-        hi = np.max(np.append(np.max(p_sig, axis=1)[sig_mask], np.max(p0)))
-        if lo < -strategy.pi_lower - tol or hi > strategy.pi_upper + tol:
+    def check_box(p):
+        # written so that a NaN position fails too
+        if not np.all((p >= lo) & (p <= hi)):
             raise ValueError("strategy position outside [-pi_lower, pi_upper]")
-        pos = np.where(sig_mask[ev.bin], p_sig[ev.bin, ev.path], p0[ev.path])
+
+    check_box(strategy.p_sig[sig_mask])
+    X = np.full(batch.n_paths, float(x))
+    for k, ev in enumerate(batch.jumps):
+        p0 = strategy.p0(k, batch.S[k])
+        check_box(p0)
+        pos = np.where(sig_mask[ev.bin], strategy.p_sig[ev.bin], p0[ev.path])
         jump_pnl = np.bincount(ev.path, weights=pos * eta[ev.bin] * ev.count,
                                minlength=batch.n_paths)
         X = X + p0 * (spec.kappa * dt[k] + spec.sigma * batch.dW[k]) \
@@ -347,10 +340,7 @@ def mc_expected_utility(wealths, f_values, lam: float):
     X = np.asarray(wealths, dtype=float)
     F = np.asarray(f_values, dtype=float)
     F = np.broadcast_to(F, X.shape)
-    arg = -lam * (X - F)
-    if np.any(arg > _EXP_ARG_MAX):
-        raise ValueError("utility exponent exceeds the overflow guard")
-    vals = -np.exp(arg)
+    vals = -guarded_exp(-lam * (X - F))
     mean = float(np.mean(vals))
     if vals.size < 2:
         return mean, 0.0

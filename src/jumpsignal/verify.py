@@ -34,6 +34,7 @@ from .drivers import (
     driver_bounds,
     driver_f_batch,
     fm_exact_threshold,
+    guarded_exp,
     local_lipschitz_constant,
     nosignal_slope,
     penalized_driver_fm_batch,
@@ -232,26 +233,19 @@ def check_penalization(cells: CellIndex, f_values, ctx: DriverContext, eps_reg: 
     return _report("penalization", len(margins), margins, 0.0)
 
 
-def _perturbed_tables(base: StrategyTable, ctx: DriverContext,
+def _perturbed_tables(base: StrategyTable,
                       deltas: Sequence[float]) -> List[StrategyTable]:
     """Optimal table shifted by each delta (clamped), plus box constants."""
-    tables = []
+    ctx = base.ctx
     lo, hi = -ctx.pi_lower, ctx.pi_upper
 
     def shifted(d):
-        def fn(k, s):
-            p0, p_sig = base.fn(k, s)
-            return np.clip(p0 + d, lo, hi), np.clip(p_sig + d, lo, hi)
-        return StrategyTable(scenario=base.scenario, pi_lower=ctx.pi_lower,
-                             pi_upper=ctx.pi_upper, fn=fn)
+        return StrategyTable(ctx=ctx,
+                             p0=lambda k, s: np.clip(base.p0(k, s) + d, lo, hi),
+                             p_sig=np.clip(base.p_sig + d, lo, hi))
 
-    for d in deltas:
-        tables.append(shifted(d))
-    for const in (0.0, hi, lo):
-        tables.append(StrategyTable.constant(base.scenario, const,
-                                             pi_lower=ctx.pi_lower,
-                                             pi_upper=ctx.pi_upper))
-    return tables
+    return [shifted(d) for d in deltas] + \
+        [StrategyTable.constant(ctx, const) for const in (0.0, hi, lo)]
 
 
 def check_martingale_optimality(fresh_batch: PathBatch, sol: BackwardSolution,
@@ -271,18 +265,17 @@ def check_martingale_optimality(fresh_batch: PathBatch, sol: BackwardSolution,
     lam = ctx.lam
 
     X_star = wealth_forward(fresh_batch, table, x)
-    util_star = -np.exp(-lam * (X_star - F))
-    mean_star = float(np.mean(util_star))
+    util_star = -guarded_exp(-lam * (X_star - F))
 
     margins = []
-    for pert in _perturbed_tables(table, ctx, deltas):
+    for pert in _perturbed_tables(table, deltas):
         X_p = wealth_forward(fresh_batch, pert, x)
-        util_p = -np.exp(-lam * (X_p - F))
+        util_p = -guarded_exp(-lam * (X_p - F))
         diff = util_star - util_p
         se = float(np.std(diff, ddof=1) / math.sqrt(diff.size))
         margins.append(float(np.mean(diff)) + 3.0 * se)
 
-    _, se_star = mc_expected_utility(X_star, F, lam)
+    mean_star, se_star = mc_expected_utility(X_star, F, lam)
     margins.append(3.0 * (se_star + eps_reg) - abs(mean_star - value))
     return _report("martingale_optimality", len(margins), margins, 0.0)
 

@@ -266,11 +266,12 @@ def test_value_and_strategy(batch_small, payoff_small, ctx_hidesmall):
     value, table = value_and_strategy(sol, 0.3, ctx_hidesmall)
     assert value == pytest.approx(-math.exp(-0.4 * (0.3 - sol.y0)), rel=1e-14)
     s = np.array([0.9, 1.1])
-    p0, p_sig = table.fn(2, s)
+    p0 = table.p0(2, s)
     rec = sol.steps[2]
     assert np.array_equal(p0, rec.p_cells[rec.partition.assign(s)])
-    assert p_sig.shape == (6, 2)
-    assert np.array_equal(p_sig[:, 0], ctx_hidesmall.boundary_p)
+    assert table.ctx is ctx_hidesmall
+    assert table.p_sig.shape == (6,)
+    assert np.array_equal(table.p_sig, ctx_hidesmall.boundary_p)
     assert np.all(p0 >= -1.0) and np.all(p0 <= 1.0)
     with pytest.raises(ValueError):
         value_and_strategy(sol, -2000.0, ctx_hidesmall)

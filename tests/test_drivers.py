@@ -156,8 +156,9 @@ def test_phi_m_values():
 
 def test_u_lambda_norm(ctx_hidesmall):
     grid = ctx_hidesmall.grid
-    assert u_lambda_norm(np.zeros(6), ctx_hidesmall) == 0.0
-    ones = u_lambda_norm(np.ones(6), ctx_hidesmall)
+    (zero,) = u_lambda_norm(np.zeros(6), ctx_hidesmall)  # one row
+    assert zero == 0.0
+    (ones,) = u_lambda_norm(np.ones(6), ctx_hidesmall)
     assert ones == pytest.approx(H_04_1 * grid.total_intensity, rel=1e-13)
     with pytest.raises(ValueError):
         u_lambda_norm(np.ones(5), ctx_hidesmall)
@@ -344,10 +345,12 @@ def test_sandwich_and_monotone(ctx_hidesmall, ctx_hidelarge, rng):
 
 
 def test_driver_bounds_values(ctx_hidesmall):
-    lo, hi = driver_bounds(0.0, np.zeros(6), ctx_hidesmall)
+    # lower has the shape of z, upper one entry per row of u
+    lo, (hi,) = driver_bounds(0.0, np.zeros(6), ctx_hidesmall)
+    assert np.ndim(lo) == 0
     assert lo == pytest.approx(-2.0 * ABS_ETA_SMALL, rel=1e-13)
     assert hi == 0.0
-    lo2, hi2 = driver_bounds(2.0, np.ones(6), ctx_hidesmall)
+    lo2, (hi2,) = driver_bounds(2.0, np.ones(6), ctx_hidesmall)
     assert lo2 == lo  # C = 0: no z term in the lower bound
     assert hi2 == pytest.approx(0.2 * 4.0 + H_04_1 * 0.8, rel=1e-12)
 
@@ -355,7 +358,7 @@ def test_driver_bounds_values(ctx_hidesmall):
 def test_fm_exact_threshold_and_exactness(ctx_hidesmall):
     z = 1.5
     u = np.array([0.3, -0.2, 0.1, 0.4, -0.1, 2.2])
-    thresh = fm_exact_threshold(z, u, ctx_hidesmall)
+    (thresh,) = fm_exact_threshold(z, u, ctx_hidesmall)  # one row
     # max over |z|, |u|_inf, u_i + pmax |eta_i| (= 2.2 + 0.99), 1/e_1
     assert thresh == pytest.approx(3.19, rel=1e-14)
     m_star = int(math.floor(thresh)) + 1

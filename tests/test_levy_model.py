@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from jumpsignal import (
     DiscreteJumpGrid,
+    DriverContext,
     HideLarge,
     HideSmall,
     LevyMarketSpec,
@@ -132,27 +133,36 @@ def test_grid_linear_layout(spec_small):
         build_grid(3, spec_small, layout="chebyshev")
 
 
-def test_first_midpoint_and_split_index(grid_small):
+def test_first_midpoint(grid_small):
     assert grid_small.first_midpoint() == 0.25
-    # largest l with e_l < c on marks 0.5, 1, 2
-    assert grid_small.split_index(0.5) == 0
-    assert grid_small.split_index(0.500001) == 1
-    assert grid_small.split_index(0.7) == 1
-    assert grid_small.split_index(2.0) == 2
-    assert grid_small.split_index(2.5) == 3
-    with pytest.raises(ValueError):
-        grid_small.split_index(0.0)
 
 
-def test_signal_masks(grid_small):
-    assert not grid_small.signal_mask(NoSignal()).any()
-    hs = grid_small.signal_mask(HideSmall(c=0.7))
+def test_signal_masks(spec_small, grid_small):
+    def mask(scenario):
+        # the context's signal bins are exactly the marks gamma reveals
+        ctx = DriverContext.build(spec_small, grid_small, scenario, lam=0.4)
+        gamma = scenario.gamma(grid_small.points, spec_small)
+        assert np.array_equal(ctx.sig_mask, gamma != 0)
+        return ctx.sig_mask
+
+    assert not mask(NoSignal()).any()
+    hs = mask(HideSmall(c=0.7))
     assert np.array_equal(hs, [True, True, False, False, True, True])
-    hl = grid_small.signal_mask(HideLarge(c=0.7))
-    assert np.array_equal(hl, ~hs)
-    g = grid_small.gamma_values(HideSmall(c=0.7))
+    assert np.array_equal(mask(HideLarge(c=0.7)), ~hs)
+    g = HideSmall(c=0.7).gamma(grid_small.points, spec_small)
     assert np.array_equal(g, [-0.99, -0.99, 0.0, 0.0, 0.99, 0.99])
-    assert np.array_equal(grid_small.gamma_values(NoSignal()), np.zeros(6))
+    assert np.array_equal(NoSignal().gamma(grid_small.points, spec_small), np.zeros(6))
+    # cutoffs at and next to the marks 0.5, 1, 2: both revealed sets
+    # include the cutoff (|e| >= c under HideSmall, |e| <= c under HideLarge)
+    cases = {
+        0.5: ([1, 1, 1, 1, 1, 1], [0, 0, 1, 1, 0, 0]),
+        0.500001: ([1, 1, 0, 0, 1, 1], [0, 0, 1, 1, 0, 0]),
+        2.0: ([1, 0, 0, 0, 0, 1], [1, 1, 1, 1, 1, 1]),
+        2.5: ([0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1, 1]),
+    }
+    for c, (small, large) in cases.items():
+        assert np.array_equal(mask(HideSmall(c=c)), np.array(small, dtype=bool)), c
+        assert np.array_equal(mask(HideLarge(c=c)), np.array(large, dtype=bool)), c
 
 
 def test_grid_validation(spec_small):

@@ -2,6 +2,7 @@
 inverse-CDF correctness against scipy, exact price recomputation, and a
 hand-checked wealth decomposition."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,11 +10,12 @@ import pytest
 from scipy.stats import poisson
 
 from jumpsignal import (
-    HideSmall,
+    DriverContext,
     NoSignal,
     PathBatch,
     StrategyTable,
     TimeGrid,
+    build_grid,
     mc_expected_utility,
     payoff_digital,
     payoff_put,
@@ -199,13 +201,13 @@ def _hand_batch(spec, grid, dW, dN_sparse, n_paths):
                      jumps=(ev,), S=S)
 
 
-def test_wealth_hand_case(spec_small, grid_small):
+def test_wealth_hand_case(spec_small, grid_small, ctx_hidesmall):
     batch = _hand_batch(spec_small, grid_small, [0.1, 0.0, -0.2, 0.0],
                         {(5, 1): 1, (2, 2): 1, (2, 3): 1, (5, 3): 2}, 4)
     eta = grid_small.eta_values()
     comp = sum(float(eta[i] * grid_small.weights[i]) for i in range(6))
     p_sig = np.array([-1.0, -1.0, 0.25, 0.25, 1.0, 1.0])
-    table = StrategyTable.constant(HideSmall(c=0.7), 0.5, p_sig=p_sig)
+    table = StrategyTable(ctx_hidesmall, lambda k, s: np.full(s.size, 0.5), p_sig)
     X = wealth_forward(batch, table, 0.0)
     drift = -0.5 * comp * 0.5  # p0 * comp * dt charged on every path
     # path 0: Brownian only; path 1: signal jump at +2 trades p_sig = 1;
@@ -217,24 +219,36 @@ def test_wealth_hand_case(spec_small, grid_small):
     assert X[3] == pytest.approx(2 * 1.0 * 0.99 + 0.5 * -0.5 + drift, abs=1e-14)
 
 
-def test_wealth_nosignal_ignores_psig(spec_small, grid_small):
+def test_wealth_nosignal_ignores_psig(spec_small, grid_small, ctx_nosignal):
     batch = _hand_batch(spec_small, grid_small, [0.05, -0.1], {(4, 0): 2}, 2)
-    base = StrategyTable.constant(NoSignal(), 0.7)
-    wild = StrategyTable.constant(NoSignal(), 0.7,
-                                  p_sig=np.full(6, 77.0))  # never applied
+    base = StrategyTable.constant(ctx_nosignal, 0.7)
+    wild = dataclasses.replace(base, p_sig=np.full(6, 77.0))  # never applied
     assert np.array_equal(wealth_forward(batch, base, 0.0),
                           wealth_forward(batch, wild, 0.0))
 
 
-def test_wealth_bounds_enforced(spec_small, grid_small):
+def test_wealth_bounds_enforced(spec_small, grid_small, ctx_nosignal, ctx_hidesmall):
     batch = _hand_batch(spec_small, grid_small, [0.0], {}, 1)
-    bad = StrategyTable.constant(NoSignal(), 1.5)
+    bad = StrategyTable.constant(ctx_nosignal, 1.5)
     with pytest.raises(ValueError):
         wealth_forward(batch, bad, 0.0)
-    bad_sig = StrategyTable.constant(HideSmall(c=0.7), 0.5,
-                                     p_sig=np.full(6, -1.2))
+    bad_sig = dataclasses.replace(StrategyTable.constant(ctx_hidesmall, 0.5),
+                                  p_sig=np.full(6, -1.2))
     with pytest.raises(ValueError):
         wealth_forward(batch, bad_sig, 0.0)
+    nan_p0 = dataclasses.replace(bad, p0=lambda k, s: np.full(s.size, np.nan))
+    with pytest.raises(ValueError):
+        wealth_forward(batch, nan_p0, 0.0)
+
+
+def test_strategy_table_shapes(spec_small, grid_small, ctx_nosignal):
+    # one signal position per bin, and the strategy's grid is the batch's
+    with pytest.raises(ValueError, match="one entry per bin"):
+        StrategyTable(ctx_nosignal, lambda k, s: np.zeros(s.size), np.zeros((6, 1)))
+    other = DriverContext.build(spec_small, build_grid(4, spec_small), NoSignal(), 0.4)
+    batch = _hand_batch(spec_small, grid_small, [0.0], {}, 1)
+    with pytest.raises(ValueError, match="jump grid"):
+        wealth_forward(batch, StrategyTable.constant(other, 0.0), 0.0)
 
 
 def test_mc_expected_utility_frozen():
