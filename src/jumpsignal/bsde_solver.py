@@ -61,10 +61,16 @@ class BasisPartition:
     price lands in cell ``#edges <= s`` so equal prices always share a
     cell. Cells below the minimum path count are merged with their
     smaller neighbor until every cell is populated.
+
+    ``from_sample`` sorts the sample once: the edges are quantiles of the
+    sorted sample, each cell is counted by locating the edges in it, and
+    the cell of every sample price (``sample_ids``) is scattered back
+    through the sort order. ``assign`` places fresh prices.
     """
 
     edges: np.ndarray
     counts: np.ndarray
+    sample_ids: Optional[np.ndarray] = None
 
     def __post_init__(self):
         e = np.asarray(self.edges, dtype=float)
@@ -87,10 +93,14 @@ class BasisPartition:
             raise ValueError("sample must be a nonempty 1d array")
         if n_cells < 1 or min_count < 1:
             raise ValueError(f"bad partition config ({n_cells} cells, min {min_count})")
-        edges = np.unique(np.quantile(s, np.arange(1, n_cells) / n_cells))
+        order = np.argsort(s)
+        s_sorted = s[order]
+        # np.quantile does not depend on the order of its input
+        edges = np.unique(np.quantile(s_sorted, np.arange(1, n_cells) / n_cells))
         while True:
-            ids = np.searchsorted(edges, s, side="right")
-            counts = np.bincount(ids, minlength=edges.size + 1)
+            # the prices below each edge fill the cells left of it
+            below = np.searchsorted(s_sorted, edges, side="left")
+            counts = np.diff(below, prepend=0, append=s.size)
             if edges.size == 0 or counts.min() >= min(min_count, s.size):
                 break
             j = int(np.argmin(counts))
@@ -102,7 +112,9 @@ class BasisPartition:
                 # merge toward the smaller neighbor, ties to the left
                 drop = j - 1 if counts[j - 1] <= counts[j + 1] else j
             edges = np.delete(edges, drop)
-        return cls(edges=edges, counts=counts)
+        ids = np.empty(s.size, dtype=np.intp)
+        ids[order] = np.repeat(np.arange(edges.size + 1), counts)
+        return cls(edges=edges, counts=counts, sample_ids=ids)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +123,8 @@ class CellIndex:
 
     ``partitions[k]`` are the cells of S_k, ``cell_ids[k]`` the cell of
     each path and ``event_keys[k]`` the key ``bin * n_cells + cell`` of
-    each jump event of step k.
+    each jump event of step k. Each step's prices are sorted once, in
+    ``BasisPartition.from_sample``, which also yields the path cells.
     """
 
     batch: PathBatch
@@ -126,7 +139,7 @@ class CellIndex:
         for k, ev in enumerate(batch.jumps):
             partition = BasisPartition.from_sample(batch.S[k], n_cells=n_cells,
                                                    min_count=min_count)
-            ids = partition.assign(batch.S[k])
+            ids = partition.sample_ids
             partitions.append(partition)
             cell_ids.append(ids)
             event_keys.append(ev.bin * partition.n_cells + ids[ev.path])

@@ -170,6 +170,8 @@ def cmd_sweep(args) -> int:
                              "y0": "", "value": "", "wall_time": "",
                              "config_hash": cfg_hash,
                              "status": f"error: {exc}"})
+        # free this seed's batch before the next one is simulated
+        del cells
     rows.sort(key=lambda r: (r["scenario"], _c_key(r["c"]), r["seed"]))
 
     fh, close = _open_out(args.out)

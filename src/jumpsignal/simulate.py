@@ -9,15 +9,18 @@ dynamics, so it can be simulated without time-discretization error:
 with per-bin Poisson jump counts dN_k(i) ~ Poisson(nu_i dt_k).
 
 Randomness is fully counter-based: every variate is produced by inverse
-CDF from one uniform of a Philox stream keyed by (seed, step, channel),
-with the path index addressing the position inside the stream. Chunking
-the paths across any number of workers therefore reproduces the exact
-same numbers as a single pass.
+CDF from one 64-bit word of a Philox stream keyed by (seed, step,
+channel), with the path index addressing the position inside the stream,
+and the uniform of a word w is (w >> 11) 2^-53, as numpy's
+``Generator.random`` forms it. Chunking the paths across any number of
+workers therefore reproduces the exact same numbers as a single pass.
 
 Jump counts are stored as events, not as a dense (n_steps, n_bins,
 n_paths) array: at the reference scale fewer than 1% of the counts are
-nonzero. Every uniform is still drawn, but only those at or above
-exp(-nu_i dt_k), the Poisson probability of no jump, are inverted.
+nonzero. The jump streams are read as raw words, and one integer
+comparison against ceil(exp(-nu_i dt_k) 2^53) << 11, the word form of
+the Poisson probability of no jump, selects the nonzero counts; only the
+selected words are turned into uniforms and inverted.
 
 Wealth under a signal strategy realizes the semimartingale decomposition
 of the extended jump integral at finite activity: the jump sum applies
@@ -88,18 +91,29 @@ class TimeGrid:
         return float(self.times[-1])
 
 
-def _uniforms(seed: int, step: int, channel: int, n: int, start: int = 0) -> np.ndarray:
-    """n uniforms from the (seed, step, channel) stream, positions start..start+n-1.
+def _stream(seed: int, step: int, channel: int, start: int) -> tuple:
+    """The (seed, step, channel) Philox stream at position start.
 
-    Philox advances in blocks of 4 doubles; the remainder is generated
-    and discarded so any chunking reproduces the same values.
+    Philox advances in blocks of 4 words; returns the bit generator at
+    the block holding ``start`` and the number of words to discard from
+    it, so any chunking reproduces the same values.
     """
     bg = Philox(key=seed, counter=[0, 0, step, channel])
-    skip = start % 4
     if start >= 4:
         bg.advance(start // 4)
-    u = Generator(bg).random(skip + n)
-    return u[skip:]
+    return bg, start % 4
+
+
+def _uniforms(seed: int, step: int, channel: int, n: int, start: int = 0) -> np.ndarray:
+    """n uniforms from the (seed, step, channel) stream, positions start..start+n-1."""
+    bg, skip = _stream(seed, step, channel, start)
+    return Generator(bg).random(skip + n)[skip:]
+
+
+def _words(seed: int, step: int, channel: int, n: int, start: int = 0) -> np.ndarray:
+    """The raw uint64 words behind ``_uniforms`` at the same positions."""
+    bg, skip = _stream(seed, step, channel, start)
+    return bg.random_raw(skip + n)[skip:]
 
 
 def _normals(seed: int, step: int, channel: int, n: int, start: int = 0) -> np.ndarray:
@@ -128,17 +142,25 @@ def _poisson_invcdf(u: np.ndarray, mu: float) -> np.ndarray:
     return np.searchsorted(np.asarray(cdf), u, side="right").astype(np.int64)
 
 
-def _poisson_events(u: np.ndarray, mu: float) -> tuple:
-    """Positions and counts of the nonzero Poisson(mu) draws among u.
+def _poisson_events(words: np.ndarray, mu: float) -> tuple:
+    """Positions and counts of the nonzero Poisson(mu) draws among raw words.
 
     Equal to ``np.flatnonzero(c)`` and its entries for ``c =
-    _poisson_invcdf(u, mu)``: the inverse CDF gives 0 exactly when u lies
-    below the first CDF value exp(-mu), and a uniform equal to it already
-    counts one jump (the search is right-sided), hence ``>=``. With mu = 0
-    the threshold is 1, which no uniform reaches.
+    _poisson_invcdf(u, mu)`` with ``u = (words >> 11) 2^-53``: the inverse
+    CDF gives 0 exactly when u lies below p = exp(-mu), and a uniform
+    equal to p already counts one jump (the search is right-sided), so a
+    word counts when (w >> 11) >= p 2^53, that is w >= ceil(p 2^53) << 11.
+    When p rounds to 1 (mu = 0 or tiny) no uniform reaches it.
     """
-    idx = np.flatnonzero(u >= math.exp(-mu))
-    return idx, _poisson_invcdf(u[idx], mu)
+    if mu < 0:
+        raise ValueError(f"Poisson mean must be >= 0, got {mu}")
+    p = math.exp(-mu)
+    if p == 1.0:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64)
+    cut = np.uint64(math.ceil(p * 2.0 ** 53) << 11)
+    idx = np.flatnonzero(words >= cut)
+    u = (words[idx] >> np.uint64(11)) * 2.0 ** -53
+    return idx, _poisson_invcdf(u, mu)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,8 +233,8 @@ def simulate_batch(
         dW[k] = math.sqrt(dt[k]) * _normals(seed, k, 0, n_paths, path_offset)
         paths, counts = [], []
         for j in range(nb):
-            u = _uniforms(seed, k, 1 + j, n_paths, path_offset)
-            idx, cnt = _poisson_events(u, grid.weights[j] * dt[k])
+            words = _words(seed, k, 1 + j, n_paths, path_offset)
+            idx, cnt = _poisson_events(words, grid.weights[j] * dt[k])
             paths.append(idx)
             counts.append(cnt)
         bins = np.repeat(np.arange(nb), [p.size for p in paths])

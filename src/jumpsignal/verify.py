@@ -261,6 +261,10 @@ def check_martingale_optimality(fresh_batch: PathBatch, sol: BackwardSolution,
     if fresh_batch.seed == sol.batch.seed:
         raise ValueError("optimality must be checked on a fresh seed")
     value, table = value_and_strategy(sol, x, ctx)
+    # the fresh batch's optimal positions, placed in their cells once and
+    # shared by every shifted table (each looks them up by step only)
+    p_star = [table.p0(k, s) for k, s in enumerate(fresh_batch.S[:-1])]
+    table = StrategyTable(ctx=ctx, p0=lambda k, s: p_star[k], p_sig=table.p_sig)
     F = payoff_fn(fresh_batch.S[-1])
     lam = ctx.lam
 

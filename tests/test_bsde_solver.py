@@ -57,6 +57,61 @@ def test_partition_merges_small_cells(rng):
     assert np.unique(ids).size == 1
 
 
+def _partition_by_search(s, n_cells, min_count):
+    """Reference partition (edges, counts, ids): every merge round places
+    the whole sample with searchsorted, no sort."""
+    edges = np.unique(np.quantile(s, np.arange(1, n_cells) / n_cells))
+    while True:
+        ids = np.searchsorted(edges, s, side="right")
+        counts = np.bincount(ids, minlength=edges.size + 1)
+        if edges.size == 0 or counts.min() >= min(min_count, s.size):
+            return edges, counts, ids
+        j = int(np.argmin(counts))
+        if j == 0:
+            drop = 0
+        elif j == edges.size:
+            drop = edges.size - 1
+        else:
+            drop = j - 1 if counts[j - 1] <= counts[j + 1] else j
+        edges = np.delete(edges, drop)
+
+
+@pytest.mark.parametrize("case", ["ties", "merges", "constant", "few"])
+def test_partition_sort_matches_search(case, rng):
+    n_cells, min_count = 16, 60
+    if case == "ties":
+        # edges fall on the tied values
+        s = rng.integers(0, 5, size=3000).astype(float)
+    elif case == "merges":
+        s = np.concatenate([np.full(850, 1.0), rng.uniform(1.5, 2.0, size=150)])
+        s = rng.permutation(s)
+    elif case == "constant":
+        # step 0: every price is s0
+        s, n_cells = np.full(4096, 1.0), 64
+    else:
+        s, n_cells = rng.uniform(0.5, 2.0, size=10), 64
+    edges, counts, ids = _partition_by_search(s, n_cells, min_count)
+    part = BasisPartition.from_sample(s, n_cells=n_cells, min_count=min_count)
+    assert np.array_equal(part.edges, edges)
+    assert np.array_equal(part.counts, counts)
+    assert np.array_equal(part.sample_ids, ids)
+    assert np.array_equal(part.assign(s), ids)
+    if case == "ties":
+        assert edges.size > 0 and np.isin(edges, s).all()
+    if case == "merges":
+        assert edges.size < n_cells - 1
+
+
+def test_cell_index_ids_are_the_assigned_cells(batch_small):
+    cells = CellIndex.build(batch_small)
+    for k, partition in enumerate(cells.partitions):
+        ids = partition.assign(batch_small.S[k])
+        assert np.array_equal(cells.cell_ids[k], ids)
+        ev = batch_small.jumps[k]
+        assert np.array_equal(cells.event_keys[k],
+                              ev.bin * partition.n_cells + ids[ev.path])
+
+
 def test_fit_recovers_cell_means(spec_small, grid_small, rng):
     # one step: the regression of F on the t_0 price sample is the table
     # of in-cell means of F

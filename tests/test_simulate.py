@@ -4,6 +4,7 @@ hand-checked wealth decomposition."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,13 @@ from jumpsignal import (
     simulate_batch,
     wealth_forward,
 )
-from jumpsignal.simulate import JumpEvents, _poisson_events, _poisson_invcdf
+from jumpsignal.simulate import (
+    JumpEvents,
+    _poisson_events,
+    _poisson_invcdf,
+    _uniforms,
+    _words,
+)
 
 NEG_EXP_01 = -1.105170918075647624811707826490  # -exp(0.1), frozen
 
@@ -117,22 +124,42 @@ def test_poisson_invcdf_matches_scipy():
 
 
 def test_poisson_events_are_the_nonzero_inverse_cdf():
-    u = np.random.default_rng(78).random(20000)
-    for mu in (0.0, 1e-3, 0.05, 0.5, 3.0):
-        v = u.copy()
-        if mu > 0:
-            # exactly at the zero-count probability and one ulp below it
-            v[:2] = [math.exp(-mu), np.nextafter(math.exp(-mu), 0.0)]
-        dense = _poisson_invcdf(v, mu)
-        idx, counts = _poisson_events(v, mu)
+    words = np.random.default_rng(78).integers(0, 2 ** 64, size=20000,
+                                               dtype=np.uint64)
+    # below ln 2, exp(-mu) * 2^53 is an integer; above it (1.2, 3.0) it
+    # need not be, and the ceiling in the word threshold rounds up
+    for mu in (1e-3, 0.05, 0.5, 1.2, 3.0):
+        assert (mu > math.log(2)) == (math.exp(-mu) * 2.0 ** 53 % 1 != 0)
+        w = words.copy()
+        # the smallest word whose uniform reaches exp(-mu)
+        cut = math.ceil(math.exp(-mu) * 2.0 ** 53) << 11
+        # the boundary word, one uniform step (2^11 words) below it, and
+        # the last word that still maps to the uniform below the boundary
+        w[:3] = [cut, cut - 2 ** 11, cut - 1]
+        dense = _poisson_invcdf((w >> np.uint64(11)) * 2.0 ** -53, mu)
+        idx, counts = _poisson_events(w, mu)
         assert np.array_equal(idx, np.flatnonzero(dense))
         assert np.array_equal(counts, dense[idx])
-        if mu > 0:
-            assert dense[0] == 1 and dense[1] == 0 and idx[0] == 0
-        else:
-            assert idx.size == 0
+        assert dense[0] == 1 and dense[1] == 0 and dense[2] == 0
+        assert idx[0] == 0 and idx[1] > 2
+    # exp(-mu) == 1.0: no events, and no word threshold at 2^64 is formed
+    for mu in (0.0, 1e-17):
+        assert math.exp(-mu) == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            idx, counts = _poisson_events(words, mu)
+        assert idx.size == 0 and counts.size == 0
     with pytest.raises(ValueError):
-        _poisson_events(u, -1.0)
+        _poisson_events(words, -1.0)
+
+
+def test_jump_words_are_the_uniform_stream():
+    # the words behind the float uniforms, also off the 4-word block
+    for start in (0, 3, 9):
+        w = _words(7, 2, 5, 30, start)
+        assert w.dtype == np.uint64
+        u = (w >> np.uint64(11)) * 2.0 ** -53
+        assert np.array_equal(u, _uniforms(7, 2, 5, 30, start))
 
 
 def test_jump_count_moments(spec_small, grid_small):
