@@ -53,6 +53,22 @@ __all__ = [
 ]
 
 
+def _sorted_quantiles(s_sorted: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The 'linear' ``np.quantile(s_sorted, q)`` for q in [0, 1), read by
+    index from a sorted sample without numpy's copy and partition. It
+    forms the same floats: the virtual index (n - 1) q, the values a and
+    b at its floor and the next index, and ``a + (b - a) t`` or, when
+    t >= 0.5, ``b - (b - a)(1 - t)``. Only a one-value sample of -0.0
+    comes out as +0.0."""
+    n = s_sorted.size
+    at = (n - 1) * q
+    lo = np.floor(at).astype(np.intp)
+    t = at - lo
+    a, b = s_sorted[lo], s_sorted[np.minimum(lo + 1, n - 1)]
+    d = b - a
+    return np.where(t >= 0.5, b - d * (1 - t), a + d * t)
+
+
 @dataclass(frozen=True, eq=False)
 class BasisPartition:
     """Equiprobable quantile cells on one step's price sample.
@@ -62,10 +78,10 @@ class BasisPartition:
     cell. Cells below the minimum path count are merged with their
     smaller neighbor until every cell is populated.
 
-    ``from_sample`` sorts the sample once: the edges are quantiles of the
-    sorted sample, each cell is counted by locating the edges in it, and
-    the cell of every sample price (``sample_ids``) is scattered back
-    through the sort order. ``assign`` places fresh prices.
+    ``from_sample`` sorts the sample once: the edges are quantiles read
+    from the sorted sample by index, each cell is counted by locating the
+    edges in it, and the cell of every sample price (``sample_ids``) is
+    scattered back through the sort order. ``assign`` places fresh prices.
     """
 
     edges: np.ndarray
@@ -95,8 +111,7 @@ class BasisPartition:
             raise ValueError(f"bad partition config ({n_cells} cells, min {min_count})")
         order = np.argsort(s)
         s_sorted = s[order]
-        # np.quantile does not depend on the order of its input
-        edges = np.unique(np.quantile(s_sorted, np.arange(1, n_cells) / n_cells))
+        edges = np.unique(_sorted_quantiles(s_sorted, np.arange(1, n_cells) / n_cells))
         while True:
             # the prices below each edge fill the cells left of it
             below = np.searchsorted(s_sorted, edges, side="left")

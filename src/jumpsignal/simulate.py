@@ -14,6 +14,11 @@ channel), with the path index addressing the position inside the stream,
 and the uniform of a word w is (w >> 11) 2^-53, as numpy's
 ``Generator.random`` forms it. Chunking the paths across any number of
 workers therefore reproduces the exact same numbers as a single pass.
+For the same reason the streams of a step (the Brownian channel and one
+channel per jump bin) are drawn on a thread pool sized to the CPUs the
+process may run on, and the batch does not depend on the pool size:
+each stream is fixed by its key alone, and the results are assembled in
+channel order.
 
 Jump counts are stored as events, not as a dense (n_steps, n_bins,
 n_paths) array: at the reference scale fewer than 1% of the counts are
@@ -34,7 +39,10 @@ charges the no-signal position only,
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Tuple
 
 import numpy as np
@@ -228,18 +236,26 @@ def simulate_batch(
     dt = time_grid.dt
 
     dW = np.empty((n_steps, n_paths))
+
+    def draw(k, channel):
+        # channel 0 is the Brownian stream, channel 1 + j the jumps of bin j
+        if channel == 0:
+            z = _normals(seed, k, 0, n_paths, path_offset)
+            np.multiply(math.sqrt(dt[k]), z, out=dW[k])
+            return None
+        words = _words(seed, k, channel, n_paths, path_offset)
+        return _poisson_events(words, grid.weights[channel - 1] * dt[k])
+
     jumps = []
-    for k in range(n_steps):
-        dW[k] = math.sqrt(dt[k]) * _normals(seed, k, 0, n_paths, path_offset)
-        paths, counts = [], []
-        for j in range(nb):
-            words = _words(seed, k, 1 + j, n_paths, path_offset)
-            idx, cnt = _poisson_events(words, grid.weights[j] * dt[k])
-            paths.append(idx)
-            counts.append(cnt)
-        bins = np.repeat(np.arange(nb), [p.size for p in paths])
-        jumps.append(JumpEvents(path=np.concatenate(paths), bin=bins,
-                                count=np.concatenate(counts)))
+    # Philox, the uint64 comparison and flatnonzero release the GIL; one
+    # step at a time bounds the words held at once by the pool size
+    with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
+        for k in range(n_steps):
+            _, *events = pool.map(partial(draw, k), range(nb + 1))
+            paths, counts = zip(*events)
+            bins = np.repeat(np.arange(nb), [p.size for p in paths])
+            jumps.append(JumpEvents(path=np.concatenate(paths), bin=bins,
+                                    count=np.concatenate(counts)))
 
     eta = grid.eta_values()
     comp = float(eta @ grid.weights)

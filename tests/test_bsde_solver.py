@@ -26,6 +26,7 @@ from jumpsignal import (
     solve,
     value_and_strategy,
 )
+from jumpsignal.bsde_solver import _sorted_quantiles
 from jumpsignal.simulate import JumpEvents
 
 
@@ -76,20 +77,49 @@ def _partition_by_search(s, n_cells, min_count):
         edges = np.delete(edges, drop)
 
 
-@pytest.mark.parametrize("case", ["ties", "merges", "constant", "few"])
-def test_partition_sort_matches_search(case, rng):
-    n_cells, min_count = 16, 60
+def _partition_case(case, rng):
+    """(sample, n_cells) of a named partition case."""
     if case == "ties":
         # edges fall on the tied values
-        s = rng.integers(0, 5, size=3000).astype(float)
-    elif case == "merges":
+        return rng.integers(0, 5, size=3000).astype(float), 16
+    if case == "merges":
         s = np.concatenate([np.full(850, 1.0), rng.uniform(1.5, 2.0, size=150)])
-        s = rng.permutation(s)
-    elif case == "constant":
+        return rng.permutation(s), 16
+    if case == "constant":
         # step 0: every price is s0
-        s, n_cells = np.full(4096, 1.0), 64
-    else:
-        s, n_cells = rng.uniform(0.5, 2.0, size=10), 64
+        return np.full(4096, 1.0), 64
+    if case == "few":
+        return rng.uniform(0.5, 2.0, size=10), 64
+    if case == "single":
+        # every virtual index is past the end
+        return np.array([1.25]), 64
+    if case == "gaps":
+        # gaps as wide as the values: the two lerp forms round apart
+        return rng.exponential(1.0, size=10), 64
+    # a reference-size step of lognormal prices
+    return rng.lognormal(0.0, 0.3, size=65536), 64
+
+
+@pytest.mark.parametrize("case", ["ties", "merges", "constant", "few",
+                                  "single", "gaps", "reference"])
+def test_sorted_quantiles_are_numpy_quantiles(case, rng):
+    s, n_cells = _partition_case(case, rng)
+    q = np.arange(1, n_cells) / n_cells
+    got = _sorted_quantiles(np.sort(s), q)
+    # bit for bit, not to a tolerance
+    assert got.tobytes() == np.quantile(s, q).tobytes()
+    if case == "gaps":
+        # numpy's t >= 0.5 branch decides some of the bits
+        at = (s.size - 1) * q
+        lo = np.floor(at).astype(np.intp)
+        a, b = np.sort(s)[lo], np.sort(s)[lo + 1]
+        assert not np.array_equal(got, a + (b - a) * (at - lo))
+
+
+@pytest.mark.parametrize("case", ["ties", "merges", "constant", "few"])
+def test_partition_sort_matches_search(case, rng):
+    s, n_cells = _partition_case(case, rng)
+    min_count = 60
     edges, counts, ids = _partition_by_search(s, n_cells, min_count)
     part = BasisPartition.from_sample(s, n_cells=n_cells, min_count=min_count)
     assert np.array_equal(part.edges, edges)

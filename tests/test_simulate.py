@@ -4,6 +4,9 @@ hand-checked wealth decomposition."""
 
 import dataclasses
 import math
+import os
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -24,6 +27,7 @@ from jumpsignal import (
     simulate_batch,
     wealth_forward,
 )
+from jumpsignal import simulate
 from jumpsignal.simulate import (
     JumpEvents,
     _poisson_events,
@@ -99,6 +103,92 @@ def test_chunked_paths_reproduce_full_run(spec_small, grid_small, tg_small):
         n_events += ev.count.size
     assert n_events > 0
     assert np.array_equal(full.S[:, 23:], tail.S)
+
+
+def _assert_same_batch(b, ref):
+    assert np.array_equal(b.dW, ref.dW)
+    assert np.array_equal(b.S, ref.S)
+    assert len(b.jumps) == len(ref.jumps)
+    for ev, ev_ref in zip(b.jumps, ref.jumps):
+        for name in ("path", "bin", "count"):
+            got, want = getattr(ev, name), getattr(ev_ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_cpus", [1, 3])
+def test_pool_size_does_not_change_the_batch(n_cpus, monkeypatch, spec_small,
+                                             grid_small, tg_small, dense_counts):
+    args = (spec_small, grid_small, tg_small, 1000)
+    default = simulate_batch(*args, seed=9)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+    workers = set()
+    real = simulate._poisson_events
+
+    def spy(words, mu):
+        workers.add(threading.get_ident())
+        return real(words, mu)
+
+    monkeypatch.setattr(simulate, "_poisson_events", spy)
+    b = simulate_batch(*args, seed=9)
+    # the pool had at most n_cpus threads, none of them the caller
+    assert 1 <= len(workers) <= n_cpus
+    assert threading.get_ident() not in workers
+    _assert_same_batch(b, default)
+    for k, ev in enumerate(b.jumps):
+        dense = dense_counts(b, k)
+        assert ev.count.size == np.count_nonzero(dense)
+        assert np.array_equal(ev.count, dense[ev.bin, ev.path])
+
+
+def test_concurrent_calls_get_identical_batches(monkeypatch, spec_small,
+                                                grid_small, tg_small):
+    args = (spec_small, grid_small, tg_small, 1000)
+    default = simulate_batch(*args, seed=9)
+    # more pool threads than this test needs cores, switching often
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+    out = [None, None]
+
+    def run(i):
+        out[i] = simulate_batch(*args, seed=9)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for b in out:
+        _assert_same_batch(b, default)
+
+
+def test_pool_cleans_up_and_reports_errors(monkeypatch, spec_small, grid_small,
+                                           tg_small):
+    args = (spec_small, grid_small, tg_small, 1000)
+    before = threading.active_count()
+    simulate_batch(*args, seed=9)
+    assert threading.active_count() == before
+    real, lock, calls = simulate._poisson_events, threading.Lock(), []
+
+    def failing(words, mu):
+        with lock:
+            calls.append(mu)
+            fail = len(calls) == 8  # one channel of the second step
+        if fail:
+            raise ValueError("injected failure")
+        return real(words, mu)
+
+    monkeypatch.setattr(simulate, "_poisson_events", failing)
+    with pytest.raises(ValueError, match="injected failure"):
+        simulate_batch(*args, seed=9)
+    # the pool is shut down before the error reaches the caller
+    assert threading.active_count() == before
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("ThreadPoolExecutor")]
 
 
 def test_brownian_increment_moments(spec_small, grid_small):
