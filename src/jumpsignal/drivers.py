@@ -14,14 +14,15 @@ position p in [-pi_lower, pi_upper]:
 * an affine tail -lam C z - C^2 / (2 lam).
 
 ``penalized_driver_fm_batch`` implements the Lipschitz approximations f_m:
-bins with |e_i| <= 1/m are dropped from the exponential sums, the
+bins with |e_i| <= 1/m are zeroed in the exponential sums, the
 quadratic is faded by rho_m(z), the exponential nonlinearity is tamed by
 the arctan cap phi_m, and the signal branch is additionally faded by
 rho_m(u_i). f_m is nondecreasing in m and coincides with f once every
 truncation is inactive (see ``fm_exact_threshold``). The truncations can
 make the f_m objective plateau, so it is minimized by a coarse scan plus
-golden-section search (``minimize_on_interval``); rows with no active
-truncation take the exact path, so f_m equals f on them bit for bit.
+golden-section search (``minimize_on_interval``), one search for all the
+rows of a call whatever their levels m; rows with no active truncation
+take the exact path, so f_m equals f on them bit for bit.
 
 The exponentials of the utility problem (h_lam, the driver's slope, the
 utilities and the value V) go through ``guarded_exp``: an exponent beyond
@@ -230,14 +231,14 @@ def u_lambda_norm(u, ctx: DriverContext):
     return h_lambda(_as_u_matrix(u, ctx.grid), ctx.lam) @ ctx.nu_g
 
 
-def _nosignal_objective(Z, U, P, ctx: DriverContext, m: Optional[int] = None):
+def _nosignal_objective(Z, U, P, ctx: DriverContext, m=None):
     """Inner objective of the no-signal part, vectorized over rows.
 
     (lam/2)(sigma p - (z + C/lam))^2 plus the exponential jump integrand
     over the no-signal bins; strictly convex in p. With m None this is
-    the exact f1; with an integer m it is the penalized f1_m (rho_m fade
-    on the quadratic, phi_m cap inside h_lam, bins |e_i| <= 1/m dropped
-    from the h-sum, linear term kept on the full grid).
+    the exact f1; with an integer m, or one per row, it is the penalized
+    f1_m (rho_m fade on the quadratic, phi_m cap inside h_lam, bins
+    |e_i| <= 1/m zeroed in the h-sum, linear term kept on the full grid).
     """
     lam = ctx.lam
     ns = ~ctx.sig_mask
@@ -249,8 +250,9 @@ def _nosignal_objective(Z, U, P, ctx: DriverContext, m: Optional[int] = None):
     if m is None:
         hsum = h_lambda(x, lam) @ nu
     else:
-        active = np.abs(ctx.grid.points[ns]) > 1.0 / m
-        hsum = h_lambda(phi_m(x[:, active], m), lam) @ nu[active]
+        m_col = np.asarray(m, dtype=float)[..., None]
+        active = np.abs(ctx.grid.points[ns]) > 1.0 / m_col
+        hsum = (h_lambda(phi_m(x, m_col), lam) * active) @ nu
         quad = quad * rho_m(Z, m)
     return quad + hsum + lin
 
@@ -311,7 +313,7 @@ def _exact_argmin(Z, U, ctx: DriverContext):
     return p
 
 
-def _signal_sum(U, ctx: DriverContext, m: Optional[int] = None):
+def _signal_sum(U, ctx: DriverContext, m=None):
     """Signal-branch sum at the closed-form boundary positions."""
     sig = ctx.sig_mask
     if not np.any(sig):
@@ -322,13 +324,14 @@ def _signal_sum(U, ctx: DriverContext, m: Optional[int] = None):
     lin = -float((ctx.boundary_p[sig] * eta) @ nu) * np.ones(U.shape[0])
     if m is None:
         return h_lambda(x, ctx.lam) @ nu + lin
-    active = np.abs(ctx.grid.points[sig]) > 1.0 / m
-    hterm = h_lambda(phi_m(x, m), ctx.lam) * rho_m(U[:, sig], m)
-    return (hterm * active[None, :]) @ nu + lin
+    m_col = np.asarray(m, dtype=float)[..., None]
+    active = np.abs(ctx.grid.points[sig]) > 1.0 / m_col
+    hterm = h_lambda(phi_m(x, m_col), ctx.lam) * rho_m(U[:, sig], m_col)
+    return (hterm * active) @ nu + lin
 
 
-def _driver_rows(Z, U, ctx: DriverContext, m: Optional[int] = None):
-    """f (m None) or f_m on rows of (z, u); returns (values, no-signal argmin)."""
+def _driver_rows(Z, U, ctx: DriverContext, m=None):
+    """f (m None) or f_m (m per row) on rows of (z, u); returns (values, argmin)."""
     Z = np.atleast_1d(np.asarray(Z, dtype=float))
     U = _as_u_matrix(U, ctx.grid, Z.size)
     if m is None:
@@ -354,20 +357,24 @@ def driver_f_batch(Z, U, ctx: DriverContext):
     return _driver_rows(Z, U, ctx)
 
 
-def penalized_driver_fm_batch(Z, U, m: int, ctx: DriverContext):
+def penalized_driver_fm_batch(Z, U, m, ctx: DriverContext):
     """Penalized driver f_m over rows of (z, u); see module docstring.
 
-    A row whose ``fm_exact_threshold`` is below m has no active truncation
-    and takes the exact driver's path, so f_m equals f on it bit for bit.
+    m is one integer level >= 1 for every row, or one per row. A row whose
+    ``fm_exact_threshold`` is below its m has no active truncation and
+    takes the exact driver's path, so f_m equals f on it bit for bit.
     """
-    if m < 1:
-        raise ValueError(f"penalization index m must be >= 1, got {m}")
     Z = np.atleast_1d(np.asarray(Z, dtype=float))
     U = _as_u_matrix(U, ctx.grid, Z.size)
+    m = np.asarray(m)
+    ok = m.dtype.kind in "iuf" and np.all(np.isfinite(m) & (m >= 1) & (m == np.round(m)))
+    if not ok or (m.ndim and m.shape != Z.shape):
+        raise ValueError(f"m must be an integer >= 1, or one per row of z; got {m}")
+    m = np.broadcast_to(m, Z.shape)
     exact = fm_exact_threshold(Z, U, ctx) < m
     vals = np.empty(Z.size)
     p0 = np.empty(Z.size)
-    for rows, level in ((exact, None), (~exact, m)):
+    for rows, level in ((exact, None), (~exact, m[~exact])):
         if rows.any():
             vals[rows], p0[rows] = _driver_rows(Z[rows], U[rows], ctx, m=level)
     return vals, p0

@@ -282,16 +282,14 @@ def payoff_put(s_t, strike: float):
     """(strike - S_T)^+, bounded by the strike."""
     if not strike > 0:
         raise ValueError(f"strike must be > 0, got {strike}")
-    out = np.maximum(strike - np.asarray(s_t, dtype=float), 0.0)
-    return out if out.ndim else float(out)
+    return np.maximum(strike - np.asarray(s_t, dtype=float), 0.0)
 
 
 def payoff_digital(s_t, strike: float):
     """Cash-or-nothing: pays 1 when S_T <= strike."""
     if not strike > 0:
         raise ValueError(f"strike must be > 0, got {strike}")
-    out = (np.asarray(s_t, dtype=float) <= strike).astype(float)
-    return out if out.ndim else float(out)
+    return (np.asarray(s_t, dtype=float) <= strike).astype(float)
 
 
 # bounded terminal values only: the a priori bound needs a finite sup |F|

@@ -3,11 +3,12 @@
 Each check samples its domain, counts violations, and emits a
 CheckReport; a report passes iff no violation occurred. The driver
 checks draw their samples from fixed seeds of their own and evaluate
-the driver in batches, one call per penalization level m: a row's driver
-value does not depend on the other rows of its batch (each row of the
-exact driver ends its Newton search on its own test, see
-``drivers._exact_argmin``; every f_m row takes the same number of
-golden-section steps, see ``drivers.minimize_on_interval``). Statistical
+the driver on all of them at once, each f_m row at its own
+penalization level m (``check_fm_monotone`` makes two calls, at m and at
+m + 1): a row's driver value does not depend on the other rows of its
+batch (each row of the exact driver ends its Newton search on its own
+test, see ``drivers._exact_argmin``; every f_m row takes the same number
+of golden-section steps, see ``drivers.minimize_on_interval``). Statistical
 checks (optimality, regression noise) always run on freshly seeded
 batches, never on the batch the solution was trained on. The checks
 that solve on a batch take its cell index, so all their solves share one
@@ -104,10 +105,7 @@ def check_driver_sandwich(n_samples: int, ctx: DriverContext,
     nb = ctx.grid.points.size
     z, u = _sample_zu(rng, n_samples, nb)
     ms = rng.integers(_M_RANGE[0], _M_RANGE[1] + 1, size=n_samples)
-    vals = np.empty(n_samples)
-    for m in np.unique(ms):
-        rows = ms == m
-        vals[rows] = fm_fn(z[rows], u[rows], int(m), ctx)[0]
+    vals = fm_fn(z, u, ms, ctx)[0]
     lo, hi = driver_bounds(z, u, ctx)
     return _report("driver_sandwich", n_samples,
                    np.concatenate([vals - lo, hi - vals]), 1e-10)
@@ -140,12 +138,8 @@ def check_fm_monotone(n_samples: int, ctx: DriverContext) -> CheckReport:
     nb = ctx.grid.points.size
     z, u = _sample_zu(rng, n_samples, nb)
     ms = rng.integers(_M_RANGE[0], _M_RANGE[1], size=n_samples)
-    lo_val = np.empty(n_samples)
-    hi_val = np.empty(n_samples)
-    for m in np.unique(ms):
-        rows = ms == m
-        lo_val[rows] = penalized_driver_fm_batch(z[rows], u[rows], int(m), ctx)[0]
-        hi_val[rows] = penalized_driver_fm_batch(z[rows], u[rows], int(m) + 1, ctx)[0]
+    lo_val = penalized_driver_fm_batch(z, u, ms, ctx)[0]
+    hi_val = penalized_driver_fm_batch(z, u, ms + 1, ctx)[0]
     tol_scale = np.maximum(1.0, np.maximum(np.abs(lo_val), np.abs(hi_val)))
     return _report("fm_monotone", n_samples, (hi_val - lo_val) / tol_scale, 1e-12)
 

@@ -276,8 +276,41 @@ def test_driver_batch_matches_scalar(ctx_hidesmall, ctx_drift, rng):
             vj, pj = _f_row(z[j], u[j], ctx)
             assert vals[j] == pytest.approx(vj, rel=1e-14, abs=0.0)
             assert abs(p0[j] - pj) <= 1e-12
+        # one level per row equals one call per level, row by row; rows
+        # with no active truncation take the exact path among the others
+        ms = np.resize([1, 2, 3, 5, 20], n)
+        exact = fm_exact_threshold(z, u, ctx) < ms
+        assert exact.any() and not exact.all()
+        fm_vals, fm_p0 = penalized_driver_fm_batch(z, u, ms, ctx)
+        assert np.array_equal(fm_vals[exact], vals[exact])
+        assert np.array_equal(fm_p0[exact], p0[exact])
+        for m in np.unique(ms):
+            at = ms == m
+            vm, pm = penalized_driver_fm_batch(z[at], u[at], int(m), ctx)
+            assert fm_vals[at] == pytest.approx(vm, rel=1e-14, abs=0.0)
+            assert np.all(np.abs(fm_p0[at] - pm) <= 1e-7)
     with pytest.raises(ValueError):
         driver_f_batch(z, u[:1], ctx_hidesmall)
+
+
+@pytest.mark.parametrize("m", [
+    2.5,                          # not integral
+    0,                            # below 1
+    -3,
+    np.array([1, 2, 2.5, 4]),     # one entry not integral
+    np.array([1, 2, 0, 4]),       # one entry below 1
+    np.array([np.nan, 1, 2, 3]),  # not finite
+    np.array([1, 2, 3]),          # one level short of the rows
+    np.array([2]),                # one level, but not a scalar
+    np.ones((4, 1), dtype=int),   # not one level per row
+    np.array([True, True, True, True]),
+], ids=["fraction", "zero", "negative", "row-fraction", "row-zero", "row-nan",
+        "short", "single", "column", "bool"])
+def test_fm_rejects_invalid_levels(ctx_hidesmall, m):
+    z = np.linspace(-1.0, 1.0, 4)
+    u = np.zeros((4, 6))
+    with pytest.raises(ValueError):
+        penalized_driver_fm_batch(z, u, m, ctx_hidesmall)
 
 
 def test_driver_overflow_guard(ctx_hidesmall):
@@ -329,12 +362,8 @@ def test_sandwich_and_monotone(ctx_hidesmall, ctx_hidelarge, rng):
         z = np.array([r[0] for r in rows])
         u = np.array([r[1] for r in rows])
         ms = np.array([r[2] for r in rows])
-        fm_val = np.empty(z.size)
-        fm_next = np.empty(z.size)
-        for m in np.unique(ms):
-            at = ms == m
-            fm_val[at] = penalized_driver_fm_batch(z[at], u[at], int(m), ctx)[0]
-            fm_next[at] = penalized_driver_fm_batch(z[at], u[at], int(m) + 1, ctx)[0]
+        fm_val, _ = penalized_driver_fm_batch(z, u, ms, ctx)
+        fm_next, _ = penalized_driver_fm_batch(z, u, ms + 1, ctx)
         f, _ = driver_f_batch(z, u, ctx)
         lo, hi = driver_bounds(z, u, ctx)
         scale = np.maximum(1.0, np.maximum(np.abs(fm_val), np.abs(f)))

@@ -294,6 +294,7 @@ def test_payoffs():
     assert np.array_equal(payoff_put(s, 1.0), [0.5, 0.0, 0.0])
     assert np.array_equal(payoff_digital(s, 1.0), [1.0, 1.0, 0.0])
     assert payoff_put(0.25, 1.0) == 0.75
+    assert payoff_digital(1.25, 1.0) == 0.0
     assert np.array_equal(payoff_terminal(s, "put", 1.0), payoff_put(s, 1.0))
     with pytest.raises(ValueError):
         payoff_put(s, 0.0)

@@ -72,6 +72,18 @@ def test_sandwich_detects_mutation(ctx_hidesmall):
     assert "FAIL" in r.line()
 
 
+def test_fm_monotone_detects_mutation(ctx_hidesmall, monkeypatch):
+    # f_m shifted down by 1e-6 m stops being nondecreasing in m, which
+    # the check sees only if its two calls are made at different levels
+    def decreasing(Z, U, m, ctx):
+        vals, p0 = penalized_driver_fm_batch(Z, U, m, ctx)
+        return vals - 1e-6 * np.asarray(m), p0
+
+    monkeypatch.setattr(verify, "penalized_driver_fm_batch", decreasing)
+    r = check_fm_monotone(150, ctx_hidesmall)
+    assert not r.passed and r.violations > 0
+
+
 def test_driver_kkt_pass(ctx_hidesmall, ctx_hidelarge, ctx_drift):
     for ctx in (ctx_hidesmall, ctx_hidelarge, ctx_drift):
         r = check_driver_kkt(300, ctx)
