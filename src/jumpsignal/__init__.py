@@ -44,7 +44,6 @@ from .bsde_solver import (
     BackwardSolution,
     solve,
     value_and_strategy,
-    make_driver_fn,
     constant_driver,
 )
 

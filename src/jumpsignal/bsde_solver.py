@@ -27,18 +27,18 @@ events (the jump regression of Bouchard and Elie, 2008),
 so no dense (n_bins, n_paths) matrix is formed. The cells, each path's
 cell and each event's (bin, cell) key depend only on the batch, n_cells
 and min_count: a ``CellIndex`` holds them, is built once per batch, and
-every solve on that batch shares it.
+every solve on that batch takes it. A solution keeps its cell index.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .drivers import DriverContext, driver_f_batch, guarded_exp
+from .drivers import DriverContext, guarded_exp
 from .simulate import PathBatch, StrategyTable
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "BackwardSolution",
     "solve",
     "value_and_strategy",
-    "make_driver_fn",
     "constant_driver",
 ]
 
@@ -103,7 +102,7 @@ class BasisPartition:
         return np.searchsorted(self.edges, np.asarray(s, dtype=float), side="right")
 
     @classmethod
-    def from_sample(cls, s, n_cells: int = 64, min_count: int = 50) -> "BasisPartition":
+    def from_sample(cls, s, n_cells: int, min_count: int) -> "BasisPartition":
         s = np.asarray(s, dtype=float)
         if s.ndim != 1 or s.size == 0:
             raise ValueError("sample must be a nonempty 1d array")
@@ -136,40 +135,30 @@ class BasisPartition:
 class CellIndex:
     """The regression cells of one batch, per step.
 
-    ``partitions[k]`` are the cells of S_k, ``cell_ids[k]`` the cell of
-    each path and ``event_keys[k]`` the key ``bin * n_cells + cell`` of
-    each jump event of step k. Each step's prices are sorted once, in
-    ``BasisPartition.from_sample``, which also yields the path cells.
+    ``partitions[k]`` are the cells of S_k, with the cell of each path in
+    its ``sample_ids``, and ``event_keys[k]`` the key
+    ``bin * n_cells + cell`` of each jump event of step k. Each step's
+    prices are sorted once, in ``BasisPartition.from_sample``.
     """
 
     batch: PathBatch
     partitions: Tuple[BasisPartition, ...]
-    cell_ids: Tuple[np.ndarray, ...]
     event_keys: Tuple[np.ndarray, ...]
 
     @classmethod
-    def build(cls, batch: PathBatch, n_cells: int = 64,
-              min_count: int = 50) -> "CellIndex":
-        partitions, cell_ids, event_keys = [], [], []
+    def build(cls, batch: PathBatch, n_cells: int, min_count: int) -> "CellIndex":
+        partitions, event_keys = [], []
         for k, ev in enumerate(batch.jumps):
             partition = BasisPartition.from_sample(batch.S[k], n_cells=n_cells,
                                                    min_count=min_count)
-            ids = partition.sample_ids
             partitions.append(partition)
-            cell_ids.append(ids)
-            event_keys.append(ev.bin * partition.n_cells + ids[ev.path])
+            event_keys.append(ev.bin * partition.n_cells
+                              + partition.sample_ids[ev.path])
         return cls(batch=batch, partitions=tuple(partitions),
-                   cell_ids=tuple(cell_ids), event_keys=tuple(event_keys))
+                   event_keys=tuple(event_keys))
 
 
 DriverFn = Callable[[np.ndarray, np.ndarray], tuple]
-
-
-def make_driver_fn(driver: Union[DriverContext, DriverFn]) -> DriverFn:
-    """Normalize a driver spec to a callable (Z, U) -> (values, p0)."""
-    if isinstance(driver, DriverContext):
-        return lambda Z, U: driver_f_batch(Z, U, driver)
-    return driver
 
 
 def constant_driver(c0: float) -> DriverFn:
@@ -181,9 +170,8 @@ def constant_driver(c0: float) -> DriverFn:
 
 @dataclass(eq=False)
 class StepRecord:
-    """Per-cell regression output at one time step."""
+    """Per-cell regression output at step k, on ``cells.partitions[k]``."""
 
-    partition: BasisPartition
     y_coef: np.ndarray            # (n_cells,) E[Ybar_{k+1} | cell]
     z_coef: np.ndarray            # (n_cells,) Zbar_k
     u_coef: np.ndarray            # (n_bins, n_cells) Ubar_k
@@ -191,11 +179,11 @@ class StepRecord:
     p_cells: np.ndarray           # (n_cells,) no-signal argmin
 
 
-def _step_core(y_next, cells, k, driver_fn):
+def _step_core(y_next, cells, k, driver):
     batch = cells.batch
     dtk = float(batch.time_grid.dt[k])
-    partition, ids = cells.partitions[k], cells.cell_ids[k]
-    nc, n = partition.n_cells, partition.counts
+    partition = cells.partitions[k]
+    nc, n, ids = partition.n_cells, partition.counts, partition.sample_ids
     nu_dt = batch.grid.weights[:, None] * dtk
     ev = batch.jumps[k]
 
@@ -208,43 +196,40 @@ def _step_core(y_next, cells, k, driver_fn):
     u_coef = (jump_sum - nu_dt * y_sum) / n / nu_dt
 
     try:
-        f_cells, p_cells = driver_fn(z_coef, u_coef.T)
+        f_cells, p_cells = driver(z_coef, u_coef.T)
     except (ValueError, ArithmeticError) as exc:
         raise type(exc)(f"driver failed at step {k}: {exc}") from exc
     f_cells = np.asarray(f_cells)
     y_vals = y_coef[ids] + dtk * f_cells[ids]
 
-    rec = StepRecord(partition=partition, y_coef=y_coef, z_coef=z_coef,
+    rec = StepRecord(y_coef=y_coef, z_coef=z_coef,
                      u_coef=u_coef, f_cells=f_cells, p_cells=np.asarray(p_cells))
     return y_vals, rec
 
 
 @dataclass(eq=False)
 class BackwardSolution:
-    """Full backward pass: per-step cell tables plus per-path values."""
+    """Full backward pass: its cells, per-step cell tables, per-path values."""
 
-    batch: PathBatch
+    cells: CellIndex
     steps: List[StepRecord]
     y_paths: np.ndarray           # (n_steps + 1, n_paths), y_paths[-1] = F
     y0: float
 
 
-def solve(batch: PathBatch, f_values, driver: Union[DriverContext, DriverFn],
-          cells: Optional[CellIndex] = None) -> BackwardSolution:
+def solve(batch: PathBatch, f_values, driver: DriverFn,
+          cells: CellIndex) -> BackwardSolution:
     """Run the scheme from Ybar_n = F down to Y_0.
 
-    ``driver`` is a driver context or any callable (Z, U) -> (values,
-    argmin). ``cells`` is the batch's cell index, built at its defaults
-    when absent. A non-finite Ybar raises ArithmeticError naming the step.
+    ``driver`` is a callable (Z, U) -> (values, argmin), such as a driver
+    context; ``cells`` is the batch's cell index. A non-finite Ybar raises
+    ArithmeticError naming the step.
     """
     F = np.asarray(f_values, dtype=float)
     if F.shape != (batch.n_paths,):
         raise ValueError(f"terminal values shape {F.shape} != ({batch.n_paths},)")
-    if cells is None:
-        cells = CellIndex.build(batch)
-    elif cells.batch is not batch:
+    if cells.batch is not batch:
         raise ValueError("the cell index belongs to another batch")
-    driver_fn = make_driver_fn(driver)
     n_steps = batch.time_grid.n_steps
 
     y_paths = np.empty((n_steps + 1, batch.n_paths))
@@ -252,12 +237,12 @@ def solve(batch: PathBatch, f_values, driver: Union[DriverContext, DriverFn],
     steps: List[Optional[StepRecord]] = [None] * n_steps
     y = F
     for k in range(n_steps - 1, -1, -1):
-        y, rec = _step_core(y, cells, k, driver_fn)
+        y, rec = _step_core(y, cells, k, driver)
         if not np.all(np.isfinite(y)):
             raise ArithmeticError(f"non-finite Ybar at step {k}")
         y_paths[k] = y
         steps[k] = rec
-    return BackwardSolution(batch=batch, steps=list(steps), y_paths=y_paths,
+    return BackwardSolution(cells=cells, steps=list(steps), y_paths=y_paths,
                             y0=float(np.mean(y_paths[0])))
 
 
@@ -269,10 +254,9 @@ def value_and_strategy(sol: BackwardSolution, x: float,
     no signal arrives and the boundary position on signal bins.
     """
     value = -guarded_exp(-ctx.lam * (x - sol.y0), math.exp)
-    steps = sol.steps
+    steps, partitions = sol.steps, sol.cells.partitions
 
     def p0(k, s):
-        rec = steps[k]
-        return rec.p_cells[rec.partition.assign(s)]
+        return steps[k].p_cells[partitions[k].assign(s)]
 
     return value, StrategyTable(ctx=ctx, p0=p0, p_sig=ctx.boundary_p)

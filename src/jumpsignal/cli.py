@@ -26,7 +26,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .bsde_solver import CellIndex, make_driver_fn, solve, value_and_strategy
+from .bsde_solver import CellIndex, solve, value_and_strategy
 from .config import (
     ExperimentConfig,
     config_hash,
@@ -236,22 +236,22 @@ def cmd_verify(args) -> int:
     if not args.driver_only:
         seeds = cfg.scheme.seeds[:2] if len(cfg.scheme.seeds) >= 2 \
             else (cfg.scheme.seeds[0], cfg.scheme.seeds[0] + 1)
+        # each seed's real-driver BSDE, solved once for all the checks
         cell_indices = [_cells(cfg, spec, grid, tg, s) for s in seeds]
-        payoffs = [cfg.payoff_values(c.batch.S[-1]) for c in cell_indices]
-        eps_reg = verify_mod.calibrate_eps_reg(cell_indices, payoffs, ctx)
-        cells, F = cell_indices[0], payoffs[0]
-        reports.append(verify_mod.check_scheme_oracles(cells, F))
+        sols = [solve(c.batch, cfg.payoff_values(c.batch.S[-1]), ctx, c)
+                for c in cell_indices]
+        eps_reg = verify_mod.calibrate_eps_reg(sols)
+        sol = sols[0]
+        reports.append(verify_mod.check_scheme_oracles(sol))
         delta = 0.05
-        base_fn = make_driver_fn(ctx)
 
         def plus_delta(Z, U):
-            vals, p0 = base_fn(Z, U)
+            vals, p0 = ctx(Z, U)
             return vals + delta, p0
 
-        reports.append(verify_mod.check_comparison(cells, F, F, base_fn,
+        reports.append(verify_mod.check_comparison(sol, sol.y_paths[-1],
                                                    plus_delta, eps_reg))
-        reports.append(verify_mod.check_penalization(cells, F, ctx, eps_reg))
-        sol = solve(cells.batch, F, ctx, cells)
+        reports.append(verify_mod.check_penalization(sol, ctx, eps_reg))
         fresh_seed = max(cfg.scheme.seeds) + 1009
         fresh = simulate_batch(spec, grid, tg, cfg.scheme.n_paths, fresh_seed)
         reports.append(verify_mod.check_martingale_optimality(
@@ -303,6 +303,12 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="jumpsignal",
                                 description="jump-signal portfolio BSDE toolkit")
@@ -340,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run the property-check suite")
     add_common(sp)
-    sp.add_argument("--samples", type=int, default=1000)
+    sp.add_argument("--samples", type=_positive_int, default=1000)
     sp.add_argument("--driver-only", action="store_true",
                     help="skip the batch-level checks")
     sp.add_argument("--csv", help="write the check reports as CSV")

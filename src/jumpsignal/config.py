@@ -93,6 +93,8 @@ class ScenarioBlock:
         if self.variant not in _VARIANTS:
             raise ValueError(f"variant must be one of {_VARIANTS}, got {self.variant!r}")
         object.__setattr__(self, "c_values", tuple(float(c) for c in self.c_values))
+        if not self.c_values and self.variant != "nosignal":
+            raise ValueError(f"variant {self.variant!r} needs at least one cutoff in c_values")
         if any(c <= 0 for c in self.c_values):
             raise ValueError("cutoffs must be > 0")
         if len(set(self.c_values)) != len(self.c_values):
@@ -191,7 +193,7 @@ class ExperimentConfig:
 
     def scenarios(self) -> List[SignalScenario]:
         sb = self.scenario
-        if sb.variant == "nosignal" or not sb.c_values:
+        if sb.variant == "nosignal":
             return [NoSignal()]
         mk = HideSmall if sb.variant == "hidesmall" else HideLarge
         return [mk(c=c) for c in sb.c_values]

@@ -179,6 +179,7 @@ class DriverContext:
     signal bins (position pinned at the boundary by the signal's sign).
     The signal bins are the marks where the scenario's gamma is nonzero,
     so a cutoff equal to a mark follows gamma's inclusive test.
+    ``ctx(Z, U)`` is ``driver_f_batch(Z, U, ctx)``: a context is a driver.
     """
 
     lam: float
@@ -219,6 +220,9 @@ class DriverContext:
             lam=lam, pi_lower=pi_lower, pi_upper=pi_upper, sigma=spec.sigma,
             c_const=c_kappa_eta(spec, lam), grid=grid, scenario=scenario,
         )
+
+    def __call__(self, Z, U):
+        return driver_f_batch(Z, U, self)
 
     def affine_tail(self, z):
         return -self.lam * self.c_const * np.asarray(z, dtype=float) \

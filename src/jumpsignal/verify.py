@@ -10,9 +10,9 @@ batch (each row of the exact driver ends its Newton search on its own
 test, see ``drivers._exact_argmin``; every f_m row takes the same number
 of golden-section steps, see ``drivers.minimize_on_interval``). Statistical
 checks (optimality, regression noise) always run on freshly seeded
-batches, never on the batch the solution was trained on. The checks
-that solve on a batch take its cell index, so all their solves share one
-set of cells.
+batches, never on the batch the solution was trained on. The batch
+checks take the BSDE solved under the real driver and run the solves
+they add on its cells and terminal values F (``sol.y_paths[-1]``).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .bsde_solver import (
     BackwardSolution,
-    CellIndex,
+    DriverFn,
     constant_driver,
     solve,
     value_and_strategy,
@@ -85,7 +85,8 @@ def _report(name, samples, margins, tol) -> CheckReport:
     violations = int(np.count_nonzero(margins < -tol))
     worst = float(np.min(margins)) if margins.size else 0.0
     return CheckReport(name=name, samples=samples, violations=violations,
-                       worst_margin=worst, tolerance=tol, passed=violations == 0)
+                       worst_margin=worst, tolerance=tol,
+                       passed=samples > 0 and violations == 0)
 
 
 def _sample_zu(rng, n, nb):
@@ -188,42 +189,41 @@ def check_scenario_limits(ctx_nosignal: DriverContext,
     return _report("scenario_limits", 2 * n_samples, np.concatenate(margins), 0.0)
 
 
-def check_comparison(cells: CellIndex, f1_values, f2_values, driver1, driver2,
+def check_comparison(sol: BackwardSolution, f2_values, driver2: DriverFn,
                      eps_reg: float) -> CheckReport:
     """Ordered terminals and ordered drivers give ordered Y_0 within eps_reg.
 
-    Caller guarantees f2 >= f1 pathwise and driver2 >= driver1 pointwise;
-    this is validated for the terminals.
+    ``sol`` is the solve under (F1, driver1). Caller guarantees f2 >= f1
+    pathwise and driver2 >= driver1 pointwise; this is validated for the
+    terminals.
     """
-    F1 = np.asarray(f1_values, dtype=float)
     F2 = np.asarray(f2_values, dtype=float)
-    if np.any(F2 < F1):
+    if np.any(F2 < sol.y_paths[-1]):
         raise ValueError("terminal ordering violated: need F2 >= F1 pathwise")
-    y1 = solve(cells.batch, F1, driver1, cells).y0
-    y2 = solve(cells.batch, F2, driver2, cells).y0
-    margin = (y2 - y1) + eps_reg
+    y2 = solve(sol.cells.batch, F2, driver2, sol.cells).y0
+    margin = (y2 - sol.y0) + eps_reg
     return _report("comparison", 1, [margin], 0.0)
 
 
-def check_penalization(cells: CellIndex, f_values, ctx: DriverContext, eps_reg: float,
+def check_penalization(sol: BackwardSolution, ctx: DriverContext, eps_reg: float,
                        m_values: Sequence[int] = tuple(range(1, 21))) -> CheckReport:
     """Y_0 under f_m is nondecreasing in m and hits Y_0 under f exactly
-    once every truncation is inactive along the solved fields."""
-    F = np.asarray(f_values, dtype=float)
+    once every truncation is inactive along the fields of ``sol``, the
+    solve under the driver of ``ctx``."""
+    cells, F = sol.cells, sol.y_paths[-1]
 
     def y0_fm(m):
         return solve(cells.batch, F,
                      lambda Z, U: penalized_driver_fm_batch(Z, U, m, ctx), cells).y0
 
-    sol_f = solve(cells.batch, F, ctx, cells)
     y0s = [y0_fm(int(m)) for m in m_values]
     margins = [y0s[j + 1] - y0s[j] + eps_reg for j in range(len(y0s) - 1)]
 
     thresh = max(float(np.max(fm_exact_threshold(rec.z_coef, rec.u_coef.T, ctx)))
-                 for rec in sol_f.steps)
+                 for rec in sol.steps)
     m_star = int(math.floor(thresh)) + 1
     y0_exact = y0_fm(m_star)
-    margins.append(1e-12 - abs(y0_exact - sol_f.y0))
+    margins.append(1e-12 - abs(y0_exact - sol.y0))
     return _report("penalization", len(margins), margins, 0.0)
 
 
@@ -252,7 +252,7 @@ def check_martingale_optimality(fresh_batch: PathBatch, sol: BackwardSolution,
     Also ties the simulated utility of the extracted strategy back to
     -exp(-lam (x - Y_0)) within 3 (stderr + eps_reg).
     """
-    if fresh_batch.seed == sol.batch.seed:
+    if fresh_batch.seed == sol.cells.batch.seed:
         raise ValueError("optimality must be checked on a fresh seed")
     value, table = value_and_strategy(sol, x, ctx)
     # the fresh batch's optimal positions, placed in their cells once and
@@ -278,13 +278,13 @@ def check_martingale_optimality(fresh_batch: PathBatch, sol: BackwardSolution,
     return _report("martingale_optimality", len(margins), margins, 0.0)
 
 
-def check_scheme_oracles(cells: CellIndex, f_values, c0: float = 0.05) -> CheckReport:
+def check_scheme_oracles(sol: BackwardSolution, c0: float = 0.05) -> CheckReport:
     """Exactly solvable drivers: zero gives mean(F), a constant telescopes.
 
     Both must hold to 1e-12 relative to the payoff scale; the constant
     case adds c0 T through the time sum.
     """
-    F = np.asarray(f_values, dtype=float)
+    cells, F = sol.cells, sol.y_paths[-1]
     mean_f = float(np.mean(F))
     scale = max(1.0, abs(mean_f))
     T = cells.batch.time_grid.T
@@ -309,26 +309,25 @@ def check_y_bound(sol: BackwardSolution, ctx: DriverContext,
     lo, _ = driver_bounds(0.0, np.zeros(ctx.grid.points.size), ctx)
     slack = -lo
     base = math.log(math.exp(lam * f_sup) + 1.0) / lam
-    tg = sol.batch.time_grid
+    tg = sol.cells.batch.time_grid
     bound = base + slack * (tg.T - tg.times) + eps_reg
     margins = bound - np.max(np.abs(sol.y_paths), axis=1)
     return _report("y_bound", margins.size, margins, 0.0)
 
 
-def calibrate_eps_reg(cell_indices: Sequence[CellIndex],
-                      payoff_values: Sequence[np.ndarray], ctx: DriverContext) -> float:
+def calibrate_eps_reg(sols: Sequence[BackwardSolution]) -> float:
     """Regression-noise tolerance from the exactly solvable zero driver.
 
     Three times the worst |Y_0 - mean(F)| under the zero driver, plus
-    the seed spread of Y_0 under the real driver.
+    the seed spread of Y_0 of ``sols``, one real-driver solve per seed.
     """
     zero = constant_driver(0.0)
     worst = 0.0
-    y0s = []
-    for cells, F in zip(cell_indices, payoff_values):
-        y_zero = solve(cells.batch, F, zero, cells).y0
+    for sol in sols:
+        F = sol.y_paths[-1]
+        y_zero = solve(sol.cells.batch, F, zero, sol.cells).y0
         worst = max(worst, abs(y_zero - float(np.mean(F))))
-        y0s.append(solve(cells.batch, F, ctx, cells).y0)
+    y0s = [sol.y0 for sol in sols]
     spread = max(y0s) - min(y0s) if len(y0s) > 1 else 0.0
     return 3.0 * worst + spread
 

@@ -22,7 +22,7 @@ strike 1, 65536 paths, 10 steps, 64 cells, 40-point jump grid, seeds
 import numpy as np
 import pytest
 
-from jumpsignal.bsde_solver import CellIndex, make_driver_fn, solve
+from jumpsignal.bsde_solver import CellIndex, solve
 from jumpsignal.config import ExperimentConfig
 from jumpsignal.levy_model import HideLarge, HideSmall, NoSignal
 from jumpsignal.simulate import simulate_batch
@@ -66,9 +66,10 @@ def batches(cfg, spec, grid):
 
 
 @pytest.fixture(scope="module")
-def cells(batches):
+def cells(cfg, batches):
     # one cell index per batch, shared by every solve on it
-    return [CellIndex.build(b) for b in batches]
+    return [CellIndex.build(b, cfg.scheme.n_cells, cfg.scheme.min_count)
+            for b in batches]
 
 
 @pytest.fixture(scope="module")
@@ -91,19 +92,28 @@ def ctx_ns(cfg, spec, grid):
     return cfg.driver_context(spec, grid, NoSignal())
 
 
+def _solve_all(cells, payoffs, ctx):
+    return [solve(c.batch, f, ctx, c) for c, f in zip(cells, payoffs)]
+
+
 @pytest.fixture(scope="module")
-def eps_hs(cells, payoffs, ctx_hs):
-    return calibrate_eps_reg(cells, payoffs, ctx_hs)
+def sols_hs(cells, payoffs, ctx_hs):
+    return _solve_all(cells, payoffs, ctx_hs)
+
+
+@pytest.fixture(scope="module")
+def eps_hs(sols_hs):
+    return calibrate_eps_reg(sols_hs)
 
 
 @pytest.fixture(scope="module")
 def eps_hl(cells, payoffs, ctx_hl):
-    return calibrate_eps_reg(cells, payoffs, ctx_hl)
+    return calibrate_eps_reg(_solve_all(cells, payoffs, ctx_hl))
 
 
 @pytest.fixture(scope="module")
-def sol_ref(batches, cells, payoffs, ctx_hs):
-    return solve(batches[0], payoffs[0], ctx_hs, cells[0])
+def sol_ref(sols_hs):
+    return sols_hs[0]
 
 
 def test_c_sweep_monotonicity(cfg, spec, grid, cells, payoffs, eps_hs, eps_hl):
@@ -112,8 +122,7 @@ def test_c_sweep_monotonicity(cfg, spec, grid, cells, payoffs, eps_hs, eps_hl):
         ms = []
         for c in C_VALUES:
             ctx = cfg.driver_context(spec, grid, variant(c=c))
-            ms.append(float(np.mean([solve(c.batch, f, ctx, c).y0
-                                     for c, f in zip(cells, payoffs)])))
+            ms.append(float(np.mean([s.y0 for s in _solve_all(cells, payoffs, ctx)])))
         means[variant.__name__] = (ms, eps)
 
     hs, eps = means["HideSmall"]
@@ -155,17 +164,14 @@ def test_driver_property_suite(ctx_hs):
 
 
 def test_comparison_oracle(cfg, batches, cells, payoffs, ctx_hs, eps_hs, sol_ref):
-    base_fn = make_driver_fn(ctx_hs)
     delta = 0.05
 
     def shifted_fn(Z, U):
-        vals, p0 = base_fn(Z, U)
+        vals, p0 = ctx_hs(Z, U)
         return vals + delta, p0
 
-    r_term = check_comparison(cells[0], payoffs[0], payoffs[0] + 0.1,
-                              ctx_hs, ctx_hs, eps_hs)
-    r_driver = check_comparison(cells[0], payoffs[0], payoffs[0],
-                                base_fn, shifted_fn, eps_hs)
+    r_term = check_comparison(sol_ref, payoffs[0] + 0.1, ctx_hs, eps_hs)
+    r_driver = check_comparison(sol_ref, payoffs[0], shifted_fn, eps_hs)
     for r in (r_term, r_driver):
         print(r.line())
         assert r.passed
@@ -177,8 +183,8 @@ def test_comparison_oracle(cfg, batches, cells, payoffs, ctx_hs, eps_hs, sol_ref
     assert abs(gap - delta * T) <= eps_hs + 1e-10
 
 
-def test_penalization_convergence(cells, payoffs, ctx_hs, eps_hs):
-    r = check_penalization(cells[0], payoffs[0], ctx_hs, eps_hs)
+def test_penalization_convergence(sol_ref, ctx_hs, eps_hs):
+    r = check_penalization(sol_ref, ctx_hs, eps_hs)
     print(r.line())
     assert r.passed and r.violations == 0
 
@@ -191,8 +197,8 @@ def test_martingale_optimality(cfg, spec, grid, sol_ref, ctx_hs, eps_hs):
     assert r.passed and r.violations == 0
 
 
-def test_scheme_oracles_and_bound(cells, payoffs, sol_ref, ctx_hs, eps_hs):
-    r = check_scheme_oracles(cells[0], payoffs[0])
+def test_scheme_oracles_and_bound(sol_ref, ctx_hs, eps_hs):
+    r = check_scheme_oracles(sol_ref)
     print(r.line())
     assert r.passed and r.violations == 0
     rb = check_y_bound(sol_ref, ctx_hs, eps_hs)

@@ -20,7 +20,6 @@ from jumpsignal import (
     build_grid,
     constant_driver,
     driver_f_batch,
-    make_driver_fn,
     payoff_put,
     simulate_batch,
     solve,
@@ -41,7 +40,7 @@ def test_partition_basic(rng):
     order = np.argsort(s)
     assert np.all(np.diff(ids[order]) >= 0)
     with pytest.raises(ValueError):
-        BasisPartition.from_sample(np.array([]), 4)
+        BasisPartition.from_sample(np.array([]), 4, 50)
     with pytest.raises(ValueError):
         BasisPartition(edges=np.array([2.0, 1.0]), counts=np.array([1, 1, 1]))
 
@@ -133,10 +132,10 @@ def test_partition_sort_matches_search(case, rng):
 
 
 def test_cell_index_ids_are_the_assigned_cells(batch_small):
-    cells = CellIndex.build(batch_small)
+    cells = CellIndex.build(batch_small, n_cells=64, min_count=50)
     for k, partition in enumerate(cells.partitions):
         ids = partition.assign(batch_small.S[k])
-        assert np.array_equal(cells.cell_ids[k], ids)
+        assert np.array_equal(partition.sample_ids, ids)
         ev = batch_small.jumps[k]
         assert np.array_equal(cells.event_keys[k],
                               ev.bin * partition.n_cells + ids[ev.path])
@@ -148,16 +147,17 @@ def test_fit_recovers_cell_means(spec_small, grid_small, rng):
     batch = _flat_batch(spec_small, grid_small, np.zeros((1, 2000)), 2000, 1, rng)
     s = batch.S[0]
     t = s ** 2
-    cells = CellIndex.build(batch, n_cells=8)
-    rec = solve(batch, t, constant_driver(0.0), cells).steps[0]
-    assert rec.partition is cells.partitions[0]
-    ids = rec.partition.assign(s)
+    cells = CellIndex.build(batch, n_cells=8, min_count=50)
+    sol = solve(batch, t, constant_driver(0.0), cells)
+    assert sol.cells is cells
+    rec, partition = sol.steps[0], cells.partitions[0]
+    ids = partition.assign(s)
     assert rec.y_coef.shape == (8,)
-    for c in range(rec.partition.n_cells):
+    for c in range(partition.n_cells):
         cell = ids == c
         assert rec.y_coef[c] == pytest.approx(float(np.mean(t[cell])), rel=1e-12)
     # piecewise-constant targets are reproduced exactly
-    g = np.cos(np.arange(rec.partition.n_cells))[ids]
+    g = np.cos(np.arange(partition.n_cells))[ids]
     sol = solve(batch, g, constant_driver(0.0), cells)
     assert sol.y_paths[0] == pytest.approx(g, rel=1e-12)
     with pytest.raises(ValueError):
@@ -168,27 +168,33 @@ def test_fit_recovers_cell_means(spec_small, grid_small, rng):
         solve(twin, t, constant_driver(0.0), cells)
 
 
-def test_make_driver_fn(ctx_hidesmall):
-    z = np.array([0.3, -0.4])
-    u = np.zeros((2, 6))
-    fn = make_driver_fn(ctx_hidesmall)
-    vals, p0 = fn(z, u)
-    ref, pref = driver_f_batch(z[:1], u[:1], ctx_hidesmall)
-    assert vals[0] == pytest.approx(ref[0], rel=1e-12, abs=1e-9)
+@pytest.fixture(scope="module")
+def cells_small(batch_small):
+    # the reference experiment's 64 cells of at least 50 paths
+    return CellIndex.build(batch_small, n_cells=64, min_count=50)
+
+
+def test_context_is_its_driver(ctx_hidesmall, rng):
+    # solve calls a context as it calls any driver: ctx(Z, U) is the
+    # exact driver on the same rows, bit for bit
+    z = rng.uniform(-2.0, 2.0, size=7)
+    u = rng.uniform(-1.0, 1.0, size=(7, 6))
+    vals, p0 = ctx_hidesmall(z, u)
+    ref, pref = driver_f_batch(z, u, ctx_hidesmall)
+    assert np.array_equal(vals, ref) and np.array_equal(p0, pref)
     c = constant_driver(0.25)
-    vc, pc = c(z, u)
+    vc, pc = c(z[:2], u[:2])
     assert np.array_equal(vc, [0.25, 0.25]) and np.array_equal(pc, [0.0, 0.0])
-    assert make_driver_fn(c) is c
 
 
-def test_zero_and_constant_driver_telescopes(batch_small, payoff_small):
+def test_zero_and_constant_driver_telescopes(batch_small, payoff_small, cells_small):
     mean_f = float(np.mean(payoff_small))
-    y0_zero = solve(batch_small, payoff_small, constant_driver(0.0)).y0
+    y0_zero = solve(batch_small, payoff_small, constant_driver(0.0), cells_small).y0
     assert abs(y0_zero - mean_f) < 1e-12
-    y0_const = solve(batch_small, payoff_small, constant_driver(0.05)).y0
+    y0_const = solve(batch_small, payoff_small, constant_driver(0.05), cells_small).y0
     assert abs(y0_const - (mean_f + 0.05 * 0.5)) < 1e-12
     with pytest.raises(ValueError):
-        solve(batch_small, payoff_small[:-1], constant_driver(0.0))
+        solve(batch_small, payoff_small[:-1], constant_driver(0.0), cells_small)
 
 
 def test_one_step_enumeration_oracle():
@@ -237,12 +243,12 @@ def test_one_step_enumeration_oracle():
     se = float(np.std(F, ddof=1)) / math.sqrt(F.size)
     assert abs(float(np.mean(F)) - EF) < 4.0 * se
 
-    sol = solve(batch, F, ctx)
+    sol = solve(batch, F, ctx, CellIndex.build(batch, n_cells=64, min_count=50))
     assert abs(sol.y0 - y0_star) < 1e-3
 
     # the regressed fields behind that value sit near their exact targets
     rec = sol.steps[0]
-    cell = rec.partition.assign(batch.S[0][:1])[0]
+    cell = sol.cells.partitions[0].assign(batch.S[0][:1])[0]
     assert abs(float(rec.z_coef[cell]) - z_star) < 5e-3
     assert np.max(np.abs(rec.u_coef[:, cell] - u_star)) < 5e-2
 
@@ -284,7 +290,7 @@ def test_step_cellwise_oracle(batch_small, payoff_small, dense_counts):
     rec = sol.steps[k]
     assert rec.y_coef.shape == (8,) and rec.z_coef.shape == (8,)
     assert rec.u_coef.shape == (6, 8)
-    ids = rec.partition.assign(batch_small.S[k])
+    ids = sol.cells.partitions[k].assign(batch_small.S[k])
     dtk = float(batch_small.time_grid.dt[k])
     for c in (0, 4, 7):
         cell = ids == c
@@ -310,50 +316,52 @@ def test_jump_target_event_scatter(batch_small, ctx_hidesmall, payoff_small,
         nu_dt = nu[:, None] * batch_small.time_grid.dt[k]
         comp = dense_counts(batch_small, k) - nu_dt
         y = sol.y_paths[k + 1]
-        ids = cells.cell_ids[k]
-        assert np.array_equal(ids, rec.partition.assign(batch_small.S[k]))
+        partition = cells.partitions[k]
+        ids = partition.sample_ids
+        assert np.array_equal(ids, partition.assign(batch_small.S[k]))
         hand = np.stack([[np.mean(y[ids == c] * comp[i, ids == c])
-                          for c in range(rec.partition.n_cells)]
+                          for c in range(partition.n_cells)]
                          for i in range(nu.size)]) / nu_dt
         assert rec.u_coef == pytest.approx(hand, rel=1e-10, abs=1e-12)
 
 
-def test_solve_records(batch_small, payoff_small, ctx_hidesmall):
-    sol = solve(batch_small, payoff_small, ctx_hidesmall)
+def test_solve_records(batch_small, payoff_small, ctx_hidesmall, cells_small):
+    sol = solve(batch_small, payoff_small, ctx_hidesmall, cells_small)
+    assert sol.cells is cells_small and sol.cells.batch is batch_small
     assert len(sol.steps) == 4
     assert np.array_equal(sol.y_paths[-1], payoff_small)
     assert sol.y0 == pytest.approx(float(np.mean(sol.y_paths[0])), rel=1e-15)
     rec = sol.steps[0]
-    n = rec.partition.n_cells
+    n = cells_small.partitions[0].n_cells
     assert rec.z_coef.shape == (n,) and rec.u_coef.shape == (6, n)
     assert rec.f_cells.shape == (n,) and rec.p_cells.shape == (n,)
 
 
-def test_driver_failure_reports_step(batch_small, payoff_small):
+def test_driver_failure_reports_step(batch_small, payoff_small, cells_small):
     def bad(Z, U):
         raise ValueError("boom")
 
     with pytest.raises(ValueError, match=r"driver failed at step 3: boom"):
-        solve(batch_small, payoff_small, bad)
+        solve(batch_small, payoff_small, bad, cells_small)
 
 
-def test_nonfinite_y_reports_step(batch_small, payoff_small):
+def test_nonfinite_y_reports_step(batch_small, payoff_small, cells_small):
     def nan_driver(Z, U):
         n = np.shape(Z)[0]
         return np.full(n, np.nan), np.zeros(n)
 
     with pytest.raises(ArithmeticError, match=r"non-finite Ybar at step 3"):
-        solve(batch_small, payoff_small, nan_driver)
+        solve(batch_small, payoff_small, nan_driver, cells_small)
 
 
-def test_value_and_strategy(batch_small, payoff_small, ctx_hidesmall):
-    sol = solve(batch_small, payoff_small, ctx_hidesmall)
+def test_value_and_strategy(batch_small, payoff_small, ctx_hidesmall, cells_small):
+    sol = solve(batch_small, payoff_small, ctx_hidesmall, cells_small)
     value, table = value_and_strategy(sol, 0.3, ctx_hidesmall)
     assert value == pytest.approx(-math.exp(-0.4 * (0.3 - sol.y0)), rel=1e-14)
     s = np.array([0.9, 1.1])
     p0 = table.p0(2, s)
     rec = sol.steps[2]
-    assert np.array_equal(p0, rec.p_cells[rec.partition.assign(s)])
+    assert np.array_equal(p0, rec.p_cells[cells_small.partitions[2].assign(s)])
     assert table.ctx is ctx_hidesmall
     assert table.p_sig.shape == (6,)
     assert np.array_equal(table.p_sig, ctx_hidesmall.boundary_p)

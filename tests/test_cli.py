@@ -145,6 +145,15 @@ def test_scenario_builders():
     assert hl.scenarios() == [HideLarge(c=0.5)]
 
 
+def test_signal_variants_need_cutoffs():
+    # an empty cutoff list must not quietly run the no-signal scenario
+    for variant in ("hidesmall", "hidelarge"):
+        with pytest.raises(ValueError, match="at least one cutoff"):
+            load_config_text(f"scenario: {{variant: {variant}, c_values: []}}")
+    cfg = load_config_text("scenario: {variant: nosignal, c_values: []}")
+    assert cfg.scenarios() == [NoSignal()]
+
+
 def test_payoff_builder():
     cfg = ExperimentConfig()
     s = np.array([0.5, 1.0, 1.4])
@@ -250,15 +259,16 @@ def test_sweep_rows_match_standalone_solves(cfg_file, sweep_files, capsys):
 def test_sweep_marks_bound_violation_as_error(cfg_file, tmp_path, monkeypatch):
     # a driver shifted far up at c = 1.5 pushes Ybar past the a priori bound;
     # those rows fail and the summary keeps only the sound cutoff
-    from jumpsignal import bsde_solver
+    from jumpsignal import drivers
 
-    exact = bsde_solver.driver_f_batch
+    exact = drivers.driver_f_batch
 
     def broken(Z, U, ctx):
         vals, p0 = exact(Z, U, ctx)
         return (vals + 20.0 if ctx.scenario.c == 1.5 else vals), p0
 
-    monkeypatch.setattr(bsde_solver, "driver_f_batch", broken)
+    # a context calls the module's driver_f_batch when solve calls it
+    monkeypatch.setattr(drivers, "driver_f_batch", broken)
     results, summary = tmp_path / "results.csv", tmp_path / "summary.csv"
     assert main(["sweep", "--config", str(cfg_file), "--out", str(results),
                  "--summary", str(summary)]) == 0
@@ -337,3 +347,31 @@ def test_verify_driver_only(cfg_file, tmp_path, capsys):
                        "tolerance", "passed"]
     assert len(rows) - 1 == 5
     assert all(r[-1] == "True" for r in rows[1:])
+
+
+VERIFY_CHECKS = ["comparison", "driver_kkt", "driver_sandwich", "fm_monotone",
+                 "lipschitz_z", "martingale_optimality", "penalization",
+                 "scenario_limits", "scheme_oracles", "y_bound"]
+
+
+def test_verify_full(cfg_file, tmp_path, capsys):
+    # the batch checks too: each takes the BSDE solved under the real driver
+    csv_path = tmp_path / "checks.csv"
+    rc = main(["verify", "--config", str(cfg_file), "--samples", "60",
+               "--csv", str(csv_path)])
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.strip()]
+    assert rc == 0
+    assert [ln.split(":")[0] for ln in lines] == VERIFY_CHECKS
+    assert all(": PASS (" in ln for ln in lines)
+    rows = _read_csv(csv_path.read_text())
+    assert [r[0] for r in rows[1:]] == VERIFY_CHECKS
+    assert all(r[-1] == "True" for r in rows[1:])
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_rejects_nonpositive_samples(samples, capsys):
+    # zero samples would pass every driver check without testing anything
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--driver-only", "--samples", samples])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err

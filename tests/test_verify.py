@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from jumpsignal import CellIndex, make_driver_fn, payoff_put, solve, verify
+from jumpsignal import CellIndex, payoff_put, solve, verify
 from jumpsignal.verify import (
     CheckReport,
     calibrate_eps_reg,
@@ -34,15 +34,21 @@ N_CELLS = 16  # 4096-path batches: keep cells well populated
 
 @pytest.fixture(scope="module")
 def cells_small(batch_small):
-    return CellIndex.build(batch_small, n_cells=N_CELLS)
+    return CellIndex.build(batch_small, n_cells=N_CELLS, min_count=50)
 
 
 @pytest.fixture(scope="module")
-def eps_reg(cells_small, batch_small_b, payoff_small, payoff_small_b,
-            ctx_hidesmall):
-    return calibrate_eps_reg([cells_small,
-                              CellIndex.build(batch_small_b, n_cells=N_CELLS)],
-                             [payoff_small, payoff_small_b], ctx_hidesmall)
+def sol_small(batch_small, payoff_small, ctx_hidesmall, cells_small):
+    # shared by the checks that only read it; tests that alter a
+    # solution solve their own
+    return solve(batch_small, payoff_small, ctx_hidesmall, cells_small)
+
+
+@pytest.fixture(scope="module")
+def eps_reg(sol_small, batch_small_b, payoff_small_b, ctx_hidesmall):
+    cells_b = CellIndex.build(batch_small_b, n_cells=N_CELLS, min_count=50)
+    return calibrate_eps_reg([sol_small, solve(batch_small_b, payoff_small_b,
+                                               ctx_hidesmall, cells_b)])
 
 
 def test_eps_reg_magnitude(eps_reg):
@@ -130,49 +136,78 @@ def test_scenario_limits_pass(ctx_nosignal):
     assert r.passed and r.tolerance == 0.0 and r.samples == 400
 
 
-def test_comparison_pass_and_ordering_guard(cells_small, payoff_small,
+def _shifted(ctx, shift):
+    def driver(Z, U):
+        vals, p0 = ctx(Z, U)
+        return vals + shift, p0
+    return driver
+
+
+def test_comparison_pass_and_ordering_guard(sol_small, payoff_small,
                                             ctx_hidesmall, eps_reg):
-    base = make_driver_fn(ctx_hidesmall)
-
-    def plus(Z, U):
-        vals, p0 = base(Z, U)
-        return vals + 0.05, p0
-
-    r = check_comparison(cells_small, payoff_small, payoff_small, base, plus,
+    r = check_comparison(sol_small, payoff_small, _shifted(ctx_hidesmall, 0.05),
                          eps_reg)
     assert r.passed
     with pytest.raises(ValueError):
-        check_comparison(cells_small, payoff_small, payoff_small - 0.1,
-                         base, plus, eps_reg)
+        check_comparison(sol_small, payoff_small - 0.1,
+                         _shifted(ctx_hidesmall, 0.05), eps_reg)
 
 
-def test_penalization_pass(cells_small, payoff_small, ctx_hidesmall, eps_reg):
-    r = check_penalization(cells_small, payoff_small, ctx_hidesmall, eps_reg,
-                           m_values=range(1, 6))
+def test_comparison_detects_lower_driver(sol_small, payoff_small, ctx_hidesmall,
+                                         eps_reg, batch_small):
+    # a driver shifted down lowers Y_0 by about shift T, ten times eps_reg:
+    # the check must compare the second solve with sol, not sol with itself
+    shift = 10.0 * eps_reg / batch_small.time_grid.T
+    r = check_comparison(sol_small, payoff_small, _shifted(ctx_hidesmall, -shift),
+                         eps_reg)
+    assert not r.passed and r.violations == 1
+    assert r.worst_margin < -5.0 * eps_reg
+
+
+def test_penalization_pass(sol_small, ctx_hidesmall, eps_reg):
+    r = check_penalization(sol_small, ctx_hidesmall, eps_reg, m_values=range(1, 6))
     assert r.passed
     # last margin certifies the bit-level lock past the threshold
     assert r.worst_margin <= 1e-12 + 1e-15
 
 
-def test_martingale_optimality_pass(batch_small, batch_small_b, payoff_small,
-                                    cells_small, ctx_hidesmall, eps_reg):
-    sol = solve(batch_small, payoff_small, ctx_hidesmall, cells_small)
-    r = check_martingale_optimality(batch_small_b, sol, ctx_hidesmall,
+def test_penalization_detects_foreign_solution(batch_small, payoff_small,
+                                               cells_small, ctx_hidesmall, eps_reg):
+    # f_m past the threshold reproduces the solve under f, not one under f + 0.05
+    sol_up = solve(batch_small, payoff_small, _shifted(ctx_hidesmall, 0.05),
+                   cells_small)
+    r = check_penalization(sol_up, ctx_hidesmall, eps_reg, m_values=range(1, 6))
+    assert not r.passed and r.violations == 1
+
+
+def test_martingale_optimality_pass(batch_small_b, sol_small, ctx_hidesmall,
+                                    eps_reg):
+    r = check_martingale_optimality(batch_small_b, sol_small, ctx_hidesmall,
                                     lambda s: payoff_put(s, 1.0), 0.0, eps_reg)
     assert r.passed and r.violations == 0
 
 
-def test_martingale_rejects_training_seed(batch_small, payoff_small, cells_small,
-                                          ctx_hidesmall, eps_reg):
-    sol = solve(batch_small, payoff_small, ctx_hidesmall, cells_small)
+def test_martingale_rejects_training_seed(batch_small, sol_small, ctx_hidesmall,
+                                          eps_reg):
     with pytest.raises(ValueError):
-        check_martingale_optimality(batch_small, sol, ctx_hidesmall,
+        check_martingale_optimality(batch_small, sol_small, ctx_hidesmall,
                                     lambda s: payoff_put(s, 1.0), 0.0, eps_reg)
 
 
-def test_scheme_oracles_pass(cells_small, payoff_small):
-    r = check_scheme_oracles(cells_small, payoff_small)
+def test_scheme_oracles_pass(sol_small):
+    r = check_scheme_oracles(sol_small)
     assert r.passed and r.samples == 2
+
+
+def test_empty_checks_fail(ctx_hidesmall, ctx_nosignal):
+    # a check that drew no samples has shown nothing, so it cannot pass
+    for r in (check_driver_kkt(0, ctx_hidesmall),
+              check_driver_sandwich(0, ctx_hidesmall),
+              check_fm_monotone(0, ctx_hidesmall),
+              check_lipschitz_z(0, ctx_hidesmall),
+              check_scenario_limits(ctx_nosignal, n_samples=0)):
+        assert r.samples == 0 and r.violations == 0
+        assert not r.passed and "FAIL" in r.line()
 
 
 def test_y_bound_pass(batch_small, payoff_small, cells_small, ctx_hidesmall,
