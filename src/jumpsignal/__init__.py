@@ -29,13 +29,11 @@ from .drivers import (
 from .simulate import (
     TimeGrid,
     PathBatch,
-    StrategyTable,
     simulate_batch,
     payoff_put,
     payoff_digital,
     payoff_terminal,
     wealth_forward,
-    mc_expected_utility,
 )
 from .bsde_solver import (
     BasisPartition,

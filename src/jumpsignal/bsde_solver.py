@@ -39,7 +39,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .drivers import DriverContext, guarded_exp
-from .simulate import PathBatch, StrategyTable
+from .simulate import PathBatch
 
 __all__ = [
     "BasisPartition",
@@ -250,13 +250,16 @@ def value_and_strategy(sol: BackwardSolution, x: float,
                        ctx: DriverContext) -> tuple:
     """Certainty-equivalent value and the extracted optimal positions.
 
-    V = -exp(-lam (x - Y_0)). The strategy trades the inner argmin when
-    no signal arrives and the boundary position on signal bins.
+    V = -exp(-lam (x - Y_0)). ``positions(batch)`` places the prices
+    S_{t_k} of a batch in the cells of step k and returns the
+    (n_steps, n_paths) array of those cells' argmins p*: the strategy's
+    no-signal positions. On a jump of a signal bin the strategy trades
+    ``ctx.boundary_p``.
     """
     value = -guarded_exp(-ctx.lam * (x - sol.y0), math.exp)
-    steps, partitions = sol.steps, sol.cells.partitions
 
-    def p0(k, s):
-        return steps[k].p_cells[partitions[k].assign(s)]
+    def positions(batch: PathBatch) -> np.ndarray:
+        return np.stack([rec.p_cells[part.assign(s)] for rec, part, s
+                         in zip(sol.steps, sol.cells.partitions, batch.S)])
 
-    return value, StrategyTable(ctx=ctx, p0=p0, p_sig=ctx.boundary_p)
+    return value, positions

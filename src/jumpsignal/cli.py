@@ -51,7 +51,7 @@ def _load(args) -> ExperimentConfig:
     if overrides:
         cfg = dataclasses.replace(
             cfg, scenario=dataclasses.replace(cfg.scenario, **overrides))
-    if getattr(args, "paths", None):
+    if getattr(args, "paths", None) is not None:
         cfg = dataclasses.replace(
             cfg, scheme=dataclasses.replace(cfg.scheme, n_paths=args.paths))
     if getattr(args, "seed", None) is not None:
@@ -318,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="YAML config path (defaults used if absent)")
         sp.add_argument("--scenario", choices=["nosignal", "hidesmall", "hidelarge"])
         sp.add_argument("--c", type=float, help="single cutoff override")
-        sp.add_argument("--paths", type=int, help="path count override")
+        sp.add_argument("--paths", type=_positive_int, help="path count override")
         sp.add_argument("--seed", type=int, help="single seed override")
 
     sp = sub.add_parser("grid-dump", help="dump the discretized jump measure")

@@ -77,9 +77,14 @@ class SchemeBlock:
     seeds: Tuple[int, ...] = (1, 2, 3, 4, 5)
 
     def __post_init__(self):
+        for name in ("n_steps", "n_paths", "n_cells", "min_count"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if len(self.seeds) == 0:
             raise ValueError("seeds must be nonempty")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be >= 0, got {list(self.seeds)}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {list(self.seeds)}")
 

@@ -80,7 +80,11 @@ class LevyMarketSpec:
             raise ValueError(f"T must be > 0, got {self.T}")
 
     def nu_density(self, e):
-        """Density rho |e|^(-alpha) of the Levy measure. Undefined at e = 0."""
+        """Density rho |e|^(-alpha) of the Levy measure. Undefined at e = 0.
+
+        The package reads the measure through ``nu_interval``; this is
+        the density its quadrature test integrates.
+        """
         e = np.asarray(e, dtype=float)
         if np.any(e == 0.0):
             raise ValueError("nu has no density value at e = 0")
@@ -105,14 +109,6 @@ class LevyMarketSpec:
     def eta_integral(self) -> float:
         """Integral of eta against nu; zero since eta is odd and nu symmetric."""
         return 0.0
-
-    def eta_abs_integral(self) -> float:
-        """Integral of |eta| against nu, in closed form."""
-        cap = 1.0 - self.epsilon
-        # split at the cap: |e| below, constant cap above
-        inner = self.rho * cap ** (2.0 - self.alpha) / (2.0 - self.alpha)
-        outer = cap * self.nu_interval(cap, math.inf)
-        return 2.0 * (inner + outer)
 
 
 @dataclass(frozen=True)
@@ -214,10 +210,6 @@ class DiscreteJumpGrid:
     def signed_indices(self) -> np.ndarray:
         q = self.q
         return np.concatenate([np.arange(-q, 0), np.arange(1, q + 1)])
-
-    @property
-    def total_intensity(self) -> float:
-        return float(np.sum(self.weights))
 
     def eta_values(self) -> np.ndarray:
         return self.spec.eta(self.points)

@@ -34,6 +34,9 @@ charges the no-signal position only,
 
     dX = p(0) (kappa dt + sigma dW) + sum_i p(gamma(e_i)) eta_i dN(i)
          - p(0) sum_i eta_i nu_i dt.
+
+A strategy is two arrays: the no-signal positions p(0) of every path
+and step, shape (n_steps, n_paths), and one signal position per bin.
 """
 
 from __future__ import annotations
@@ -43,26 +46,24 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
-from .drivers import DriverContext, guarded_exp
+from .drivers import DriverContext
 from .levy_model import DiscreteJumpGrid, LevyMarketSpec
 
 __all__ = [
     "TimeGrid",
     "JumpEvents",
     "PathBatch",
-    "StrategyTable",
     "simulate_batch",
     "payoff_put",
     "payoff_digital",
     "payoff_terminal",
     "wealth_forward",
-    "mc_expected_utility",
 ]
 
 
@@ -304,81 +305,42 @@ def payoff_terminal(s_t, kind: str, strike: float):
     return fn(s_t, strike)
 
 
-@dataclass(frozen=True, eq=False)
-class StrategyTable:
-    """Trading positions under the signal split of a driver context.
-
-    ``p0(k, s)`` maps the step index and the per-path prices S_{t_k} to
-    the no-signal position of each path. ``p_sig`` holds one position per
-    bin, applied when a jump of a signal bin (``ctx.sig_mask``) arrives;
-    jumps of the other bins trade at p0.
-    """
-
-    ctx: DriverContext
-    p0: Callable[[int, np.ndarray], np.ndarray]
-    p_sig: np.ndarray
-
-    def __post_init__(self):
-        p_sig = np.asarray(self.p_sig, dtype=float)
-        if p_sig.shape != self.ctx.sig_mask.shape:
-            raise ValueError(f"p_sig must have one entry per bin, got shape {p_sig.shape}")
-        object.__setattr__(self, "p_sig", p_sig)
-
-    @classmethod
-    def constant(cls, ctx: DriverContext, p: float) -> "StrategyTable":
-        """Position p on every path, bin and step."""
-        return cls(ctx=ctx, p0=lambda k, s: np.full(s.size, float(p)),
-                   p_sig=np.full(ctx.sig_mask.size, float(p)))
-
-
-def wealth_forward(batch: PathBatch, strategy: StrategyTable, x: float) -> np.ndarray:
+def wealth_forward(batch: PathBatch, ctx: DriverContext, p0, p_sig,
+                   x: float) -> np.ndarray:
     """Terminal wealth per path under a signal strategy.
 
-    Positions are taken from the state at the left endpoint of each
-    step; the signal argument is the jump's bin. Raises if any position
-    leaves [-pi_lower, pi_upper] or is NaN.
+    ``p0`` of shape (n_steps, n_paths) holds each path's no-signal
+    position over each step, taken from the state at the step's left
+    endpoint. ``p_sig`` holds one position per bin, traded when a jump
+    of a signal bin (``ctx.sig_mask``) arrives; jumps of the other bins
+    trade at p0. Raises if a shape or the jump grid differs from the
+    batch's, or if any traded position leaves [-pi_lower, pi_upper] or
+    is NaN.
     """
-    ctx, spec = strategy.ctx, batch.spec
+    p0 = np.asarray(p0, dtype=float)
+    p_sig = np.asarray(p_sig, dtype=float)
+    if p0.shape != batch.dW.shape:
+        raise ValueError(f"p0 must have shape {batch.dW.shape}, got {p0.shape}")
+    if p_sig.shape != ctx.sig_mask.shape:
+        raise ValueError(f"p_sig must have one entry per bin, got shape {p_sig.shape}")
     if not np.array_equal(ctx.grid.points, batch.grid.points):
         raise ValueError("the strategy's jump grid differs from the batch's")
-    eta = batch.grid.eta_values()
-    comp = float(eta @ batch.grid.weights)
     sig_mask = ctx.sig_mask
-    dt = batch.time_grid.dt
     lo, hi = -ctx.pi_lower - 1e-12, ctx.pi_upper + 1e-12
-
-    def check_box(p):
+    for p in (p0, p_sig[sig_mask]):
         # written so that a NaN position fails too
         if not np.all((p >= lo) & (p <= hi)):
             raise ValueError("strategy position outside [-pi_lower, pi_upper]")
 
-    check_box(strategy.p_sig[sig_mask])
+    spec = batch.spec
+    eta = batch.grid.eta_values()
+    comp = float(eta @ batch.grid.weights)
+    dt = batch.time_grid.dt
     X = np.full(batch.n_paths, float(x))
     for k, ev in enumerate(batch.jumps):
-        p0 = strategy.p0(k, batch.S[k])
-        check_box(p0)
-        pos = np.where(sig_mask[ev.bin], strategy.p_sig[ev.bin], p0[ev.path])
+        pos = np.where(sig_mask[ev.bin], p_sig[ev.bin], p0[k, ev.path])
         jump_pnl = np.bincount(ev.path, weights=pos * eta[ev.bin] * ev.count,
                                minlength=batch.n_paths)
-        X = X + p0 * (spec.kappa * dt[k] + spec.sigma * batch.dW[k]) \
-            + jump_pnl - p0 * comp * dt[k]
+        X = X + p0[k] * (spec.kappa * dt[k] + spec.sigma * batch.dW[k]) \
+            + jump_pnl - p0[k] * comp * dt[k]
     return X
-
-
-def mc_expected_utility(wealths, f_values, lam: float):
-    """Sample mean and standard error of -exp(-lam (X_T - F)).
-
-    Means use numpy pairwise summation, so results do not depend on how
-    path chunks were assembled.
-    """
-    if not lam > 0:
-        raise ValueError(f"lam must be > 0, got {lam}")
-    X = np.asarray(wealths, dtype=float)
-    F = np.asarray(f_values, dtype=float)
-    F = np.broadcast_to(F, X.shape)
-    vals = -guarded_exp(-lam * (X - F))
-    mean = float(np.mean(vals))
-    if vals.size < 2:
-        return mean, 0.0
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(vals.size))
-    return mean, stderr

@@ -354,17 +354,22 @@ def test_nonfinite_y_reports_step(batch_small, payoff_small, cells_small):
         solve(batch_small, payoff_small, nan_driver, cells_small)
 
 
-def test_value_and_strategy(batch_small, payoff_small, ctx_hidesmall, cells_small):
+def test_value_and_strategy(batch_small, batch_small_b, payoff_small, ctx_hidesmall,
+                            cells_small):
     sol = solve(batch_small, payoff_small, ctx_hidesmall, cells_small)
-    value, table = value_and_strategy(sol, 0.3, ctx_hidesmall)
+    value, positions = value_and_strategy(sol, 0.3, ctx_hidesmall)
     assert value == pytest.approx(-math.exp(-0.4 * (0.3 - sol.y0)), rel=1e-14)
-    s = np.array([0.9, 1.1])
-    p0 = table.p0(2, s)
-    rec = sol.steps[2]
-    assert np.array_equal(p0, rec.p_cells[cells_small.partitions[2].assign(s)])
-    assert table.ctx is ctx_hidesmall
-    assert table.p_sig.shape == (6,)
-    assert np.array_equal(table.p_sig, ctx_hidesmall.boundary_p)
+    # each step's prices of any batch land in that step's cells
+    p0 = positions(batch_small_b)
+    assert p0.shape == batch_small_b.dW.shape
+    for k, rec in enumerate(sol.steps):
+        ids = cells_small.partitions[k].assign(batch_small_b.S[k])
+        assert np.array_equal(p0[k], rec.p_cells[ids])
+    # on the training batch they are the argmins of the paths' own cells
+    p0_train = positions(batch_small)
+    for k, rec in enumerate(sol.steps):
+        assert np.array_equal(p0_train[k],
+                              rec.p_cells[cells_small.partitions[k].sample_ids])
     assert np.all(p0 >= -1.0) and np.all(p0 <= 1.0)
     with pytest.raises(ValueError):
         value_and_strategy(sol, -2000.0, ctx_hidesmall)

@@ -121,6 +121,19 @@ def test_block_validation():
         UtilityBlock(pi_lower=-0.5)
 
 
+# each would load and then fail inside a command: a zero-step time grid,
+# an empty batch, a partition with no cells or no minimum count, or a
+# negative Philox key
+SCHEME_OUT_OF_RANGE = {"n_steps": "0", "n_paths": "0", "n_cells": "0",
+                       "min_count": "0", "seeds": "[2, -1]"}
+
+
+@pytest.mark.parametrize("field", SCHEME_OUT_OF_RANGE)
+def test_scheme_rejects_out_of_range(field):
+    with pytest.raises(ValueError, match=rf"{field} must be >= "):
+        load_config_text(f"scheme: {{{field}: {SCHEME_OUT_OF_RANGE[field]}}}")
+
+
 def test_compensated_drift_kills_the_affine_tail():
     cfg = ExperimentConfig()
     spec = cfg.market_spec()
@@ -373,5 +386,14 @@ def test_verify_rejects_nonpositive_samples(samples, capsys):
     # zero samples would pass every driver check without testing anything
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--driver-only", "--samples", samples])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("paths", ["0", "-5"])
+def test_solve_rejects_nonpositive_paths(paths, capsys):
+    # a zero path count must not fall back to the config's
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--paths", paths])
     assert exc.value.code == 2
     assert "positive integer" in capsys.readouterr().err

@@ -159,7 +159,7 @@ def test_u_lambda_norm(ctx_hidesmall):
     (zero,) = u_lambda_norm(np.zeros(6), ctx_hidesmall)  # one row
     assert zero == 0.0
     (ones,) = u_lambda_norm(np.ones(6), ctx_hidesmall)
-    assert ones == pytest.approx(H_04_1 * grid.total_intensity, rel=1e-13)
+    assert ones == pytest.approx(H_04_1 * np.sum(grid.weights), rel=1e-13)
     with pytest.raises(ValueError):
         u_lambda_norm(np.ones(5), ctx_hidesmall)
 

@@ -2,7 +2,6 @@
 inverse-CDF correctness against scipy, exact price recomputation, and a
 hand-checked wealth decomposition."""
 
-import dataclasses
 import math
 import os
 import sys
@@ -17,10 +16,8 @@ from jumpsignal import (
     DriverContext,
     NoSignal,
     PathBatch,
-    StrategyTable,
     TimeGrid,
     build_grid,
-    mc_expected_utility,
     payoff_digital,
     payoff_put,
     payoff_terminal,
@@ -35,9 +32,6 @@ from jumpsignal.simulate import (
     _uniforms,
     _words,
 )
-
-NEG_EXP_01 = -1.105170918075647624811707826490  # -exp(0.1), frozen
-
 
 def test_time_grid_uniform():
     tg = TimeGrid.uniform(4, 0.5)
@@ -325,8 +319,7 @@ def test_wealth_hand_case(spec_small, grid_small, ctx_hidesmall):
     eta = grid_small.eta_values()
     comp = sum(float(eta[i] * grid_small.weights[i]) for i in range(6))
     p_sig = np.array([-1.0, -1.0, 0.25, 0.25, 1.0, 1.0])
-    table = StrategyTable(ctx_hidesmall, lambda k, s: np.full(s.size, 0.5), p_sig)
-    X = wealth_forward(batch, table, 0.0)
+    X = wealth_forward(batch, ctx_hidesmall, np.full((1, 4), 0.5), p_sig, 0.0)
     drift = -0.5 * comp * 0.5  # p0 * comp * dt charged on every path
     # path 0: Brownian only; path 1: signal jump at +2 trades p_sig = 1;
     # path 2: no-signal jump at -0.5 trades p0 despite p_sig = 0.25;
@@ -339,45 +332,34 @@ def test_wealth_hand_case(spec_small, grid_small, ctx_hidesmall):
 
 def test_wealth_nosignal_ignores_psig(spec_small, grid_small, ctx_nosignal):
     batch = _hand_batch(spec_small, grid_small, [0.05, -0.1], {(4, 0): 2}, 2)
-    base = StrategyTable.constant(ctx_nosignal, 0.7)
-    wild = dataclasses.replace(base, p_sig=np.full(6, 77.0))  # never applied
-    assert np.array_equal(wealth_forward(batch, base, 0.0),
-                          wealth_forward(batch, wild, 0.0))
+    p0 = np.full((1, 2), 0.7)
+    wild = np.full(6, 77.0)  # never applied, so not checked against the box
+    assert np.array_equal(wealth_forward(batch, ctx_nosignal, p0, np.full(6, 0.7), 0.0),
+                          wealth_forward(batch, ctx_nosignal, p0, wild, 0.0))
 
 
 def test_wealth_bounds_enforced(spec_small, grid_small, ctx_nosignal, ctx_hidesmall):
-    batch = _hand_batch(spec_small, grid_small, [0.0], {}, 1)
-    bad = StrategyTable.constant(ctx_nosignal, 1.5)
-    with pytest.raises(ValueError):
-        wealth_forward(batch, bad, 0.0)
-    bad_sig = dataclasses.replace(StrategyTable.constant(ctx_hidesmall, 0.5),
-                                  p_sig=np.full(6, -1.2))
-    with pytest.raises(ValueError):
-        wealth_forward(batch, bad_sig, 0.0)
-    nan_p0 = dataclasses.replace(bad, p0=lambda k, s: np.full(s.size, np.nan))
-    with pytest.raises(ValueError):
-        wealth_forward(batch, nan_p0, 0.0)
+    batch = _hand_batch(spec_small, grid_small, [0.0, 0.0], {}, 2)
+    ok = np.full((1, 2), 0.5)
+    for p0 in (np.array([[0.5, 1.5]]), np.array([[np.nan, 0.5]])):
+        with pytest.raises(ValueError, match="outside"):
+            wealth_forward(batch, ctx_nosignal, p0, np.zeros(6), 0.0)
+    # hide-small signals the outer bins 0, 1, 4 and 5
+    for bad in (-1.2, np.nan):
+        p_sig = np.array([0.5, 0.5, 0.5, 0.5, 0.5, bad])
+        with pytest.raises(ValueError, match="outside"):
+            wealth_forward(batch, ctx_hidesmall, ok, p_sig, 0.0)
 
 
-def test_strategy_table_shapes(spec_small, grid_small, ctx_nosignal):
-    # one signal position per bin, and the strategy's grid is the batch's
+def test_wealth_rejects_shapes(spec_small, grid_small, ctx_nosignal):
+    # positions for every step and path, one signal position per bin, and
+    # the strategy's grid is the batch's
+    batch = _hand_batch(spec_small, grid_small, [0.0, 0.0], {}, 2)
+    for p0 in (np.zeros(2), np.zeros((1, 3)), np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="p0 must have shape"):
+            wealth_forward(batch, ctx_nosignal, p0, np.zeros(6), 0.0)
     with pytest.raises(ValueError, match="one entry per bin"):
-        StrategyTable(ctx_nosignal, lambda k, s: np.zeros(s.size), np.zeros((6, 1)))
+        wealth_forward(batch, ctx_nosignal, np.zeros((1, 2)), np.zeros((6, 1)), 0.0)
     other = DriverContext.build(spec_small, build_grid(4, spec_small), NoSignal(), 0.4)
-    batch = _hand_batch(spec_small, grid_small, [0.0], {}, 1)
     with pytest.raises(ValueError, match="jump grid"):
-        wealth_forward(batch, StrategyTable.constant(other, 0.0), 0.0)
-
-
-def test_mc_expected_utility_frozen():
-    X = np.zeros(100)
-    F = np.full(100, 0.25)
-    mean, se = mc_expected_utility(X, F, 0.4)
-    assert mean == pytest.approx(NEG_EXP_01, rel=1e-14)
-    assert se < 1e-15  # identical samples up to the rounding of the mean
-    with pytest.raises(ValueError):
-        mc_expected_utility(np.array([-2000.0]), np.array([0.0]), 0.4)
-    with pytest.raises(ValueError):
-        mc_expected_utility(X, F, 0.0)
-    single, se1 = mc_expected_utility(np.array([0.0]), np.array([0.0]), 0.4)
-    assert single == -1.0 and se1 == 0.0
+        wealth_forward(batch, other, np.zeros((1, 2)), np.zeros(8), 0.0)

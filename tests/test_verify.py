@@ -1,6 +1,8 @@
 """The property-check suite must pass on a sound implementation and,
 just as importantly, fail loudly on a corrupted one."""
 
+import copy
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -185,6 +187,18 @@ def test_martingale_optimality_pass(batch_small_b, sol_small, ctx_hidesmall,
     r = check_martingale_optimality(batch_small_b, sol_small, ctx_hidesmall,
                                     lambda s: payoff_put(s, 1.0), 0.0, eps_reg)
     assert r.passed and r.violations == 0
+
+
+def test_martingale_optimality_detects_signal_position(batch_small_b, sol_small,
+                                                      ctx_hidesmall, eps_reg):
+    # a strategy that trades 0 instead of the boundary position on signal
+    # jumps gives up what the signal reveals: some rival must beat it
+    mutant = copy.copy(ctx_hidesmall)
+    object.__setattr__(mutant, "boundary_p", np.zeros_like(ctx_hidesmall.boundary_p))
+    r = check_martingale_optimality(batch_small_b, sol_small, mutant,
+                                    lambda s: payoff_put(s, 1.0), 0.0, eps_reg)
+    print(r.line())
+    assert not r.passed and r.violations > 0
 
 
 def test_martingale_rejects_training_seed(batch_small, sol_small, ctx_hidesmall,
