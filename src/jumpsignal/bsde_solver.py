@@ -12,11 +12,16 @@ with conditional expectations replaced by least-squares projections on
 piecewise-constant functions over per-step equiprobable quantile cells
 of the S sample (local regression in the style of Gobet, Lemor and
 Warin, 2005). The t_0 regressor is constant so the last projection is a
-plain mean and Y_0 = mean(Ybar_0).
+plain mean and Y_0 is the count-weighted mean of the step-0 cell values.
 
 The regressed fields are cell-constant, so the driver is evaluated once
-per cell and scattered back, which keeps the driver cost independent of
-the path count.
+per cell, and every Ybar_k for k < n is constant on step k's cells: the
+pass carries one value per cell, never one per path. Only the last step
+regresses the terminal values F over the paths. At every earlier step the
+in-cell sums of Ybar_{k+1} and Ybar_{k+1} dW_k are the batch's
+(cell at k, cell at k + 1) transition tables, of path counts and of
+summed dW_k, times the cell vector of Ybar_{k+1}. So after the terminal
+step a solve's cost does not grow with the path count.
 
 The jump target of cell j and bin i is a scatter over the step's jump
 events (the jump regression of Bouchard and Elie, 2008),
@@ -24,8 +29,10 @@ events (the jump regression of Bouchard and Elie, 2008),
     (sum over events of bin i in j of Ybar_{k+1} count
      - nu_i dt_k sum over paths in j of Ybar_{k+1}) / n_j,
 
-so no dense (n_bins, n_paths) matrix is formed. The cells, each path's
-cell and each event's (bin, cell) key depend only on the batch, n_cells
+so no dense (n_bins, n_paths) matrix is formed; an event reads
+Ybar_{k+1} from its path at the last step and from its step-(k+1) cell
+before it. The cells, each path's cell, each event's (bin, cell) key and
+next cell, and the transition tables depend only on the batch, n_cells
 and min_count: a ``CellIndex`` holds them, is built once per batch, and
 every solve on that batch takes it. A solution keeps its cell index.
 """
@@ -133,29 +140,45 @@ class BasisPartition:
 
 @dataclass(frozen=True, eq=False)
 class CellIndex:
-    """The regression cells of one batch, per step.
+    """The regression cells of one batch, per step, and the transitions
+    between them.
 
     ``partitions[k]`` are the cells of S_k, with the cell of each path in
     its ``sample_ids``, and ``event_keys[k]`` the key
     ``bin * n_cells + cell`` of each jump event of step k. Each step's
     prices are sorted once, in ``BasisPartition.from_sample``.
+
+    For each step k < n - 1, ``pair_counts[k]`` counts the paths in each
+    (cell at k, cell at k + 1) pair, an (n_cells_k, n_cells_{k+1}) float
+    table, ``pair_dW[k]`` sums dW_k over the same pairs, and
+    ``event_next[k]`` is the step-(k+1) cell of each jump event of step k.
     """
 
     batch: PathBatch
     partitions: Tuple[BasisPartition, ...]
     event_keys: Tuple[np.ndarray, ...]
+    pair_counts: Tuple[np.ndarray, ...]
+    pair_dW: Tuple[np.ndarray, ...]
+    event_next: Tuple[np.ndarray, ...]
 
     @classmethod
     def build(cls, batch: PathBatch, n_cells: int, min_count: int) -> "CellIndex":
-        partitions, event_keys = [], []
-        for k, ev in enumerate(batch.jumps):
-            partition = BasisPartition.from_sample(batch.S[k], n_cells=n_cells,
-                                                   min_count=min_count)
-            partitions.append(partition)
-            event_keys.append(ev.bin * partition.n_cells
-                              + partition.sample_ids[ev.path])
+        partitions = [BasisPartition.from_sample(s, n_cells=n_cells, min_count=min_count)
+                      for s in batch.S[:-1]]
+        event_keys = [ev.bin * part.n_cells + part.sample_ids[ev.path]
+                      for ev, part in zip(batch.jumps, partitions)]
+        pair_counts, pair_dW, event_next = [], [], []
+        for k, (a, b) in enumerate(zip(partitions[:-1], partitions[1:])):
+            pair = a.sample_ids * b.n_cells + b.sample_ids
+            size, shape = a.n_cells * b.n_cells, (a.n_cells, b.n_cells)
+            pair_counts.append(np.bincount(pair, minlength=size).reshape(shape)
+                               .astype(float))
+            pair_dW.append(np.bincount(pair, weights=batch.dW[k], minlength=size)
+                           .reshape(shape))
+            event_next.append(b.sample_ids[batch.jumps[k].path])
         return cls(batch=batch, partitions=tuple(partitions),
-                   event_keys=tuple(event_keys))
+                   event_keys=tuple(event_keys), pair_counts=tuple(pair_counts),
+                   pair_dW=tuple(pair_dW), event_next=tuple(event_next))
 
 
 DriverFn = Callable[[np.ndarray, np.ndarray], tuple]
@@ -177,19 +200,29 @@ class StepRecord:
     u_coef: np.ndarray            # (n_bins, n_cells) Ubar_k
     f_cells: np.ndarray           # (n_cells,) driver values
     p_cells: np.ndarray           # (n_cells,) no-signal argmin
+    y_cells: np.ndarray           # (n_cells,) Ybar_k = y_coef + dt_k f_cells
 
 
 def _step_core(y_next, cells, k, driver):
+    """Step k from Ybar_{k+1}: F on the paths at the last step, the
+    step-(k+1) cell values before it."""
     batch = cells.batch
     dtk = float(batch.time_grid.dt[k])
     partition = cells.partitions[k]
-    nc, n, ids = partition.n_cells, partition.counts, partition.sample_ids
+    nc, n = partition.n_cells, partition.counts
     nu_dt = batch.grid.weights[:, None] * dtk
     ev = batch.jumps[k]
 
-    y_sum = np.bincount(ids, weights=y_next, minlength=nc)
-    z_sum = np.bincount(ids, weights=y_next * batch.dW[k], minlength=nc)
-    jump_sum = np.bincount(cells.event_keys[k], weights=y_next[ev.path] * ev.count,
+    if k == batch.time_grid.n_steps - 1:
+        ids = partition.sample_ids
+        y_sum = np.bincount(ids, weights=y_next, minlength=nc)
+        z_sum = np.bincount(ids, weights=y_next * batch.dW[k], minlength=nc)
+        y_events = y_next[ev.path]
+    else:
+        y_sum = cells.pair_counts[k] @ y_next
+        z_sum = cells.pair_dW[k] @ y_next
+        y_events = y_next[cells.event_next[k]]
+    jump_sum = np.bincount(cells.event_keys[k], weights=y_events * ev.count,
                            minlength=nu_dt.size * nc).reshape(nu_dt.size, nc)
     y_coef = y_sum / n
     z_coef = z_sum / n / dtk
@@ -200,20 +233,20 @@ def _step_core(y_next, cells, k, driver):
     except (ValueError, ArithmeticError) as exc:
         raise type(exc)(f"driver failed at step {k}: {exc}") from exc
     f_cells = np.asarray(f_cells)
-    y_vals = y_coef[ids] + dtk * f_cells[ids]
-
-    rec = StepRecord(y_coef=y_coef, z_coef=z_coef,
-                     u_coef=u_coef, f_cells=f_cells, p_cells=np.asarray(p_cells))
-    return y_vals, rec
+    return StepRecord(y_coef=y_coef, z_coef=z_coef, u_coef=u_coef,
+                      f_cells=f_cells, p_cells=np.asarray(p_cells),
+                      y_cells=y_coef + dtk * f_cells)
 
 
 @dataclass(eq=False)
 class BackwardSolution:
-    """Full backward pass: its cells, per-step cell tables, per-path values."""
+    """Full backward pass: its cells, the terminal values and per-step
+    cell tables. Ybar_k of a path is ``steps[k].y_cells`` at the path's
+    cell, ``cells.partitions[k].sample_ids``; no per-path Ybar is kept."""
 
     cells: CellIndex
     steps: List[StepRecord]
-    y_paths: np.ndarray           # (n_steps + 1, n_paths), y_paths[-1] = F
+    F: np.ndarray                 # (n_paths,) terminal values Ybar_n
     y0: float
 
 
@@ -232,18 +265,17 @@ def solve(batch: PathBatch, f_values, driver: DriverFn,
         raise ValueError("the cell index belongs to another batch")
     n_steps = batch.time_grid.n_steps
 
-    y_paths = np.empty((n_steps + 1, batch.n_paths))
-    y_paths[n_steps] = F
     steps: List[Optional[StepRecord]] = [None] * n_steps
     y = F
     for k in range(n_steps - 1, -1, -1):
-        y, rec = _step_core(y, cells, k, driver)
-        if not np.all(np.isfinite(y)):
+        rec = _step_core(y, cells, k, driver)
+        # every cell holds a path, so this tests every path's Ybar_k
+        if not np.all(np.isfinite(rec.y_cells)):
             raise ArithmeticError(f"non-finite Ybar at step {k}")
-        y_paths[k] = y
         steps[k] = rec
-    return BackwardSolution(cells=cells, steps=list(steps), y_paths=y_paths,
-                            y0=float(np.mean(y_paths[0])))
+        y = rec.y_cells
+    y0 = float(cells.partitions[0].counts @ y) / batch.n_paths
+    return BackwardSolution(cells=cells, steps=list(steps), F=F, y0=y0)
 
 
 def value_and_strategy(sol: BackwardSolution, x: float,

@@ -249,7 +249,7 @@ def cmd_verify(args) -> int:
             vals, p0 = ctx(Z, U)
             return vals + delta, p0
 
-        reports.append(verify_mod.check_comparison(sol, sol.y_paths[-1],
+        reports.append(verify_mod.check_comparison(sol, sol.F,
                                                    plus_delta, eps_reg))
         reports.append(verify_mod.check_penalization(sol, ctx, eps_reg))
         fresh_seed = max(cfg.scheme.seeds) + 1009

@@ -12,7 +12,9 @@ of golden-section steps, see ``drivers.minimize_on_interval``). Statistical
 checks (optimality, regression noise) always run on freshly seeded
 batches, never on the batch the solution was trained on. The batch
 checks take the BSDE solved under the real driver and run the solves
-they add on its cells and terminal values F (``sol.y_paths[-1]``).
+they add on its cells and terminal values F (``sol.F``). A solution
+holds Ybar_k for k < n as one value per cell (``StepRecord.y_cells``),
+not one per path, and ``check_y_bound`` reads those cell values.
 A strategy is plain data: ``check_martingale_optimality`` reads the
 extracted no-signal positions on the fresh batch once, as an (n_steps,
 n_paths) array, forms each rival from it, and runs every one through
@@ -203,7 +205,7 @@ def check_comparison(sol: BackwardSolution, f2_values, driver2: DriverFn,
     terminals.
     """
     F2 = np.asarray(f2_values, dtype=float)
-    if np.any(F2 < sol.y_paths[-1]):
+    if np.any(F2 < sol.F):
         raise ValueError("terminal ordering violated: need F2 >= F1 pathwise")
     y2 = solve(sol.cells.batch, F2, driver2, sol.cells).y0
     margin = (y2 - sol.y0) + eps_reg
@@ -215,7 +217,7 @@ def check_penalization(sol: BackwardSolution, ctx: DriverContext, eps_reg: float
     """Y_0 under f_m is nondecreasing in m and hits Y_0 under f exactly
     once every truncation is inactive along the fields of ``sol``, the
     solve under the driver of ``ctx``."""
-    cells, F = sol.cells, sol.y_paths[-1]
+    cells, F = sol.cells, sol.F
 
     def y0_fm(m):
         return solve(cells.batch, F,
@@ -280,7 +282,7 @@ def check_scheme_oracles(sol: BackwardSolution, c0: float = 0.05) -> CheckReport
     Both must hold to 1e-12 relative to the payoff scale; the constant
     case adds c0 T through the time sum.
     """
-    cells, F = sol.cells, sol.y_paths[-1]
+    cells, F = sol.cells, sol.F
     mean_f = float(np.mean(F))
     scale = max(1.0, abs(mean_f))
     T = cells.batch.time_grid.T
@@ -297,17 +299,20 @@ def check_y_bound(sol: BackwardSolution, ctx: DriverContext,
 
     |Ybar_k| <= (1/lam) log(e^{lam ||F||_inf} + 1) + slack (T - t_k)
     + eps_reg, with ||F||_inf the largest |F| on the batch (the terminal
-    row of the solution) and slack the magnitude of the driver's value
-    at the origin taken from the affine lower bound.
+    values of the solution) and slack the magnitude of the driver's value
+    at the origin taken from the affine lower bound. Step k's largest
+    |Ybar_k| over the paths is the largest |y_cells| of its cells, since
+    every cell holds at least one path.
     """
     lam = ctx.lam
-    f_sup = float(np.max(np.abs(sol.y_paths[-1])))
+    f_sup = float(np.max(np.abs(sol.F)))
     lo, _ = driver_bounds(0.0, np.zeros(ctx.grid.points.size), ctx)
     slack = -lo
     base = math.log(math.exp(lam * f_sup) + 1.0) / lam
     tg = sol.cells.batch.time_grid
     bound = base + slack * (tg.T - tg.times) + eps_reg
-    margins = bound - np.max(np.abs(sol.y_paths), axis=1)
+    y_sup = [np.max(np.abs(rec.y_cells)) for rec in sol.steps] + [f_sup]
+    margins = bound - np.array(y_sup)
     return _report("y_bound", margins.size, margins, 0.0)
 
 
@@ -325,7 +330,7 @@ def calibrate_eps_reg(sols: Sequence[BackwardSolution]) -> float:
     zero = constant_driver(0.0)
     worst = 0.0
     for sol in sols:
-        F = sol.y_paths[-1]
+        F = sol.F
         y_zero = solve(sol.cells.batch, F, zero, sol.cells).y0
         worst = max(worst, abs(y_zero - float(np.mean(F))))
     y0s = [sol.y0 for sol in sols]

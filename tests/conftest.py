@@ -107,6 +107,19 @@ def dense_counts():
     return counts
 
 
+@pytest.fixture(scope="session")
+def path_values():
+    """path_values(sol): the (n_steps + 1, n_paths) Ybar of a solution on
+    the paths of its batch, each step's cell values expanded through the
+    cells of the paths, then the terminal values F."""
+
+    def expand(sol):
+        return np.stack([rec.y_cells[part.sample_ids] for rec, part
+                         in zip(sol.steps, sol.cells.partitions)] + [sol.F])
+
+    return expand
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(2024)

@@ -139,9 +139,14 @@ def test_cell_index_ids_are_the_assigned_cells(batch_small):
         ev = batch_small.jumps[k]
         assert np.array_equal(cells.event_keys[k],
                               ev.bin * partition.n_cells + ids[ev.path])
+    # the next cell of each event, for every step but the last
+    assert len(cells.event_next) == len(cells.partitions) - 1
+    for k, ev_next in enumerate(cells.event_next):
+        next_ids = cells.partitions[k + 1].assign(batch_small.S[k + 1])
+        assert np.array_equal(ev_next, next_ids[batch_small.jumps[k].path])
 
 
-def test_fit_recovers_cell_means(spec_small, grid_small, rng):
+def test_fit_recovers_cell_means(spec_small, grid_small, rng, path_values):
     # one step: the regression of F on the t_0 price sample is the table
     # of in-cell means of F
     batch = _flat_batch(spec_small, grid_small, np.zeros((1, 2000)), 2000, 1, rng)
@@ -159,7 +164,12 @@ def test_fit_recovers_cell_means(spec_small, grid_small, rng):
     # piecewise-constant targets are reproduced exactly
     g = np.cos(np.arange(partition.n_cells))[ids]
     sol = solve(batch, g, constant_driver(0.0), cells)
-    assert sol.y_paths[0] == pytest.approx(g, rel=1e-12)
+    assert path_values(sol)[0] == pytest.approx(g, rel=1e-12)
+    # Y_0 weighs each cell by its paths: 2000 paths fill 7 cells unevenly
+    uneven = CellIndex.build(batch, n_cells=7, min_count=50)
+    assert np.unique(uneven.partitions[0].counts).size > 1
+    y0 = solve(batch, t, constant_driver(0.0), uneven).y0
+    assert y0 == pytest.approx(float(np.mean(t)), rel=1e-12)
     with pytest.raises(ValueError):
         solve(batch, t[:100], constant_driver(0.0), cells)
     # a cell index only serves the batch it was built on
@@ -263,7 +273,7 @@ def _flat_batch(spec, grid, dW, n_paths, n_steps, rng):
                      path_offset=0, dW=dW, jumps=jumps, S=S)
 
 
-def test_jump_free_closed_form(spec_small, grid_small, rng):
+def test_jump_free_closed_form(spec_small, grid_small, rng, path_values):
     """No jumps and a diffusion-only driver with attainable vertex: the
     driver value vanishes along the recursion, so constants telescope."""
 
@@ -279,10 +289,10 @@ def test_jump_free_closed_form(spec_small, grid_small, rng):
     sol = solve(batch, np.full(200, 0.3), sigma_only, cells)
     # |Z| <= 0.3 * 0.05 / 0.25 < 0.2 keeps the quadratic vertex in the box
     assert abs(sol.y0 - 0.3) < 1e-15
-    assert np.max(np.abs(sol.y_paths - 0.3)) < 1e-15
+    assert np.max(np.abs(path_values(sol) - 0.3)) < 1e-15
 
 
-def test_step_cellwise_oracle(batch_small, payoff_small, dense_counts):
+def test_step_cellwise_oracle(batch_small, payoff_small, dense_counts, path_values):
     # the last step (k = 3 of 4) regresses on the terminal values
     k = 3
     sol = solve(batch_small, payoff_small, constant_driver(0.0),
@@ -292,12 +302,13 @@ def test_step_cellwise_oracle(batch_small, payoff_small, dense_counts):
     assert rec.u_coef.shape == (6, 8)
     ids = sol.cells.partitions[k].assign(batch_small.S[k])
     dtk = float(batch_small.time_grid.dt[k])
+    y_k = path_values(sol)[k]
     for c in (0, 4, 7):
         cell = ids == c
         z_hand = float(np.mean(payoff_small[cell] * batch_small.dW[k][cell])) / dtk
         assert rec.z_coef[c] == pytest.approx(z_hand, rel=1e-10, abs=1e-14)
         y_hand = float(np.mean(payoff_small[cell]))
-        assert sol.y_paths[k][cell] == pytest.approx(y_hand, rel=1e-12)
+        assert y_k[cell] == pytest.approx(y_hand, rel=1e-12)
         comp0 = dense_counts(batch_small, k)[0][cell] \
             - batch_small.grid.weights[0] * dtk
         u_hand = float(np.mean(payoff_small[cell] * comp0)) \
@@ -306,16 +317,17 @@ def test_step_cellwise_oracle(batch_small, payoff_small, dense_counts):
 
 
 def test_jump_target_event_scatter(batch_small, ctx_hidesmall, payoff_small,
-                                   dense_counts):
+                                   dense_counts, path_values):
     # every step, bin and cell: the event scatter equals the in-cell mean
     # of Ybar_{k+1} (dN_k(i) - nu_i dt_k) over the dense counts, / nu_i dt_k
     cells = CellIndex.build(batch_small, n_cells=8, min_count=50)
     sol = solve(batch_small, payoff_small, ctx_hidesmall, cells)
     nu = batch_small.grid.weights
+    y_paths = path_values(sol)
     for k, rec in enumerate(sol.steps):
         nu_dt = nu[:, None] * batch_small.time_grid.dt[k]
         comp = dense_counts(batch_small, k) - nu_dt
-        y = sol.y_paths[k + 1]
+        y = y_paths[k + 1]
         partition = cells.partitions[k]
         ids = partition.sample_ids
         assert np.array_equal(ids, partition.assign(batch_small.S[k]))
@@ -325,16 +337,25 @@ def test_jump_target_event_scatter(batch_small, ctx_hidesmall, payoff_small,
         assert rec.u_coef == pytest.approx(hand, rel=1e-10, abs=1e-12)
 
 
-def test_solve_records(batch_small, payoff_small, ctx_hidesmall, cells_small):
+def test_solve_records(batch_small, payoff_small, ctx_hidesmall, cells_small,
+                       path_values):
     sol = solve(batch_small, payoff_small, ctx_hidesmall, cells_small)
     assert sol.cells is cells_small and sol.cells.batch is batch_small
     assert len(sol.steps) == 4
-    assert np.array_equal(sol.y_paths[-1], payoff_small)
-    assert sol.y0 == pytest.approx(float(np.mean(sol.y_paths[0])), rel=1e-15)
+    assert np.array_equal(sol.F, payoff_small)
+    assert sol.y0 == pytest.approx(float(np.mean(path_values(sol)[0])), rel=1e-15)
     rec = sol.steps[0]
     n = cells_small.partitions[0].n_cells
     assert rec.z_coef.shape == (n,) and rec.u_coef.shape == (6, n)
     assert rec.f_cells.shape == (n,) and rec.p_cells.shape == (n,)
+    assert rec.y_cells.shape == (n,)
+    dt = batch_small.time_grid.dt
+    for k, rec in enumerate(sol.steps):
+        assert np.array_equal(rec.y_cells, rec.y_coef + dt[k] * rec.f_cells)
+    # the solution keeps no per-path Ybar: F is its one path-sized array
+    path_sized = [name for name, val in vars(sol).items()
+                  if np.shape(val)[-1:] == (batch_small.n_paths,)]
+    assert path_sized == ["F"]
 
 
 def test_driver_failure_reports_step(batch_small, payoff_small, cells_small):
@@ -373,3 +394,64 @@ def test_value_and_strategy(batch_small, batch_small_b, payoff_small, ctx_hidesm
     assert np.all(p0 >= -1.0) and np.all(p0 <= 1.0)
     with pytest.raises(ValueError):
         value_and_strategy(sol, -2000.0, ctx_hidesmall)
+
+
+def _path_level_pass(batch, F, driver, cells):
+    """Reference backward pass on paths: Ybar_{k+1} scattered to the paths
+    and every in-cell sum a bincount over them. Returns each step's
+    (y_coef, z_coef, u_coef, y_cells) and Y_0."""
+    y, steps = F, []
+    for k in range(batch.time_grid.n_steps - 1, -1, -1):
+        dtk = float(batch.time_grid.dt[k])
+        part = cells.partitions[k]
+        ids, nc, n = part.sample_ids, part.n_cells, part.counts
+        nu_dt = batch.grid.weights[:, None] * dtk
+        ev = batch.jumps[k]
+        y_sum = np.bincount(ids, weights=y, minlength=nc)
+        z_sum = np.bincount(ids, weights=y * batch.dW[k], minlength=nc)
+        jump_sum = np.bincount(ev.bin * nc + ids[ev.path], weights=y[ev.path] * ev.count,
+                               minlength=nu_dt.size * nc).reshape(nu_dt.size, nc)
+        y_coef, z_coef = y_sum / n, z_sum / n / dtk
+        u_coef = (jump_sum - nu_dt * y_sum) / n / nu_dt
+        f_cells, _ = driver(z_coef, u_coef.T)
+        y_cells = y_coef + dtk * np.asarray(f_cells)
+        steps.insert(0, (y_coef, z_coef, u_coef, y_cells))
+        y = y_cells[ids]
+    return steps, float(np.mean(y))
+
+
+@pytest.mark.parametrize("driver", ["zero", "constant", "hidesmall"])
+def test_cell_pass_matches_path_reference(batch_small, payoff_small, ctx_hidesmall,
+                                          driver):
+    fn = {"zero": constant_driver(0.0), "constant": constant_driver(0.05),
+          "hidesmall": ctx_hidesmall}[driver]
+    cells = CellIndex.build(batch_small, n_cells=8, min_count=50)
+    sol = solve(batch_small, payoff_small, fn, cells)
+    ref_steps, ref_y0 = _path_level_pass(batch_small, payoff_small, fn, cells)
+    for rec, (y_coef, z_coef, u_coef, y_cells) in zip(sol.steps, ref_steps):
+        assert rec.y_coef == pytest.approx(y_coef, rel=1e-12)
+        assert rec.z_coef == pytest.approx(z_coef, rel=1e-12)
+        assert rec.u_coef == pytest.approx(u_coef, rel=1e-12)
+        assert rec.y_cells == pytest.approx(y_cells, rel=1e-12)
+    assert sol.y0 == pytest.approx(ref_y0, rel=1e-12)
+
+    # the transition tables: path counts and summed dW_k per cell pair
+    assert len(cells.pair_counts) == len(cells.pair_dW) == batch_small.time_grid.n_steps - 1
+    for k, (counts, dw) in enumerate(zip(cells.pair_counts, cells.pair_dW)):
+        here, there = cells.partitions[k], cells.partitions[k + 1]
+        assert counts.shape == dw.shape == (here.n_cells, there.n_cells)
+        assert np.array_equal(counts.sum(axis=1), here.counts)
+        assert np.array_equal(counts.sum(axis=0), there.counts)
+        dw_rows = np.bincount(here.sample_ids, weights=batch_small.dW[k],
+                              minlength=here.n_cells)
+        assert np.max(np.abs(dw.sum(axis=1) - dw_rows)) < 1e-12
+
+
+def test_same_seed_same_y0(spec_small, grid_small, tg_small, ctx_hidesmall):
+    # batch, cells and solve from scratch twice: Y_0 repeats bit for bit
+    y0s = []
+    for _ in range(2):
+        batch = simulate_batch(spec_small, grid_small, tg_small, 4096, seed=101)
+        cells = CellIndex.build(batch, n_cells=64, min_count=50)
+        y0s.append(solve(batch, payoff_put(batch.S[-1], 1.0), ctx_hidesmall, cells).y0)
+    assert np.float64(y0s[0]).tobytes() == np.float64(y0s[1]).tobytes()

@@ -2,6 +2,7 @@
 just as importantly, fail loudly on a corrupted one."""
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from jumpsignal.verify import (
 )
 from jumpsignal.drivers import (
     _nosignal_objective,
+    driver_bounds,
     driver_f_batch,
     minimize_on_interval,
     nosignal_slope,
@@ -224,18 +226,42 @@ def test_empty_checks_fail(ctx_hidesmall, ctx_nosignal):
         assert not r.passed and "FAIL" in r.line()
 
 
+def _y_bound_on_paths(sol, ctx, eps_reg, path_values):
+    """check_y_bound's margins from every path's Ybar: the bound less the
+    largest |Ybar_k| over the paths, per step."""
+    lam = ctx.lam
+    f_sup = float(np.max(np.abs(sol.F)))
+    lo, _ = driver_bounds(0.0, np.zeros(ctx.grid.points.size), ctx)
+    tg = sol.cells.batch.time_grid
+    bound = math.log(math.exp(lam * f_sup) + 1.0) / lam + -lo * (tg.T - tg.times) + eps_reg
+    return bound - np.max(np.abs(path_values(sol)), axis=1)
+
+
 def test_y_bound_pass(batch_small, payoff_small, cells_small, ctx_hidesmall,
-                     eps_reg):
+                     eps_reg, path_values, monkeypatch):
+    margins, report = [], verify._report
+
+    def recording_report(name, samples, m, tol):
+        margins.append(np.asarray(m, dtype=float))
+        return report(name, samples, m, tol)
+
+    monkeypatch.setattr(verify, "_report", recording_report)
     sol = solve(batch_small, payoff_small, ctx_hidesmall, cells_small)
     r = check_y_bound(sol, ctx_hidesmall, eps_reg)
     assert r.passed and r.samples == batch_small.time_grid.n_steps + 1
+    # the largest cell value is the largest path value, bit for bit
+    assert margins[-1].tobytes() == \
+        _y_bound_on_paths(sol, ctx_hidesmall, eps_reg, path_values).tobytes()
     # the log-sum floor keeps the bound above log(2)/lam, so shrink the
     # allowance to zero and blow up the solution to force a violation;
-    # the terminal row is F itself and sets the bound, so it stays
-    sol.y_paths[:-1] += 50.0
+    # the terminal values are F itself and set the bound, so they stay
+    for rec in sol.steps:
+        rec.y_cells += 50.0
     r_bad = check_y_bound(sol, ctx_hidesmall, 0.0)
     assert not r_bad.passed
     assert r_bad.violations == batch_small.time_grid.n_steps
+    assert margins[-1].tobytes() == \
+        _y_bound_on_paths(sol, ctx_hidesmall, 0.0, path_values).tobytes()
 
 
 def test_y_bound_reads_sup_from_terminal(batch_small, payoff_small, cells_small,
