@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--z-min", type=float, default=-2.0)
     sp.add_argument("--z-max", type=float, default=2.0)
-    sp.add_argument("--z-steps", type=int, default=41)
+    sp.add_argument("--z-steps", type=_positive_int, default=41)
     sp.add_argument("--out")
     sp.set_defaults(fn=cmd_driver_table)
 

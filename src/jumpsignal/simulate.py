@@ -14,11 +14,15 @@ channel), with the path index addressing the position inside the stream,
 and the uniform of a word w is (w >> 11) 2^-53, as numpy's
 ``Generator.random`` forms it. Chunking the paths across any number of
 workers therefore reproduces the exact same numbers as a single pass.
-For the same reason the streams of a step (the Brownian channel and one
-channel per jump bin) are drawn on a thread pool sized to the CPUs the
-process may run on, and the batch does not depend on the pool size:
-each stream is fixed by its key alone, and the results are assembled in
-channel order.
+For the same reason the streams (the Brownian channel and one channel
+per jump bin) are drawn on a thread pool sized to the CPUs the process
+may run on, one task per channel over all steps, and the batch does not
+depend on the pool size: each stream is fixed by its key alone, and the
+events are assembled in channel order.
+
+The Brownian uniforms are drawn straight into the rows of dW, floored at
+2^-64, mapped to standard normals in place by ``_ndtri``, a numpy port
+of Cephes ndtri, and scaled by sqrt(dt_k) in place.
 
 Jump counts are stored as events, not as a dense (n_steps, n_bins,
 n_paths) array: at the reference scale fewer than 1% of the counts are
@@ -45,12 +49,10 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Tuple
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtri
 
 from .drivers import DriverContext
 from .levy_model import DiscreteJumpGrid, LevyMarketSpec
@@ -125,10 +127,118 @@ def _words(seed: int, step: int, channel: int, n: int, start: int = 0) -> np.nda
     return bg.random_raw(skip + n)[skip:]
 
 
-def _normals(seed: int, step: int, channel: int, n: int, start: int = 0) -> np.ndarray:
-    u = _uniforms(seed, step, channel, n, start)
-    # random() can emit exactly 0, which ndtri maps to -inf
-    return ndtri(np.maximum(u, 2.0 ** -64))
+# Cephes ndtri (S. L. Moshier, Methods and Programs for Mathematical
+# Functions, 1989), the algorithm behind scipy.special.ndtri; the leading
+# 1 of each denominator Q is implied, as in Cephes' p1evl
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_SQRT_2PI = 2.50662827463100050242
+# central region, a rational function of y^2 with y = u - 1/2
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
+       -5.66762857469070293439E1, 1.39312609387279679503E1,
+       -1.23916583867381258016E0)
+_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
+       8.63602421390890590575E1, -2.25462687854119370527E2,
+       2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+# tails, rational functions of z = 1/x with x = sqrt(-2 log u): x < 8
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
+       5.71628192246421288162E1, 4.40805073893200834700E1,
+       1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+       -8.57456785154685413611E-4)
+_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
+       4.13172038254672030440E1, 1.50425385692907503408E1,
+       2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+# and x >= 8, that is u < exp(-32)
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
+       3.93881025292474443415E0, 1.33303460815807542389E0,
+       2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6,
+       6.23974539184983293730E-9)
+_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
+       1.37702099489081330271E0, 2.16236993594496635890E-1,
+       1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
+
+
+def _polevl(x: np.ndarray, coef: tuple, monic: bool = False) -> np.ndarray:
+    """Horner's rule in Cephes' order; ``monic`` prepends a leading 1."""
+    if monic:
+        acc = np.add(x, coef[0])
+    else:
+        acc = np.multiply(x, coef[0])
+        acc += coef[1]
+    for c in coef[1 if monic else 2:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _ndtri_tail(x: np.ndarray, P: tuple, Q: tuple) -> np.ndarray:
+    """(z P(z)) / Q(z) with z = 1/x."""
+    z = np.reciprocal(x)
+    r = _polevl(z, P)
+    r *= z
+    r /= _polevl(z, Q, monic=True)
+    return r
+
+
+def _ndtri(y: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """The standard normal quantile of each entry of y, all in (0, 1).
+
+    A numpy port of Cephes ndtri that keeps its operation order, so the
+    central region exp(-2) < y <= 1 - exp(-2) is bit-identical to
+    scipy.special.ndtri; the tails differ only where numpy's log rounds
+    differently from the C library's. ``out`` may be ``y`` itself.
+    """
+    if out is None:
+        out = np.empty_like(y)
+    # the tails first: writing the central values may overwrite y
+    t = np.flatnonzero((y <= _EXP_M2) | (y > 1.0 - _EXP_M2))
+    yt = y.take(t)
+    x = np.subtract(1.0, yt)  # exact for the upper tail
+    np.minimum(yt, x, out=x)
+    np.log(x, out=x)
+    x *= -2.0
+    np.sqrt(x, out=x)
+    x1 = _ndtri_tail(x, _P1, _Q1)
+    if x.size and x.max() >= 8.0:
+        far = np.flatnonzero(x >= 8.0)
+        x1[far] = _ndtri_tail(x[far], _P2, _Q2)
+    xt = np.log(x)
+    xt /= x
+    np.subtract(x, xt, out=xt)
+    xt -= x1
+    yt -= 0.5
+    np.copysign(xt, yt, out=xt)  # negative in the lower tail
+
+    w = np.subtract(y, 0.5, out=out)
+    y2 = np.multiply(w, w)
+    q = _polevl(y2, _Q0, monic=True)
+    r = _polevl(y2, _P0)
+    r *= y2
+    r /= q
+    r *= w
+    w += r
+    w *= _SQRT_2PI
+    out.put(t, xt)
+    return out
+
+
+def _brownian(seed: int, dt: np.ndarray, path_offset: int,
+              dW: np.ndarray) -> None:
+    """Fill each row k of dW with the increments of step k, drawn from
+    the (seed, k, 0) stream in place."""
+    for k in range(dW.shape[0]):
+        bg, skip = _stream(seed, k, 0, path_offset)
+        gen = Generator(bg)
+        gen.random(skip)
+        gen.random(out=dW[k])
+        # random() can emit exactly 0, which the quantile maps to -inf
+        np.maximum(dW[k], 2.0 ** -64, out=dW[k])
+        _ndtri(dW[k], out=dW[k])
+        dW[k] *= math.sqrt(dt[k])
 
 
 def _poisson_invcdf(u: np.ndarray, mu: float) -> np.ndarray:
@@ -238,25 +348,26 @@ def simulate_batch(
 
     dW = np.empty((n_steps, n_paths))
 
-    def draw(k, channel):
-        # channel 0 is the Brownian stream, channel 1 + j the jumps of bin j
+    def draw(channel):
+        # channel 0 is the Brownian stream, channel 1 + j the jumps of bin
+        # j; one task draws its channel at every step
         if channel == 0:
-            z = _normals(seed, k, 0, n_paths, path_offset)
-            np.multiply(math.sqrt(dt[k]), z, out=dW[k])
+            _brownian(seed, dt, path_offset, dW)
             return None
-        words = _words(seed, k, channel, n_paths, path_offset)
-        return _poisson_events(words, grid.weights[channel - 1] * dt[k])
+        return [_poisson_events(_words(seed, k, channel, n_paths, path_offset),
+                                grid.weights[channel - 1] * dt[k])
+                for k in range(n_steps)]
 
-    jumps = []
-    # Philox, the uint64 comparison and flatnonzero release the GIL; one
-    # step at a time bounds the words held at once by the pool size
+    # Philox, the ufuncs, the uint64 comparison and flatnonzero release
+    # the GIL; each task holds one stream of words at a time
     with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
-        for k in range(n_steps):
-            _, *events = pool.map(partial(draw, k), range(nb + 1))
-            paths, counts = zip(*events)
-            bins = np.repeat(np.arange(nb), [p.size for p in paths])
-            jumps.append(JumpEvents(path=np.concatenate(paths), bin=bins,
-                                    count=np.concatenate(counts)))
+        _, *by_bin = pool.map(draw, range(nb + 1))
+    jumps = []
+    for k in range(n_steps):
+        paths, counts = zip(*(events[k] for events in by_bin))
+        bins = np.repeat(np.arange(nb), [p.size for p in paths])
+        jumps.append(JumpEvents(path=np.concatenate(paths), bin=bins,
+                                count=np.concatenate(counts)))
 
     eta = grid.eta_values()
     comp = float(eta @ grid.weights)

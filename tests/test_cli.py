@@ -390,6 +390,15 @@ def test_verify_rejects_nonpositive_samples(samples, capsys):
     assert "positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("z_steps", ["0", "-3"])
+def test_driver_table_rejects_nonpositive_z_steps(z_steps, capsys):
+    # zero points would print an empty table and exit 0
+    with pytest.raises(SystemExit) as exc:
+        main(["driver-table", "--z-steps", z_steps])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("paths", ["0", "-5"])
 def test_solve_rejects_nonpositive_paths(paths, capsys):
     # a zero path count must not fall back to the config's

@@ -1,15 +1,17 @@
 """Simulation oracles: counter-based reproducibility under chunking,
-inverse-CDF correctness against scipy, exact price recomputation, and a
-hand-checked wealth decomposition."""
+inverse-CDF and Gaussian-quantile correctness against scipy, exact price
+recomputation, and a hand-checked wealth decomposition."""
 
 import math
 import os
+import subprocess
 import sys
 import threading
 import warnings
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import poisson
 
 from jumpsignal import (
@@ -27,6 +29,7 @@ from jumpsignal import (
 from jumpsignal import simulate
 from jumpsignal.simulate import (
     JumpEvents,
+    _ndtri,
     _poisson_events,
     _poisson_invcdf,
     _uniforms,
@@ -171,7 +174,8 @@ def test_pool_cleans_up_and_reports_errors(monkeypatch, spec_small, grid_small,
     def failing(words, mu):
         with lock:
             calls.append(mu)
-            fail = len(calls) == 8  # one channel of the second step
+            # partway through the jump channels, other tasks still queued
+            fail = len(calls) == 8
         if fail:
             raise ValueError("injected failure")
         return real(words, mu)
@@ -191,6 +195,89 @@ def test_brownian_increment_moments(spec_small, grid_small):
     w = b.dW[0] / math.sqrt(0.5)
     assert abs(np.mean(w)) < 4.0 / math.sqrt(20000)
     assert abs(np.std(w) - 1.0) < 4.0 / math.sqrt(20000)
+
+
+EXP_M2 = math.exp(-2.0)
+
+
+def _ulps(a, b):
+    """Distance in units in the last place between same-signed floats."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def _assert_ndtri_matches_scipy(u):
+    got, want = _ndtri(u), ndtri(u)
+    central = (u > EXP_M2) & (u <= 1.0 - EXP_M2)
+    # Cephes' operation order: bit for bit where no log is taken
+    assert np.array_equal(got[central], want[central])
+    # the tails differ only by numpy's log against the C library's
+    assert np.all(_ulps(got[~central], want[~central]) <= 8)
+    return int(np.count_nonzero(got != want))
+
+
+def test_ndtri_matches_scipy_on_the_brownian_uniforms():
+    # the uniforms behind dW at the reference scale: seeds 1-20, 10 steps
+    n_tail = 0
+    for seed in range(1, 21):
+        for k in range(10):
+            u = np.maximum(_uniforms(seed, k, 0, 65536), 2.0 ** -64)
+            _assert_ndtri_matches_scipy(u)
+            n_tail += np.count_nonzero((u <= EXP_M2) | (u > 1.0 - EXP_M2))
+    assert n_tail > 0.25 * 200 * 65536
+
+
+def test_ndtri_edge_values():
+    # the floor of the uniforms, the largest uniform, the region bounds,
+    # and exp(-32), where the tail switches to its far rational piece
+    edges = np.array([2.0 ** -64, 1.0 - 2.0 ** -53, EXP_M2, 1.0 - EXP_M2,
+                      math.exp(-32.0)])
+    below, above = np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)
+    u = np.concatenate([edges, below, above[above < 1.0]])
+    _assert_ndtri_matches_scipy(u)
+    x = _ndtri(u)
+    assert np.all(np.isfinite(x))
+    assert np.all(np.sign(x) == np.sign(u - 0.5))
+    # one value at a time runs the same code as a mixed array
+    for v, xv in zip(u, x):
+        assert _ndtri(np.array([v]))[0] == xv
+
+
+def test_ndtri_out_may_alias_the_input():
+    u = np.maximum(_uniforms(3, 1, 0, 4096), 2.0 ** -64)
+    u[:2] = [2.0 ** -64, 1.0 - 2.0 ** -53]  # both tail pieces
+    keep = u.copy()
+    separate = _ndtri(u, out=np.empty_like(u))
+    assert np.array_equal(u, keep)
+    assert _ndtri(u, out=u) is u
+    assert np.array_equal(u, separate)
+
+
+@pytest.mark.parametrize("start", [0, 3, 9])
+def test_brownian_increments_are_the_quantiles_of_the_stream(
+        start, spec_small, grid_small, tg_small):
+    b = simulate_batch(spec_small, grid_small, tg_small, 50, seed=9,
+                       path_offset=start)
+    for k, dt in enumerate(tg_small.dt):
+        u = np.maximum(_uniforms(9, k, 0, 50, start), 2.0 ** -64)
+        assert np.array_equal(b.dW[k], _ndtri(u) * math.sqrt(dt))
+
+
+def test_package_runs_without_scipy():
+    # scipy is a test dependency only: a fresh interpreter that cannot
+    # import it still runs the driver checks
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from jumpsignal.cli import main\n"
+        "rc = main(['verify', '--driver-only', '--samples', '50'])\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy.')]\n"
+        "sys.exit(rc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(simulate.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
 
 
 def test_poisson_invcdf_matches_scipy():
