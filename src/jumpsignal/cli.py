@@ -135,6 +135,18 @@ def _solve_point(cfg, cfg_hash, spec, grid, scenario, cells):
             "status": "ok"}
 
 
+def _solve_point_or_error(cfg, cfg_hash, spec, grid, scenario, cells):
+    """``_solve_point``, or its row with status ``error: ...`` and no
+    values when the solve or its bound check fails."""
+    try:
+        return _solve_point(cfg, cfg_hash, spec, grid, scenario, cells)
+    except (ValueError, ArithmeticError) as exc:
+        return {"scenario": scenario.label(),
+                "c": getattr(scenario, "c", ""), "seed": cells.batch.seed,
+                "y0": "", "value": "", "wall_time": "",
+                "config_hash": cfg_hash, "status": f"error: {exc}"}
+
+
 def cmd_solve(args) -> int:
     cfg = _load(args)
     spec = cfg.market_spec()
@@ -142,11 +154,11 @@ def cmd_solve(args) -> int:
     tg = cfg.time_grid()
     scenario = cfg.scenarios()[0]
     cells = _cells(cfg, spec, grid, tg, cfg.scheme.seeds[0])
-    row = _solve_point(cfg, config_hash(cfg), spec, grid, scenario, cells)
+    row = _solve_point_or_error(cfg, config_hash(cfg), spec, grid, scenario, cells)
     w = csv.DictWriter(sys.stdout, fieldnames=RESULT_COLUMNS)
     w.writeheader()
     w.writerow(row)
-    return 0
+    return 0 if row["status"] == "ok" else 1
 
 
 def cmd_sweep(args) -> int:
@@ -162,14 +174,8 @@ def cmd_sweep(args) -> int:
     for seed in cfg.scheme.seeds:
         cells = _cells(cfg, spec, grid, tg, seed)
         for scenario in scenarios:
-            try:
-                rows.append(_solve_point(cfg, cfg_hash, spec, grid, scenario, cells))
-            except (ValueError, ArithmeticError) as exc:
-                rows.append({"scenario": scenario.label(),
-                             "c": getattr(scenario, "c", ""), "seed": seed,
-                             "y0": "", "value": "", "wall_time": "",
-                             "config_hash": cfg_hash,
-                             "status": f"error: {exc}"})
+            rows.append(_solve_point_or_error(cfg, cfg_hash, spec, grid,
+                                              scenario, cells))
         # free this seed's batch before the next one is simulated
         del cells
     rows.sort(key=lambda r: (r["scenario"], _c_key(r["c"]), r["seed"]))

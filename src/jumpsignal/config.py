@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import List, Tuple, Union
 
@@ -45,6 +46,16 @@ __all__ = [
 _VARIANTS = ("nosignal", "hidesmall", "hidelarge")
 
 
+def _is_int(value) -> bool:
+    """An integer, and not a bool (YAML reads ``true`` as one)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _require_int(name: str, value) -> None:
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MarketBlock:
     rho: float = 0.1
@@ -67,6 +78,9 @@ class GridBlock:
     e_max: float = 5.0
     layout: str = "geometric"
 
+    def __post_init__(self):
+        _require_int("q", self.q)
+
 
 @dataclass(frozen=True)
 class SchemeBlock:
@@ -78,8 +92,11 @@ class SchemeBlock:
 
     def __post_init__(self):
         for name in ("n_steps", "n_paths", "n_cells", "min_count"):
+            _require_int(name, getattr(self, name))
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not isinstance(self.seeds, (list, tuple)) or not all(map(_is_int, self.seeds)):
+            raise ValueError(f"seeds must be a list of integers, got {self.seeds!r}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if len(self.seeds) == 0:
             raise ValueError("seeds must be nonempty")
@@ -160,7 +177,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown config block(s): {sorted(unknown)}")
         kwargs = {}
         for name, block_cls in _BLOCKS.items():
-            block_data = data.get(name, {}) or {}
+            block_data = data.get(name)
+            if block_data is None:
+                block_data = {}
+            if not isinstance(block_data, dict):
+                raise ValueError(f"config block {name!r} must be a mapping, "
+                                 f"got {type(block_data).__name__}")
             allowed = {f.name for f in fields(block_cls)}
             bad = set(block_data) - allowed
             if bad:

@@ -24,8 +24,21 @@ golden-section search (``minimize_on_interval``), one search for all the
 rows of a call whatever their levels m; rows with no active truncation
 take the exact path, so f_m equals f on them bit for bit.
 
+Both searches evaluate a kernel prepared once per driver call
+(``_NoSignalPart``): the no-signal columns of U, z + C/lam, the eta rows,
+the nu and eta nu vectors and, for f_m, rho_m(z), the level per (row,
+bin) and the active bins are set up when the rows are, and each of the
+80 objective evaluations of the f_m search (or each Newton step of the
+exact one) does only the p-dependent arithmetic in two work arrays of the
+kernel. The arithmetic keeps the operation order of the formulas above
+evaluated in one go, and each matrix reaches BLAS in the memory order
+those gave it (BLAS picks its summation order from it), so values and
+argmins are bit for bit those of the formulas. The signal sum works in
+place as well; the phi_m cap takes arctan only on the entries above its
+knee.
+
 The exponentials of the utility problem (h_lam, the driver's slope, the
-utilities and the value V) go through ``guarded_exp``: an exponent beyond
+utilities and the value V) pass the guard of ``guarded_exp``: an exponent beyond
 ``EXP_ARG_MAX`` = 700 raises, because the bounded-solution regime never
 gets near it and reaching it signals a bug upstream.
 """
@@ -76,31 +89,62 @@ def guarded_exp(arg, exp=np.exp):
     with ``math.exp``, whose last bit can differ from ``np.exp``.
     """
     a = np.asarray(arg, dtype=float)
-    if np.any(a > EXP_ARG_MAX):
+    _guard_exponent(a)
+    return exp(a)
+
+
+def _guard_exponent(a):
+    if a.size and a.max() > EXP_ARG_MAX:
         raise ValueError(
             f"exponent {np.max(a):.3g} exceeds the overflow guard {EXP_ARG_MAX}"
         )
-    return exp(a)
 
 
 def h_lambda(x, lam: float):
     """Convex function (e^(lam x) - lam x - 1) / lam, >= 0, zero at 0."""
     if not lam > 0:
         raise ValueError(f"lam must be > 0, got {lam}")
-    x = np.asarray(x, dtype=float)
-    return (guarded_exp(lam * x) - lam * x - 1.0) / lam
+    return _h_lambda_of(lam * np.asarray(x, dtype=float), lam)
+
+
+def _h_lambda_of(lx, lam: float, out=None):
+    """h_lam(x) from lx = lam x, written into ``out`` (a new array if None)."""
+    _guard_exponent(lx)
+    h = np.exp(lx, out=out)
+    h -= lx
+    h -= 1.0
+    h /= lam
+    return h
 
 
 def rho_m(x, m: int):
     """Plateau cutoff: 1 on [-m, m], linear to 0 on the unit bands outside."""
-    x = np.asarray(x, dtype=float)
-    return np.clip(np.minimum(x + m + 1.0, m + 1.0 - x), 0.0, 1.0)
+    return _rho_m_inplace(np.array(x, dtype=float), m)
+
+
+def _rho_m_inplace(x, m):
+    """``rho_m`` written over the float array x, with one more array."""
+    up = x + m
+    up += 1.0
+    np.subtract(m + 1.0, x, out=x)
+    np.minimum(up, x, out=x)
+    return np.clip(x, 0.0, 1.0, out=x)
 
 
 def phi_m(x, m: int):
     """Identity up to m, then m + arctan(x - m): caps growth above the knee."""
-    x = np.asarray(x, dtype=float)
-    return np.where(x <= m, x, m + np.arctan(np.where(x > m, x - m, 0.0)))
+    return _phi_m_inplace(np.array(x, dtype=float), m)
+
+
+def _phi_m_inplace(x, m):
+    """``phi_m`` written over the float array x; arctan is taken only on
+    the entries above the knee."""
+    over = x > m
+    if over.any():
+        at = np.flatnonzero(over)
+        m_over = np.broadcast_to(m, x.shape).flat[at]
+        x.flat[at] = m_over + np.arctan(x.flat[at] - m_over)
+    return x
 
 
 def minimize_on_interval(objective: Callable, a: float, b: float):
@@ -235,50 +279,111 @@ def u_lambda_norm(u, ctx: DriverContext):
     return h_lambda(_as_u_matrix(u, ctx.grid), ctx.lam) @ ctx.nu_g
 
 
-def _nosignal_objective(Z, U, P, ctx: DriverContext, m=None):
-    """Inner objective of the no-signal part, vectorized over rows.
+class _NoSignalPart:
+    """The inner objective of the no-signal part on fixed rows (z, u), as
+    a function of the position p: a scalar shared by every row, or one
+    entry per row.
 
     (lam/2)(sigma p - (z + C/lam))^2 plus the exponential jump integrand
-    over the no-signal bins; strictly convex in p. With m None this is
-    the exact f1; with an integer m, or one per row, it is the penalized
-    f1_m (rho_m fade on the quadratic, phi_m cap inside h_lam, bins
-    |e_i| <= 1/m zeroed in the h-sum, linear term kept on the full grid).
+    over the no-signal bins. With m None this is the exact f1, strictly
+    convex in p, and ``slope`` gives its first two derivatives. With one
+    level m per row (as a driver call passes them; one integer for all rows
+    also works) it is the penalized f1_m: rho_m fade on the
+    quadratic, phi_m cap inside h_lam, bins |e_i| <= 1/m zeroed in the
+    h-sum, linear term kept on the full grid. f1_m need not be strictly
+    convex: the cap and the fade can flatten it, down to a constant in p
+    once rho_m(z) = 0 and every no-signal bin is truncated.
+
+    Everything that does not depend on p is set up once per driver call:
+    the no-signal columns of U, z + C/lam, eta per (row, bin), the nu and
+    eta nu vectors and, for f1_m, rho_m(z), the level per (row, bin) and
+    the active bins. An evaluation does only the p-dependent arithmetic,
+    in the operation order of the formulas above, inside two work arrays
+    of the object.
     """
-    lam = ctx.lam
-    ns = ~ctx.sig_mask
-    eta = ctx.eta_g[ns]
-    nu = ctx.nu_g[ns]
-    x = U[:, ns] - np.multiply.outer(P, eta)
-    quad = 0.5 * lam * (ctx.sigma * P - (Z + ctx.c_const / lam)) ** 2
-    lin = -P * float(eta @ nu)
-    if m is None:
-        hsum = h_lambda(x, lam) @ nu
-    else:
-        m_col = np.asarray(m, dtype=float)[..., None]
-        active = np.abs(ctx.grid.points[ns]) > 1.0 / m_col
-        hsum = (h_lambda(phi_m(x, m_col), lam) * active) @ nu
-        quad = quad * rho_m(Z, m)
-    return quad + hsum + lin
+
+    def __init__(self, Z, U, ctx: DriverContext, m=None):
+        lam = ctx.lam
+        ns = ~ctx.sig_mask
+        eta = ctx.eta_g[ns]
+        nu = ctx.nu_g[ns]
+        self.lam, self.sigma = lam, ctx.sigma
+        # row-major like the work arrays, so u - p eta runs contiguous
+        self.u = np.compress(ns, U, axis=1)
+        self.zc = Z + ctx.c_const / lam
+        self.eta_rows = np.broadcast_to(eta, self.u.shape).copy()
+        self.nu = nu
+        self.eta_nu = float(eta @ nu)
+        self.nu_eta = nu * eta
+        self.nu_eta2 = self.nu_eta * eta
+        self._x = np.empty(self.u.shape)
+        self._h = np.empty(self.u.shape)
+        self.m_rows = None
+        if m is not None:
+            m_col = np.asarray(m, dtype=float)[..., None]
+            self.m_rows = np.broadcast_to(m_col, self.u.shape).copy()
+            self.active = np.abs(ctx.grid.points[ns]) > 1.0 / m_col
+            self.fade = rho_m(Z, m)
+
+    def _exponent(self, P):
+        """lam (u_i - p eta_i) per (row, no-signal bin), for f1_m
+        lam phi_m(u_i - p eta_i), in the first work array."""
+        x = self._x
+        if np.ndim(P):
+            np.multiply(np.repeat(P, x.shape[1]).reshape(x.shape), self.eta_rows, out=x)
+        else:
+            np.multiply(self.eta_rows, P, out=x)
+        np.subtract(self.u, x, out=x)
+        if self.m_rows is not None:
+            _phi_m_inplace(x, self.m_rows)
+        x *= self.lam
+        return x
+
+    def _blas_layout(self, a, P):
+        """``a`` in the memory order the per-call formulas handed to BLAS,
+        which picks the summation order of ``a @ v``: column-major for a
+        scalar p without the cap (there the column selection U[:, ns] set
+        the order), row-major otherwise."""
+        return np.asfortranarray(a) if self.m_rows is None and np.ndim(P) == 0 else a
+
+    def __call__(self, P):
+        lam = self.lam
+        h = _h_lambda_of(self._exponent(P), lam, out=self._h)
+        quad = 0.5 * lam * (self.sigma * P - self.zc) ** 2
+        lin = -P * self.eta_nu
+        if self.m_rows is not None:
+            h *= self.active
+            quad = quad * self.fade
+        return quad + self._blas_layout(h, P) @ self.nu + lin
+
+    def slope(self, P):
+        """First and second derivative in p of the exact f1 (m None).
+
+        f1'(p) = lam sigma (sigma p - z - C/lam) - sum_ns nu_i eta_i e_i and
+        f1''(p) = lam sigma^2 + lam sum_ns nu_i eta_i^2 e_i > 0, with
+        e_i = exp(lam (u_i - p eta_i)) over the no-signal bins, per row.
+        """
+        lam, sigma = self.lam, self.sigma
+        x = self._exponent(P)
+        _guard_exponent(x)
+        e = self._blas_layout(np.exp(x, out=self._h), P)
+        d1 = lam * sigma * (sigma * P - self.zc) - e @ self.nu_eta
+        d2 = lam * sigma ** 2 + lam * (e @ self.nu_eta2)
+        return d1, d2
+
+
+def _nosignal_objective(Z, U, P, ctx: DriverContext, m=None):
+    """f1 (m None) or f1_m of rows (z, u) at positions P; see ``_NoSignalPart``."""
+    return _NoSignalPart(Z, U, ctx, m)(P)
 
 
 def nosignal_slope(Z, U, P, ctx: DriverContext):
-    """First and second derivative in p of the exact no-signal objective f1.
-
-    f1'(p) = lam sigma (sigma p - z - C/lam) - sum_ns nu_i eta_i e_i and
-    f1''(p) = lam sigma^2 + lam sum_ns nu_i eta_i^2 e_i > 0, with
-    e_i = exp(lam (u_i - p eta_i)) over the no-signal bins, per row.
-    """
-    lam, sigma = ctx.lam, ctx.sigma
-    ns = ~ctx.sig_mask
-    eta = ctx.eta_g[ns]
-    nu_eta = ctx.nu_g[ns] * eta
-    e = guarded_exp(lam * (U[:, ns] - np.multiply.outer(P, eta)))
-    d1 = lam * sigma * (sigma * P - (Z + ctx.c_const / lam)) - e @ nu_eta
-    d2 = lam * sigma ** 2 + lam * (e @ (nu_eta * eta))
-    return d1, d2
+    """(f1'(P), f1''(P)) of the exact no-signal objective; see
+    ``_NoSignalPart.slope``."""
+    return _NoSignalPart(Z, U, ctx).slope(P)
 
 
-def _exact_argmin(Z, U, ctx: DriverContext):
+def _exact_argmin(f1: _NoSignalPart, ctx: DriverContext):
     """Argmin of the exact f1 on [-pi_lower, pi_upper], per row.
 
     f1 is strictly convex, so the argmin is the clipped root of the
@@ -290,12 +395,13 @@ def _exact_argmin(Z, U, ctx: DriverContext):
     is linear in p, so no position inside the box exceeds them.
     """
     a, b = -ctx.pi_lower, ctx.pi_upper
-    ga, _ = nosignal_slope(Z, U, np.full(Z.size, a), ctx)
-    gb, _ = nosignal_slope(Z, U, np.full(Z.size, b), ctx)
+    n = f1.zc.size
+    ga, _ = f1.slope(np.full(n, a))
+    gb, _ = f1.slope(np.full(n, b))
     at_a = ga >= 0.0
     at_b = ~at_a & (gb <= 0.0)
-    lo = np.full(Z.size, a)
-    hi = np.full(Z.size, b)
+    lo = np.full(n, a)
+    hi = np.full(n, b)
     # start from the secant of f1' across the box
     with np.errstate(divide="ignore", invalid="ignore"):
         p = np.clip(a - ga * (b - a) / (gb - ga), a, b)
@@ -304,7 +410,7 @@ def _exact_argmin(Z, U, ctx: DriverContext):
     for _ in range(_NEWTON_CAP):
         if not active.any():
             break
-        g, h = nosignal_slope(Z, U, p, ctx)
+        g, h = f1.slope(p)
         lo = np.where(g < 0.0, p, lo)
         hi = np.where(g > 0.0, p, hi)
         step = p - g / h
@@ -318,36 +424,56 @@ def _exact_argmin(Z, U, ctx: DriverContext):
 
 
 def _signal_sum(U, ctx: DriverContext, m=None):
-    """Signal-branch sum at the closed-form boundary positions."""
+    """Signal-branch sum at the closed-form boundary positions.
+
+    Works in place on a copy of the signal columns of U, so f_m takes
+    three arrays of that size at its peak.
+    """
     sig = ctx.sig_mask
     if not np.any(sig):
         return np.zeros(U.shape[0])
+    lam = ctx.lam
     eta = ctx.eta_g[sig]
     nu = ctx.nu_g[sig]
-    x = U[:, sig] - ctx.boundary_p[sig][None, :] * eta[None, :]
-    lin = -float((ctx.boundary_p[sig] * eta) @ nu) * np.ones(U.shape[0])
+    shift = ctx.boundary_p[sig] * eta
+    lin = -float(shift @ nu) * np.ones(U.shape[0])
+    # f keeps the column-major order of U's signal columns and f_m works
+    # row-major, as the per-call formulas did: the memory order picks the
+    # summation order of the final product with nu in BLAS
+    x = U[:, sig] if m is None else np.compress(sig, U, axis=1)
+    x -= shift
     if m is None:
-        return h_lambda(x, ctx.lam) @ nu + lin
+        x *= lam
+        return _h_lambda_of(x, lam) @ nu + lin
     m_col = np.asarray(m, dtype=float)[..., None]
     active = np.abs(ctx.grid.points[sig]) > 1.0 / m_col
-    hterm = h_lambda(phi_m(x, m_col), ctx.lam) * rho_m(U[:, sig], m_col)
-    return (hterm * active) @ nu + lin
+    _phi_m_inplace(x, m_col)
+    x *= lam
+    h = _h_lambda_of(x, lam)
+    h *= _rho_m_inplace(np.compress(sig, U, axis=1, out=x), m_col)
+    h *= active
+    return h @ nu + lin
 
 
 def _driver_rows(Z, U, ctx: DriverContext, m=None):
-    """f (m None) or f_m (m per row) on rows of (z, u); returns (values, argmin)."""
-    Z = np.atleast_1d(np.asarray(Z, dtype=float))
-    U = _as_u_matrix(U, ctx.grid, Z.size)
+    """f (m None) or f_m (m per row) on validated rows of (z, u); returns
+    (values, argmin). The signal sum is taken first, so its arrays and the
+    no-signal part's are never held at once."""
+    sig = _signal_sum(U, ctx, m=m)
+    f1 = _NoSignalPart(Z, U, ctx, m)
     if m is None:
-        p0 = _exact_argmin(Z, U, ctx)
-        f1min = _nosignal_objective(Z, U, p0, ctx)
+        p0 = _exact_argmin(f1, ctx)
+        f1min = f1(p0)
     else:
-        p0, f1min = minimize_on_interval(
-            lambda P: _nosignal_objective(Z, U, P, ctx, m=m),
-            -ctx.pi_lower, ctx.pi_upper,
-        )
-    vals = f1min + _signal_sum(U, ctx, m=m) + ctx.affine_tail(Z)
+        p0, f1min = minimize_on_interval(f1, -ctx.pi_lower, ctx.pi_upper)
+    vals = f1min + sig + ctx.affine_tail(Z)
     return vals, p0
+
+
+def _rows(Z, U, ctx: DriverContext):
+    """z as a float vector and u as its (rows, 2q) matrix, validated."""
+    Z = np.atleast_1d(np.asarray(Z, dtype=float))
+    return Z, _as_u_matrix(U, ctx.grid, Z.size)
 
 
 def driver_f_batch(Z, U, ctx: DriverContext):
@@ -358,7 +484,7 @@ def driver_f_batch(Z, U, ctx: DriverContext):
     values, p_default : arrays over rows
         Driver values and the minimizing no-signal positions p*(0, z, u).
     """
-    return _driver_rows(Z, U, ctx)
+    return _driver_rows(*_rows(Z, U, ctx), ctx)
 
 
 def penalized_driver_fm_batch(Z, U, m, ctx: DriverContext):
@@ -368,8 +494,7 @@ def penalized_driver_fm_batch(Z, U, m, ctx: DriverContext):
     ``fm_exact_threshold`` is below its m has no active truncation and
     takes the exact driver's path, so f_m equals f on it bit for bit.
     """
-    Z = np.atleast_1d(np.asarray(Z, dtype=float))
-    U = _as_u_matrix(U, ctx.grid, Z.size)
+    Z, U = _rows(Z, U, ctx)
     m = np.asarray(m)
     ok = m.dtype.kind in "iuf" and np.all(np.isfinite(m) & (m >= 1) & (m == np.round(m)))
     if not ok or (m.ndim and m.shape != Z.shape):
@@ -379,6 +504,9 @@ def penalized_driver_fm_batch(Z, U, m, ctx: DriverContext):
     vals = np.empty(Z.size)
     p0 = np.empty(Z.size)
     for rows, level in ((exact, None), (~exact, m[~exact])):
+        if rows.all():
+            # no copy of the rows when they all take one path
+            return _driver_rows(Z, U, ctx, m=level)
         if rows.any():
             vals[rows], p0[rows] = _driver_rows(Z[rows], U[rows], ctx, m=level)
     return vals, p0

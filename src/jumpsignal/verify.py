@@ -3,9 +3,10 @@
 Each check samples its domain, counts violations, and emits a
 CheckReport; a report passes iff no violation occurred. The driver
 checks draw their samples from fixed seeds of their own and evaluate
-the driver on all of them at once, each f_m row at its own
-penalization level m (``check_fm_monotone`` makes two calls, at m and at
-m + 1): a row's driver value does not depend on the other rows of its
+the driver on all of them in one call, each f_m row at its own
+penalization level m (``check_fm_monotone`` stacks its samples at m over
+the same samples at m + 1, ``check_lipschitz_z`` its rows (z, u) over
+(z', u)): a row's driver value does not depend on the other rows of its
 batch (each row of the exact driver ends its Newton search on its own
 test, see ``drivers._exact_argmin``; every f_m row takes the same number
 of golden-section steps, see ``drivers.minimize_on_interval``). Statistical
@@ -141,26 +142,34 @@ def check_driver_kkt(n_samples: int, ctx: DriverContext) -> CheckReport:
 
 
 def check_fm_monotone(n_samples: int, ctx: DriverContext) -> CheckReport:
-    """f_m is nondecreasing in the penalization level m."""
+    """f_m is nondecreasing in the penalization level m.
+
+    One f_m call takes every sample twice, at m and at m + 1.
+    """
     rng = np.random.default_rng(11)
     nb = ctx.grid.points.size
     z, u = _sample_zu(rng, n_samples, nb)
     ms = rng.integers(_M_RANGE[0], _M_RANGE[1], size=n_samples)
-    lo_val = penalized_driver_fm_batch(z, u, ms, ctx)[0]
-    hi_val = penalized_driver_fm_batch(z, u, ms + 1, ctx)[0]
+    z, u, ms = np.tile(z, 2), np.tile(u, (2, 1)), np.concatenate([ms, ms + 1])
+    vals = penalized_driver_fm_batch(z, u, ms, ctx)[0]
+    lo_val, hi_val = vals[:n_samples], vals[n_samples:]
     tol_scale = np.maximum(1.0, np.maximum(np.abs(lo_val), np.abs(hi_val)))
     return _report("fm_monotone", n_samples, (hi_val - lo_val) / tol_scale, 1e-12)
 
 
 def check_lipschitz_z(n_samples: int, ctx: DriverContext) -> CheckReport:
-    """|f(z,u) - f(z',u)| <= K (1 + |z| + |z'|) |z - z'| with the stated K."""
+    """|f(z,u) - f(z',u)| <= K (1 + |z| + |z'|) |z - z'| with the stated K.
+
+    One driver call takes the rows (z, u) followed by the rows (z', u).
+    """
     rng = np.random.default_rng(13)
     nb = ctx.grid.points.size
     z1, u = _sample_zu(rng, n_samples, nb)
     z2 = rng.uniform(*_Z_RANGE, size=n_samples)
     K = local_lipschitz_constant(ctx)
-    f1, _ = driver_f_batch(z1, u, ctx)
-    f2, _ = driver_f_batch(z2, u, ctx)
+    u = np.tile(u, (2, 1))
+    f, _ = driver_f_batch(np.concatenate([z1, z2]), u, ctx)
+    f1, f2 = f[:n_samples], f[n_samples:]
     rhs = K * (1.0 + np.abs(z1) + np.abs(z2)) * np.abs(z1 - z2)
     margins = rhs - np.abs(f1 - f2)
     return _report("lipschitz_z", n_samples, margins, 1e-10)

@@ -134,6 +134,32 @@ def test_scheme_rejects_out_of_range(field):
         load_config_text(f"scheme: {{{field}: {SCHEME_OUT_OF_RANGE[field]}}}")
 
 
+# each used to load (an `ok` row from 8.5 cells, seed 2 from 2.5) or die
+# with a TypeError inside a command
+NOT_INTEGER = [("scheme", "n_steps", "2.0"), ("scheme", "n_paths", "true"),
+               ("scheme", "n_cells", "8.5"), ("scheme", "n_cells", "true"),
+               ("scheme", "min_count", "'50'"), ("scheme", "seeds", "[2.5]"),
+               ("scheme", "seeds", "[1, false]"), ("scheme", "seeds", "3"),
+               ("grid", "q", "2.5"), ("grid", "q", "true")]
+
+
+@pytest.mark.parametrize("block,key,value", NOT_INTEGER,
+                         ids=[f"{k}={v}" for _, k, v in NOT_INTEGER])
+def test_config_rejects_non_integers(block, key, value):
+    with pytest.raises(ValueError, match=rf"^{key} must be"):
+        load_config_text(f"{block}: {{{key}: {value}}}")
+
+
+@pytest.mark.parametrize("text", ["scheme: 5", "grid: [1, 2]", "market: text",
+                                  "utility: 0"])
+def test_config_rejects_non_mapping_blocks(text):
+    name = text.split(":")[0]
+    with pytest.raises(ValueError, match=f"block '{name}' must be a mapping"):
+        load_config_text(text)
+    # an empty block still means the block's defaults
+    assert load_config_text(f"{name}:\n") == ExperimentConfig()
+
+
 def test_compensated_drift_kills_the_affine_tail():
     cfg = ExperimentConfig()
     spec = cfg.market_spec()
@@ -293,6 +319,25 @@ def test_sweep_marks_bound_violation_as_error(cfg_file, tmp_path, monkeypatch):
         assert "a priori bound" in status[("1.5", seed)]
     srows = _read_csv(summary)
     assert [r[1] for r in srows[1:]] == ["0.7"]
+
+
+def test_solve_writes_error_row_and_exits_1(cfg_file, capsys, monkeypatch):
+    # a failed backward pass gives the row sweep writes, not a traceback
+    from jumpsignal import drivers
+
+    def failing(Z, U, ctx):
+        raise ValueError("exponent 7.76e+09 exceeds the overflow guard 700.0")
+
+    monkeypatch.setattr(drivers, "driver_f_batch", failing)
+    assert main(["solve", "--config", str(cfg_file)]) == 1
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 1
+    row = rows[0]
+    assert (row["scenario"], row["c"], row["seed"]) == ("hide-small", "0.7", "1")
+    assert row["y0"] == row["value"] == row["wall_time"] == ""
+    assert row["config_hash"] == config_hash(load_config(cfg_file))
+    assert row["status"].startswith("error: driver failed at step ")
+    assert "overflow guard" in row["status"]
 
 
 def test_report_files(sweep_files, tmp_path, capsys):

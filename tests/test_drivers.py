@@ -19,9 +19,12 @@ from jumpsignal import (
     penalized_driver_fm_batch,
 )
 from jumpsignal.drivers import (
+    _NoSignalPart,
     _nosignal_objective,
+    _signal_sum,
     h_lambda,
     minimize_on_interval,
+    nosignal_slope,
     phi_m,
     rho_m,
     u_lambda_norm,
@@ -466,3 +469,122 @@ def test_context_validation(spec_small, grid_small):
     with pytest.raises(ValueError):
         DriverContext.build(spec_small, grid_small, NoSignal(), lam=0.4,
                             pi_lower=-0.5)
+
+
+# Verbatim copies of the no-signal objective, its slope, the signal sum and
+# the helpers they called before the kernels were prepared once per call:
+# the oracle for the bit-identity of the prepared kernels.
+
+def _old_guarded_exp(arg):
+    a = np.asarray(arg, dtype=float)
+    if np.any(a > 700.0):
+        raise ValueError("overflow guard")
+    return np.exp(a)
+
+
+def _old_h_lambda(x, lam):
+    x = np.asarray(x, dtype=float)
+    return (_old_guarded_exp(lam * x) - lam * x - 1.0) / lam
+
+
+def _old_rho_m(x, m):
+    x = np.asarray(x, dtype=float)
+    return np.clip(np.minimum(x + m + 1.0, m + 1.0 - x), 0.0, 1.0)
+
+
+def _old_phi_m(x, m):
+    x = np.asarray(x, dtype=float)
+    return np.where(x <= m, x, m + np.arctan(np.where(x > m, x - m, 0.0)))
+
+
+def _old_nosignal_objective(Z, U, P, ctx, m=None):
+    lam = ctx.lam
+    ns = ~ctx.sig_mask
+    eta = ctx.eta_g[ns]
+    nu = ctx.nu_g[ns]
+    x = U[:, ns] - np.multiply.outer(P, eta)
+    quad = 0.5 * lam * (ctx.sigma * P - (Z + ctx.c_const / lam)) ** 2
+    lin = -P * float(eta @ nu)
+    if m is None:
+        hsum = _old_h_lambda(x, lam) @ nu
+    else:
+        m_col = np.asarray(m, dtype=float)[..., None]
+        active = np.abs(ctx.grid.points[ns]) > 1.0 / m_col
+        hsum = (_old_h_lambda(_old_phi_m(x, m_col), lam) * active) @ nu
+        quad = quad * _old_rho_m(Z, m)
+    return quad + hsum + lin
+
+
+def _old_nosignal_slope(Z, U, P, ctx):
+    lam, sigma = ctx.lam, ctx.sigma
+    ns = ~ctx.sig_mask
+    eta = ctx.eta_g[ns]
+    nu_eta = ctx.nu_g[ns] * eta
+    e = _old_guarded_exp(lam * (U[:, ns] - np.multiply.outer(P, eta)))
+    d1 = lam * sigma * (sigma * P - (Z + ctx.c_const / lam)) - e @ nu_eta
+    d2 = lam * sigma ** 2 + lam * (e @ (nu_eta * eta))
+    return d1, d2
+
+
+def _old_signal_sum(U, ctx, m=None):
+    sig = ctx.sig_mask
+    if not np.any(sig):
+        return np.zeros(U.shape[0])
+    eta = ctx.eta_g[sig]
+    nu = ctx.nu_g[sig]
+    x = U[:, sig] - ctx.boundary_p[sig][None, :] * eta[None, :]
+    lin = -float((ctx.boundary_p[sig] * eta) @ nu) * np.ones(U.shape[0])
+    if m is None:
+        return _old_h_lambda(x, ctx.lam) @ nu + lin
+    m_col = np.asarray(m, dtype=float)[..., None]
+    active = np.abs(ctx.grid.points[sig]) > 1.0 / m_col
+    hterm = _old_h_lambda(_old_phi_m(x, m_col), ctx.lam) * _old_rho_m(U[:, sig], m_col)
+    return (hterm * active) @ nu + lin
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a, dtype=float).view(np.int64),
+                          np.asarray(b, dtype=float).view(np.int64))
+
+
+@pytest.fixture(scope="module")
+def ctx_reference():
+    from jumpsignal.config import ExperimentConfig
+
+    cfg = ExperimentConfig()
+    spec = cfg.market_spec()
+    return cfg.driver_context(spec, cfg.jump_grid(spec), cfg.scenarios()[0])
+
+
+@pytest.mark.parametrize("n_rows", [64, 1000])
+@pytest.mark.parametrize("ctx_name", ["ctx_hidesmall", "ctx_hidelarge",
+                                      "ctx_nosignal", "ctx_drift",
+                                      "ctx_reference"])
+def test_prepared_kernels_match_the_oracle(ctx_name, n_rows, request):
+    # bit for bit: the prepared objective, slope and signal sum keep the
+    # operation order of the per-call formulas, at every kind of position,
+    # exactly or at one level per row (the levels a driver call passes)
+    ctx = request.getfixturevalue(ctx_name)
+    rng = np.random.default_rng(41)
+    z = rng.uniform(-5.0, 5.0, size=n_rows)
+    u = rng.uniform(-2.0, 2.0, size=(n_rows, ctx.grid.points.size))
+    ms = rng.integers(1, 21, size=n_rows)
+    positions = [-ctx.pi_lower, 0.3, ctx.pi_upper,
+                 rng.uniform(-ctx.pi_lower, ctx.pi_upper, size=n_rows)]
+    capped = 0
+    for m in (None, ms, np.full(n_rows, 1), np.full(n_rows, 20)):
+        f1 = _NoSignalPart(z, u, ctx, m)
+        for P in positions:
+            want = _old_nosignal_objective(z, u, P, ctx, m)
+            assert _same_bits(f1(P), want)
+            assert _same_bits(_nosignal_objective(z, u, P, ctx, m), want)
+            if m is not None:
+                x = u[:, ~ctx.sig_mask] - np.multiply.outer(P, ctx.eta_g[~ctx.sig_mask])
+                capped += int(np.count_nonzero(x > m[:, None]))
+        assert _same_bits(_signal_sum(u, ctx, m), _old_signal_sum(u, ctx, m))
+    assert capped > 0  # the phi_m cap is exercised
+    f1 = _NoSignalPart(z, u, ctx)
+    for P in positions:
+        want = _old_nosignal_slope(z, u, P, ctx)
+        for got in (f1.slope(P), nosignal_slope(z, u, P, ctx)):
+            assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])

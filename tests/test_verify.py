@@ -84,7 +84,7 @@ def test_sandwich_detects_mutation(ctx_hidesmall):
 
 def test_fm_monotone_detects_mutation(ctx_hidesmall, monkeypatch):
     # f_m shifted down by 1e-6 m stops being nondecreasing in m, which
-    # the check sees only if its two calls are made at different levels
+    # the check sees only if its stacked rows carry different levels
     def decreasing(Z, U, m, ctx):
         vals, p0 = penalized_driver_fm_batch(Z, U, m, ctx)
         return vals - 1e-6 * np.asarray(m), p0
@@ -283,3 +283,66 @@ def test_format_reports_sorted():
     lines = format_reports(reports).splitlines()
     assert lines[0].startswith("alpha: FAIL")
     assert lines[1].startswith("zeta: PASS")
+
+
+def _recording(fn, calls):
+    def wrapper(*args):
+        out = fn(*args)
+        calls.append((args, out[0]))
+        return out
+    return wrapper
+
+
+@pytest.mark.parametrize("ctx_name", ["ctx_hidesmall", "ctx_hidelarge", "ctx_drift"])
+def test_one_call_checks_give_the_two_call_margins(ctx_name, request, monkeypatch):
+    # a row's value does not depend on its batch, so stacking the two
+    # evaluations of a check into one driver call changes no value and no
+    # margin; on the small grid f_m takes exact and penalized rows in each
+    # call, so the stacked rows also move between sub-batches
+    ctx = request.getfixturevalue(ctx_name)
+    n, nb = 300, ctx.grid.points.size
+    calls = []
+    monkeypatch.setattr(verify, "penalized_driver_fm_batch",
+                        _recording(penalized_driver_fm_batch, calls))
+    monkeypatch.setattr(verify, "driver_f_batch", _recording(driver_f_batch, calls))
+
+    rng = np.random.default_rng(11)
+    z = rng.uniform(-5.0, 5.0, size=n)
+    u = rng.uniform(-2.0, 2.0, size=(n, nb))
+    ms = rng.integers(1, 20, size=n)
+    lo_val = penalized_driver_fm_batch(z, u, ms, ctx)[0]
+    hi_val = penalized_driver_fm_batch(z, u, ms + 1, ctx)[0]
+    scale = np.maximum(1.0, np.maximum(np.abs(lo_val), np.abs(hi_val)))
+    two_calls = verify._report("fm_monotone", n, (hi_val - lo_val) / scale, 1e-12)
+    assert check_fm_monotone(n, ctx) == two_calls
+    [((_, _, m, _), vals)] = calls
+    assert np.array_equal(m, np.concatenate([ms, ms + 1]))
+    assert np.array_equal(vals, np.concatenate([lo_val, hi_val]))
+
+    calls.clear()
+    rng = np.random.default_rng(13)
+    z1 = rng.uniform(-5.0, 5.0, size=n)
+    u = rng.uniform(-2.0, 2.0, size=(n, nb))
+    z2 = rng.uniform(-5.0, 5.0, size=n)
+    f1, _ = driver_f_batch(z1, u, ctx)
+    f2, _ = driver_f_batch(z2, u, ctx)
+    K = verify.local_lipschitz_constant(ctx)
+    rhs = K * (1.0 + np.abs(z1) + np.abs(z2)) * np.abs(z1 - z2)
+    two_calls = verify._report("lipschitz_z", n, rhs - np.abs(f1 - f2), 1e-10)
+    assert check_lipschitz_z(n, ctx) == two_calls
+    [(_, vals)] = calls
+    assert np.array_equal(vals, np.concatenate([f1, f2]))
+
+
+def test_lipschitz_detects_mutation(ctx_hidesmall, ctx_drift, monkeypatch):
+    # f + 3K z|z| grows like 6K|z| in z, faster than the stated bound
+    # K (1 + |z| + |z'|) allows once |z| > 1/4
+    def steep(Z, U, ctx):
+        vals, p0 = driver_f_batch(Z, U, ctx)
+        K = verify.local_lipschitz_constant(ctx)
+        return vals + 3.0 * K * Z * np.abs(Z), p0
+
+    monkeypatch.setattr(verify, "driver_f_batch", steep)
+    for ctx in (ctx_hidesmall, ctx_drift):
+        r = check_lipschitz_z(300, ctx)
+        assert not r.passed and r.violations > 0
