@@ -46,7 +46,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .drivers import DriverContext, guarded_exp
-from .simulate import PathBatch
+from .simulate import PathBatch, _int_dtype
 
 __all__ = [
     "BasisPartition",
@@ -88,6 +88,12 @@ class BasisPartition:
     from the sorted sample by index, each cell is counted by locating the
     edges in it, and the cell of every sample price (``sample_ids``) is
     scattered back through the sort order. ``assign`` places fresh prices.
+
+    ``sample_ids`` has the narrowest unsigned type that holds the cell ids
+    below the requested ``n_cells`` (uint8 up to 256 cells, uint16 up to
+    65536); merging only lowers the count. A reader that multiplies ids
+    widens them first: under NumPy 2 promotion an id array times a Python
+    int keeps the id type and wraps.
     """
 
     edges: np.ndarray
@@ -133,8 +139,8 @@ class BasisPartition:
                 # merge toward the smaller neighbor, ties to the left
                 drop = j - 1 if counts[j - 1] <= counts[j + 1] else j
             edges = np.delete(edges, drop)
-        ids = np.empty(s.size, dtype=np.intp)
-        ids[order] = np.repeat(np.arange(edges.size + 1), counts)
+        ids = np.empty(s.size, dtype=np.min_scalar_type(n_cells - 1))
+        ids[order] = np.repeat(np.arange(edges.size + 1, dtype=ids.dtype), counts)
         return cls(edges=edges, counts=counts, sample_ids=ids)
 
 
@@ -145,13 +151,16 @@ class CellIndex:
 
     ``partitions[k]`` are the cells of S_k, with the cell of each path in
     its ``sample_ids``, and ``event_keys[k]`` the key
-    ``bin * n_cells + cell`` of each jump event of step k. Each step's
-    prices are sorted once, in ``BasisPartition.from_sample``.
+    ``bin * n_cells + cell`` of each jump event of step k, int32 while
+    n_bins * n_cells <= 2^31 (int64 past it), formed in that type. Each
+    step's prices are sorted once, in ``BasisPartition.from_sample``.
 
     For each step k < n - 1, ``pair_counts[k]`` counts the paths in each
     (cell at k, cell at k + 1) pair, an (n_cells_k, n_cells_{k+1}) float
     table, ``pair_dW[k]`` sums dW_k over the same pairs, and
-    ``event_next[k]`` is the step-(k+1) cell of each jump event of step k.
+    ``event_next[k]`` is the step-(k+1) cell of each jump event of step k,
+    in the type of the cell ids. The pair key ``a * n_cells_{k+1} + b`` is
+    formed in intp, never in the id type.
     """
 
     batch: PathBatch
@@ -165,11 +174,14 @@ class CellIndex:
     def build(cls, batch: PathBatch, n_cells: int, min_count: int) -> "CellIndex":
         partitions = [BasisPartition.from_sample(s, n_cells=n_cells, min_count=min_count)
                       for s in batch.S[:-1]]
-        event_keys = [ev.bin * part.n_cells + part.sample_ids[ev.path]
+        key_dtype = _int_dtype(batch.grid.points.size * n_cells, np.int32)
+        event_keys = [np.multiply(ev.bin, part.n_cells, dtype=key_dtype)
+                      + part.sample_ids[ev.path]
                       for ev, part in zip(batch.jumps, partitions)]
         pair_counts, pair_dW, event_next = [], [], []
         for k, (a, b) in enumerate(zip(partitions[:-1], partitions[1:])):
-            pair = a.sample_ids * b.n_cells + b.sample_ids
+            pair = np.multiply(a.sample_ids, b.n_cells, dtype=np.intp)
+            pair += b.sample_ids
             size, shape = a.n_cells * b.n_cells, (a.n_cells, b.n_cells)
             pair_counts.append(np.bincount(pair, minlength=size).reshape(shape)
                                .astype(float))

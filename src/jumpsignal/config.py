@@ -56,6 +56,20 @@ def _require_int(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _is_number(value) -> bool:
+    """A real number, and not a bool; a string such as "0.2" is none."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _require_numbers(block, *names: str) -> None:
+    """Reject a non-number at load; the value is kept as given, not
+    coerced, so a config's dump and hash do not change."""
+    for name in names:
+        value = getattr(block, name)
+        if not _is_number(value):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MarketBlock:
     rho: float = 0.1
@@ -67,7 +81,8 @@ class MarketBlock:
     T: float = 1.0
 
     def __post_init__(self):
-        if isinstance(self.kappa, str) and self.kappa != "compensate":
+        _require_numbers(self, "rho", "alpha", "epsilon", "sigma", "s0", "T")
+        if self.kappa != "compensate" and not _is_number(self.kappa):
             raise ValueError(f"kappa must be a number or 'compensate', got {self.kappa!r}")
 
 
@@ -80,6 +95,7 @@ class GridBlock:
 
     def __post_init__(self):
         _require_int("q", self.q)
+        _require_numbers(self, "e_min", "e_max")
 
 
 @dataclass(frozen=True)
@@ -114,6 +130,8 @@ class ScenarioBlock:
     def __post_init__(self):
         if self.variant not in _VARIANTS:
             raise ValueError(f"variant must be one of {_VARIANTS}, got {self.variant!r}")
+        if not isinstance(self.c_values, (list, tuple)) or not all(map(_is_number, self.c_values)):
+            raise ValueError(f"c_values must be a list of numbers, got {self.c_values!r}")
         object.__setattr__(self, "c_values", tuple(float(c) for c in self.c_values))
         if not self.c_values and self.variant != "nosignal":
             raise ValueError(f"variant {self.variant!r} needs at least one cutoff in c_values")
@@ -129,6 +147,7 @@ class PayoffBlock:
     strike: float = 1.0
 
     def __post_init__(self):
+        _require_numbers(self, "strike")
         if self.type not in _PAYOFFS:
             raise ValueError(f"payoff type must be one of {tuple(_PAYOFFS)}, got {self.type!r}")
 
@@ -141,6 +160,7 @@ class UtilityBlock:
     x: float = 0.0
 
     def __post_init__(self):
+        _require_numbers(self, "lam", "pi_lower", "pi_upper", "x")
         if not self.lam > 0:
             raise ValueError(f"lam must be > 0, got {self.lam}")
         if self.pi_lower < 0 or self.pi_upper < 0:

@@ -246,7 +246,7 @@ def _poisson_invcdf(u: np.ndarray, mu: float) -> np.ndarray:
     if mu < 0:
         raise ValueError(f"Poisson mean must be >= 0, got {mu}")
     if mu == 0.0:
-        return np.zeros(u.shape, dtype=np.int64)
+        return np.zeros(u.shape, dtype=np.int32)
     term = math.exp(-mu)
     cdf = [term]
     umax = float(np.max(u, initial=0.0))
@@ -258,7 +258,13 @@ def _poisson_invcdf(u: np.ndarray, mu: float) -> np.ndarray:
         if nxt == cdf[-1] or i > 100_000:
             break  # float saturation; remaining mass is below resolution
         cdf.append(nxt)
-    return np.searchsorted(np.asarray(cdf), u, side="right").astype(np.int64)
+    # at most 100 001 cdf terms, so every count fits int32
+    return np.searchsorted(np.asarray(cdf), u, side="right").astype(np.int32)
+
+
+def _int_dtype(n: int, floor) -> np.dtype:
+    """The narrowest integer type, ``floor`` or wider, that holds 0..n-1."""
+    return np.result_type(floor, np.min_scalar_type(n - 1))
 
 
 def _poisson_events(words: np.ndarray, mu: float) -> tuple:
@@ -269,24 +275,32 @@ def _poisson_events(words: np.ndarray, mu: float) -> tuple:
     CDF gives 0 exactly when u lies below p = exp(-mu), and a uniform
     equal to p already counts one jump (the search is right-sided), so a
     word counts when (w >> 11) >= p 2^53, that is w >= ceil(p 2^53) << 11.
-    When p rounds to 1 (mu = 0 or tiny) no uniform reaches it.
+    When p rounds to 1 (mu = 0 or tiny) no uniform reaches it. Positions
+    are int32 below 2^31 words, counts int32.
     """
     if mu < 0:
         raise ValueError(f"Poisson mean must be >= 0, got {mu}")
+    pos_dtype = _int_dtype(words.size, np.int32)
     p = math.exp(-mu)
     if p == 1.0:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=pos_dtype), np.empty(0, dtype=np.int32)
     cut = np.uint64(math.ceil(p * 2.0 ** 53) << 11)
     idx = np.flatnonzero(words >= cut)
     u = (words[idx] >> np.uint64(11)) * 2.0 ** -53
-    return idx, _poisson_invcdf(u, mu)
+    return idx.astype(pos_dtype), _poisson_invcdf(u, mu)
 
 
 @dataclass(frozen=True, eq=False)
 class JumpEvents:
     """The nonzero jump counts of one step: ``count[e]`` jumps of bin
     ``bin[e]`` on path ``path[e]``, bin-major with paths increasing
-    inside a bin."""
+    inside a bin.
+
+    ``simulate_batch`` stores ``path`` as int32 (int64 only past 2^31
+    paths), ``bin`` as int16 (int32 past 32768 bins) and ``count`` as
+    int32, which holds every count: the inverse Poisson CDF stops at
+    100 001 terms. Arithmetic that can leave a type's range, such as a
+    (bin, cell) key, widens first."""
 
     path: np.ndarray
     bin: np.ndarray
@@ -365,7 +379,8 @@ def simulate_batch(
     jumps = []
     for k in range(n_steps):
         paths, counts = zip(*(events[k] for events in by_bin))
-        bins = np.repeat(np.arange(nb), [p.size for p in paths])
+        bins = np.repeat(np.arange(nb, dtype=_int_dtype(nb, np.int16)),
+                         [p.size for p in paths])
         jumps.append(JumpEvents(path=np.concatenate(paths), bin=bins,
                                 count=np.concatenate(counts)))
 

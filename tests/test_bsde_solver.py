@@ -146,6 +146,38 @@ def test_cell_index_ids_are_the_assigned_cells(batch_small):
         assert np.array_equal(ev_next, next_ids[batch_small.jumps[k].path])
 
 
+@pytest.mark.parametrize("n_cells,id_dtype", [(64, np.uint8), (256, np.uint8),
+                                              (300, np.uint16)])
+def test_narrow_layouts_equal_the_int64_formulas(batch_small, n_cells, id_dtype):
+    # past 256 cells the ids need two bytes and the pair keys exceed 65535:
+    # every stored array equals its int64 formula and keeps its type, so a
+    # wrap or a silent widening fails here
+    for ev in batch_small.jumps:
+        assert (ev.path.dtype, ev.bin.dtype, ev.count.dtype) == (np.int32, np.int16, np.int32)
+    cells = CellIndex.build(batch_small, n_cells=n_cells, min_count=1)
+    nc = [part.n_cells for part in cells.partitions]
+    ids = [part.assign(s).astype(np.int64) for part, s in zip(cells.partitions, batch_small.S)]
+    for k, (part, ev) in enumerate(zip(cells.partitions, batch_small.jumps)):
+        assert part.sample_ids.dtype == id_dtype
+        assert np.array_equal(part.sample_ids, ids[k])
+        assert cells.event_keys[k].dtype == np.int32
+        assert np.array_equal(cells.event_keys[k],
+                              ev.bin.astype(np.int64) * nc[k] + ids[k][ev.path])
+    for k, ev in enumerate(batch_small.jumps[:-1]):
+        assert cells.event_next[k].dtype == id_dtype
+        assert np.array_equal(cells.event_next[k], ids[k + 1][ev.path])
+        pair = ids[k] * nc[k + 1] + ids[k + 1]
+        shape = (nc[k], nc[k + 1])
+        counts = np.bincount(pair, minlength=nc[k] * nc[k + 1]).reshape(shape)
+        dW = np.bincount(pair, weights=batch_small.dW[k],
+                         minlength=nc[k] * nc[k + 1]).reshape(shape)
+        assert cells.pair_counts[k].dtype == float and cells.pair_dW[k].dtype == float
+        assert np.array_equal(cells.pair_counts[k], counts)
+        assert np.array_equal(cells.pair_dW[k], dW)
+    if n_cells == 300:
+        assert max(nc) > 256 and max(a * b for a, b in zip(nc, nc[1:])) > 65535
+
+
 def test_fit_recovers_cell_means(spec_small, grid_small, rng, path_values):
     # one step: the regression of F on the t_0 price sample is the table
     # of in-cell means of F

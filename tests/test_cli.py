@@ -150,6 +150,43 @@ def test_config_rejects_non_integers(block, key, value):
         load_config_text(f"{block}: {{{key}: {value}}}")
 
 
+# each used to load: a bool as 1 or 0 (dumped as `true` into the hashed
+# config), a string to die with a TypeError inside a command
+NOT_A_NUMBER = {
+    "market": [("sigma", "'0.2'"), ("rho", "true"), ("T", "null"),
+               ("kappa", "true"), ("kappa", "'0.3'")],
+    "grid": [("e_min", "'0.05'"), ("e_max", "false")],
+    "scenario": [("c_values", "[true]"), ("c_values", "['0.5']"),
+                 ("c_values", "0.5")],
+    "payoff": [("strike", "'1.0'"), ("strike", "true")],
+    "utility": [("lam", "true"), ("pi_upper", "'1'"), ("x", "[0.0]")],
+}
+
+
+@pytest.mark.parametrize("block", NOT_A_NUMBER)
+def test_config_rejects_non_numbers(block):
+    for key, value in NOT_A_NUMBER[block]:
+        with pytest.raises(ValueError, match=rf"^{key} must be a (list of )?number"):
+            load_config_text(f"{block}: {{{key}: {value}}}")
+
+
+def test_number_checks_keep_the_hash():
+    # validated, not coerced: an integer stays an integer in the dump, so
+    # every config that loaded before keeps its hash
+    text = ("market: {sigma: 1, kappa: 0, T: 2}\ngrid: {e_min: 1}\n"
+            "payoff: {strike: 2}\nutility: {lam: 1, x: -3}\n"
+            "scenario: {c_values: [1, 0.5]}\n")
+    cfg = load_config_text(text)
+    assert (cfg.market.sigma, cfg.market.kappa, cfg.utility.x) == (1, 0, -3)
+    assert isinstance(cfg.market.sigma, int) and isinstance(cfg.utility.lam, int)
+    dump = dump_config(cfg)
+    assert "sigma: 1\n" in dump and "lam: 1\n" in dump and "strike: 2\n" in dump
+    assert load_config_text(dump) == cfg
+    # the hashes these configs had before the checks (PyYAML 6.0.3)
+    assert config_hash(cfg) == "acdc46f407f0502f"
+    assert config_hash(ExperimentConfig()) == "6f5331641df09b96"
+
+
 @pytest.mark.parametrize("text", ["scheme: 5", "grid: [1, 2]", "market: text",
                                   "utility: 0"])
 def test_config_rejects_non_mapping_blocks(text):

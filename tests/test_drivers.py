@@ -588,3 +588,41 @@ def test_prepared_kernels_match_the_oracle(ctx_name, n_rows, request):
         want = _old_nosignal_slope(z, u, P, ctx)
         for got in (f1.slope(P), nosignal_slope(z, u, P, ctx)):
             assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+
+
+def test_fm_exact_rows_at_the_reference_grid(ctx_reference):
+    # on the reference grid the threshold is at least 1/e_1 = 20, so the
+    # driver checks' levels 1..20 never take f_m's exact path: levels past
+    # the threshold do, and give f bit for bit
+    ctx = ctx_reference
+    rng = np.random.default_rng(53)
+    n = 300
+    z = np.concatenate([rng.uniform(-5.0, 5.0, n - 50), rng.uniform(-40.0, 40.0, 50)])
+    u = rng.uniform(-2.0, 2.0, size=(n, ctx.grid.points.size))
+    u[-20:] *= 15.0  # thresholds from |u| too
+    thresh = fm_exact_threshold(z, u, ctx)
+    assert np.all(thresh >= 1.0 / ctx.grid.points[ctx.grid.q]) and thresh.min() == 20.0
+    m_exact = np.floor(thresh).astype(int) + rng.integers(1, 5, n)
+    for m in (m_exact, 21):
+        at = thresh < m
+        assert at.sum() >= n - 100
+        fm_vals, fm_p0 = penalized_driver_fm_batch(z[at], u[at], np.broadcast_to(m, n)[at], ctx)
+        vals, p0 = driver_f_batch(z[at], u[at], ctx)
+        assert _same_bits(fm_vals, vals) and _same_bits(fm_p0, p0)
+    # the exact path is sound there: no truncation of f_m is active, so its
+    # penalized objective and signal sum equal f's up to operation order
+    P = rng.uniform(-ctx.pi_lower, ctx.pi_upper, size=n)
+    want = _nosignal_objective(z, u, P, ctx) + _signal_sum(u, ctx)
+    got = _nosignal_objective(z, u, P, ctx, m_exact) + _signal_sum(u, ctx, m_exact)
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+    # a batch mixing exact and penalized rows gives each row what its own
+    # kind of rows give alone
+    ms = np.where(np.arange(n) % 3 == 0, m_exact, rng.integers(1, 21, n))
+    exact = thresh < ms
+    assert 50 <= exact.sum() <= n - 50
+    mixed_vals, mixed_p0 = penalized_driver_fm_batch(z, u, ms, ctx)
+    for rows in (exact, ~exact):
+        v, p = penalized_driver_fm_batch(z[rows], u[rows], ms[rows], ctx)
+        assert _same_bits(mixed_vals[rows], v) and _same_bits(mixed_p0[rows], p)
+    vals, p0 = driver_f_batch(z[exact], u[exact], ctx)
+    assert _same_bits(mixed_vals[exact], vals) and _same_bits(mixed_p0[exact], p0)
