@@ -42,6 +42,17 @@ RESULT_COLUMNS = ["scenario", "c", "seed", "y0", "value", "wall_time",
 
 
 def _load(args) -> ExperimentConfig:
+    """The config of a command: the file (or the defaults) with the
+    command-line overrides. A config error ends the command as argparse
+    does for a bad flag: one line on stderr and exit status 2."""
+    try:
+        return _configure(args)
+    except ValueError as exc:
+        print(f"jumpsignal: error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+
+
+def _configure(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     overrides = {}
     if getattr(args, "scenario", None):

@@ -18,24 +18,30 @@ bins with |e_i| <= 1/m are zeroed in the exponential sums, the
 quadratic is faded by rho_m(z), the exponential nonlinearity is tamed by
 the arctan cap phi_m, and the signal branch is additionally faded by
 rho_m(u_i). f_m is nondecreasing in m and coincides with f once every
-truncation is inactive (see ``fm_exact_threshold``). The truncations can
-make the f_m objective plateau, so it is minimized by a coarse scan plus
-golden-section search (``minimize_on_interval``), one search for all the
-rows of a call whatever their levels m; rows with no active truncation
-take the exact path, so f_m equals f on them bit for bit.
+truncation is inactive (see ``fm_exact_threshold``). Each row of an f_m
+call, whatever its level m, takes one of three paths:
 
-Both searches evaluate a kernel prepared once per driver call
-(``_NoSignalPart``): the no-signal columns of U, z + C/lam, the eta rows,
-the nu and eta nu vectors and, for f_m, rho_m(z), the level per (row,
-bin) and the active bins are set up when the rows are, and each of the
-80 objective evaluations of the f_m search (or each Newton step of the
-exact one) does only the p-dependent arithmetic in two work arrays of the
-kernel. The arithmetic keeps the operation order of the formulas above
-evaluated in one go, and each matrix reaches BLAS in the memory order
-those gave it (BLAS picks its summation order from it), so values and
-argmins are bit for bit those of the formulas. The signal sum works in
-place as well; the phi_m cap takes arctan only on the entries above its
-knee.
+* no active truncation: the exact path, so f_m equals f bit for bit;
+* the phi_m cap cannot bind anywhere in the box (u_i + max(pi_lower,
+  pi_upper) |eta_i| <= m on every active no-signal bin,
+  ``_cap_can_bind``): the no-signal part f1_m is then convex, and its
+  argmin is the clipped root of its slope, found by the same safeguarded
+  Newton as f's;
+* the cap can bind: the cap can make f1_m plateau or give it several
+  local minima, so it keeps a coarse scan plus golden-section search
+  (``minimize_on_interval``).
+
+Every search evaluates a kernel prepared once per path of a driver call
+(``_NoSignalPart``): the no-signal columns of U, z + C/lam, the eta, nu
+and eta nu vectors and, for f_m, rho_m(z), the level per row and the
+active bins are set up when the rows are, and each Newton step or each
+of the 80 objective evaluations of the scan does only the p-dependent
+arithmetic in two work arrays of the kernel. The arithmetic keeps the
+operation order of the formulas above evaluated in one go, and each
+matrix reaches BLAS in the memory order those gave it (BLAS picks its
+summation order from it), so values and argmins are bit for bit those of
+the formulas. The signal sum works in place as well; the phi_m cap takes
+arctan only on the entries above its knee.
 
 The exponentials of the utility problem (h_lam, the driver's slope, the
 utilities and the value V) pass the guard of ``guarded_exp``: an exponent beyond
@@ -71,10 +77,11 @@ EXP_ARG_MAX = 700.0
 
 # golden-section interior ratio
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-# position minimizer of f_m: coarse scan points and absolute tolerance in p
+# position minimizer of capped f_m rows: coarse scan points and absolute
+# tolerance in p
 _COARSE = 33
 _TOL = 1e-10
-# exact argmin of f1: a row stops once its Newton step is at most
+# Newton argmin of f1 and cap-free f1_m: a row stops once its step is at most
 # _NEWTON_TOL in p; no row takes more than _NEWTON_CAP iterations
 _NEWTON_TOL = 1e-15
 _NEWTON_CAP = 64
@@ -150,9 +157,10 @@ def _phi_m_inplace(x, m):
 def minimize_on_interval(objective: Callable, a: float, b: float):
     """Minimize a scalar-in-p objective on [a, b], independently per row.
 
-    Used for the penalized drivers f_m only; the exact driver's argmin is
-    the root of f1' (``_exact_argmin``). A coarse scan of ``_COARSE``
-    points brackets the global basin (f_m can plateau), then golden-section
+    Used only for the f_m rows whose phi_m cap can bind; every other row
+    of f or f_m takes the root of its slope (``_exact_argmin``). A coarse
+    scan of ``_COARSE`` points brackets the global basin (the cap can
+    flatten f1_m or give it several local minima), then golden-section
     search refines the bracket. Comparing objective values resolves the
     argmin only to about sqrt(eps). Every row takes the same number of
     golden-section steps: enough to shrink the widest bracket the scan can
@@ -292,14 +300,15 @@ class _NoSignalPart:
     quadratic, phi_m cap inside h_lam, bins |e_i| <= 1/m zeroed in the
     h-sum, linear term kept on the full grid. f1_m need not be strictly
     convex: the cap and the fade can flatten it, down to a constant in p
-    once rho_m(z) = 0 and every no-signal bin is truncated.
+    once rho_m(z) = 0 and every no-signal bin is truncated. On a row where
+    the cap cannot bind (``_cap_can_bind``) f1_m is convex and ``slope``
+    gives its derivatives too.
 
     Everything that does not depend on p is set up once per driver call:
-    the no-signal columns of U, z + C/lam, eta per (row, bin), the nu and
-    eta nu vectors and, for f1_m, rho_m(z), the level per (row, bin) and
-    the active bins. An evaluation does only the p-dependent arithmetic,
-    in the operation order of the formulas above, inside two work arrays
-    of the object.
+    the no-signal columns of U, z + C/lam, the eta, nu and eta nu vectors
+    and, for f1_m, rho_m(z), the level per row and the active bins. An
+    evaluation does only the p-dependent arithmetic, in the operation
+    order of the formulas above, inside two work arrays of the object.
     """
 
     def __init__(self, Z, U, ctx: DriverContext, m=None):
@@ -311,31 +320,27 @@ class _NoSignalPart:
         # row-major like the work arrays, so u - p eta runs contiguous
         self.u = np.compress(ns, U, axis=1)
         self.zc = Z + ctx.c_const / lam
-        self.eta_rows = np.broadcast_to(eta, self.u.shape).copy()
+        self.eta = eta
         self.nu = nu
         self.eta_nu = float(eta @ nu)
         self.nu_eta = nu * eta
         self.nu_eta2 = self.nu_eta * eta
         self._x = np.empty(self.u.shape)
         self._h = np.empty(self.u.shape)
-        self.m_rows = None
+        self.m_col = None
         if m is not None:
-            m_col = np.asarray(m, dtype=float)[..., None]
-            self.m_rows = np.broadcast_to(m_col, self.u.shape).copy()
-            self.active = np.abs(ctx.grid.points[ns]) > 1.0 / m_col
+            self.m_col = np.asarray(m, dtype=float)[..., None]
+            self.active = _active_bins(ctx, ns, self.m_col)
             self.fade = rho_m(Z, m)
 
     def _exponent(self, P):
         """lam (u_i - p eta_i) per (row, no-signal bin), for f1_m
         lam phi_m(u_i - p eta_i), in the first work array."""
         x = self._x
-        if np.ndim(P):
-            np.multiply(np.repeat(P, x.shape[1]).reshape(x.shape), self.eta_rows, out=x)
-        else:
-            np.multiply(self.eta_rows, P, out=x)
+        np.multiply(P[:, None] if np.ndim(P) else P, self.eta, out=x)
         np.subtract(self.u, x, out=x)
-        if self.m_rows is not None:
-            _phi_m_inplace(x, self.m_rows)
+        if self.m_col is not None:
+            _phi_m_inplace(x, self.m_col)
         x *= self.lam
         return x
 
@@ -344,32 +349,44 @@ class _NoSignalPart:
         which picks the summation order of ``a @ v``: column-major for a
         scalar p without the cap (there the column selection U[:, ns] set
         the order), row-major otherwise."""
-        return np.asfortranarray(a) if self.m_rows is None and np.ndim(P) == 0 else a
+        return np.asfortranarray(a) if self.m_col is None and np.ndim(P) == 0 else a
 
     def __call__(self, P):
         lam = self.lam
         h = _h_lambda_of(self._exponent(P), lam, out=self._h)
         quad = 0.5 * lam * (self.sigma * P - self.zc) ** 2
         lin = -P * self.eta_nu
-        if self.m_rows is not None:
+        if self.m_col is not None:
             h *= self.active
             quad = quad * self.fade
         return quad + self._blas_layout(h, P) @ self.nu + lin
 
     def slope(self, P):
-        """First and second derivative in p of the exact f1 (m None).
+        """First and second derivative in p, per row, with
+        e_i = exp(lam (u_i - p eta_i)) over the no-signal bins.
 
-        f1'(p) = lam sigma (sigma p - z - C/lam) - sum_ns nu_i eta_i e_i and
-        f1''(p) = lam sigma^2 + lam sum_ns nu_i eta_i^2 e_i > 0, with
-        e_i = exp(lam (u_i - p eta_i)) over the no-signal bins, per row.
+        Exact f1 (m None): f1'(p) = lam sigma (sigma p - z - C/lam)
+        - sum_ns nu_i eta_i e_i and f1''(p) = lam sigma^2
+        + lam sum_ns nu_i eta_i^2 e_i > 0.
+
+        f1_m, on rows where the phi_m cap cannot bind:
+        f1_m'(p) = rho_m(z) lam sigma (sigma p - z - C/lam)
+        - sum_active nu_i eta_i (e_i - 1) - sum_ns nu_i eta_i and
+        f1_m''(p) = rho_m(z) lam sigma^2 + lam sum_active nu_i eta_i^2 e_i
+        >= 0. On other rows the cap is not differentiated and the values
+        are not f1_m's derivatives.
         """
         lam, sigma = self.lam, self.sigma
         x = self._exponent(P)
         _guard_exponent(x)
         e = self._blas_layout(np.exp(x, out=self._h), P)
-        d1 = lam * sigma * (sigma * P - self.zc) - e @ self.nu_eta
-        d2 = lam * sigma ** 2 + lam * (e @ self.nu_eta2)
-        return d1, d2
+        d1 = lam * sigma * (sigma * P - self.zc)
+        if self.m_col is None:
+            return d1 - e @ self.nu_eta, lam * sigma ** 2 + lam * (e @ self.nu_eta2)
+        e *= self.active
+        d2 = self.fade * (lam * sigma ** 2) + lam * (e @ self.nu_eta2)
+        e -= self.active
+        return self.fade * d1 - e @ self.nu_eta - self.eta_nu, d2
 
 
 def _nosignal_objective(Z, U, P, ctx: DriverContext, m=None):
@@ -384,15 +401,18 @@ def nosignal_slope(Z, U, P, ctx: DriverContext):
 
 
 def _exact_argmin(f1: _NoSignalPart, ctx: DriverContext):
-    """Argmin of the exact f1 on [-pi_lower, pi_upper], per row.
+    """Argmin on [-pi_lower, pi_upper], per row, of the exact f1 or of an
+    f1_m whose phi_m cap cannot bind (``_cap_can_bind``).
 
-    f1 is strictly convex, so the argmin is the clipped root of the
-    increasing f1'. A row with f1' >= 0 at -pi_lower or f1' <= 0 at
-    pi_upper is clipped to that end. Every other row runs Newton on f1'
-    inside a bracket on its sign, bisecting only when a step leaves the
-    bracket, and stops on its own step, so its result does not depend on
-    the other rows. Both ends pass the overflow guard first; the exponent
-    is linear in p, so no position inside the box exceeds them.
+    Both are convex with a nondecreasing slope (f1 strictly), so the
+    argmin is the clipped root of the slope. A row with slope >= 0 at
+    -pi_lower or <= 0 at pi_upper is clipped to that end; this takes
+    every f1_m row that is linear in p. Every other row runs Newton on the
+    slope inside a bracket on its sign, bisecting when a step is NaN or
+    leaves the bracket, and stops on its own step, so its result does not
+    depend on the other rows. Both ends pass the overflow guard first; the
+    exponent is monotone in p (linear, or linear through the increasing
+    phi_m), so no position inside the box exceeds them.
     """
     a, b = -ctx.pi_lower, ctx.pi_upper
     n = f1.zc.size
@@ -413,10 +433,12 @@ def _exact_argmin(f1: _NoSignalPart, ctx: DriverContext):
         g, h = f1.slope(p)
         lo = np.where(g < 0.0, p, lo)
         hi = np.where(g > 0.0, p, hi)
-        step = p - g / h
+        # f1_m'' may vanish (an exponential underflows), giving inf or NaN
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = p - g / h
         # inclusive test: a step landing on a bracket end is kept, and ends
         # the row, since evaluating that end again cannot shrink the bracket
-        step = np.where((step < lo) | (step > hi), 0.5 * (lo + hi), step)
+        step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
         done = (np.abs(step - p) <= _NEWTON_TOL) | (step == lo) | (step == hi)
         p = np.where(active, step, p)
         active &= ~done
@@ -446,7 +468,7 @@ def _signal_sum(U, ctx: DriverContext, m=None):
         x *= lam
         return _h_lambda_of(x, lam) @ nu + lin
     m_col = np.asarray(m, dtype=float)[..., None]
-    active = np.abs(ctx.grid.points[sig]) > 1.0 / m_col
+    active = _active_bins(ctx, sig, m_col)
     _phi_m_inplace(x, m_col)
     x *= lam
     h = _h_lambda_of(x, lam)
@@ -455,17 +477,36 @@ def _signal_sum(U, ctx: DriverContext, m=None):
     return h @ nu + lin
 
 
-def _driver_rows(Z, U, ctx: DriverContext, m=None):
+def _active_bins(ctx: DriverContext, bins, m_col):
+    """The bins |e_i| > 1/m of f_m's truncated measure, per row of the
+    level column m_col, over the grid bins selected by ``bins``."""
+    return np.abs(ctx.grid.points[bins]) > 1.0 / m_col
+
+
+def _cap_can_bind(U, m, ctx: DriverContext):
+    """Rows of f_m whose phi_m cap can bind somewhere in the box: an active
+    no-signal bin with u_i + max(pi_lower, pi_upper) |eta_i| > m, the bound
+    ``fm_exact_threshold`` takes. On every other row f1_m is convex."""
+    ns = ~ctx.sig_mask
+    m_col = np.asarray(m, dtype=float)[:, None]
+    reach = np.compress(ns, U, axis=1)
+    reach += max(ctx.pi_lower, ctx.pi_upper) * np.abs(ctx.eta_g[ns])
+    return np.any((reach > m_col) & _active_bins(ctx, ns, m_col), axis=1)
+
+
+def _driver_rows(Z, U, ctx: DriverContext, m=None, scan=False):
     """f (m None) or f_m (m per row) on validated rows of (z, u); returns
-    (values, argmin). The signal sum is taken first, so its arrays and the
-    no-signal part's are never held at once."""
+    (values, argmin). The no-signal part is minimized by Newton on its
+    slope (``_exact_argmin``), or with ``scan``, for f_m rows whose cap can
+    bind, by ``minimize_on_interval``. The signal sum is taken first, so
+    its arrays and the no-signal part's are never held at once."""
     sig = _signal_sum(U, ctx, m=m)
     f1 = _NoSignalPart(Z, U, ctx, m)
-    if m is None:
+    if scan:
+        p0, f1min = minimize_on_interval(f1, -ctx.pi_lower, ctx.pi_upper)
+    else:
         p0 = _exact_argmin(f1, ctx)
         f1min = f1(p0)
-    else:
-        p0, f1min = minimize_on_interval(f1, -ctx.pi_lower, ctx.pi_upper)
     vals = f1min + sig + ctx.affine_tail(Z)
     return vals, p0
 
@@ -490,9 +531,13 @@ def driver_f_batch(Z, U, ctx: DriverContext):
 def penalized_driver_fm_batch(Z, U, m, ctx: DriverContext):
     """Penalized driver f_m over rows of (z, u); see module docstring.
 
-    m is one integer level >= 1 for every row, or one per row. A row whose
-    ``fm_exact_threshold`` is below its m has no active truncation and
-    takes the exact driver's path, so f_m equals f on it bit for bit.
+    m is one integer level >= 1 for every row, or one per row. Each row
+    takes one of three paths: a row whose ``fm_exact_threshold`` is below
+    its m has no active truncation and takes the exact driver's path, so
+    f_m equals f on it bit for bit; a row whose phi_m cap cannot bind
+    (``_cap_can_bind``) minimizes the convex f1_m by Newton on its slope;
+    only a row whose cap can bind keeps the scan plus golden-section
+    search of ``minimize_on_interval``.
     """
     Z, U = _rows(Z, U, ctx)
     m = np.asarray(m)
@@ -501,14 +546,18 @@ def penalized_driver_fm_batch(Z, U, m, ctx: DriverContext):
         raise ValueError(f"m must be an integer >= 1, or one per row of z; got {m}")
     m = np.broadcast_to(m, Z.shape)
     exact = fm_exact_threshold(Z, U, ctx) < m
+    # the threshold covers the cap's reach, so no exact row is capped
+    capped = _cap_can_bind(U, m, ctx)
     vals = np.empty(Z.size)
     p0 = np.empty(Z.size)
-    for rows, level in ((exact, None), (~exact, m[~exact])):
+    for rows, level, scan in ((exact, None, False), (~exact & ~capped, m, False),
+                              (capped, m, True)):
         if rows.all():
             # no copy of the rows when they all take one path
-            return _driver_rows(Z, U, ctx, m=level)
+            return _driver_rows(Z, U, ctx, level, scan)
         if rows.any():
-            vals[rows], p0[rows] = _driver_rows(Z[rows], U[rows], ctx, m=level)
+            vals[rows], p0[rows] = _driver_rows(
+                Z[rows], U[rows], ctx, None if level is None else level[rows], scan)
     return vals, p0
 
 

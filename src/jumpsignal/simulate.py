@@ -393,7 +393,7 @@ def simulate_batch(
         expo = (
             (spec.kappa - 0.5 * spec.sigma ** 2 - comp) * dt[k]
             + spec.sigma * dW[k]
-            + np.bincount(ev.path, weights=log_jump[ev.bin] * ev.count,
+            + np.bincount(ev.path, weights=np.take(log_jump, ev.bin) * ev.count,
                           minlength=n_paths)
         )
         S[k + 1] = S[k] * np.exp(expo)
@@ -464,8 +464,9 @@ def wealth_forward(batch: PathBatch, ctx: DriverContext, p0, p_sig,
     dt = batch.time_grid.dt
     X = np.full(batch.n_paths, float(x))
     for k, ev in enumerate(batch.jumps):
-        pos = np.where(sig_mask[ev.bin], p_sig[ev.bin], p0[k, ev.path])
-        jump_pnl = np.bincount(ev.path, weights=pos * eta[ev.bin] * ev.count,
+        pos = np.where(np.take(sig_mask, ev.bin), np.take(p_sig, ev.bin),
+                       np.take(p0[k], ev.path))
+        jump_pnl = np.bincount(ev.path, weights=pos * np.take(eta, ev.bin) * ev.count,
                                minlength=batch.n_paths)
         X = X + p0[k] * (spec.kappa * dt[k] + spec.sigma * batch.dW[k]) \
             + jump_pnl - p0[k] * comp * dt[k]

@@ -7,9 +7,10 @@ the driver on all of them in one call, each f_m row at its own
 penalization level m (``check_fm_monotone`` stacks its samples at m over
 the same samples at m + 1, ``check_lipschitz_z`` its rows (z, u) over
 (z', u)): a row's driver value does not depend on the other rows of its
-batch (each row of the exact driver ends its Newton search on its own
-test, see ``drivers._exact_argmin``; every f_m row takes the same number
-of golden-section steps, see ``drivers.minimize_on_interval``). Statistical
+batch. Each row of f, and each f_m row whose phi_m cap cannot bind, ends
+its Newton search on its own test (``drivers._exact_argmin``); each f_m
+row whose cap can bind takes the same number of golden-section steps
+(``drivers.minimize_on_interval``). Statistical
 checks (optimality, regression noise) always run on freshly seeded
 batches, never on the batch the solution was trained on. The batch
 checks take the BSDE solved under the real driver and run the solves

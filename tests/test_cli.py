@@ -488,3 +488,29 @@ def test_solve_rejects_nonpositive_paths(paths, capsys):
         main(["solve", "--paths", paths])
     assert exc.value.code == 2
     assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("utility: {lam: true}", "lam must be a number, got True"),
+    ("utility: {lamb: 1.0}", "unknown key(s) in block 'utility': ['lamb']"),
+    ("scheme: 5", "config block 'scheme' must be a mapping, got int"),
+])
+@pytest.mark.parametrize("command", ["driver-table", "solve", "verify", "grid-dump"])
+def test_config_error_is_one_line(command, text, message, tmp_path, capsys):
+    # a config error reads like a bad flag: one line on stderr, exit 2
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(path)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"jumpsignal: error: {message}"]
+
+
+def test_override_error_is_one_line(capsys):
+    # an override the config checks reject ends the same way
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--c", "-1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "jumpsignal: error: cutoffs must be > 0\n"
