@@ -17,6 +17,7 @@ counter-based and uses deterministic reductions).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import os
@@ -71,27 +72,26 @@ def _configure(args) -> ExperimentConfig:
     return cfg
 
 
-def _open_out(path: Optional[str]):
+@contextlib.contextmanager
+def _output(path: Optional[str]):
+    """The file at ``path`` to write, or stdout for None or '-'."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as fh:
+            yield fh
 
 
 def cmd_grid_dump(args) -> int:
     cfg = _load(args)
-    spec = cfg.market_spec()
-    grid = cfg.jump_grid(spec)
-    fh, close = _open_out(args.out)
-    try:
+    grid = cfg.jump_grid(cfg.market_spec())
+    with _output(args.out) as fh:
         w = csv.writer(fh)
         w.writerow(["index", "point", "weight", "eta"])
         eta = grid.eta_values()
         for i, idx in enumerate(grid.signed_indices):
             w.writerow([int(idx), repr(float(grid.points[i])),
                         repr(float(grid.weights[i])), repr(float(eta[i]))])
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
@@ -99,73 +99,69 @@ def cmd_driver_table(args) -> int:
     cfg = _load(args)
     spec = cfg.market_spec()
     grid = cfg.jump_grid(spec)
-    scenario = cfg.scenarios()[0]
-    ctx = cfg.driver_context(spec, grid, scenario)
+    ctx = cfg.driver_context(spec, grid, cfg.scenarios()[0])
     z = np.linspace(args.z_min, args.z_max, args.z_steps)
     u = np.zeros((z.size, grid.points.size))
     vals, p0 = driver_f_batch(z, u, ctx)
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         w = csv.writer(fh)
         w.writerow(["z", "f", "p0"])
         for j in range(z.size):
             w.writerow([repr(float(z[j])), repr(float(vals[j])),
                         repr(float(p0[j]))])
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
-def _cells(cfg, spec, grid, tg, seed) -> CellIndex:
+def _cells(cfg, seed) -> CellIndex:
     """The seed's batch and its regression cells, shared by every scenario."""
-    batch = simulate_batch(spec, grid, tg, cfg.scheme.n_paths, seed)
+    spec = cfg.market_spec()
+    batch = simulate_batch(spec, cfg.jump_grid(spec), cfg.time_grid(),
+                           cfg.scheme.n_paths, seed)
     return CellIndex.build(batch, cfg.scheme.n_cells, cfg.scheme.min_count)
 
 
-def _solve_point(cfg, cfg_hash, spec, grid, scenario, cells):
-    """One scenario on a seed's cells; returns a result row dict.
+def _row(cfg, cfg_hash, scenario, cells) -> dict:
+    """One scenario on a seed's cells as a result row: status ``ok``, or
+    ``error: ...`` and no values when the solve or its bound check fails.
 
     ``wall_time`` is the solve with its checks, without the simulation
     and the cell index, which every scenario of the seed shares.
     """
-    t0 = time.perf_counter()
     batch = cells.batch
-    F = cfg.payoff_values(batch.S[-1])
-    ctx = cfg.driver_context(spec, grid, scenario)
-    sol = solve(batch, F, ctx, cells)
-    bound = verify_mod.check_y_bound(sol, ctx, 0.0)
-    if not bound.passed:
-        raise ValueError(f"backward values break the a priori bound: {bound.line()}")
-    value, _ = value_and_strategy(sol, cfg.utility.x, ctx)
-    wall = time.perf_counter() - t0
-    c = getattr(scenario, "c", "")
-    return {"scenario": scenario.label(), "c": c, "seed": batch.seed,
-            "y0": repr(sol.y0), "value": repr(value),
-            "wall_time": f"{wall:.3f}", "config_hash": cfg_hash,
-            "status": "ok"}
-
-
-def _solve_point_or_error(cfg, cfg_hash, spec, grid, scenario, cells):
-    """``_solve_point``, or its row with status ``error: ...`` and no
-    values when the solve or its bound check fails."""
+    row = {"scenario": scenario.label(), "c": getattr(scenario, "c", ""),
+           "seed": batch.seed, "y0": "", "value": "", "wall_time": "",
+           "config_hash": cfg_hash}
+    t0 = time.perf_counter()
     try:
-        return _solve_point(cfg, cfg_hash, spec, grid, scenario, cells)
+        ctx = cfg.driver_context(batch.spec, batch.grid, scenario)
+        sol = solve(batch, cfg.payoff_values(batch.S[-1]), ctx, cells)
+        bound = verify_mod.check_y_bound(sol, ctx, 0.0)
+        if not bound.passed:
+            raise ValueError(f"backward values break the a priori bound: {bound.line()}")
+        value, _ = value_and_strategy(sol, cfg.utility.x, ctx)
     except (ValueError, ArithmeticError) as exc:
-        return {"scenario": scenario.label(),
-                "c": getattr(scenario, "c", ""), "seed": cells.batch.seed,
-                "y0": "", "value": "", "wall_time": "",
-                "config_hash": cfg_hash, "status": f"error: {exc}"}
+        return {**row, "status": f"error: {exc}"}
+    wall = time.perf_counter() - t0
+    return {**row, "y0": repr(sol.y0), "value": repr(value),
+            "wall_time": f"{wall:.3f}", "status": "ok"}
+
+
+def _rows(cfg, seeds, scenarios) -> List[dict]:
+    """The result row of every scenario on every seed."""
+    cfg_hash = config_hash(cfg)
+    rows = []
+    # batches and cells do not depend on the scenario: build them once per seed
+    for seed in seeds:
+        cells = _cells(cfg, seed)
+        rows += [_row(cfg, cfg_hash, scenario, cells) for scenario in scenarios]
+        # free this seed's batch before the next one is simulated
+        del cells
+    return rows
 
 
 def cmd_solve(args) -> int:
     cfg = _load(args)
-    spec = cfg.market_spec()
-    grid = cfg.jump_grid(spec)
-    tg = cfg.time_grid()
-    scenario = cfg.scenarios()[0]
-    cells = _cells(cfg, spec, grid, tg, cfg.scheme.seeds[0])
-    row = _solve_point_or_error(cfg, config_hash(cfg), spec, grid, scenario, cells)
+    [row] = _rows(cfg, cfg.scheme.seeds[:1], cfg.scenarios()[:1])
     w = csv.DictWriter(sys.stdout, fieldnames=RESULT_COLUMNS)
     w.writeheader()
     w.writerow(row)
@@ -174,41 +170,16 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    spec = cfg.market_spec()
-    grid = cfg.jump_grid(spec)
-    tg = cfg.time_grid()
-    scenarios = cfg.scenarios()
-    cfg_hash = config_hash(cfg)
-
-    rows: List[dict] = []
-    # batches and cells do not depend on the scenario: build them once per seed
-    for seed in cfg.scheme.seeds:
-        cells = _cells(cfg, spec, grid, tg, seed)
-        for scenario in scenarios:
-            rows.append(_solve_point_or_error(cfg, cfg_hash, spec, grid,
-                                              scenario, cells))
-        # free this seed's batch before the next one is simulated
-        del cells
+    rows = _rows(cfg, cfg.scheme.seeds, cfg.scenarios())
     rows.sort(key=lambda r: (r["scenario"], _c_key(r["c"]), r["seed"]))
-
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         w = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
         w.writeheader()
         w.writerows(rows)
-    finally:
-        if close:
-            fh.close()
-
-    summary = _summarize(rows)
-    sfh, sclose = _open_out(args.summary)
-    try:
-        sw = csv.writer(sfh)
-        sw.writerow(["scenario", "c", "n_seeds", "y0_mean", "y0_spread"])
-        sw.writerows(summary)
-    finally:
-        if sclose:
-            sfh.close()
+    with _output(args.summary) as fh:
+        w = csv.writer(fh)
+        w.writerow(["scenario", "c", "n_seeds", "y0_mean", "y0_spread"])
+        w.writerows(_summarize(rows))
     return 0
 
 
@@ -236,10 +207,8 @@ def cmd_verify(args) -> int:
     cfg = _load(args)
     spec = cfg.market_spec()
     grid = cfg.jump_grid(spec)
-    tg = cfg.time_grid()
     n = args.samples
-    scen = cfg.scenarios()[0]
-    ctx = cfg.driver_context(spec, grid, scen)
+    ctx = cfg.driver_context(spec, grid, cfg.scenarios()[0])
     ctx0 = cfg.driver_context(spec, grid, NoSignal())
 
     reports = [
@@ -254,7 +223,7 @@ def cmd_verify(args) -> int:
         seeds = cfg.scheme.seeds[:2] if len(cfg.scheme.seeds) >= 2 \
             else (cfg.scheme.seeds[0], cfg.scheme.seeds[0] + 1)
         # each seed's real-driver BSDE, solved once for all the checks
-        cell_indices = [_cells(cfg, spec, grid, tg, s) for s in seeds]
+        cell_indices = [_cells(cfg, s) for s in seeds]
         sols = [solve(c.batch, cfg.payoff_values(c.batch.S[-1]), ctx, c)
                 for c in cell_indices]
         eps_reg = verify_mod.calibrate_eps_reg(sols)
@@ -270,7 +239,8 @@ def cmd_verify(args) -> int:
                                                    plus_delta, eps_reg))
         reports.append(verify_mod.check_penalization(sol, ctx, eps_reg))
         fresh_seed = max(cfg.scheme.seeds) + 1009
-        fresh = simulate_batch(spec, grid, tg, cfg.scheme.n_paths, fresh_seed)
+        fresh = simulate_batch(spec, grid, cfg.time_grid(), cfg.scheme.n_paths,
+                               fresh_seed)
         reports.append(verify_mod.check_martingale_optimality(
             fresh, sol, ctx, cfg.payoff_values, cfg.utility.x, eps_reg))
         reports.append(verify_mod.check_y_bound(sol, ctx, eps_reg))

@@ -2,9 +2,12 @@
 
 A config file holds the six blocks below; every key has a default equal
 to the reference experiment (put option, hide-small sweep), so a partial
-file or an empty one is valid. Unknown keys anywhere are rejected.
-Loading the dump of a config returns an equal config, and the sha256
-hash of the canonical dump identifies a run in result files.
+file or an empty one is valid. Unknown keys anywhere are rejected. A
+config is checked as a whole when it is made: it builds the market, jump
+grid, time grid, driver contexts and payoff it describes, and the ranges
+those model objects check reject it there. Loading the dump of a config
+returns an equal config, and the sha256 hash of the canonical dump
+identifies a run in result files.
 """
 
 from __future__ import annotations
@@ -185,6 +188,16 @@ class ExperimentConfig:
     scenario: ScenarioBlock = field(default_factory=ScenarioBlock)
     payoff: PayoffBlock = field(default_factory=PayoffBlock)
     utility: UtilityBlock = field(default_factory=UtilityBlock)
+
+    def __post_init__(self):
+        # build what the config describes, so the model objects' own range
+        # checks reject a bad config when it loads, not inside a command
+        spec = self.market_spec()
+        grid = self.jump_grid(spec)
+        self.time_grid()
+        for scenario in self.scenarios():
+            self.driver_context(spec, grid, scenario)
+        self.payoff_values(spec.s0)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

@@ -389,11 +389,6 @@ class _NoSignalPart:
         return self.fade * d1 - e @ self.nu_eta - self.eta_nu, d2
 
 
-def _nosignal_objective(Z, U, P, ctx: DriverContext, m=None):
-    """f1 (m None) or f1_m of rows (z, u) at positions P; see ``_NoSignalPart``."""
-    return _NoSignalPart(Z, U, ctx, m)(P)
-
-
 def nosignal_slope(Z, U, P, ctx: DriverContext):
     """(f1'(P), f1''(P)) of the exact no-signal objective; see
     ``_NoSignalPart.slope``."""

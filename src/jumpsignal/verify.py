@@ -226,7 +226,16 @@ def check_penalization(sol: BackwardSolution, ctx: DriverContext, eps_reg: float
                        m_values: Sequence[int] = tuple(range(1, 21))) -> CheckReport:
     """Y_0 under f_m is nondecreasing in m and hits Y_0 under f exactly
     once every truncation is inactive along the fields of ``sol``, the
-    solve under the driver of ``ctx``."""
+    solve under the driver of ``ctx``.
+
+    The last margin, at m* = floor(max threshold) + 1, runs f's own code:
+    every row the solve passes to the driver lies past its
+    ``fm_exact_threshold``, so each takes f_m's exact path, Y_0 under
+    f_{m*} equals ``sol.y0`` bit for bit and the margin reads exactly
+    1e-12. That margin checks the threshold dispatch, not the penalized
+    kernels against f; ``test_fm_exact_rows_at_the_reference_grid``
+    compares those to f at a relative 1e-13.
+    """
     cells, F = sol.cells, sol.F
 
     def y0_fm(m):

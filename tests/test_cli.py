@@ -490,12 +490,32 @@ def test_solve_rejects_nonpositive_paths(paths, capsys):
     assert "positive integer" in capsys.readouterr().err
 
 
+# ranges the model objects check: the config builds them when it loads, so
+# each is rejected there, before any command runs
+BAD_RANGES = {
+    "market: {alpha: 3.0}": "alpha must be in (1, 2), got 3.0",
+    "market: {T: -1}": "T must be > 0, got -1",
+    "grid: {layout: spiral}": "unknown grid layout 'spiral'",
+    "grid: {e_min: 6.0}": "need 0 < e_min < e_max, got (6.0, 5.0)",
+    "payoff: {strike: -1.0}": "strike must be > 0, got -1.0",
+}
+
+
+@pytest.mark.parametrize("text", BAD_RANGES)
+def test_config_rejects_out_of_range_models(text):
+    with pytest.raises(ValueError) as exc:
+        load_config_text(text)
+    assert str(exc.value) == BAD_RANGES[text]
+
+
 @pytest.mark.parametrize("text, message", [
     ("utility: {lam: true}", "lam must be a number, got True"),
     ("utility: {lamb: 1.0}", "unknown key(s) in block 'utility': ['lamb']"),
     ("scheme: 5", "config block 'scheme' must be a mapping, got int"),
+    *BAD_RANGES.items(),
 ])
-@pytest.mark.parametrize("command", ["driver-table", "solve", "verify", "grid-dump"])
+@pytest.mark.parametrize("command", ["driver-table", "solve", "verify", "grid-dump",
+                                     "sweep"])
 def test_config_error_is_one_line(command, text, message, tmp_path, capsys):
     # a config error reads like a bad flag: one line on stderr, exit 2
     path = tmp_path / "bad.yaml"

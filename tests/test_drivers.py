@@ -22,7 +22,6 @@ from jumpsignal import (
 from jumpsignal.drivers import (
     _NoSignalPart,
     _exact_argmin,
-    _nosignal_objective,
     _signal_sum,
     h_lambda,
     minimize_on_interval,
@@ -53,8 +52,8 @@ def _fm_row(z, u, m, ctx):
 
 def _f1_row(z, u, p, ctx):
     """No-signal objective at one (z, u, p), as a float."""
-    return float(_nosignal_objective(np.array([z]), np.asarray(u)[None, :],
-                                     np.array([p]), ctx)[0])
+    return float(_NoSignalPart(np.array([z]), np.asarray(u)[None, :], ctx)(
+        np.array([p]))[0])
 
 
 def _hand_h(x, lam=0.4):
@@ -384,8 +383,8 @@ def test_fm_capped_row_takes_the_global_minimum(ctx_hidesmall):
     u = np.array([0.0, 0.0, 4.0, 6.0, 0.0, 0.0])
     assert _hand_capped(u, m, ctx_hidesmall).all()
     P = np.linspace(-1.0, 1.0, 400001)
-    dense = _nosignal_objective(np.full(P.size, z), np.tile(u, (P.size, 1)), P,
-                                ctx_hidesmall, np.full(P.size, m))
+    dense = _NoSignalPart(np.full(P.size, z), np.tile(u, (P.size, 1)),
+                          ctx_hidesmall, np.full(P.size, m))(P)
     d = np.diff(dense)
     inner = np.flatnonzero((d[:-1] < 0.0) & (d[1:] > 0.0)) + 1
     # the premise: one interior minimum, a second at the upper end, 0.05 above
@@ -739,7 +738,6 @@ def test_prepared_kernels_match_the_oracle(ctx_name, n_rows, request):
         for P in positions:
             want = _old_nosignal_objective(z, u, P, ctx, m)
             assert _same_bits(f1(P), want)
-            assert _same_bits(_nosignal_objective(z, u, P, ctx, m), want)
             if m is not None:
                 x = u[:, ~ctx.sig_mask] - np.multiply.outer(P, ctx.eta_g[~ctx.sig_mask])
                 capped += int(np.count_nonzero(x > m[:, None]))
@@ -774,8 +772,8 @@ def test_fm_exact_rows_at_the_reference_grid(ctx_reference):
     # the exact path is sound there: no truncation of f_m is active, so its
     # penalized objective and signal sum equal f's up to operation order
     P = rng.uniform(-ctx.pi_lower, ctx.pi_upper, size=n)
-    want = _nosignal_objective(z, u, P, ctx) + _signal_sum(u, ctx)
-    got = _nosignal_objective(z, u, P, ctx, m_exact) + _signal_sum(u, ctx, m_exact)
+    want = _NoSignalPart(z, u, ctx)(P) + _signal_sum(u, ctx)
+    got = _NoSignalPart(z, u, ctx, m_exact)(P) + _signal_sum(u, ctx, m_exact)
     assert np.allclose(got, want, rtol=1e-13, atol=0.0)
     # a batch mixing exact and penalized rows gives each row what its own
     # kind of rows give alone

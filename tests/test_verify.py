@@ -25,7 +25,7 @@ from jumpsignal.verify import (
     format_reports,
 )
 from jumpsignal.drivers import (
-    _nosignal_objective,
+    _NoSignalPart,
     driver_bounds,
     driver_f_batch,
     minimize_on_interval,
@@ -108,7 +108,7 @@ def test_driver_kkt_detects_inexact_argmin(ctx_hidesmall, ctx_drift, monkeypatch
     def golden(Z, U, ctx):
         vals, _ = driver_f_batch(Z, U, ctx)
         p, _ = minimize_on_interval(
-            lambda P: _nosignal_objective(Z, U, P, ctx),
+            _NoSignalPart(Z, U, ctx),
             -ctx.pi_lower, ctx.pi_upper)
         return vals, p
 
