@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import numbers
 from dataclasses import dataclass, field, fields
 from typing import List, Tuple, Union
@@ -60,8 +61,11 @@ def _require_int(name: str, value) -> None:
 
 
 def _is_number(value) -> bool:
-    """A real number, and not a bool; a string such as "0.2" is none."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A finite real number, and not a bool; a string such as "0.2" is
+    none, nor are inf and nan, which the model objects' range checks let
+    through."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (_is_int(value) or math.isfinite(value)))
 
 
 def _require_numbers(block, *names: str) -> None:

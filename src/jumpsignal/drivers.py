@@ -19,14 +19,14 @@ quadratic is faded by rho_m(z), the exponential nonlinearity is tamed by
 the arctan cap phi_m, and the signal branch is additionally faded by
 rho_m(u_i). f_m is nondecreasing in m and coincides with f once every
 truncation is inactive (see ``fm_exact_threshold``). Each row of an f_m
-call, whatever its level m, takes one of three paths:
+call, whatever its level m, takes one of two paths:
 
-* no active truncation: the exact path, so f_m equals f bit for bit;
 * the phi_m cap cannot bind anywhere in the box (u_i + max(pi_lower,
   pi_upper) |eta_i| <= m on every active no-signal bin,
   ``_cap_can_bind``): the no-signal part f1_m is then convex, and its
   argmin is the clipped root of its slope, found by the same safeguarded
-  Newton as f's;
+  Newton as f's. Every row past its threshold takes this path, and its
+  value equals f's up to rounding;
 * the cap can bind: the cap can make f1_m plateau or give it several
   local minima, so it keeps a coarse scan plus golden-section search
   (``minimize_on_interval``).
@@ -40,8 +40,9 @@ arithmetic in two work arrays of the kernel. The arithmetic keeps the
 operation order of the formulas above evaluated in one go, and each
 matrix reaches BLAS in the memory order those gave it (BLAS picks its
 summation order from it), so values and argmins are bit for bit those of
-the formulas. The signal sum works in place as well; the phi_m cap takes
-arctan only on the entries above its knee.
+the formulas at every position a driver call passes. The signal sum
+works in place as well; the phi_m cap takes arctan only on the entries
+above its knee.
 
 The exponentials of the utility problem (h_lam, the driver's slope, the
 utilities and the value V) pass the guard of ``guarded_exp``: an exponent beyond
@@ -344,13 +345,6 @@ class _NoSignalPart:
         x *= self.lam
         return x
 
-    def _blas_layout(self, a, P):
-        """``a`` in the memory order the per-call formulas handed to BLAS,
-        which picks the summation order of ``a @ v``: column-major for a
-        scalar p without the cap (there the column selection U[:, ns] set
-        the order), row-major otherwise."""
-        return np.asfortranarray(a) if self.m_col is None and np.ndim(P) == 0 else a
-
     def __call__(self, P):
         lam = self.lam
         h = _h_lambda_of(self._exponent(P), lam, out=self._h)
@@ -359,7 +353,7 @@ class _NoSignalPart:
         if self.m_col is not None:
             h *= self.active
             quad = quad * self.fade
-        return quad + self._blas_layout(h, P) @ self.nu + lin
+        return quad + h @ self.nu + lin
 
     def slope(self, P):
         """First and second derivative in p, per row, with
@@ -379,7 +373,7 @@ class _NoSignalPart:
         lam, sigma = self.lam, self.sigma
         x = self._exponent(P)
         _guard_exponent(x)
-        e = self._blas_layout(np.exp(x, out=self._h), P)
+        e = np.exp(x, out=self._h)
         d1 = lam * sigma * (sigma * P - self.zc)
         if self.m_col is None:
             return d1 - e @ self.nu_eta, lam * sigma ** 2 + lam * (e @ self.nu_eta2)
@@ -527,12 +521,10 @@ def penalized_driver_fm_batch(Z, U, m, ctx: DriverContext):
     """Penalized driver f_m over rows of (z, u); see module docstring.
 
     m is one integer level >= 1 for every row, or one per row. Each row
-    takes one of three paths: a row whose ``fm_exact_threshold`` is below
-    its m has no active truncation and takes the exact driver's path, so
-    f_m equals f on it bit for bit; a row whose phi_m cap cannot bind
+    takes one of two paths: a row whose phi_m cap cannot bind
     (``_cap_can_bind``) minimizes the convex f1_m by Newton on its slope;
-    only a row whose cap can bind keeps the scan plus golden-section
-    search of ``minimize_on_interval``.
+    a row whose cap can bind keeps the scan plus golden-section search of
+    ``minimize_on_interval``.
     """
     Z, U = _rows(Z, U, ctx)
     m = np.asarray(m)
@@ -540,19 +532,15 @@ def penalized_driver_fm_batch(Z, U, m, ctx: DriverContext):
     if not ok or (m.ndim and m.shape != Z.shape):
         raise ValueError(f"m must be an integer >= 1, or one per row of z; got {m}")
     m = np.broadcast_to(m, Z.shape)
-    exact = fm_exact_threshold(Z, U, ctx) < m
-    # the threshold covers the cap's reach, so no exact row is capped
     capped = _cap_can_bind(U, m, ctx)
     vals = np.empty(Z.size)
     p0 = np.empty(Z.size)
-    for rows, level, scan in ((exact, None, False), (~exact & ~capped, m, False),
-                              (capped, m, True)):
+    for rows, scan in ((~capped, False), (capped, True)):
         if rows.all():
             # no copy of the rows when they all take one path
-            return _driver_rows(Z, U, ctx, level, scan)
+            return _driver_rows(Z, U, ctx, m, scan)
         if rows.any():
-            vals[rows], p0[rows] = _driver_rows(
-                Z[rows], U[rows], ctx, None if level is None else level[rows], scan)
+            vals[rows], p0[rows] = _driver_rows(Z[rows], U[rows], ctx, m[rows], scan)
     return vals, p0
 
 

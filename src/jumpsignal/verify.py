@@ -10,7 +10,8 @@ the same samples at m + 1, ``check_lipschitz_z`` its rows (z, u) over
 batch. Each row of f, and each f_m row whose phi_m cap cannot bind, ends
 its Newton search on its own test (``drivers._exact_argmin``); each f_m
 row whose cap can bind takes the same number of golden-section steps
-(``drivers.minimize_on_interval``). Statistical
+(``drivers.minimize_on_interval``). These are f_m's two row paths, at
+every level m, past ``fm_exact_threshold`` too. Statistical
 checks (optimality, regression noise) always run on freshly seeded
 batches, never on the batch the solution was trained on. The batch
 checks take the BSDE solved under the real driver and run the solves
@@ -224,17 +225,15 @@ def check_comparison(sol: BackwardSolution, f2_values, driver2: DriverFn,
 
 def check_penalization(sol: BackwardSolution, ctx: DriverContext, eps_reg: float,
                        m_values: Sequence[int] = tuple(range(1, 21))) -> CheckReport:
-    """Y_0 under f_m is nondecreasing in m and hits Y_0 under f exactly
+    """Y_0 under f_m is nondecreasing in m and hits Y_0 under f to 1e-12
     once every truncation is inactive along the fields of ``sol``, the
     solve under the driver of ``ctx``.
 
-    The last margin, at m* = floor(max threshold) + 1, runs f's own code:
-    every row the solve passes to the driver lies past its
-    ``fm_exact_threshold``, so each takes f_m's exact path, Y_0 under
-    f_{m*} equals ``sol.y0`` bit for bit and the margin reads exactly
-    1e-12. That margin checks the threshold dispatch, not the penalized
-    kernels against f; ``test_fm_exact_rows_at_the_reference_grid``
-    compares those to f at a relative 1e-13.
+    The last margin, at m* = floor(max threshold) + 1, compares the
+    penalized kernels with f through a full solve, to 1e-12: every row
+    the solve passes to the driver lies past its ``fm_exact_threshold``,
+    where no truncation is active and f_m's Newton path gives f's value
+    up to rounding.
     """
     cells, F = sol.cells, sol.F
 

@@ -501,11 +501,29 @@ BAD_RANGES = {
 }
 
 
-@pytest.mark.parametrize("text", BAD_RANGES)
+# inf and nan pass the model objects' "x > 0" style checks, so the config
+# blocks reject them at load, as they reject any other non-number
+NON_FINITE = {
+    "market: {sigma: .inf}": "sigma must be a number, got inf",
+    "grid: {e_max: .inf}": "e_max must be a number, got inf",
+    "payoff: {strike: .inf}": "strike must be a number, got inf",
+    "utility: {lam: .inf}": "lam must be a number, got inf",
+}
+REJECTED_AT_LOAD = {
+    **BAD_RANGES,
+    **NON_FINITE,
+    "market: {kappa: .nan}": "kappa must be a number or 'compensate', got nan",
+    "market: {rho: -.inf}": "rho must be a number, got -inf",
+    "utility: {x: .nan}": "x must be a number, got nan",
+    "scenario: {c_values: [0.5, .inf]}": "c_values must be a list of numbers, got [0.5, inf]",
+}
+
+
+@pytest.mark.parametrize("text", REJECTED_AT_LOAD)
 def test_config_rejects_out_of_range_models(text):
     with pytest.raises(ValueError) as exc:
         load_config_text(text)
-    assert str(exc.value) == BAD_RANGES[text]
+    assert str(exc.value) == REJECTED_AT_LOAD[text]
 
 
 @pytest.mark.parametrize("text, message", [
@@ -513,6 +531,7 @@ def test_config_rejects_out_of_range_models(text):
     ("utility: {lamb: 1.0}", "unknown key(s) in block 'utility': ['lamb']"),
     ("scheme: 5", "config block 'scheme' must be a mapping, got int"),
     *BAD_RANGES.items(),
+    *NON_FINITE.items(),
 ])
 @pytest.mark.parametrize("command", ["driver-table", "solve", "verify", "grid-dump",
                                      "sweep"])

@@ -171,7 +171,8 @@ def test_comparison_detects_lower_driver(sol_small, payoff_small, ctx_hidesmall,
 def test_penalization_pass(sol_small, ctx_hidesmall, eps_reg):
     r = check_penalization(sol_small, ctx_hidesmall, eps_reg, m_values=range(1, 6))
     assert r.passed
-    # last margin certifies the bit-level lock past the threshold
+    # the last margin compares the solve under f_m past the threshold
+    # with the solve under f, to 1e-12
     assert r.worst_margin <= 1e-12 + 1e-15
 
 
@@ -182,6 +183,21 @@ def test_penalization_detects_foreign_solution(batch_small, payoff_small,
                    cells_small)
     r = check_penalization(sol_up, ctx_hidesmall, eps_reg, m_values=range(1, 6))
     assert not r.passed and r.violations == 1
+
+
+def test_penalization_detects_a_wrong_fm_slope(sol_small, ctx_hidesmall, monkeypatch):
+    # m_values=(20,) runs only the m* leg: past the threshold f_m's rows
+    # take the penalized kernels, so a slope of f1_m off by 1e-3 moves the
+    # Newton argmin, and with it Y_0, off the solve under f
+    slope = _NoSignalPart.slope
+
+    def off(self, P):
+        d1, d2 = slope(self, P)
+        return (d1 if self.m_col is None else d1 + 1e-3), d2
+
+    monkeypatch.setattr(_NoSignalPart, "slope", off)
+    r = check_penalization(sol_small, ctx_hidesmall, 0.0, m_values=(20,))
+    assert r.samples == 1 and not r.passed and r.violations == 1
 
 
 def test_martingale_optimality_pass(batch_small_b, sol_small, ctx_hidesmall,
