@@ -81,8 +81,10 @@ class BasisPartition:
 
     edges are the interior cell boundaries (strictly increasing); a
     price lands in cell ``#edges <= s`` so equal prices always share a
-    cell. Cells below the minimum path count are merged with their
-    smaller neighbor until every cell is populated.
+    cell. Every cell holds ``min_count`` paths or more (one cell holds a
+    smaller sample): of the ``min(n_cells, n // min_count)`` quantile
+    cells, an edge is kept, left to right, when the cell since the last
+    kept edge and the rest of the sample each hold ``min_count`` paths.
 
     ``from_sample`` sorts the sample once: the edges are quantiles read
     from the sorted sample by index, each cell is counted by locating the
@@ -91,9 +93,9 @@ class BasisPartition:
 
     ``sample_ids`` has the narrowest unsigned type that holds the cell ids
     below the requested ``n_cells`` (uint8 up to 256 cells, uint16 up to
-    65536); merging only lowers the count. A reader that multiplies ids
-    widens them first: under NumPy 2 promotion an id array times a Python
-    int keeps the id type and wraps.
+    65536); the ``min_count`` rule only lowers the count. A reader that
+    multiplies ids widens them first: under NumPy 2 promotion an id array
+    times a Python int keeps the id type and wraps.
     """
 
     edges: np.ndarray
@@ -123,22 +125,17 @@ class BasisPartition:
             raise ValueError(f"bad partition config ({n_cells} cells, min {min_count})")
         order = np.argsort(s)
         s_sorted = s[order]
-        edges = np.unique(_sorted_quantiles(s_sorted, np.arange(1, n_cells) / n_cells))
-        while True:
-            # the prices below each edge fill the cells left of it
-            below = np.searchsorted(s_sorted, edges, side="left")
-            counts = np.diff(below, prepend=0, append=s.size)
-            if edges.size == 0 or counts.min() >= min(min_count, s.size):
-                break
-            j = int(np.argmin(counts))
-            if j == 0:
-                drop = 0
-            elif j == edges.size:
-                drop = edges.size - 1
-            else:
-                # merge toward the smaller neighbor, ties to the left
-                drop = j - 1 if counts[j - 1] <= counts[j + 1] else j
-            edges = np.delete(edges, drop)
+        # no more than n // min_count cells can each hold min_count paths
+        m = max(1, min(n_cells, s.size // min_count))
+        edges = _sorted_quantiles(s_sorted, np.arange(1, m) / m)
+        # the prices below each edge fill the cells left of it
+        below = np.searchsorted(s_sorted, edges, side="left")
+        keep, last = np.zeros(edges.size, dtype=bool), 0
+        for i, b in enumerate(below.tolist()):
+            if b - last >= min_count and s.size - b >= min_count:
+                keep[i], last = True, b
+        edges = edges[keep]
+        counts = np.diff(below[keep], prepend=0, append=s.size)
         ids = np.empty(s.size, dtype=np.min_scalar_type(n_cells - 1))
         ids[order] = np.repeat(np.arange(edges.size + 1, dtype=ids.dtype), counts)
         return cls(edges=edges, counts=counts, sample_ids=ids)

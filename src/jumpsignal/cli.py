@@ -29,6 +29,7 @@ import numpy as np
 
 from .bsde_solver import CellIndex, solve, value_and_strategy
 from .config import (
+    FRESH_SEED_OFFSET,
     ExperimentConfig,
     config_hash,
     load_config,
@@ -55,21 +56,18 @@ def _load(args) -> ExperimentConfig:
 
 def _configure(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = {}
+    overrides = {"scenario": {}, "scheme": {}}
     if getattr(args, "scenario", None):
-        overrides["variant"] = args.scenario
+        overrides["scenario"]["variant"] = args.scenario
     if getattr(args, "c", None) is not None:
-        overrides["c_values"] = (args.c,)
-    if overrides:
-        cfg = dataclasses.replace(
-            cfg, scenario=dataclasses.replace(cfg.scenario, **overrides))
+        overrides["scenario"]["c_values"] = (args.c,)
     if getattr(args, "paths", None) is not None:
-        cfg = dataclasses.replace(
-            cfg, scheme=dataclasses.replace(cfg.scheme, n_paths=args.paths))
+        overrides["scheme"]["n_paths"] = args.paths
     if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(
-            cfg, scheme=dataclasses.replace(cfg.scheme, seeds=(args.seed,)))
-    return cfg
+        overrides["scheme"]["seeds"] = (args.seed,)
+    # one replace per overridden block; the config checks itself again
+    return dataclasses.replace(cfg, **{name: dataclasses.replace(getattr(cfg, name), **kw)
+                                       for name, kw in overrides.items() if kw})
 
 
 @contextlib.contextmanager
@@ -238,7 +236,7 @@ def cmd_verify(args) -> int:
         reports.append(verify_mod.check_comparison(sol, sol.F,
                                                    plus_delta, eps_reg))
         reports.append(verify_mod.check_penalization(sol, ctx, eps_reg))
-        fresh_seed = max(cfg.scheme.seeds) + 1009
+        fresh_seed = max(cfg.scheme.seeds) + FRESH_SEED_OFFSET
         fresh = simulate_batch(spec, grid, cfg.time_grid(), cfg.scheme.n_paths,
                                fresh_seed)
         reports.append(verify_mod.check_martingale_optimality(
@@ -301,12 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="jump-signal portfolio BSDE toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
+    def add_common(sp, batch=True):
         sp.add_argument("--config", help="YAML config path (defaults used if absent)")
         sp.add_argument("--scenario", choices=["nosignal", "hidesmall", "hidelarge"])
         sp.add_argument("--c", type=float, help="single cutoff override")
-        sp.add_argument("--paths", type=_positive_int, help="path count override")
-        sp.add_argument("--seed", type=int, help="single seed override")
+        if batch:
+            sp.add_argument("--paths", type=_positive_int, help="path count override")
+            sp.add_argument("--seed", type=int, help="single seed override")
 
     sp = sub.add_parser("grid-dump", help="dump the discretized jump measure")
     sp.add_argument("--config")
@@ -314,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_grid_dump)
 
     sp = sub.add_parser("driver-table", help="tabulate f(z, 0) over a z range")
-    add_common(sp)
+    add_common(sp, batch=False)
     sp.add_argument("--z-min", type=float, default=-2.0)
     sp.add_argument("--z-max", type=float, default=2.0)
     sp.add_argument("--z-steps", type=_positive_int, default=41)

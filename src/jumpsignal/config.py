@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields
 from typing import List, Tuple, Union
 
@@ -48,11 +48,13 @@ __all__ = [
 ]
 
 _VARIANTS = ("nosignal", "hidesmall", "hidelarge")
+# verify simulates a fresh batch at this offset past the largest seed
+FRESH_SEED_OFFSET = 1009
 
 
 def _is_int(value) -> bool:
-    """An integer, and not a bool (YAML reads ``true`` as one)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    """A number (see ``_is_number``) that is an integer."""
+    return isinstance(value, numbers.Integral) and _is_number(value)
 
 
 def _require_int(name: str, value) -> None:
@@ -61,11 +63,11 @@ def _require_int(name: str, value) -> None:
 
 
 def _is_number(value) -> bool:
-    """A finite real number, and not a bool; a string such as "0.2" is
-    none, nor are inf and nan, which the model objects' range checks let
-    through."""
+    """A real number that a float holds, and not a bool: no string such
+    as "0.2", no inf or nan, which the model objects' range checks let
+    through, and no integer too large for them to convert to a float."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and (_is_int(value) or math.isfinite(value)))
+            and abs(value) <= sys.float_info.max)
 
 
 def _require_numbers(block, *names: str) -> None:
@@ -123,8 +125,10 @@ class SchemeBlock:
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if len(self.seeds) == 0:
             raise ValueError("seeds must be nonempty")
-        if min(self.seeds) < 0:
-            raise ValueError(f"seeds must be >= 0, got {list(self.seeds)}")
+        # seeds key Philox, and so does verify's fresh seed: keys stop below 2^128
+        if min(self.seeds) < 0 or max(self.seeds) + FRESH_SEED_OFFSET >= 2 ** 128:
+            raise ValueError(f"seeds must be >= 0 and < 2**128 - {FRESH_SEED_OFFSET}, "
+                             f"got {list(self.seeds)}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {list(self.seeds)}")
 

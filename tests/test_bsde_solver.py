@@ -58,22 +58,20 @@ def test_partition_merges_small_cells(rng):
 
 
 def _partition_by_search(s, n_cells, min_count):
-    """Reference partition (edges, counts, ids): every merge round places
-    the whole sample with searchsorted, no sort."""
-    edges = np.unique(np.quantile(s, np.arange(1, n_cells) / n_cells))
-    while True:
-        ids = np.searchsorted(edges, s, side="right")
-        counts = np.bincount(ids, minlength=edges.size + 1)
-        if edges.size == 0 or counts.min() >= min(min_count, s.size):
-            return edges, counts, ids
-        j = int(np.argmin(counts))
-        if j == 0:
-            drop = 0
-        elif j == edges.size:
-            drop = edges.size - 1
-        else:
-            drop = j - 1 if counts[j - 1] <= counts[j + 1] else j
-        edges = np.delete(edges, drop)
+    """Reference partition (edges, counts, ids), with no sort: the edges
+    of at most n // min_count quantile cells, each placed by counting the
+    sample below it, and kept when the cell since the last kept edge and
+    the rest of the sample each hold min_count paths."""
+    m = max(1, min(n_cells, s.size // min_count))
+    edges, last = [], 0
+    for e in np.quantile(s, np.arange(1, m) / m):
+        below = np.count_nonzero(s < e)
+        if below - last >= min_count and s.size - below >= min_count:
+            edges.append(e)
+            last = below
+    edges = np.array(edges)
+    ids = np.searchsorted(edges, s, side="right")
+    return edges, np.bincount(ids, minlength=edges.size + 1), ids
 
 
 def _partition_case(case, rng):
@@ -95,6 +93,9 @@ def _partition_case(case, rng):
     if case == "gaps":
         # gaps as wide as the values: the two lerp forms round apart
         return rng.exponential(1.0, size=10), 64
+    if case == "overfull":
+        # more cells asked for than n // min_count can fill
+        return rng.lognormal(0.0, 0.3, size=4096), 4000
     # a reference-size step of lognormal prices
     return rng.lognormal(0.0, 0.3, size=65536), 64
 
@@ -115,10 +116,10 @@ def test_sorted_quantiles_are_numpy_quantiles(case, rng):
         assert not np.array_equal(got, a + (b - a) * (at - lo))
 
 
-@pytest.mark.parametrize("case", ["ties", "merges", "constant", "few"])
+@pytest.mark.parametrize("case", ["ties", "merges", "constant", "few", "overfull"])
 def test_partition_sort_matches_search(case, rng):
     s, n_cells = _partition_case(case, rng)
-    min_count = 60
+    min_count = 50 if case == "overfull" else 60
     edges, counts, ids = _partition_by_search(s, n_cells, min_count)
     part = BasisPartition.from_sample(s, n_cells=n_cells, min_count=min_count)
     assert np.array_equal(part.edges, edges)
@@ -129,6 +130,9 @@ def test_partition_sort_matches_search(case, rng):
         assert edges.size > 0 and np.isin(edges, s).all()
     if case == "merges":
         assert edges.size < n_cells - 1
+    if case == "overfull":
+        # 4096 // 50 cells of 50 or 51 paths, not a merge down from 4000
+        assert part.n_cells == 81 and part.counts.min() >= 50
 
 
 def test_cell_index_ids_are_the_assigned_cells(batch_small):

@@ -481,6 +481,15 @@ def test_driver_table_rejects_nonpositive_z_steps(z_steps, capsys):
     assert "positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--paths", "--seed"])
+def test_driver_table_takes_no_batch_overrides(flag, capsys):
+    # the table simulates no batch, so a path count or a seed would do nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["driver-table", flag, "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("paths", ["0", "-5"])
 def test_solve_rejects_nonpositive_paths(paths, capsys):
     # a zero path count must not fall back to the config's
@@ -509,9 +518,27 @@ NON_FINITE = {
     "payoff: {strike: .inf}": "strike must be a number, got inf",
     "utility: {lam: .inf}": "lam must be a number, got inf",
 }
+# integers too large for a float, and a seed past Philox's 2^128 keys:
+# the model objects and the RNG would raise outside the config checks
+_BIG = 10 ** 399
+_SEED = 2 ** 128 + 1
+TOO_LARGE = {
+    f"market: {{sigma: {_BIG}}}": f"sigma must be a number, got {_BIG}",
+    f"grid: {{q: {_BIG}}}": f"q must be an integer, got {_BIG}",
+    f"scenario: {{c_values: [{_BIG}]}}": f"c_values must be a list of numbers, got [{_BIG}]",
+    f"scheme: {{seeds: [{_SEED}]}}": f"seeds must be >= 0 and < 2**128 - 1009, got [{_SEED}]",
+}
+
+
+def _digits_id(value):
+    """A short test id for a value with a 400-digit integer in it."""
+    return value.replace(str(_BIG), "1e399") if str(_BIG) in value else None
+
+
 REJECTED_AT_LOAD = {
     **BAD_RANGES,
     **NON_FINITE,
+    **TOO_LARGE,
     "market: {kappa: .nan}": "kappa must be a number or 'compensate', got nan",
     "market: {rho: -.inf}": "rho must be a number, got -inf",
     "utility: {x: .nan}": "x must be a number, got nan",
@@ -519,7 +546,7 @@ REJECTED_AT_LOAD = {
 }
 
 
-@pytest.mark.parametrize("text", REJECTED_AT_LOAD)
+@pytest.mark.parametrize("text", REJECTED_AT_LOAD, ids=_digits_id)
 def test_config_rejects_out_of_range_models(text):
     with pytest.raises(ValueError) as exc:
         load_config_text(text)
@@ -532,7 +559,8 @@ def test_config_rejects_out_of_range_models(text):
     ("scheme: 5", "config block 'scheme' must be a mapping, got int"),
     *BAD_RANGES.items(),
     *NON_FINITE.items(),
-])
+    *TOO_LARGE.items(),
+], ids=_digits_id)
 @pytest.mark.parametrize("command", ["driver-table", "solve", "verify", "grid-dump",
                                      "sweep"])
 def test_config_error_is_one_line(command, text, message, tmp_path, capsys):
