@@ -216,32 +216,12 @@ def cmd_verify(args) -> int:
         verify_mod.check_lipschitz_z(n, ctx),
         verify_mod.check_scenario_limits(ctx0, n_samples=n),
     ]
-
+    error = None
     if not args.driver_only:
-        seeds = cfg.scheme.seeds[:2] if len(cfg.scheme.seeds) >= 2 \
-            else (cfg.scheme.seeds[0], cfg.scheme.seeds[0] + 1)
-        # each seed's real-driver BSDE, solved once for all the checks
-        cell_indices = [_cells(cfg, s) for s in seeds]
-        sols = [solve(c.batch, cfg.payoff_values(c.batch.S[-1]), ctx, c)
-                for c in cell_indices]
-        eps_reg = verify_mod.calibrate_eps_reg(sols)
-        sol = sols[0]
-        reports.append(verify_mod.check_scheme_oracles(sol))
-        delta = 0.05
-
-        def plus_delta(Z, U):
-            vals, p0 = ctx(Z, U)
-            return vals + delta, p0
-
-        reports.append(verify_mod.check_comparison(sol, sol.F,
-                                                   plus_delta, eps_reg))
-        reports.append(verify_mod.check_penalization(sol, ctx, eps_reg))
-        fresh_seed = max(cfg.scheme.seeds) + FRESH_SEED_OFFSET
-        fresh = simulate_batch(spec, grid, cfg.time_grid(), cfg.scheme.n_paths,
-                               fresh_seed)
-        reports.append(verify_mod.check_martingale_optimality(
-            fresh, sol, ctx, cfg.payoff_values, cfg.utility.x, eps_reg))
-        reports.append(verify_mod.check_y_bound(sol, ctx, eps_reg))
+        try:
+            _batch_reports(cfg, spec, grid, ctx, reports)
+        except (ValueError, ArithmeticError) as exc:
+            error = exc  # a failed solve: print the reports made, then the error
 
     print(verify_mod.format_reports(reports))
     if args.csv:
@@ -252,7 +232,36 @@ def cmd_verify(args) -> int:
             for r in sorted(reports, key=lambda r: r.name):
                 w.writerow([r.name, r.samples, r.violations,
                             repr(r.worst_margin), repr(r.tolerance), r.passed])
+    if error is not None:
+        print(f"jumpsignal: error: {error}", file=sys.stderr)
+        return 1
     return 0 if all(r.passed for r in reports) else 1
+
+
+def _batch_reports(cfg, spec, grid, ctx, reports):
+    """Append the batch checks to ``reports``, one at a time."""
+    seeds = cfg.scheme.seeds[:2] if len(cfg.scheme.seeds) >= 2 \
+        else (cfg.scheme.seeds[0], cfg.scheme.seeds[0] + 1)
+    # each seed's real-driver BSDE, solved once for all the checks
+    cell_indices = [_cells(cfg, s) for s in seeds]
+    sols = [solve(c.batch, cfg.payoff_values(c.batch.S[-1]), ctx, c)
+            for c in cell_indices]
+    eps_reg = verify_mod.calibrate_eps_reg(sols)
+    sol = sols[0]
+    reports.append(verify_mod.check_scheme_oracles(sol))
+    delta = 0.05
+
+    def plus_delta(Z, U):
+        vals, p0 = ctx(Z, U)
+        return vals + delta, p0
+
+    reports.append(verify_mod.check_comparison(sol, sol.F, plus_delta, eps_reg))
+    reports.append(verify_mod.check_penalization(sol, ctx, eps_reg))
+    fresh_seed = max(cfg.scheme.seeds) + FRESH_SEED_OFFSET
+    fresh = simulate_batch(spec, grid, cfg.time_grid(), cfg.scheme.n_paths, fresh_seed)
+    reports.append(verify_mod.check_martingale_optimality(
+        fresh, sol, ctx, cfg.payoff_values, cfg.utility.x, eps_reg))
+    reports.append(verify_mod.check_y_bound(sol, ctx, eps_reg))
 
 
 def cmd_report(args) -> int:

@@ -18,31 +18,24 @@ bins with |e_i| <= 1/m are zeroed in the exponential sums, the
 quadratic is faded by rho_m(z), the exponential nonlinearity is tamed by
 the arctan cap phi_m, and the signal branch is additionally faded by
 rho_m(u_i). f_m is nondecreasing in m and coincides with f once every
-truncation is inactive (see ``fm_exact_threshold``). Each row of an f_m
-call, whatever its level m, takes one of two paths:
+truncation is inactive (see ``fm_exact_threshold``).
 
-* the phi_m cap cannot bind anywhere in the box (u_i + max(pi_lower,
-  pi_upper) |eta_i| <= m on every active no-signal bin,
-  ``_cap_can_bind``): the no-signal part f1_m is then convex, and its
-  argmin is the clipped root of its slope, found by the same safeguarded
-  Newton as f's. Every row past its threshold takes this path, and its
-  value equals f's up to rounding;
-* the cap can bind: the cap can make f1_m plateau or give it several
-  local minima, so it keeps a coarse scan plus golden-section search
-  (``minimize_on_interval``).
+f is f_m at m = inf, where the fade is 1, no bin is dropped and the cap
+is the identity: both drivers run one no-signal kernel
+(``_NoSignalPart``) and one signal sum, and f does its operations bit
+for bit. The kernel zeroes u and eta on a row's dropped bins and applies
+phi_m only on the rows whose cap can bind somewhere in the box
+(``_cap_can_bind``). Those take a coarse scan plus golden-section search
+(``minimize_on_interval``), since the cap can make f1_m plateau or give
+it several local minima. Every other row, each row of f included, has a
+convex f1_m whose argmin is the clipped root of its slope, found by
+safeguarded Newton (``_exact_argmin``).
 
-Every search evaluates a kernel prepared once per path of a driver call
-(``_NoSignalPart``): the no-signal columns of U, z + C/lam, the eta, nu
-and eta nu vectors and, for f_m, rho_m(z), the level per row and the
-active bins are set up when the rows are, and each Newton step or each
-of the 80 objective evaluations of the scan does only the p-dependent
-arithmetic in two work arrays of the kernel. The arithmetic keeps the
-operation order of the formulas above evaluated in one go, and each
-matrix reaches BLAS in the memory order those gave it (BLAS picks its
-summation order from it), so values and argmins are bit for bit those of
-the formulas at every position a driver call passes. The signal sum
-works in place as well; the phi_m cap takes arctan only on the entries
-above its knee.
+The kernel is prepared once per path of a driver call, and each Newton
+step or objective evaluation does only the p-dependent arithmetic, in
+the operation order of the formulas evaluated in one go; each matrix
+reaches BLAS in the memory order those gave it (BLAS picks its summation
+order from it), so values and argmins are bit for bit the formulas'.
 
 The exponentials of the utility problem (h_lam, the driver's slope, the
 utilities and the value V) pass the guard of ``guarded_exp``: an exponent beyond
@@ -289,58 +282,59 @@ def u_lambda_norm(u, ctx: DriverContext):
 
 
 class _NoSignalPart:
-    """The inner objective of the no-signal part on fixed rows (z, u), as
-    a function of the position p: a scalar shared by every row, or one
-    entry per row.
+    """The inner objective f1_m of the no-signal part on fixed rows (z, u),
+    as a function of the position p: a scalar shared by every row, or one
+    entry per row. ``m`` is one level per row or one for all rows; the
+    default m = inf gives the exact f1, strictly convex in p.
 
-    (lam/2)(sigma p - (z + C/lam))^2 plus the exponential jump integrand
-    over the no-signal bins. With m None this is the exact f1, strictly
-    convex in p, and ``slope`` gives its first two derivatives. With one
-    level m per row (as a driver call passes them; one integer for all rows
-    also works) it is the penalized f1_m: rho_m fade on the
-    quadratic, phi_m cap inside h_lam, bins |e_i| <= 1/m zeroed in the
-    h-sum, linear term kept on the full grid. f1_m need not be strictly
-    convex: the cap and the fade can flatten it, down to a constant in p
-    once rho_m(z) = 0 and every no-signal bin is truncated. On a row where
-    the cap cannot bind (``_cap_can_bind``) f1_m is convex and ``slope``
-    gives its derivatives too.
+    rho_m(z) (lam/2)(sigma p - (z + C/lam))^2, plus h_lam(phi_m(u_i -
+    p eta_i)) nu_i over the no-signal bins |e_i| > 1/m, plus -p eta_i nu_i
+    over every no-signal bin. The cap and the fade can flatten f1_m, down
+    to a constant in p once rho_m(z) = 0 and every no-signal bin is
+    dropped. phi_m is applied only with ``cap``; on a row whose cap cannot
+    bind it is the identity in the box, f1_m is convex and ``slope`` gives
+    its derivatives.
 
-    Everything that does not depend on p is set up once per driver call:
-    the no-signal columns of U, z + C/lam, the eta, nu and eta nu vectors
-    and, for f1_m, rho_m(z), the level per row and the active bins. An
-    evaluation does only the p-dependent arithmetic, in the operation
-    order of the formulas above, inside two work arrays of the object.
+    Everything that does not depend on p is set up once: the no-signal
+    columns of U with the dropped bins' u and eta zeroed (their exponent
+    is then 0 and their h-term exactly 0), z + C/lam, rho_m(z) and the
+    curvature rho_m(z) lam sigma^2 of the quadratic. An evaluation does
+    the p-dependent arithmetic inside two work arrays of the object.
     """
 
-    def __init__(self, Z, U, ctx: DriverContext, m=None):
+    def __init__(self, Z, U, ctx: DriverContext, m=math.inf, cap=False):
         lam = ctx.lam
         ns = ~ctx.sig_mask
         eta = ctx.eta_g[ns]
         nu = ctx.nu_g[ns]
         self.lam, self.sigma = lam, ctx.sigma
+        self.m_col = np.asarray(m, dtype=float)[..., None]
+        self.cap = cap
         # row-major like the work arrays, so u - p eta runs contiguous
         self.u = np.compress(ns, U, axis=1)
         self.zc = Z + ctx.c_const / lam
-        self.eta = eta
+        self.fade = rho_m(Z, m)
+        self.curv = self.fade * (lam * ctx.sigma ** 2)
         self.nu = nu
         self.eta_nu = float(eta @ nu)
         self.nu_eta = nu * eta
         self.nu_eta2 = self.nu_eta * eta
+        dropped = ~_active_bins(ctx, ns, self.m_col)
+        self.eta = np.where(dropped, 0.0, eta)
+        if dropped.any():
+            self.u[np.broadcast_to(dropped, self.u.shape)] = 0.0
+        # sum over the dropped bins of nu_i eta_i^2 e_i, at e_i = 1
+        self.dropped_nu_eta2 = dropped @ self.nu_eta2
         self._x = np.empty(self.u.shape)
         self._h = np.empty(self.u.shape)
-        self.m_col = None
-        if m is not None:
-            self.m_col = np.asarray(m, dtype=float)[..., None]
-            self.active = _active_bins(ctx, ns, self.m_col)
-            self.fade = rho_m(Z, m)
 
     def _exponent(self, P):
-        """lam (u_i - p eta_i) per (row, no-signal bin), for f1_m
+        """lam (u_i - p eta_i) per (row, no-signal bin), with ``cap``
         lam phi_m(u_i - p eta_i), in the first work array."""
         x = self._x
         np.multiply(P[:, None] if np.ndim(P) else P, self.eta, out=x)
         np.subtract(self.u, x, out=x)
-        if self.m_col is not None:
+        if self.cap:
             _phi_m_inplace(x, self.m_col)
         x *= self.lam
         return x
@@ -350,42 +344,33 @@ class _NoSignalPart:
         h = _h_lambda_of(self._exponent(P), lam, out=self._h)
         quad = 0.5 * lam * (self.sigma * P - self.zc) ** 2
         lin = -P * self.eta_nu
-        if self.m_col is not None:
-            h *= self.active
-            quad = quad * self.fade
-        return quad + h @ self.nu + lin
+        return quad * self.fade + h @ self.nu + lin
 
     def slope(self, P):
-        """First and second derivative in p, per row, with
-        e_i = exp(lam (u_i - p eta_i)) over the no-signal bins.
+        """First and second derivative in p, per row, of a row whose cap
+        cannot bind, with e_i = exp(lam (u_i - p eta_i)) over the no-signal
+        bins (1 on the dropped bins):
 
-        Exact f1 (m None): f1'(p) = lam sigma (sigma p - z - C/lam)
-        - sum_ns nu_i eta_i e_i and f1''(p) = lam sigma^2
-        + lam sum_ns nu_i eta_i^2 e_i > 0.
+        f1_m'(p) = rho_m(z) lam sigma (sigma p - z - C/lam) - sum nu_i eta_i e_i,
+        f1_m''(p) = rho_m(z) lam sigma^2
+                    + lam (sum nu_i eta_i^2 e_i - sum_dropped nu_i eta_i^2),
 
-        f1_m, on rows where the phi_m cap cannot bind:
-        f1_m'(p) = rho_m(z) lam sigma (sigma p - z - C/lam)
-        - sum_active nu_i eta_i (e_i - 1) - sum_ns nu_i eta_i and
-        f1_m''(p) = rho_m(z) lam sigma^2 + lam sum_active nu_i eta_i^2 e_i
-        >= 0. On other rows the cap is not differentiated and the values
+        so a dropped bin keeps only its linear term. f1_m'' >= 0, and f1''
+        > 0. On other rows the cap is not differentiated and the values
         are not f1_m's derivatives.
         """
         lam, sigma = self.lam, self.sigma
         x = self._exponent(P)
         _guard_exponent(x)
         e = np.exp(x, out=self._h)
-        d1 = lam * sigma * (sigma * P - self.zc)
-        if self.m_col is None:
-            return d1 - e @ self.nu_eta, lam * sigma ** 2 + lam * (e @ self.nu_eta2)
-        e *= self.active
-        d2 = self.fade * (lam * sigma ** 2) + lam * (e @ self.nu_eta2)
-        e -= self.active
-        return self.fade * d1 - e @ self.nu_eta - self.eta_nu, d2
+        d1 = self.fade * (lam * sigma * (sigma * P - self.zc)) - e @ self.nu_eta
+        d2 = self.curv + lam * (e @ self.nu_eta2 - self.dropped_nu_eta2)
+        return d1, d2
 
 
 def nosignal_slope(Z, U, P, ctx: DriverContext):
-    """(f1'(P), f1''(P)) of the exact no-signal objective; see
-    ``_NoSignalPart.slope``."""
+    """(f1'(P), f1''(P)) of the exact no-signal objective: the slope of
+    ``_NoSignalPart`` at m = inf."""
     return _NoSignalPart(Z, U, ctx).slope(P)
 
 
@@ -400,8 +385,8 @@ def _exact_argmin(f1: _NoSignalPart, ctx: DriverContext):
     slope inside a bracket on its sign, bisecting when a step is NaN or
     leaves the bracket, and stops on its own step, so its result does not
     depend on the other rows. Both ends pass the overflow guard first; the
-    exponent is monotone in p (linear, or linear through the increasing
-    phi_m), so no position inside the box exceeds them.
+    exponent is linear in p (no cap is applied on these rows), so no
+    position inside the box exceeds them.
     """
     a, b = -ctx.pi_lower, ctx.pi_upper
     n = f1.zc.size
@@ -434,12 +419,13 @@ def _exact_argmin(f1: _NoSignalPart, ctx: DriverContext):
     return p
 
 
-def _signal_sum(U, ctx: DriverContext, m=None):
-    """Signal-branch sum at the closed-form boundary positions.
-
-    Works in place on a copy of the signal columns of U, so f_m takes
-    three arrays of that size at its peak.
-    """
+def _signal_sum(U, ctx: DriverContext, m=math.inf):
+    """Signal-branch sum of f_m at the boundary positions, at the level
+    ``m`` (one per row, or one for all rows; f at m = inf, where phi_m,
+    rho_m(u_i) and the active mask are exactly the identity and 1 and are
+    skipped). f keeps the column-major order of U's signal columns and f_m
+    works row-major, in place: the memory order of h picks the summation
+    order of h @ nu in BLAS."""
     sig = ctx.sig_mask
     if not np.any(sig):
         return np.zeros(U.shape[0])
@@ -448,21 +434,17 @@ def _signal_sum(U, ctx: DriverContext, m=None):
     nu = ctx.nu_g[sig]
     shift = ctx.boundary_p[sig] * eta
     lin = -float(shift @ nu) * np.ones(U.shape[0])
-    # f keeps the column-major order of U's signal columns and f_m works
-    # row-major, as the per-call formulas did: the memory order picks the
-    # summation order of the final product with nu in BLAS
-    x = U[:, sig] if m is None else np.compress(sig, U, axis=1)
-    x -= shift
-    if m is None:
-        x *= lam
-        return _h_lambda_of(x, lam) @ nu + lin
     m_col = np.asarray(m, dtype=float)[..., None]
-    active = _active_bins(ctx, sig, m_col)
-    _phi_m_inplace(x, m_col)
+    finite = np.isfinite(m_col).any()
+    x = np.compress(sig, U, axis=1) if finite else U[:, sig]
+    x -= shift
+    if finite:
+        _phi_m_inplace(x, m_col)
     x *= lam
     h = _h_lambda_of(x, lam)
-    h *= _rho_m_inplace(np.compress(sig, U, axis=1, out=x), m_col)
-    h *= active
+    if finite:
+        h *= _rho_m_inplace(np.compress(sig, U, axis=1, out=x), m_col)
+        h *= _active_bins(ctx, sig, m_col)
     return h @ nu + lin
 
 
@@ -483,14 +465,14 @@ def _cap_can_bind(U, m, ctx: DriverContext):
     return np.any((reach > m_col) & _active_bins(ctx, ns, m_col), axis=1)
 
 
-def _driver_rows(Z, U, ctx: DriverContext, m=None, scan=False):
-    """f (m None) or f_m (m per row) on validated rows of (z, u); returns
-    (values, argmin). The no-signal part is minimized by Newton on its
-    slope (``_exact_argmin``), or with ``scan``, for f_m rows whose cap can
-    bind, by ``minimize_on_interval``. The signal sum is taken first, so
+def _driver_rows(Z, U, ctx: DriverContext, m=math.inf, scan=False):
+    """f_m at the level ``m`` (one per row; f at m = inf) on validated rows
+    of (z, u); returns (values, argmin). The no-signal part is minimized
+    by Newton on its slope, or with ``scan``, for rows whose cap can bind,
+    capped, by ``minimize_on_interval``. The signal sum is taken first, so
     its arrays and the no-signal part's are never held at once."""
-    sig = _signal_sum(U, ctx, m=m)
-    f1 = _NoSignalPart(Z, U, ctx, m)
+    sig = _signal_sum(U, ctx, m)
+    f1 = _NoSignalPart(Z, U, ctx, m, cap=scan)
     if scan:
         p0, f1min = minimize_on_interval(f1, -ctx.pi_lower, ctx.pi_upper)
     else:

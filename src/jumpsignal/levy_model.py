@@ -214,6 +214,14 @@ class DiscreteJumpGrid:
     def eta_values(self) -> np.ndarray:
         return self.spec.eta(self.points)
 
+    def compensator(self) -> float:
+        """sum_i eta_i nu_i, the jumps' compensator drift per unit time."""
+        return float(self.eta_values() @ self.weights)
+
+    def log_jumps(self) -> np.ndarray:
+        """log(1 + eta_i) per bin; 1 + eta > 0 by the cap, prices stay positive."""
+        return np.log1p(self.eta_values())
+
     def first_midpoint(self) -> float:
         """Smallest positive bin edge e_1 / 2."""
         return float(self.points[self.q]) / 2.0

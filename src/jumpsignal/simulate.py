@@ -384,9 +384,8 @@ def simulate_batch(
         jumps.append(JumpEvents(path=np.concatenate(paths), bin=bins,
                                 count=np.concatenate(counts)))
 
-    eta = grid.eta_values()
-    comp = float(eta @ grid.weights)
-    log_jump = np.log1p(eta)  # 1 + eta > 0 by the cap, prices stay positive
+    comp = grid.compensator()
+    log_jump = grid.log_jumps()
     S = np.empty((n_steps + 1, n_paths))
     S[0] = spec.s0
     for k, ev in enumerate(jumps):
@@ -460,7 +459,7 @@ def wealth_forward(batch: PathBatch, ctx: DriverContext, p0, p_sig,
 
     spec = batch.spec
     eta = batch.grid.eta_values()
-    comp = float(eta @ batch.grid.weights)
+    comp = batch.grid.compensator()
     dt = batch.time_grid.dt
     X = np.full(batch.n_paths, float(x))
     for k, ev in enumerate(batch.jumps):

@@ -7,11 +7,11 @@ the driver on all of them in one call, each f_m row at its own
 penalization level m (``check_fm_monotone`` stacks its samples at m over
 the same samples at m + 1, ``check_lipschitz_z`` its rows (z, u) over
 (z', u)): a row's driver value does not depend on the other rows of its
-batch. Each row of f, and each f_m row whose phi_m cap cannot bind, ends
-its Newton search on its own test (``drivers._exact_argmin``); each f_m
-row whose cap can bind takes the same number of golden-section steps
-(``drivers.minimize_on_interval``). These are f_m's two row paths, at
-every level m, past ``fm_exact_threshold`` too. Statistical
+batch. f is f_m at m = inf, so both run one kernel. Each row of f, and
+each f_m row whose phi_m cap cannot bind, runs it without the cap and
+ends its Newton search on its own test (``drivers._exact_argmin``); each
+f_m row whose cap can bind applies the cap and takes the same number of
+golden-section steps (``drivers.minimize_on_interval``). Statistical
 checks (optimality, regression noise) always run on freshly seeded
 batches, never on the batch the solution was trained on. The batch
 checks take the BSDE solved under the real driver and run the solves
@@ -229,11 +229,10 @@ def check_penalization(sol: BackwardSolution, ctx: DriverContext, eps_reg: float
     once every truncation is inactive along the fields of ``sol``, the
     solve under the driver of ``ctx``.
 
-    The last margin, at m* = floor(max threshold) + 1, compares the
-    penalized kernels with f through a full solve, to 1e-12: every row
-    the solve passes to the driver lies past its ``fm_exact_threshold``,
-    where no truncation is active and f_m's Newton path gives f's value
-    up to rounding.
+    The last margin, at m* = floor(max threshold) + 1, compares f_m with
+    f through a full solve, to 1e-12: every row the solve passes lies past
+    its ``fm_exact_threshold``, where the no-signal part of f_m does f's
+    arithmetic bit for bit, and only its signal sum can differ by rounding.
     """
     cells, F = sol.cells, sol.F
 

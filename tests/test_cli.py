@@ -444,6 +444,8 @@ def test_verify_driver_only(cfg_file, tmp_path, capsys):
     assert all(r[-1] == "True" for r in rows[1:])
 
 
+DRIVER_CHECKS = ["driver_kkt", "driver_sandwich", "fm_monotone", "lipschitz_z",
+                 "scenario_limits"]
 VERIFY_CHECKS = ["comparison", "driver_kkt", "driver_sandwich", "fm_monotone",
                  "lipschitz_z", "martingale_optimality", "penalization",
                  "scenario_limits", "scheme_oracles", "y_bound"]
@@ -461,6 +463,23 @@ def test_verify_full(cfg_file, tmp_path, capsys):
     rows = _read_csv(csv_path.read_text())
     assert [r[0] for r in rows[1:]] == VERIFY_CHECKS
     assert all(r[-1] == "True" for r in rows[1:])
+
+
+def test_verify_failed_solve_keeps_the_driver_reports(tmp_path, capsys):
+    # at 4096 paths the reference config's solve trips the driver's
+    # overflow guard at step 6: verify prints the five driver-check reports
+    # it made, writes them to its CSV, and ends with one error line
+    csv_path = tmp_path / "checks.csv"
+    rc = main(["verify", "--paths", "4096", "--c", "0.6", "--seed", "1",
+               "--csv", str(csv_path)])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert [ln.split(":")[0] for ln in out.splitlines()] == DRIVER_CHECKS
+    assert all(": PASS (" in ln for ln in out.splitlines())
+    assert [r[0] for r in _read_csv(csv_path.read_text())[1:]] == DRIVER_CHECKS
+    [line] = err.splitlines()
+    assert line.startswith("jumpsignal: error: driver failed at step 6: ")
+    assert "overflow guard" in line
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])

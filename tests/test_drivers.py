@@ -21,6 +21,7 @@ from jumpsignal import (
 )
 from jumpsignal.drivers import (
     _NoSignalPart,
+    _driver_rows,
     _exact_argmin,
     _signal_sum,
     h_lambda,
@@ -384,7 +385,7 @@ def test_fm_capped_row_takes_the_global_minimum(ctx_hidesmall):
     assert _hand_capped(u, m, ctx_hidesmall).all()
     P = np.linspace(-1.0, 1.0, 400001)
     dense = _NoSignalPart(np.full(P.size, z), np.tile(u, (P.size, 1)),
-                          ctx_hidesmall, np.full(P.size, m))(P)
+                          ctx_hidesmall, np.full(P.size, m), cap=True)(P)
     d = np.diff(dense)
     inner = np.flatnonzero((d[:-1] < 0.0) & (d[1:] > 0.0)) + 1
     # the premise: one interior minimum, a second at the upper end, 0.05 above
@@ -413,7 +414,7 @@ def test_fm_capped_rows_no_worse_than_a_grid(ctx_hidesmall, ctx_hidelarge, ctx_d
         capped = _hand_capped(u, ms, ctx)
         z, u, ms = z[capped], u[capped], ms[capped]
         _, p0 = penalized_driver_fm_batch(z, u, ms, ctx)
-        f1 = _NoSignalPart(z, u, ctx, ms)
+        f1 = _NoSignalPart(z, u, ctx, ms, cap=True)
         lowest = np.min([f1(p) for p in P], axis=0)
         assert np.all(f1(p0) <= lowest + 1e-9 * np.maximum(1.0, np.abs(lowest)))
         n_capped += int(capped.sum())
@@ -735,21 +736,69 @@ def test_prepared_kernels_match_the_oracle(ctx_name, n_rows, request):
                  rng.uniform(-ctx.pi_lower, ctx.pi_upper, size=n_rows)]
     row_positions = [np.full(n_rows, P) for P in positions]
     capped = 0
-    for m in (None, ms, np.full(n_rows, 1), np.full(n_rows, 20)):
-        f1 = _NoSignalPart(z, u, ctx, m)
-        for P in row_positions if m is None else positions:
-            want = _old_nosignal_objective(z, u, P, ctx, m)
+    # f is the kernel at m = inf, without the cap, as f's rows take it; the
+    # oracle's f is its m None, and the oracle caps every f_m row
+    for m in (math.inf, ms, np.full(n_rows, 1), np.full(n_rows, 20)):
+        old_m = None if m is math.inf else m
+        f1 = _NoSignalPart(z, u, ctx, m, cap=old_m is not None)
+        for P in row_positions if m is math.inf else positions:
+            want = _old_nosignal_objective(z, u, P, ctx, old_m)
             assert _same_bits(f1(P), want)
-            if m is not None:
+            if m is not math.inf:
                 x = u[:, ~ctx.sig_mask] - np.multiply.outer(P, ctx.eta_g[~ctx.sig_mask])
                 capped += int(np.count_nonzero(x > m[:, None]))
-        assert _same_bits(_signal_sum(u, ctx, m), _old_signal_sum(u, ctx, m))
+        assert _same_bits(_signal_sum(u, ctx, m), _old_signal_sum(u, ctx, old_m))
     assert capped > 0  # the phi_m cap is exercised
     f1 = _NoSignalPart(z, u, ctx)
     for P in row_positions:
         want = _old_nosignal_slope(z, u, P, ctx)
         for got in (f1.slope(P), nosignal_slope(z, u, P, ctx)):
             assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+
+
+@pytest.mark.parametrize("ctx_name", ["ctx_hidesmall", "ctx_hidelarge",
+                                      "ctx_nosignal", "ctx_drift",
+                                      "ctx_reference"])
+def test_f_is_fm_at_infinity(ctx_name, request):
+    # f is the driver kernel at the level m = inf, one for all rows or one
+    # per row, bit for bit in value and argmin
+    ctx = request.getfixturevalue(ctx_name)
+    rng = np.random.default_rng(43)
+    z = rng.uniform(-5.0, 5.0, size=300)
+    u = rng.uniform(-2.0, 2.0, size=(300, ctx.grid.points.size))
+    vals, p0 = driver_f_batch(z, u, ctx)
+    for m in (math.inf, np.full(z.size, math.inf)):
+        vals_m, p0_m = _driver_rows(z, u, ctx, m)
+        assert _same_bits(vals_m, vals) and _same_bits(p0_m, p0)
+    # past a row's threshold no bin is dropped and the fade is 1, so the
+    # no-signal part of f_m does f's arithmetic, value and slope
+    m = np.floor(fm_exact_threshold(z, u, ctx)).astype(int) + 1
+    P = rng.uniform(-ctx.pi_lower, ctx.pi_upper, size=z.size)
+    f1, f1_m = _NoSignalPart(z, u, ctx), _NoSignalPart(z, u, ctx, m)
+    assert _same_bits(f1_m(P), f1(P))
+    assert all(_same_bits(a, b) for a, b in zip(f1_m.slope(P), f1.slope(P)))
+
+
+def test_cap_free_fm_rows_skip_the_cap(ctx_nosignal, monkeypatch):
+    # phi_m is the identity at every position of the box on a row whose
+    # cap cannot bind, so f_m's Newton rows never apply it; the rows whose
+    # cap can bind do (ctx_nosignal has no signal sum to apply it)
+    from jumpsignal import drivers
+
+    calls = []
+    phi = drivers._phi_m_inplace
+    monkeypatch.setattr(drivers, "_phi_m_inplace",
+                        lambda x, m: calls.append(x.shape) or phi(x, m))
+    rng = np.random.default_rng(73)
+    z = rng.uniform(-5.0, 5.0, size=500)
+    u = rng.uniform(-2.0, 2.0, size=(500, 6))
+    ms = rng.integers(1, 21, size=500)
+    free = ~_hand_capped(u, ms, ctx_nosignal)
+    assert free.sum() >= 100 and (~free).sum() >= 10
+    penalized_driver_fm_batch(z[free], u[free], ms[free], ctx_nosignal)
+    assert calls == []
+    penalized_driver_fm_batch(z, u, ms, ctx_nosignal)
+    assert calls and all(shape[0] == (~free).sum() for shape in calls)
 
 
 def test_fm_past_the_threshold_at_the_reference_grid(ctx_reference):
