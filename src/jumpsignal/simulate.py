@@ -14,11 +14,12 @@ channel), with the path index addressing the position inside the stream,
 and the uniform of a word w is (w >> 11) 2^-53, as numpy's
 ``Generator.random`` forms it. Chunking the paths across any number of
 workers therefore reproduces the exact same numbers as a single pass.
-For the same reason the streams (the Brownian channel and one channel
-per jump bin) are drawn on a thread pool sized to the CPUs the process
-may run on, one task per channel over all steps, and the batch does not
-depend on the pool size: each stream is fixed by its key alone, and the
-events are assembled in channel order.
+For the same reason the caller draws the Brownian stream, channel 0,
+while a thread pool sized to the CPUs the process may run on draws the
+jump bins, one task per bin over every step; the batch does not depend
+on the pool size, since each stream is fixed by its key alone and the
+events are assembled in bin order. Each price step is formed in place
+in its row of S.
 
 The Brownian uniforms are drawn straight into the rows of dW, floored at
 2^-64, mapped to standard normals in place by ``_ndtri``, a numpy port
@@ -362,20 +363,19 @@ def simulate_batch(
 
     dW = np.empty((n_steps, n_paths))
 
-    def draw(channel):
-        # channel 0 is the Brownian stream, channel 1 + j the jumps of bin
-        # j; one task draws its channel at every step
-        if channel == 0:
-            _brownian(seed, dt, path_offset, dW)
-            return None
-        return [_poisson_events(_words(seed, k, channel, n_paths, path_offset),
-                                grid.weights[channel - 1] * dt[k])
+    def draw(j):
+        # the jumps of bin j, channel 1 + j, at every step
+        return [_poisson_events(_words(seed, k, 1 + j, n_paths, path_offset),
+                                grid.weights[j] * dt[k])
                 for k in range(n_steps)]
 
     # Philox, the ufuncs, the uint64 comparison and flatnonzero release
-    # the GIL; each task holds one stream of words at a time
+    # the GIL; each task holds one stream of words at a time, and the
+    # caller draws the Brownian stream, channel 0, while the pool runs
     with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
-        _, *by_bin = pool.map(draw, range(nb + 1))
+        tasks = pool.map(draw, range(nb))
+        _brownian(seed, dt, path_offset, dW)
+        by_bin = list(tasks)
     jumps = []
     for k in range(n_steps):
         paths, counts = zip(*(events[k] for events in by_bin))
@@ -389,13 +389,13 @@ def simulate_batch(
     S = np.empty((n_steps + 1, n_paths))
     S[0] = spec.s0
     for k, ev in enumerate(jumps):
-        expo = (
-            (spec.kappa - 0.5 * spec.sigma ** 2 - comp) * dt[k]
-            + spec.sigma * dW[k]
-            + np.bincount(ev.path, weights=np.take(log_jump, ev.bin) * ev.count,
-                          minlength=n_paths)
-        )
-        S[k + 1] = S[k] * np.exp(expo)
+        # S_k exp((drift + sigma dW_k) + jumps), formed in its row in that order
+        x = np.multiply(dW[k], spec.sigma, out=S[k + 1])
+        x += (spec.kappa - 0.5 * spec.sigma ** 2 - comp) * dt[k]
+        x += np.bincount(ev.path, weights=np.take(log_jump, ev.bin) * ev.count,
+                         minlength=n_paths)
+        np.exp(x, out=x)
+        x *= S[k]
     if not np.all(S > 0):
         raise AssertionError("simulated price lost positivity")
     return PathBatch(

@@ -125,11 +125,21 @@ def test_pool_size_does_not_change_the_batch(n_cpus, monkeypatch, spec_small,
         workers.add(threading.get_ident())
         return real(words, mu)
 
+    brownian = []
+    real_brownian = simulate._brownian
+
+    def brownian_spy(*a):
+        brownian.append(threading.get_ident())
+        return real_brownian(*a)
+
     monkeypatch.setattr(simulate, "_poisson_events", spy)
+    monkeypatch.setattr(simulate, "_brownian", brownian_spy)
     b = simulate_batch(*args, seed=9)
-    # the pool had at most n_cpus threads, none of them the caller
+    # the pool had at most n_cpus threads, none of them the caller, which
+    # drew the Brownian stream and no jump bin
     assert 1 <= len(workers) <= n_cpus
     assert threading.get_ident() not in workers
+    assert brownian == [threading.get_ident()]
     _assert_same_batch(b, default)
     for k, ev in enumerate(b.jumps):
         dense = dense_counts(b, k)
@@ -180,13 +190,31 @@ def test_pool_cleans_up_and_reports_errors(monkeypatch, spec_small, grid_small,
             raise ValueError("injected failure")
         return real(words, mu)
 
+    def pool_threads():
+        return [t for t in threading.enumerate()
+                if t.name.startswith("ThreadPoolExecutor")]
+
     monkeypatch.setattr(simulate, "_poisson_events", failing)
     with pytest.raises(ValueError, match="injected failure"):
         simulate_batch(*args, seed=9)
     # the pool is shut down before the error reaches the caller
     assert threading.active_count() == before
-    assert not [t for t in threading.enumerate()
-                if t.name.startswith("ThreadPoolExecutor")]
+    assert not pool_threads()
+
+    monkeypatch.setattr(simulate, "_poisson_events", real)
+    queued = []
+
+    def failing_ndtri(y, out=None):
+        # the caller's Brownian draw fails while the jump tasks are queued
+        queued.append(len(pool_threads()))
+        raise FloatingPointError("injected quantile failure")
+
+    monkeypatch.setattr(simulate, "_ndtri", failing_ndtri)
+    with pytest.raises(FloatingPointError, match="injected quantile failure"):
+        simulate_batch(*args, seed=9)
+    assert queued and queued[0] >= 1
+    assert threading.active_count() == before
+    assert not pool_threads()
 
 
 def test_brownian_increment_moments(spec_small, grid_small):
@@ -361,6 +389,22 @@ def test_price_path_hand_recomputation(spec_small, grid_small, batch_small,
             for j in range(6):
                 s *= (1.0 + eta[j]) ** int(dN[k][j, p])
             assert batch_small.S[k + 1, p] == pytest.approx(s, rel=1e-12)
+
+
+def test_price_step_bit_for_bit(spec_small, grid_small, batch_small):
+    # S[k + 1] = S[k] exp((drift_k + sigma dW_k) + jump sum_k), in this
+    # order of operations, so a reordered sum fails array_equal
+    comp = grid_small.compensator()
+    log_jump = grid_small.log_jumps()
+    dt = batch_small.time_grid.dt
+    n = batch_small.n_paths
+    for k, ev in enumerate(batch_small.jumps):
+        drift = (spec_small.kappa - 0.5 * spec_small.sigma ** 2 - comp) * dt[k]
+        jump_sum = np.bincount(ev.path, weights=log_jump[ev.bin] * ev.count,
+                               minlength=n)
+        want = batch_small.S[k] * np.exp(
+            (drift + spec_small.sigma * batch_small.dW[k]) + jump_sum)
+        assert np.array_equal(batch_small.S[k + 1], want)
 
 
 def test_price_mean_is_martingale(spec_small, grid_small, tg_small):
