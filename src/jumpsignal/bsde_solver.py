@@ -9,10 +9,11 @@ basis over the current price and applies the driver,
     Ybar_k  = E[Ybar_{k+1} | S_k] + dt_k f(Zbar_k, Ubar_k),
 
 with conditional expectations replaced by least-squares projections on
-piecewise-constant functions over per-step equiprobable quantile cells
-of the S sample (local regression in the style of Gobet, Lemor and
-Warin, 2005). The t_0 regressor is constant so the last projection is a
-plain mean and Y_0 is the count-weighted mean of the step-0 cell values.
+piecewise-constant functions over per-step equiprobable cells of the S
+sample, whose edges are sample prices (local regression in the style of
+Gobet, Lemor and Warin, 2005). The t_0 regressor is constant so the last
+projection is a plain mean and Y_0 is the count-weighted mean of the
+step-0 cell values.
 
 The regressed fields are cell-constant, so the driver is evaluated once
 per cell, and every Ybar_k for k < n is constant on step k's cells: the
@@ -59,22 +60,6 @@ __all__ = [
 ]
 
 
-def _sorted_quantiles(s_sorted: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The 'linear' ``np.quantile(s_sorted, q)`` for q in [0, 1), read by
-    index from a sorted sample without numpy's copy and partition. It
-    forms the same floats: the virtual index (n - 1) q, the values a and
-    b at its floor and the next index, and ``a + (b - a) t`` or, when
-    t >= 0.5, ``b - (b - a)(1 - t)``. Only a one-value sample of -0.0
-    comes out as +0.0."""
-    n = s_sorted.size
-    at = (n - 1) * q
-    lo = np.floor(at).astype(np.intp)
-    t = at - lo
-    a, b = s_sorted[lo], s_sorted[np.minimum(lo + 1, n - 1)]
-    d = b - a
-    return np.where(t >= 0.5, b - d * (1 - t), a + d * t)
-
-
 @dataclass(frozen=True, eq=False)
 class BasisPartition:
     """Equiprobable quantile cells on one step's price sample.
@@ -86,10 +71,13 @@ class BasisPartition:
     cells, an edge is kept, left to right, when the cell since the last
     kept edge and the rest of the sample each hold ``min_count`` paths.
 
-    ``from_sample`` sorts the sample once: the edges are quantiles read
-    from the sorted sample by index, each cell is counted by locating the
-    edges in it, and the cell of every sample price (``sample_ids``) is
-    scattered back through the sort order. ``assign`` places fresh prices.
+    ``from_sample`` sorts the sample once: each candidate edge is a sample
+    price, the sorted price at index ceil((n - 1) j / m) (numpy's "higher"
+    quantile), each cell is counted by locating the edges in it, and the
+    cell of every sample price (``sample_ids``) is scattered back through
+    the sort order. ``assign`` places fresh prices: a price equal to an
+    edge takes the cell right of it, and a price between an edge and the
+    sample price below it takes the cell left of it.
 
     ``sample_ids`` has the narrowest unsigned type that holds the cell ids
     below the requested ``n_cells`` (uint8 up to 256 cells, uint16 up to
@@ -127,7 +115,8 @@ class BasisPartition:
         s_sorted = s[order]
         # no more than n // min_count cells can each hold min_count paths
         m = max(1, min(n_cells, s.size // min_count))
-        edges = _sorted_quantiles(s_sorted, np.arange(1, m) / m)
+        q = np.arange(1, m) / m
+        edges = s_sorted[np.ceil((s.size - 1) * q).astype(np.intp)]
         # the prices below each edge fill the cells left of it
         below = np.searchsorted(s_sorted, edges, side="left")
         keep, last = np.zeros(edges.size, dtype=bool), 0

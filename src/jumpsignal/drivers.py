@@ -4,14 +4,16 @@ The driver f(z, u) is built from a pointwise infimum over the trading
 position p in [-pi_lower, pi_upper]:
 
 * a no-signal part, strictly convex in p, mixing the quadratic
-  (lam/2)(sigma p - (z + C/lam))^2 with the exponential jump integrand
+  (lam/2)(sigma p - (z + C))^2 with the exponential jump integrand
   over the bins whose jumps carry no signal; its argmin is the clipped
   root of the increasing derivative f1', found by safeguarded Newton,
 * a signal part where the optimal position is known in closed form:
   pi_upper when the signal is positive, -pi_lower when negative (eta
   keeps the sign of the signal, so the objective is monotone in p), so
   the bins are summed at those boundary positions,
-* an affine tail -lam C z - C^2 / (2 lam).
+* an affine tail -lam C z - lam C^2 / 2, from completing the square in
+  (lam/2)(sigma p - z)^2 - lam C sigma p, where lam C sigma = kappa minus
+  the integral of eta d nu is the wealth's drift per unit position.
 
 ``penalized_driver_fm_batch`` implements the Lipschitz approximations f_m:
 bins with |e_i| <= 1/m are zeroed in the exponential sums, the
@@ -272,7 +274,7 @@ class DriverContext:
 
     def affine_tail(self, z):
         return -self.lam * self.c_const * np.asarray(z, dtype=float) \
-            - self.c_const ** 2 / (2.0 * self.lam)
+            - self.lam * self.c_const ** 2 / 2.0
 
 
 def u_lambda_norm(u, ctx: DriverContext):
@@ -287,7 +289,7 @@ class _NoSignalPart:
     entry per row. ``m`` is one level per row or one for all rows; the
     default m = inf gives the exact f1, strictly convex in p.
 
-    rho_m(z) (lam/2)(sigma p - (z + C/lam))^2, plus h_lam(phi_m(u_i -
+    rho_m(z) (lam/2)(sigma p - (z + C))^2, plus h_lam(phi_m(u_i -
     p eta_i)) nu_i over the no-signal bins |e_i| > 1/m, plus -p eta_i nu_i
     over every no-signal bin. The cap and the fade can flatten f1_m, down
     to a constant in p once rho_m(z) = 0 and every no-signal bin is
@@ -297,7 +299,7 @@ class _NoSignalPart:
 
     Everything that does not depend on p is set up once: the no-signal
     columns of U with the dropped bins' u and eta zeroed (their exponent
-    is then 0 and their h-term exactly 0), z + C/lam, rho_m(z) and the
+    is then 0 and their h-term exactly 0), z + C, rho_m(z) and the
     curvature rho_m(z) lam sigma^2 of the quadratic. An evaluation does
     the p-dependent arithmetic inside two work arrays of the object.
     """
@@ -312,7 +314,7 @@ class _NoSignalPart:
         self.cap = cap
         # row-major like the work arrays, so u - p eta runs contiguous
         self.u = np.compress(ns, U, axis=1)
-        self.zc = Z + ctx.c_const / lam
+        self.zc = Z + ctx.c_const
         self.fade = rho_m(Z, m)
         self.curv = self.fade * (lam * ctx.sigma ** 2)
         self.nu = nu
@@ -351,7 +353,7 @@ class _NoSignalPart:
         cannot bind, with e_i = exp(lam (u_i - p eta_i)) over the no-signal
         bins (1 on the dropped bins):
 
-        f1_m'(p) = rho_m(z) lam sigma (sigma p - z - C/lam) - sum nu_i eta_i e_i,
+        f1_m'(p) = rho_m(z) lam sigma (sigma p - z - C) - sum nu_i eta_i e_i,
         f1_m''(p) = rho_m(z) lam sigma^2
                     + lam (sum nu_i eta_i^2 e_i - sum_dropped nu_i eta_i^2),
 
@@ -529,18 +531,16 @@ def penalized_driver_fm_batch(Z, U, m, ctx: DriverContext):
 def driver_bounds(z, u, ctx: DriverContext):
     """Sandwich bounds (lower, upper) that every f_m and f respect, per row.
 
-    lower = -z C - C^2/(2 lam) - (pi_lower + pi_upper) sum |eta_i| nu_i,
-    upper = (lam/2) z^2 + |u|_lam.
+    lower = -lam C z - lam C^2 / 2 - (pi_lower + pi_upper) sum |eta_i| nu_i,
+    upper = (lam/2) z^2 + |u|_lam,
 
-    lower has the shape of z; upper has one entry per row of u.
+    the affine tail less the most the linear jump terms can take in the
+    box, and a bound on the objective at p = 0. lower has the shape of z;
+    upper has one entry per row of u.
     """
     z = np.asarray(z, dtype=float)
     abs_eta_mass = float(np.abs(ctx.eta_g) @ ctx.nu_g)
-    lower = (
-        -z * ctx.c_const
-        - ctx.c_const ** 2 / (2.0 * ctx.lam)
-        - (ctx.pi_lower + ctx.pi_upper) * abs_eta_mass
-    )
+    lower = ctx.affine_tail(z) - (ctx.pi_lower + ctx.pi_upper) * abs_eta_mass
     upper = 0.5 * ctx.lam * z ** 2 + u_lambda_norm(u, ctx)
     return lower, upper
 

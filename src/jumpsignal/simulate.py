@@ -116,14 +116,8 @@ def _stream(seed: int, step: int, channel: int, start: int) -> tuple:
     return bg, start % 4
 
 
-def _uniforms(seed: int, step: int, channel: int, n: int, start: int = 0) -> np.ndarray:
-    """n uniforms from the (seed, step, channel) stream, positions start..start+n-1."""
-    bg, skip = _stream(seed, step, channel, start)
-    return Generator(bg).random(skip + n)[skip:]
-
-
 def _words(seed: int, step: int, channel: int, n: int, start: int = 0) -> np.ndarray:
-    """The raw uint64 words behind ``_uniforms`` at the same positions."""
+    """n raw uint64 words of the (seed, step, channel) stream, positions start..start+n-1."""
     bg, skip = _stream(seed, step, channel, start)
     return bg.random_raw(skip + n)[skip:]
 

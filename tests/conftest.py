@@ -7,6 +7,7 @@ pair and two outer signal pairs under HideSmall.
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from jumpsignal import (
     DriverContext,
@@ -19,7 +20,21 @@ from jumpsignal import (
     payoff_put,
     simulate_batch,
 )
-from jumpsignal.simulate import _poisson_invcdf, _uniforms
+from jumpsignal.simulate import _poisson_invcdf
+
+
+@pytest.fixture(scope="session")
+def uniforms():
+    """uniforms(seed, step, channel, n, start=0): the n uniforms of the
+    (seed, step, channel) Philox stream at positions start..start + n - 1,
+    drawn from the stream's first word on, so no skip ahead of the
+    package places them."""
+
+    def draw(seed, step, channel, n, start=0):
+        gen = Generator(Philox(key=seed, counter=[0, 0, step, channel]))
+        return gen.random(start + n)[start:]
+
+    return draw
 
 
 @pytest.fixture(scope="session")
@@ -92,7 +107,7 @@ def payoff_small_b(batch_small_b):
 
 
 @pytest.fixture(scope="session")
-def dense_counts():
+def dense_counts(uniforms):
     """counts(batch, k): the (n_bins, n_paths) jump counts of step k drawn
     straight from the batch's uniform streams by the full inverse CDF,
     independently of the batch's jump events."""
@@ -100,8 +115,8 @@ def dense_counts():
     def counts(batch, k):
         mu = batch.grid.weights * batch.time_grid.dt[k]
         return np.stack([
-            _poisson_invcdf(_uniforms(batch.seed, k, 1 + j, batch.n_paths,
-                                      batch.path_offset), mu[j])
+            _poisson_invcdf(uniforms(batch.seed, k, 1 + j, batch.n_paths,
+                                     batch.path_offset), mu[j])
             for j in range(mu.size)])
 
     return counts

@@ -25,7 +25,6 @@ from jumpsignal import (
     solve,
     value_and_strategy,
 )
-from jumpsignal.bsde_solver import _sorted_quantiles
 from jumpsignal.simulate import JumpEvents
 
 
@@ -57,14 +56,15 @@ def test_partition_merges_small_cells(rng):
     assert np.unique(ids).size == 1
 
 
-def _partition_by_search(s, n_cells, min_count):
+def _partition_by_search(s, n_cells, min_count, method="higher"):
     """Reference partition (edges, counts, ids), with no sort: the edges
-    of at most n // min_count quantile cells, each placed by counting the
-    sample below it, and kept when the cell since the last kept edge and
-    the rest of the sample each hold min_count paths."""
+    of at most n // min_count quantile cells (numpy's quantile by
+    ``method``), each placed by counting the sample below it, and kept
+    when the cell since the last kept edge and the rest of the sample each
+    hold min_count paths."""
     m = max(1, min(n_cells, s.size // min_count))
     edges, last = [], 0
-    for e in np.quantile(s, np.arange(1, m) / m):
+    for e in np.quantile(s, np.arange(1, m) / m, method=method):
         below = np.count_nonzero(s < e)
         if below - last >= min_count and s.size - below >= min_count:
             edges.append(e)
@@ -100,20 +100,33 @@ def _partition_case(case, rng):
     return rng.lognormal(0.0, 0.3, size=65536), 64
 
 
-@pytest.mark.parametrize("case", ["ties", "merges", "constant", "few",
-                                  "single", "gaps", "reference"])
-def test_sorted_quantiles_are_numpy_quantiles(case, rng):
+def _assert_interpolated_cells(s, n_cells, min_count):
+    """The cells of ``from_sample``, whose edges are sample prices, are
+    those of edges at numpy's interpolated ('linear') quantiles, with the
+    same keep rule: every sample price takes the same cell."""
+    part = BasisPartition.from_sample(s, n_cells=n_cells, min_count=min_count)
+    _, counts, ids = _partition_by_search(s, n_cells, min_count, method="linear")
+    assert np.array_equal(part.counts, counts)
+    assert np.array_equal(part.sample_ids, ids)
+    assert np.isin(part.edges, s).all()
+    return part
+
+
+@pytest.mark.parametrize("case", ["ties", "merges", "constant", "few", "single",
+                                  "gaps", "overfull", "reference"])
+def test_sample_edges_keep_the_interpolated_cells(case, rng):
     s, n_cells = _partition_case(case, rng)
-    q = np.arange(1, n_cells) / n_cells
-    got = _sorted_quantiles(np.sort(s), q)
-    # bit for bit, not to a tolerance
-    assert got.tobytes() == np.quantile(s, q).tobytes()
-    if case == "gaps":
-        # numpy's t >= 0.5 branch decides some of the bits
-        at = (s.size - 1) * q
-        lo = np.floor(at).astype(np.intp)
-        a, b = np.sort(s)[lo], np.sort(s)[lo + 1]
-        assert not np.array_equal(got, a + (b - a) * (at - lo))
+    # the ten-price samples take one-path cells, so they have edges too
+    min_count = 1 if s.size <= 10 else 50
+    part = _assert_interpolated_cells(s, n_cells, min_count)
+    if case in ("few", "gaps", "overfull", "reference"):
+        assert part.n_cells > 8
+
+
+def test_sample_edges_keep_the_interpolated_cells_of_a_batch(batch_small):
+    for S_k in batch_small.S:
+        for n_cells in (16, 64):
+            _assert_interpolated_cells(S_k, n_cells, 50)
 
 
 @pytest.mark.parametrize("case", ["ties", "merges", "constant", "few", "overfull"])

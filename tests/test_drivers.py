@@ -64,7 +64,7 @@ def _hand_h(x, lam=0.4):
 def _hand_f1(z, u, p, ctx):
     """Independent scalar re-implementation of the no-signal part."""
     lam, C = ctx.lam, ctx.c_const
-    val = 0.5 * lam * (ctx.sigma * p - (z + C / lam)) ** 2
+    val = 0.5 * lam * (ctx.sigma * p - (z + C)) ** 2
     for i in range(ctx.grid.points.size):
         if ctx.sig_mask[i]:
             continue
@@ -76,7 +76,7 @@ def _hand_f1(z, u, p, ctx):
 def _hand_f1_slope(z, u, p, ctx):
     """Derivative in p of ``_hand_f1``, term by term: h'(x) = e^(lam x) - 1."""
     lam, C = ctx.lam, ctx.c_const
-    val = lam * ctx.sigma * (ctx.sigma * p - (z + C / lam))
+    val = lam * ctx.sigma * (ctx.sigma * p - (z + C))
     for i in range(ctx.grid.points.size):
         if ctx.sig_mask[i]:
             continue
@@ -91,7 +91,7 @@ def _hand_fm1_slope(z, u, p, m, ctx):
     only on the bins |e_i| > 1/m, the linear term on every no-signal bin."""
     lam, C = ctx.lam, ctx.c_const
     fade = min(max(min(z + m + 1.0, m + 1.0 - z), 0.0), 1.0)
-    val = fade * lam * ctx.sigma * (ctx.sigma * p - (z + C / lam))
+    val = fade * lam * ctx.sigma * (ctx.sigma * p - (z + C))
     for i in range(ctx.grid.points.size):
         if ctx.sig_mask[i]:
             continue
@@ -139,7 +139,7 @@ def _hand_driver(z, u, ctx):
     """Full driver via scipy bounded minimization of the hand objective."""
     fmin = _hand_min(lambda p: _hand_f1(z, u, p, ctx),
                      -ctx.pi_lower, ctx.pi_upper)
-    tail = -ctx.lam * ctx.c_const * z - ctx.c_const ** 2 / (2.0 * ctx.lam)
+    tail = -ctx.lam * ctx.c_const * z - ctx.lam * ctx.c_const ** 2 / 2.0
     return fmin + _hand_signal_sum(u, ctx) + tail
 
 
@@ -223,7 +223,7 @@ def test_driver_matches_hand_reimplementation(ctx_hidesmall, ctx_hidelarge,
 
 
 def test_driver_boundary_argmin(ctx_drift):
-    # C/lam = 9.375 pushes the quadratic vertex far beyond the box
+    # C = 3.75 centres the quadratic at sigma p = 3.75, far beyond the box
     _, p0 = _f_row(0.0, np.zeros(6), ctx_drift)
     assert p0 == pytest.approx(1.0, abs=1e-9)
 
@@ -241,8 +241,7 @@ def test_minimizer_against_bruteforce(ctx_hidesmall, ctx_drift, rng):
             lo = p_grid[::2000][max(j - 1, 0)]
             hi = p_grid[::2000][min(j + 1, vals.size - 1)]
             dense = np.linspace(lo, hi, 200001)
-            dvals = 0.5 * ctx.lam * (ctx.sigma * dense
-                                     - (z + ctx.c_const / ctx.lam)) ** 2
+            dvals = 0.5 * ctx.lam * (ctx.sigma * dense - (z + ctx.c_const)) ** 2
             ns = ~ctx.sig_mask
             for i in np.flatnonzero(ns):
                 x = u[i] - dense * ctx.eta_g[i]
@@ -286,7 +285,7 @@ def test_argmin_matches_derivative_root(ctx_hidesmall, ctx_hidelarge, ctx_drift,
             assert abs(p0[j] - root(z[j], u[j], ctx)) <= 1e-12
         n_inside += int(np.count_nonzero(np.abs(p0) < 1.0))
     assert n_inside >= 20  # the interior roots are exercised, not only ends
-    # C/lam = 9.375 puts every drift row at the upper end, exactly
+    # C = 3.75 puts every drift row at the upper end, exactly
     assert np.all(p0 == ctx_drift.pi_upper)
 
 
@@ -665,7 +664,7 @@ def _old_nosignal_objective(Z, U, P, ctx, m=None):
     eta = ctx.eta_g[ns]
     nu = ctx.nu_g[ns]
     x = U[:, ns] - np.multiply.outer(P, eta)
-    quad = 0.5 * lam * (ctx.sigma * P - (Z + ctx.c_const / lam)) ** 2
+    quad = 0.5 * lam * (ctx.sigma * P - (Z + ctx.c_const)) ** 2
     lin = -P * float(eta @ nu)
     if m is None:
         hsum = _old_h_lambda(x, lam) @ nu
@@ -683,7 +682,7 @@ def _old_nosignal_slope(Z, U, P, ctx):
     eta = ctx.eta_g[ns]
     nu_eta = ctx.nu_g[ns] * eta
     e = _old_guarded_exp(lam * (U[:, ns] - np.multiply.outer(P, eta)))
-    d1 = lam * sigma * (sigma * P - (Z + ctx.c_const / lam)) - e @ nu_eta
+    d1 = lam * sigma * (sigma * P - (Z + ctx.c_const)) - e @ nu_eta
     d2 = lam * sigma ** 2 + lam * (e @ (nu_eta * eta))
     return d1, d2
 

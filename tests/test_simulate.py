@@ -32,7 +32,6 @@ from jumpsignal.simulate import (
     _ndtri,
     _poisson_events,
     _poisson_invcdf,
-    _uniforms,
     _words,
 )
 
@@ -243,12 +242,12 @@ def _assert_ndtri_matches_scipy(u):
     return int(np.count_nonzero(got != want))
 
 
-def test_ndtri_matches_scipy_on_the_brownian_uniforms():
+def test_ndtri_matches_scipy_on_the_brownian_uniforms(uniforms):
     # the uniforms behind dW at the reference scale: seeds 1-20, 10 steps
     n_tail = 0
     for seed in range(1, 21):
         for k in range(10):
-            u = np.maximum(_uniforms(seed, k, 0, 65536), 2.0 ** -64)
+            u = np.maximum(uniforms(seed, k, 0, 65536), 2.0 ** -64)
             _assert_ndtri_matches_scipy(u)
             n_tail += np.count_nonzero((u <= EXP_M2) | (u > 1.0 - EXP_M2))
     assert n_tail > 0.25 * 200 * 65536
@@ -270,8 +269,8 @@ def test_ndtri_edge_values():
         assert _ndtri(np.array([v]))[0] == xv
 
 
-def test_ndtri_out_may_alias_the_input():
-    u = np.maximum(_uniforms(3, 1, 0, 4096), 2.0 ** -64)
+def test_ndtri_out_may_alias_the_input(uniforms):
+    u = np.maximum(uniforms(3, 1, 0, 4096), 2.0 ** -64)
     u[:2] = [2.0 ** -64, 1.0 - 2.0 ** -53]  # both tail pieces
     keep = u.copy()
     separate = _ndtri(u, out=np.empty_like(u))
@@ -282,11 +281,11 @@ def test_ndtri_out_may_alias_the_input():
 
 @pytest.mark.parametrize("start", [0, 3, 9])
 def test_brownian_increments_are_the_quantiles_of_the_stream(
-        start, spec_small, grid_small, tg_small):
+        start, spec_small, grid_small, tg_small, uniforms):
     b = simulate_batch(spec_small, grid_small, tg_small, 50, seed=9,
                        path_offset=start)
     for k, dt in enumerate(tg_small.dt):
-        u = np.maximum(_uniforms(9, k, 0, 50, start), 2.0 ** -64)
+        u = np.maximum(uniforms(9, k, 0, 50, start), 2.0 ** -64)
         assert np.array_equal(b.dW[k], _ndtri(u) * math.sqrt(dt))
 
 
@@ -352,13 +351,13 @@ def test_poisson_events_are_the_nonzero_inverse_cdf():
         _poisson_events(words, -1.0)
 
 
-def test_jump_words_are_the_uniform_stream():
+def test_jump_words_are_the_uniform_stream(uniforms):
     # the words behind the float uniforms, also off the 4-word block
     for start in (0, 3, 9):
         w = _words(7, 2, 5, 30, start)
         assert w.dtype == np.uint64
         u = (w >> np.uint64(11)) * 2.0 ** -53
-        assert np.array_equal(u, _uniforms(7, 2, 5, 30, start))
+        assert np.array_equal(u, uniforms(7, 2, 5, 30, start))
 
 
 def test_jump_count_moments(spec_small, grid_small):

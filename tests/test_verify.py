@@ -60,9 +60,11 @@ def test_eps_reg_magnitude(eps_reg):
 
 
 def test_driver_checks_pass(ctx_hidesmall, ctx_hidelarge, ctx_drift):
-    # the affine/quadratic sandwich holds under compensated drift (C = 0)
-    for ctx in (ctx_hidesmall, ctx_hidelarge):
-        r = check_driver_sandwich(150, ctx)
+    # the affine/quadratic sandwich holds under compensated drift (C = 0),
+    # and under a drift: kappa = 0.3 gives C = 3.75, the quadratic centred
+    # at z + C and the affine tail -lam C z - lam C^2 / 2
+    for ctx, n in ((ctx_hidesmall, 150), (ctx_hidelarge, 150), (ctx_drift, 1000)):
+        r = check_driver_sandwich(n, ctx)
         assert r.passed and r.violations == 0
     for ctx in (ctx_hidesmall, ctx_drift):
         r = check_fm_monotone(150, ctx)
@@ -122,17 +124,26 @@ def test_driver_kkt_detects_inexact_argmin(ctx_hidesmall, ctx_drift, monkeypatch
             r = check_driver_kkt(300, ctx)
             assert not r.passed and r.violations > 0
 
-    # an unclipped root sits past pi_upper under drift, where f1' = 0
+    # the unclipped root of f1': under drift it mostly sits past pi_upper,
+    # a position outside the box, which fails; a root inside the box is the
+    # argmin and passes
+    roots = []
+
     def unclipped(Z, U, ctx):
         vals, _ = driver_f_batch(Z, U, ctx)
-        p = [brentq(lambda q: nosignal_slope(Z[j:j + 1], U[j:j + 1],
-                                             np.array([q]), ctx)[0][0],
-                    -50.0, 50.0) for j in range(Z.size)]
-        return vals, np.array(p)
+        roots.append(np.array([
+            brentq(lambda q: nosignal_slope(Z[j:j + 1], U[j:j + 1],
+                                            np.array([q]), ctx)[0][0],
+                   -50.0, 50.0, xtol=1e-15, rtol=8.9e-16)
+            for j in range(Z.size)]))
+        return vals, roots[-1]
 
     monkeypatch.setattr(verify, "driver_f_batch", unclipped)
     r = check_driver_kkt(50, ctx_drift)
-    assert not r.passed and r.violations == 50
+    (p,) = roots
+    outside = np.count_nonzero((p < -ctx_drift.pi_lower) | (p > ctx_drift.pi_upper))
+    assert outside >= 40
+    assert not r.passed and r.violations == outside
 
 
 def test_scenario_limits_pass(ctx_nosignal):
