@@ -546,9 +546,15 @@ def driver_bounds(z, u, ctx: DriverContext):
 
 
 def local_lipschitz_constant(ctx: DriverContext) -> float:
-    """Constant in |f(z,u) - f(z',u)| <= C (1 + |z| + |z'|) |z - z'|."""
-    return 0.5 * ctx.lam * (2.0 * (ctx.pi_lower + ctx.pi_upper) + 1.0) \
-        + abs(ctx.c_const) * (1.0 + ctx.lam)
+    """Constant K in |f(z,u) - f(z',u)| <= K (1 + |z| + |z'|) |z - z'|.
+
+    By the envelope theorem df/dz = lam (z - sigma p*), with no C: the
+    centre's C cancels the affine tail's. With p* in the box,
+    |df/dz| <= lam (|z| + sigma pi_max), and integrating from z to z'
+    gives lam ((|z| + |z'|) / 2 + sigma pi_max) |z - z'|, so
+    K = lam max(1/2, sigma pi_max).
+    """
+    return ctx.lam * max(0.5, ctx.sigma * max(ctx.pi_lower, ctx.pi_upper))
 
 
 def fm_exact_threshold(z, u, ctx: DriverContext):

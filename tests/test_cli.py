@@ -465,6 +465,24 @@ def test_verify_full(cfg_file, tmp_path, capsys):
     assert all(r[-1] == "True" for r in rows[1:])
 
 
+def test_verify_full_solve_count(cfg_file, capsys, monkeypatch):
+    # two real-driver solves, two for the scheme oracles, one for the
+    # comparison and 21 for the penalization (20 levels and m*)
+    from jumpsignal import bsde_solver, cli, verify
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return bsde_solver.solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve", counting)
+    monkeypatch.setattr(verify, "solve", counting)
+    assert main(["verify", "--config", str(cfg_file), "--samples", "60"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 26
+
+
 def test_verify_failed_solve_keeps_the_driver_reports(tmp_path, capsys):
     # at 4096 paths the reference config's solve trips the driver's
     # overflow guard at step 6: verify prints the five driver-check reports

@@ -609,8 +609,9 @@ def test_fm_dropped_bins_are_inert(ctx_hidesmall):
 
 
 def test_local_lipschitz_constant(ctx_hidesmall, ctx_drift, rng):
-    assert local_lipschitz_constant(ctx_hidesmall) == 1.0
-    assert local_lipschitz_constant(ctx_drift) == pytest.approx(6.25, rel=1e-14)
+    # lam max(1/2, sigma pi_max) = 0.4 max(0.5, 0.2): no term in C
+    assert local_lipschitz_constant(ctx_hidesmall) == 0.2
+    assert local_lipschitz_constant(ctx_drift) == 0.2
     K = local_lipschitz_constant(ctx_drift)
     rows = [(rng.uniform(-5, 5, size=2), rng.uniform(-2, 2, size=6))
             for _ in range(40)]

@@ -11,7 +11,6 @@ from scipy.optimize import brentq
 from jumpsignal import CellIndex, payoff_put, solve, verify
 from jumpsignal.verify import (
     CheckReport,
-    calibrate_eps_reg,
     check_comparison,
     check_driver_kkt,
     check_driver_sandwich,
@@ -50,9 +49,10 @@ def sol_small(batch_small, payoff_small, ctx_hidesmall, cells_small):
 
 @pytest.fixture(scope="module")
 def eps_reg(sol_small, batch_small_b, payoff_small_b, ctx_hidesmall):
+    # the Y_0 spread between two batches, as verify computes it
     cells_b = CellIndex.build(batch_small_b, n_cells=N_CELLS, min_count=50)
-    return calibrate_eps_reg([sol_small, solve(batch_small_b, payoff_small_b,
-                                               ctx_hidesmall, cells_b)])
+    return abs(sol_small.y0 - solve(batch_small_b, payoff_small_b,
+                                    ctx_hidesmall, cells_b).y0)
 
 
 def test_eps_reg_magnitude(eps_reg):
@@ -159,13 +159,12 @@ def _shifted(ctx, shift):
 
 
 def test_comparison_pass_and_ordering_guard(sol_small, payoff_small,
-                                            ctx_hidesmall, eps_reg):
-    r = check_comparison(sol_small, payoff_small, _shifted(ctx_hidesmall, 0.05),
-                         eps_reg)
+                                            ctx_hidesmall):
+    r = check_comparison(sol_small, payoff_small, _shifted(ctx_hidesmall, 0.05))
     assert r.passed
     with pytest.raises(ValueError):
         check_comparison(sol_small, payoff_small - 0.1,
-                         _shifted(ctx_hidesmall, 0.05), eps_reg)
+                         _shifted(ctx_hidesmall, 0.05))
 
 
 def test_comparison_detects_lower_driver(sol_small, payoff_small, ctx_hidesmall,
@@ -173,14 +172,13 @@ def test_comparison_detects_lower_driver(sol_small, payoff_small, ctx_hidesmall,
     # a driver shifted down lowers Y_0 by about shift T, ten times eps_reg:
     # the check must compare the second solve with sol, not sol with itself
     shift = 10.0 * eps_reg / batch_small.time_grid.T
-    r = check_comparison(sol_small, payoff_small, _shifted(ctx_hidesmall, -shift),
-                         eps_reg)
+    r = check_comparison(sol_small, payoff_small, _shifted(ctx_hidesmall, -shift))
     assert not r.passed and r.violations == 1
     assert r.worst_margin < -5.0 * eps_reg
 
 
-def test_penalization_pass(sol_small, ctx_hidesmall, eps_reg):
-    r = check_penalization(sol_small, ctx_hidesmall, eps_reg, m_values=range(1, 6))
+def test_penalization_pass(sol_small, ctx_hidesmall):
+    r = check_penalization(sol_small, ctx_hidesmall, m_values=range(1, 6))
     assert r.passed
     # the last margin compares the solve under f_m past the threshold
     # with the solve under f, to 1e-12
@@ -188,11 +186,11 @@ def test_penalization_pass(sol_small, ctx_hidesmall, eps_reg):
 
 
 def test_penalization_detects_foreign_solution(batch_small, payoff_small,
-                                               cells_small, ctx_hidesmall, eps_reg):
+                                               cells_small, ctx_hidesmall):
     # f_m past the threshold reproduces the solve under f, not one under f + 0.05
     sol_up = solve(batch_small, payoff_small, _shifted(ctx_hidesmall, 0.05),
                    cells_small)
-    r = check_penalization(sol_up, ctx_hidesmall, eps_reg, m_values=range(1, 6))
+    r = check_penalization(sol_up, ctx_hidesmall, m_values=range(1, 6))
     assert not r.passed and r.violations == 1
 
 
@@ -207,7 +205,7 @@ def test_penalization_detects_a_wrong_fm_slope(sol_small, ctx_hidesmall, monkeyp
         return (d1 if self.m_col is None else d1 + 1e-3), d2
 
     monkeypatch.setattr(_NoSignalPart, "slope", off)
-    r = check_penalization(sol_small, ctx_hidesmall, 0.0, m_values=(20,))
+    r = check_penalization(sol_small, ctx_hidesmall, m_values=(20,))
     assert r.samples == 1 and not r.passed and r.violations == 1
 
 
@@ -253,19 +251,20 @@ def test_empty_checks_fail(ctx_hidesmall, ctx_nosignal):
         assert not r.passed and "FAIL" in r.line()
 
 
-def _y_bound_on_paths(sol, ctx, eps_reg, path_values):
+def _y_bound_on_paths(sol, ctx, path_values):
     """check_y_bound's margins from every path's Ybar: the bound less the
     largest |Ybar_k| over the paths, per step."""
     lam = ctx.lam
     f_sup = float(np.max(np.abs(sol.F)))
     lo, _ = driver_bounds(0.0, np.zeros(ctx.grid.points.size), ctx)
     tg = sol.cells.batch.time_grid
-    bound = math.log(math.exp(lam * f_sup) + 1.0) / lam + -lo * (tg.T - tg.times) + eps_reg
+    bound = math.log(math.exp(lam * f_sup) + 1.0) / lam + -lo * (tg.T - tg.times)
     return bound - np.max(np.abs(path_values(sol)), axis=1)
 
 
-def test_y_bound_pass(batch_small, payoff_small, cells_small, ctx_hidesmall,
-                     eps_reg, path_values, monkeypatch):
+@pytest.fixture()
+def report_margins(monkeypatch):
+    """The margins of every report made in the test, in order."""
     margins, report = [], verify._report
 
     def recording_report(name, samples, m, tol):
@@ -273,22 +272,57 @@ def test_y_bound_pass(batch_small, payoff_small, cells_small, ctx_hidesmall,
         return report(name, samples, m, tol)
 
     monkeypatch.setattr(verify, "_report", recording_report)
+    return margins
+
+
+def test_y_bound_pass(batch_small, payoff_small, cells_small, ctx_hidesmall,
+                     path_values, report_margins):
     sol = solve(batch_small, payoff_small, ctx_hidesmall, cells_small)
-    r = check_y_bound(sol, ctx_hidesmall, eps_reg)
+    r = check_y_bound(sol, ctx_hidesmall)
     assert r.passed and r.samples == batch_small.time_grid.n_steps + 1
     # the largest cell value is the largest path value, bit for bit
-    assert margins[-1].tobytes() == \
-        _y_bound_on_paths(sol, ctx_hidesmall, eps_reg, path_values).tobytes()
-    # the log-sum floor keeps the bound above log(2)/lam, so shrink the
-    # allowance to zero and blow up the solution to force a violation;
-    # the terminal values are F itself and set the bound, so they stay
+    assert report_margins[-1].tobytes() == \
+        _y_bound_on_paths(sol, ctx_hidesmall, path_values).tobytes()
+    # the log-sum floor keeps the bound above log(2)/lam, so blow up the
+    # solution to force a violation; the terminal values are F itself and
+    # set the bound, so they stay
     for rec in sol.steps:
         rec.y_cells += 50.0
-    r_bad = check_y_bound(sol, ctx_hidesmall, 0.0)
+    r_bad = check_y_bound(sol, ctx_hidesmall)
     assert not r_bad.passed
     assert r_bad.violations == batch_small.time_grid.n_steps
-    assert margins[-1].tobytes() == \
-        _y_bound_on_paths(sol, ctx_hidesmall, 0.0, path_values).tobytes()
+    assert report_margins[-1].tobytes() == \
+        _y_bound_on_paths(sol, ctx_hidesmall, path_values).tobytes()
+
+
+def test_one_batch_checks_take_no_allowance(batch_small, payoff_small, cells_small,
+                                            sol_small, ctx_hidesmall, eps_reg,
+                                            report_margins):
+    # every solve these checks add runs on the cells and terminal values
+    # of sol, so the margins are the raw differences of the solves
+    driver2 = _shifted(ctx_hidesmall, 0.05)
+    check_comparison(sol_small, payoff_small, driver2)
+    y2 = solve(batch_small, payoff_small, driver2, cells_small).y0
+    assert report_margins[-1].tobytes() == np.array([y2 - sol_small.y0]).tobytes()
+
+    check_penalization(sol_small, ctx_hidesmall, m_values=range(1, 6))
+    y0s = [solve(batch_small, payoff_small,
+                 lambda Z, U, m=m: penalized_driver_fm_batch(Z, U, m, ctx_hidesmall),
+                 cells_small).y0 for m in range(1, 6)]
+    assert report_margins[-1][:-1].tobytes() == np.diff(y0s).tobytes()
+
+    # a solve past the bound by half the two-batch spread fails, where an
+    # allowance of that spread passed it
+    sol = solve(batch_small, payoff_small, ctx_hidesmall, cells_small)
+    check_y_bound(sol, ctx_hidesmall)
+    for rec, margin in zip(sol.steps, report_margins[-1]):
+        j = np.argmax(np.abs(rec.y_cells))
+        rec.y_cells[j] += math.copysign(margin + 0.5 * eps_reg, rec.y_cells[j])
+    r = check_y_bound(sol, ctx_hidesmall)
+    n = batch_small.time_grid.n_steps
+    assert not r.passed and r.violations == n
+    assert np.all(report_margins[-1][:n] < 0.0)
+    assert np.all(report_margins[-1][:n] + eps_reg > 0.0)
 
 
 def test_y_bound_reads_sup_from_terminal(batch_small, payoff_small, cells_small,
@@ -298,7 +332,7 @@ def test_y_bound_reads_sup_from_terminal(batch_small, payoff_small, cells_small,
     F = payoff_small + 3.0
     assert np.max(F) > 3.0
     sol = solve(batch_small, F, ctx_hidesmall, cells_small)
-    r = check_y_bound(sol, ctx_hidesmall, 0.0)
+    r = check_y_bound(sol, ctx_hidesmall)
     assert r.passed and r.violations == 0
 
 
@@ -373,3 +407,13 @@ def test_lipschitz_detects_mutation(ctx_hidesmall, ctx_drift, monkeypatch):
     for ctx in (ctx_hidesmall, ctx_drift):
         r = check_lipschitz_z(300, ctx)
         assert not r.passed and r.violations > 0
+
+    # a fixed coefficient: under drift, f + 0.2 z|z| adds 0.4|z| to the
+    # slope, past the growth that K = lam/2 = 0.2 allows
+    def fixed(Z, U, ctx):
+        vals, p0 = driver_f_batch(Z, U, ctx)
+        return vals + 0.2 * Z * np.abs(Z), p0
+
+    monkeypatch.setattr(verify, "driver_f_batch", fixed)
+    r = check_lipschitz_z(300, ctx_drift)
+    assert not r.passed and r.violations > 0
