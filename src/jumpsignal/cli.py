@@ -23,7 +23,7 @@ import dataclasses
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
 import numpy as np
 
@@ -45,13 +45,18 @@ RESULT_COLUMNS = ["scenario", "c", "seed", "y0", "value", "wall_time",
 
 def _load(args) -> ExperimentConfig:
     """The config of a command: the file (or the defaults) with the
-    command-line overrides. A config error ends the command as argparse
-    does for a bad flag: one line on stderr and exit status 2."""
+    command-line overrides. A config error is a usage error."""
     try:
         return _configure(args)
     except ValueError as exc:
-        print(f"jumpsignal: error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error(exc)
+
+
+def _usage_error(message) -> NoReturn:
+    """End the command as argparse does for a bad flag: one line on
+    stderr and exit status 2."""
+    print(f"jumpsignal: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _configure(args) -> ExperimentConfig:
@@ -144,9 +149,8 @@ def _row(cfg, cfg_hash, scenario, cells) -> dict:
             "wall_time": f"{wall:.3f}", "status": "ok"}
 
 
-def _rows(cfg, seeds, scenarios) -> List[dict]:
-    """The result row of every scenario on every seed."""
-    cfg_hash = config_hash(cfg)
+def _seed_rows(cfg, cfg_hash, seeds, scenarios) -> List[dict]:
+    """The result row of every scenario on ``seeds``, one seed at a time."""
     rows = []
     # batches and cells do not depend on the scenario: build them once per seed
     for seed in seeds:
@@ -154,6 +158,35 @@ def _rows(cfg, seeds, scenarios) -> List[dict]:
         rows += [_row(cfg, cfg_hash, scenario, cells) for scenario in scenarios]
         # free this seed's batch before the next one is simulated
         del cells
+    return rows
+
+
+def _rows(cfg, seeds, scenarios) -> List[dict]:
+    """The result row of every scenario on every seed, in no set order.
+
+    Seeds are independent, so they run side by side in n = min(seeds,
+    CPUs the process may use) processes: this one takes ``seeds[0::n]``
+    and n - 1 forked workers take ``seeds[i::n]``. Each process holds one
+    batch at a time. A row does not depend on the process that made it;
+    a worker's exception is raised here. One seed starts no process.
+    """
+    cfg_hash = config_hash(cfg)
+    n = min(len(seeds), len(os.sched_getaffinity(0)))
+    if n == 1:
+        return _seed_rows(cfg, cfg_hash, seeds, scenarios)
+    # imported here: one seed (solve) does not pay for the import
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not spawn: a spawned worker imports numpy and the package again
+    # (about 0.2 s); the package runs no thread at the fork, as
+    # simulate_batch joins its pool before it returns
+    with ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+        shares = [pool.submit(_seed_rows, cfg, cfg_hash, seeds[i::n], scenarios)
+                  for i in range(1, n)]
+        rows = _seed_rows(cfg, cfg_hash, seeds[0::n], scenarios)
+        for share in shares:
+            rows += share.result()
     return rows
 
 
@@ -167,6 +200,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """Every configured cutoff on every seed: one results row per solve,
+    sorted by scenario, cutoff and seed, and the per-cutoff summary.
+
+    The seeds run side by side in processes (see ``_rows``); the rows and
+    the summary are the same at any process count, but each row's
+    ``wall_time`` is measured while the other processes run.
+    """
     cfg = _load(args)
     rows = _rows(cfg, cfg.scheme.seeds, cfg.scenarios())
     rows.sort(key=lambda r: (r["scenario"], _c_key(r["c"]), r["seed"]))
@@ -267,23 +307,12 @@ def _batch_reports(cfg, spec, grid, ctx, reports):
 
 
 def cmd_report(args) -> int:
-    rows = []
-    with open(args.results, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RESULT_COLUMNS:
-            raise ValueError(f"{args.results}:1: unexpected header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(RESULT_COLUMNS):
-                raise ValueError(f"{args.results}:{lineno}: expected "
-                                 f"{len(RESULT_COLUMNS)} columns, got {len(row)}")
-            rec = dict(zip(RESULT_COLUMNS, row))
-            if rec["status"] == "ok":
-                try:
-                    float(rec["y0"])
-                except ValueError as exc:
-                    raise ValueError(f"{args.results}:{lineno}: bad y0: {exc}")
-            rows.append(rec)
+    try:
+        rows = _read_results(args.results)
+    except OSError as exc:
+        _usage_error(f"{args.results}: {exc.strerror}")
+    except ValueError as exc:
+        _usage_error(exc)
 
     by_scen = {}
     for (scen, c), ys in _ok_groups(rows):
@@ -297,6 +326,35 @@ def cmd_report(args) -> int:
                 fh.write(f"{label} {float(np.mean(ys))!r}\n")
         print(f"{scen}: {len(cuts)} cutoff(s) -> {path}")
     return 0
+
+
+def _read_results(path) -> List[dict]:
+    """The rows of a results CSV. A malformed file raises ValueError,
+    which names the file and, where there is one, the line."""
+    rows = []
+    with open(path, "r", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header != RESULT_COLUMNS:
+                raise ValueError(f"{path}:1: unexpected header {header}")
+            for row in reader:
+                lineno = reader.line_num
+                if len(row) != len(RESULT_COLUMNS):
+                    raise ValueError(f"{path}:{lineno}: expected "
+                                     f"{len(RESULT_COLUMNS)} columns, got {len(row)}")
+                rec = dict(zip(RESULT_COLUMNS, row))
+                if rec["status"] == "ok":
+                    try:
+                        float(rec["y0"])
+                    except ValueError as exc:
+                        raise ValueError(f"{path}:{lineno}: bad y0: {exc}")
+                rows.append(rec)
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not a text file: {exc}")
+    return rows
 
 
 def _positive_int(text: str) -> int:

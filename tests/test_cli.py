@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import io
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -358,6 +360,96 @@ def test_sweep_marks_bound_violation_as_error(cfg_file, tmp_path, monkeypatch):
     assert [r[1] for r in srows[1:]] == ["0.7"]
 
 
+# (config with SEEDS for the seed list, status prefix of every row): the
+# small config, and the reference config at 4096 paths and c = 0.6, where
+# every solve trips the driver's overflow guard
+PROCESS_CONFIGS = [
+    (SMALL_YAML.replace("seeds: [1, 2]", "seeds: SEEDS"), "ok"),
+    ("scheme: {n_paths: 4096, seeds: SEEDS}\nscenario: {c_values: [0.6]}\n",
+     "error: driver failed at step "),
+]
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(n): every caller of os.sched_getaffinity sees n CPUs: the
+    sweep's process count and simulate_batch's thread pool alike."""
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    return set_cpus
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The processes multiprocessing starts during the test."""
+    procs = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def recording(self):
+        procs.append(self)
+        start(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recording)
+    return procs
+
+
+@pytest.mark.parametrize("text, status", PROCESS_CONFIGS, ids=["ok-rows", "error-rows"])
+def test_sweep_rows_do_not_depend_on_the_process_count(text, status, tmp_path, cpus,
+                                                       started):
+    # seeds[i::n] run in n processes: the rows (but their wall_time) and the
+    # summary are the same at 1, 2 and 3 processes, error rows included
+    config = tmp_path / "seeds.yaml"
+    results, summary = tmp_path / "results.csv", tmp_path / "summary.csv"
+    for seeds in ([1], [1, 2], [1, 2, 3], [1, 2, 3, 4, 5]):
+        config.write_text(text.replace("SEEDS", str(seeds)))
+        outputs = []
+        for n in (1, 2, 3):
+            cpus(n)
+            started.clear()
+            assert main(["sweep", "--config", str(config), "--out", str(results),
+                         "--summary", str(summary)]) == 0
+            assert len(started) == min(len(seeds), n) - 1
+            rows = [{k: v for k, v in r.items() if k != "wall_time"}
+                    for r in csv.DictReader(io.StringIO(results.read_text()))]
+            outputs.append((rows, summary.read_text()))
+        assert outputs[0] == outputs[1] == outputs[2]
+        rows = outputs[0][0]
+        assert sorted({int(r["seed"]) for r in rows}) == seeds
+        assert rows and all(r["status"].startswith(status) for r in rows)
+    assert multiprocessing.active_children() == []
+
+
+def test_one_seed_starts_no_process(cfg_file, tmp_path, cpus, started, capsys):
+    cpus(3)
+    assert main(["solve", "--config", str(cfg_file)]) == 0
+    assert main(["sweep", "--config", str(cfg_file), "--seed", "2",
+                 "--out", str(tmp_path / "results.csv")]) == 0
+    assert started == []
+
+
+def test_sweep_raises_a_worker_failure(cfg_file, tmp_path, monkeypatch, cpus, started):
+    # at two CPUs the worker owns seed 2 of (1, 2): its exception ends the
+    # sweep in the caller, and no process is left running
+    from jumpsignal import cli
+
+    exact = cli.simulate_batch
+    seen = []
+
+    def failing(spec, grid, time_grid, n_paths, seed):
+        seen.append(seed)
+        if seed == 2:
+            raise AssertionError("simulated price lost positivity")
+        return exact(spec, grid, time_grid, n_paths, seed)
+
+    monkeypatch.setattr(cli, "simulate_batch", failing)
+    cpus(2)
+    with pytest.raises(AssertionError, match="lost positivity"):
+        main(["sweep", "--config", str(cfg_file), "--out", str(tmp_path / "r.csv")])
+    assert seen == [1]  # seed 2 failed in the worker
+    assert len(started) == 1
+    assert multiprocessing.active_children() == []
+
+
 def test_solve_writes_error_row_and_exits_1(cfg_file, capsys, monkeypatch):
     # a failed backward pass gives the row sweep writes, not a traceback
     from jumpsignal import drivers
@@ -392,22 +484,35 @@ def test_report_files(sweep_files, tmp_path, capsys):
         assert float(mean) == np.mean(ys)
 
 
-def test_report_rejects_malformed_input(tmp_path):
-    bad_header = tmp_path / "bad_header.csv"
-    bad_header.write_text("foo,bar\n")
-    with pytest.raises(ValueError, match=r"bad_header\.csv:1:"):
-        main(["report", "--results", str(bad_header), "--out-dir", str(tmp_path)])
+MALFORMED_RESULTS = [
+    ("bad_header.csv", "foo,bar\n", "bad_header.csv:1: unexpected header ['foo', 'bar']"),
+    ("short_row.csv", ",".join(RESULT_COLUMNS) + "\nhide-small,0.7,1\n",
+     "short_row.csv:2: expected 8 columns, got 3"),
+    ("bad_y0.csv", ",".join(RESULT_COLUMNS) + "\nhide-small,0.7,1,oops,-1.0,0.1,abcd,ok\n",
+     "bad_y0.csv:2: bad y0: could not convert string to float: 'oops'"),
+    ("long_field.csv", ",".join(RESULT_COLUMNS) + "\n" + "x" * 200000 + "\n",
+     "long_field.csv:2: field larger than field limit (131072)"),
+    ("binary.csv", b"\x89PNG\r\n", "binary.csv: not a text file: 'utf-8' codec"),
+    ("missing.csv", None, "missing.csv: No such file or directory"),
+]
 
-    short_row = tmp_path / "short_row.csv"
-    short_row.write_text(",".join(RESULT_COLUMNS) + "\nhide-small,0.7,1\n")
-    with pytest.raises(ValueError, match=r"short_row\.csv:2: expected 8"):
-        main(["report", "--results", str(short_row), "--out-dir", str(tmp_path)])
 
-    bad_y0 = tmp_path / "bad_y0.csv"
-    bad_y0.write_text(",".join(RESULT_COLUMNS)
-                      + "\nhide-small,0.7,1,oops,-1.0,0.1,abcd,ok\n")
-    with pytest.raises(ValueError, match=r"bad_y0\.csv:2: bad y0"):
-        main(["report", "--results", str(bad_y0), "--out-dir", str(tmp_path)])
+def test_report_rejects_malformed_input(tmp_path, capsys):
+    # a results file that is missing or malformed is a usage error, as a
+    # bad config is: one line naming the file (and line) on stderr, exit 2
+    for name, text, message in MALFORMED_RESULTS:
+        results = tmp_path / name
+        if isinstance(text, bytes):
+            results.write_bytes(text)
+        elif text is not None:
+            results.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--results", str(results), "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith(f"jumpsignal: error: {tmp_path / message}")
 
 
 def test_report_skips_error_rows(tmp_path, capsys):
