@@ -162,7 +162,7 @@ class CellIndex:
                       for s in batch.S[:-1]]
         key_dtype = _int_dtype(batch.grid.points.size * n_cells, np.int32)
         event_keys = [np.multiply(ev.bin, part.n_cells, dtype=key_dtype)
-                      + part.sample_ids[ev.path]
+                      + np.take(part.sample_ids, ev.path)
                       for ev, part in zip(batch.jumps, partitions)]
         pair_counts, pair_dW, event_next = [], [], []
         for k, (a, b) in enumerate(zip(partitions[:-1], partitions[1:])):

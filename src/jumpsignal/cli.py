@@ -309,15 +309,15 @@ def _batch_reports(cfg, spec, grid, ctx, reports):
 def cmd_report(args) -> int:
     try:
         rows = _read_results(args.results)
+        os.makedirs(args.out_dir, exist_ok=True)
     except OSError as exc:
-        _usage_error(f"{args.results}: {exc.strerror}")
+        _usage_error(f"{exc.filename}: {exc.strerror}")
     except ValueError as exc:
         _usage_error(exc)
 
     by_scen = {}
     for (scen, c), ys in _ok_groups(rows):
         by_scen.setdefault(scen, []).append((c, ys))
-    os.makedirs(args.out_dir, exist_ok=True)
     for scen, cuts in by_scen.items():
         path = os.path.join(args.out_dir, f"{scen}.dat")
         with open(path, "w") as fh:

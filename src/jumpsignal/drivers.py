@@ -160,10 +160,10 @@ def minimize_on_interval(objective: Callable, a: float, b: float):
     search refines the bracket. Comparing objective values resolves the
     argmin only to about sqrt(eps). Every row takes the same number of
     golden-section steps: enough to shrink the widest bracket the scan can
-    return, 2 (b - a) / (_COARSE - 1), below ``_TOL`` in p. The step count
-    never depends on the data, so a row's result does not depend on the
-    other rows of its batch. ``objective`` maps a position (a scalar shared
-    by every row, or one entry per row) to the per-row objective values.
+    return, 2 (b - a) / (_COARSE - 1), below ``_TOL`` in p. No row's step
+    count depends on the data or on the other rows of its batch; only its
+    values' last bits can, through BLAS. ``objective`` maps a position (a
+    scalar shared by every row, or one entry per row) to the per-row values.
 
     Returns
     -------
@@ -385,10 +385,10 @@ def _exact_argmin(f1: _NoSignalPart, ctx: DriverContext):
     -pi_lower or <= 0 at pi_upper is clipped to that end; this takes
     every f1_m row that is linear in p. Every other row runs Newton on the
     slope inside a bracket on its sign, bisecting when a step is NaN or
-    leaves the bracket, and stops on its own step, so its result does not
-    depend on the other rows. Both ends pass the overflow guard first; the
-    exponent is linear in p (no cap is applied on these rows), so no
-    position inside the box exceeds them.
+    leaves the bracket, and stops on its own step, not on the other rows';
+    only its slope's last bits can depend on them, through BLAS. Both ends
+    pass the overflow guard first; the exponent is linear in p (no cap is
+    applied on these rows), so no position inside the box exceeds them.
     """
     a, b = -ctx.pi_lower, ctx.pi_upper
     n = f1.zc.size

@@ -30,7 +30,7 @@ n_paths) array: at the reference scale fewer than 1% of the counts are
 nonzero. The jump streams are read as raw words, and one integer
 comparison against ceil(exp(-nu_i dt_k) 2^53) << 11, the word form of
 the Poisson probability of no jump, selects the nonzero counts; only the
-selected words are turned into uniforms and inverted.
+selected words become uniforms, searched in the cdf of their mean.
 
 Wealth under a signal strategy realizes the semimartingale decomposition
 of the extended jump integral at finite activity: the jump sum applies
@@ -236,25 +236,24 @@ def _brownian(seed: int, dt: np.ndarray, path_offset: int,
         dW[k] *= math.sqrt(dt[k])
 
 
-def _poisson_invcdf(u: np.ndarray, mu: float) -> np.ndarray:
-    """Poisson counts by inverse CDF: one uniform per variate."""
+def _poisson_cdf(mu: float) -> np.ndarray:
+    """The Poisson(mu) cdf, summed until it saturates: at most 100 001 terms."""
     if mu < 0:
         raise ValueError(f"Poisson mean must be >= 0, got {mu}")
-    if mu == 0.0:
-        return np.zeros(u.shape, dtype=np.int32)
     term = math.exp(-mu)
     cdf = [term]
-    umax = float(np.max(u, initial=0.0))
-    i = 0
-    while cdf[-1] <= umax:
-        i += 1
+    for i in range(1, 100_001):
         term *= mu / i
         nxt = cdf[-1] + term
-        if nxt == cdf[-1] or i > 100_000:
-            break  # float saturation; remaining mass is below resolution
+        if nxt == cdf[-1]:
+            break
         cdf.append(nxt)
-    # at most 100 001 cdf terms, so every count fits int32
-    return np.searchsorted(np.asarray(cdf), u, side="right").astype(np.int32)
+    return np.asarray(cdf)
+
+
+def _poisson_invcdf(u: np.ndarray, mu: float) -> np.ndarray:
+    """Poisson counts by inverse CDF: one uniform per variate."""
+    return _poisson_cdf(mu).searchsorted(u, side="right").astype(np.int32)
 
 
 def _int_dtype(n: int, floor) -> np.dtype:
@@ -262,27 +261,25 @@ def _int_dtype(n: int, floor) -> np.dtype:
     return np.result_type(floor, np.min_scalar_type(n - 1))
 
 
-def _poisson_events(words: np.ndarray, mu: float) -> tuple:
-    """Positions and counts of the nonzero Poisson(mu) draws among raw words.
+def _poisson_events(words: np.ndarray, cdf: np.ndarray) -> tuple:
+    """Positions and counts of the nonzero draws among raw words.
 
     Equal to ``np.flatnonzero(c)`` and its entries for ``c =
-    _poisson_invcdf(u, mu)`` with ``u = (words >> 11) 2^-53``: the inverse
-    CDF gives 0 exactly when u lies below p = exp(-mu), and a uniform
-    equal to p already counts one jump (the search is right-sided), so a
-    word counts when (w >> 11) >= p 2^53, that is w >= ceil(p 2^53) << 11.
-    When p rounds to 1 (mu = 0 or tiny) no uniform reaches it. Positions
-    are int32 below 2^31 words, counts int32.
+    _poisson_invcdf(u, mu)`` with ``u = (words >> 11) 2^-53``, given ``cdf
+    = _poisson_cdf(mu)``: the inverse CDF gives 0 exactly when u lies below
+    p = cdf[0], and a uniform equal to p already counts one jump (the search
+    is right-sided), so a word counts when (w >> 11) >= p 2^53, that is w >=
+    ceil(p 2^53) << 11. When p rounds to 1 (mu = 0 or tiny) no uniform
+    reaches it. Positions are int32 below 2^31 words, counts int32.
     """
-    if mu < 0:
-        raise ValueError(f"Poisson mean must be >= 0, got {mu}")
     pos_dtype = _int_dtype(words.size, np.int32)
-    p = math.exp(-mu)
+    p = cdf[0]
     if p == 1.0:
         return np.empty(0, dtype=pos_dtype), np.empty(0, dtype=np.int32)
     cut = np.uint64(math.ceil(p * 2.0 ** 53) << 11)
     idx = np.flatnonzero(words >= cut)
     u = (words[idx] >> np.uint64(11)) * 2.0 ** -53
-    return idx.astype(pos_dtype), _poisson_invcdf(u, mu)
+    return idx.astype(pos_dtype), cdf.searchsorted(u, side="right").astype(np.int32)
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,9 +355,11 @@ def simulate_batch(
     dW = np.empty((n_steps, n_paths))
 
     def draw(j):
-        # the jumps of bin j, channel 1 + j, at every step
+        # the jumps of bin j, channel 1 + j, at every step, one cdf per mean
+        mu = (grid.weights[j] * dt).tolist()
+        cdfs = {m: _poisson_cdf(m) for m in set(mu)}
         return [_poisson_events(_words(seed, k, 1 + j, n_paths, path_offset),
-                                grid.weights[j] * dt[k])
+                                cdfs[mu[k]])
                 for k in range(n_steps)]
 
     # Philox, the ufuncs, the uint64 comparison and flatnonzero release

@@ -2,27 +2,27 @@
 
 Each check samples its domain, counts violations, and emits a
 CheckReport; a report passes iff no violation occurred. The driver
-checks draw their samples from fixed seeds of their own and evaluate
-the driver on all of them in one call, each f_m row at its own
-penalization level m (``check_fm_monotone`` stacks its samples at m over
-the same samples at m + 1, ``check_lipschitz_z`` its rows (z, u) over
-(z', u)): a row's driver value does not depend on the other rows of its
-batch. f is f_m at m = inf, so both run one kernel. Each row of f, and
-each f_m row whose phi_m cap cannot bind, runs it without the cap and
-ends its Newton search on its own test (``drivers._exact_argmin``); each
-f_m row whose cap can bind applies the cap and takes the same number of
-golden-section steps (``drivers.minimize_on_interval``). The batch
-checks take the BSDE solved under the real driver and run the solves
-they add on its cells and terminal values F (``sol.F``), so no noise
-between batches enters them. The statistical check,
+checks draw their samples from fixed seeds and evaluate the driver on
+all of them in one call, each f_m row at its own penalization level m
+(``check_fm_monotone`` stacks its samples at m over the same samples at
+m + 1, ``check_lipschitz_z`` its rows (z, u) over (z', u)): a row's
+search does not depend on the other rows, its value only in its last
+bits (BLAS). f is f_m at m = inf, so both run one kernel. Each row of f,
+and each f_m row whose phi_m cap cannot bind, runs it without the cap
+and ends its Newton search on its own test (``drivers._exact_argmin``);
+each f_m row whose cap can bind applies the cap and takes the same
+number of golden-section steps (``drivers.minimize_on_interval``). The
+batch checks take the BSDE solved under the real driver and run the
+solves they add on its cells and terminal values F (``sol.F``), so no
+noise between batches enters them. The statistical check,
 ``check_martingale_optimality``, runs on a freshly seeded batch, never
 on the batch the solution was trained on, and only it allows for the
-noise between the two. A solution holds Ybar_k for k < n as one value per cell (``StepRecord.y_cells``),
-not one per path, and ``check_y_bound`` reads those cell values.
-A strategy is plain data: ``check_martingale_optimality`` reads the
-extracted no-signal positions on the fresh batch once, as an (n_steps,
-n_paths) array, forms each rival from it, and runs every one through
-``simulate.wealth_forward``.
+noise between the two. A solution holds Ybar_k for k < n as one value
+per cell (``StepRecord.y_cells``), not one per path, and
+``check_y_bound`` reads those cell values. A strategy is plain data:
+``check_martingale_optimality`` reads the extracted no-signal positions
+on the fresh batch once, as an (n_steps, n_paths) array, forms each
+rival from it, and runs every one through ``simulate.wealth_forward``.
 """
 
 from __future__ import annotations

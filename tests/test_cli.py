@@ -515,6 +515,18 @@ def test_report_rejects_malformed_input(tmp_path, capsys):
         assert line.startswith(f"jumpsignal: error: {tmp_path / message}")
 
 
+def test_report_rejects_a_file_as_out_dir(tmp_path, capsys):
+    # an out-dir that names an existing file ends as a bad results file does
+    results = tmp_path / "results.csv"
+    results.write_text(",".join(RESULT_COLUMNS) + "\nhide-small,0.7,1,0.25,-1.0,0.1,abcd,ok\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--results", str(results), "--out-dir", str(results)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"jumpsignal: error: {results}: File exists"]
+
+
 def test_report_skips_error_rows(tmp_path, capsys):
     results = tmp_path / "mixed.csv"
     base = "hide-small,0.7,{seed},{y0},-1.0,0.1,abcd,{status}"

@@ -290,8 +290,8 @@ def test_argmin_matches_derivative_root(ctx_hidesmall, ctx_hidelarge, ctx_drift,
 
 
 def test_driver_batch_matches_scalar(ctx_hidesmall, ctx_hidelarge, ctx_drift, rng):
-    # a row's value does not depend on its batch: only BLAS and reduction
-    # rounding may differ; where the cap of f_m can bind, its golden-section
+    # a row's search does not depend on its batch, its value only through
+    # BLAS and reduction rounding; where the cap of f_m can bind, its golden-section
     # argmin compares objective values, which places it no closer than
     # about sqrt(eps); everywhere else the argmin is a Newton root
     n = 20

@@ -16,6 +16,7 @@ from scipy.stats import poisson
 
 from jumpsignal import (
     DriverContext,
+    LevyMarketSpec,
     NoSignal,
     PathBatch,
     TimeGrid,
@@ -27,9 +28,11 @@ from jumpsignal import (
     wealth_forward,
 )
 from jumpsignal import simulate
+from jumpsignal.config import ExperimentConfig
 from jumpsignal.simulate import (
     JumpEvents,
     _ndtri,
+    _poisson_cdf,
     _poisson_events,
     _poisson_invcdf,
     _words,
@@ -101,6 +104,53 @@ def test_chunked_paths_reproduce_full_run(spec_small, grid_small, tg_small):
     assert np.array_equal(full.S[:, 23:], tail.S)
 
 
+def test_one_cdf_per_bin_and_step_length(monkeypatch, spec_small, grid_small,
+                                         dense_counts):
+    # a non-uniform grid: every step, so every bin's mean, differs
+    tg = TimeGrid(np.array([0.0, 0.02, 0.1, 0.13, 0.3, 0.5]))
+    assert np.unique(tg.dt).size == 5
+    means = []
+    real = simulate._poisson_cdf
+
+    def spy(mu):
+        means.append(mu)
+        return real(mu)
+
+    monkeypatch.setattr(simulate, "_poisson_cdf", spy)
+    b = simulate_batch(spec_small, grid_small, tg, 3000, seed=31)
+    assert sorted(means) == sorted(np.outer(grid_small.weights, tg.dt).ravel())
+    n_events = 0
+    for k, ev in enumerate(b.jumps):
+        dense = dense_counts(b, k)
+        assert ev.count.size == np.count_nonzero(dense)
+        assert np.array_equal(ev.count, dense[ev.bin, ev.path])
+        n_events += ev.count.size
+    assert n_events > 0
+    # the default grid's ten steps take four float values, so four cdfs
+    # per bin serve them
+    means.clear()
+    tg10 = TimeGrid.uniform(10, 1.0)
+    simulate_batch(spec_small, grid_small, tg10, 10, seed=31)
+    assert np.unique(tg10.dt).size == 4
+    assert len(means) == 4 * grid_small.weights.size
+
+
+def test_market_without_events(tg_small, dense_counts):
+    # every bin mean so small that exp(-mu) rounds to 1: no jump at all
+    spec = LevyMarketSpec(rho=1e-18, alpha=1.5, epsilon=0.01, kappa=0.0,
+                          sigma=0.2, s0=1.0, T=0.5)
+    grid = build_grid(3, spec, e_min=0.5, e_max=2.0)
+    mu = np.outer(grid.weights, tg_small.dt)
+    assert np.all(mu > 0) and np.all(np.exp(-mu) == 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = simulate_batch(spec, grid, tg_small, 500, seed=9)
+    for k, ev in enumerate(b.jumps):
+        assert ev.count.size == 0 and not np.any(dense_counts(b, k))
+        assert ev.path.dtype == np.int32 and ev.count.dtype == np.int32
+    assert np.all(b.S > 0)
+
+
 def _assert_same_batch(b, ref):
     assert np.array_equal(b.dW, ref.dW)
     assert np.array_equal(b.S, ref.S)
@@ -120,9 +170,9 @@ def test_pool_size_does_not_change_the_batch(n_cpus, monkeypatch, spec_small,
     workers = set()
     real = simulate._poisson_events
 
-    def spy(words, mu):
+    def spy(words, cdf):
         workers.add(threading.get_ident())
-        return real(words, mu)
+        return real(words, cdf)
 
     brownian = []
     real_brownian = simulate._brownian
@@ -180,14 +230,14 @@ def test_pool_cleans_up_and_reports_errors(monkeypatch, spec_small, grid_small,
     assert threading.active_count() == before
     real, lock, calls = simulate._poisson_events, threading.Lock(), []
 
-    def failing(words, mu):
+    def failing(words, cdf):
         with lock:
-            calls.append(mu)
+            calls.append(cdf)
             # partway through the jump channels, other tasks still queued
             fail = len(calls) == 8
         if fail:
             raise ValueError("injected failure")
-        return real(words, mu)
+        return real(words, cdf)
 
     def pool_threads():
         return [t for t in threading.enumerate()
@@ -310,7 +360,13 @@ def test_package_runs_without_scipy():
 def test_poisson_invcdf_matches_scipy():
     rng = np.random.default_rng(77)
     u = rng.random(20000)
-    for mu in (0.01, 0.5, 3.0, 50.0):
+    # the smallest and largest bin mean of the reference config's steps
+    cfg = ExperimentConfig()
+    means = np.outer(cfg.jump_grid(cfg.market_spec()).weights, cfg.time_grid().dt)
+    lo, hi = float(means.min()), float(means.max())
+    assert lo == pytest.approx(0.00122, rel=1e-2)
+    assert hi == pytest.approx(0.0426, rel=1e-2)
+    for mu in (lo, hi, 0.01, 0.5, 3.0, 50.0):
         mine = _poisson_invcdf(u, mu)
         ref = poisson.ppf(u, mu).astype(np.int64)
         assert np.array_equal(mine, ref)
@@ -319,6 +375,18 @@ def test_poisson_invcdf_matches_scipy():
     assert _poisson_invcdf(np.array([1.0 - 1e-16]), 2.0)[0] < 100
     with pytest.raises(ValueError):
         _poisson_invcdf(u, -1.0)
+
+
+def test_poisson_cdf_runs_until_it_saturates():
+    for mu in (1e-3, 0.0426, 3.0, 50.0):
+        cdf = _poisson_cdf(mu)
+        assert cdf[0] == math.exp(-mu) and np.all(np.diff(cdf) > 0)
+        # the next term adds nothing in floating point
+        nxt = cdf[-1] + math.exp(-mu) * mu ** cdf.size / math.factorial(cdf.size)
+        assert nxt == cdf[-1]
+    assert np.array_equal(_poisson_cdf(0.0), [1.0])
+    with pytest.raises(ValueError):
+        _poisson_cdf(-1.0)
 
 
 def test_poisson_events_are_the_nonzero_inverse_cdf():
@@ -335,7 +403,7 @@ def test_poisson_events_are_the_nonzero_inverse_cdf():
         # the last word that still maps to the uniform below the boundary
         w[:3] = [cut, cut - 2 ** 11, cut - 1]
         dense = _poisson_invcdf((w >> np.uint64(11)) * 2.0 ** -53, mu)
-        idx, counts = _poisson_events(w, mu)
+        idx, counts = _poisson_events(w, _poisson_cdf(mu))
         assert np.array_equal(idx, np.flatnonzero(dense))
         assert np.array_equal(counts, dense[idx])
         assert dense[0] == 1 and dense[1] == 0 and dense[2] == 0
@@ -345,10 +413,9 @@ def test_poisson_events_are_the_nonzero_inverse_cdf():
         assert math.exp(-mu) == 1.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            idx, counts = _poisson_events(words, mu)
+            idx, counts = _poisson_events(words, _poisson_cdf(mu))
         assert idx.size == 0 and counts.size == 0
-    with pytest.raises(ValueError):
-        _poisson_events(words, -1.0)
+        assert idx.dtype == np.int32 and counts.dtype == np.int32
 
 
 def test_jump_words_are_the_uniform_stream(uniforms):
