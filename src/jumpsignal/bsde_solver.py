@@ -31,11 +31,13 @@ events (the jump regression of Bouchard and Elie, 2008),
      - nu_i dt_k sum over paths in j of Ybar_{k+1}) / n_j,
 
 so no dense (n_bins, n_paths) matrix is formed; an event reads
-Ybar_{k+1} from its path at the last step and from its step-(k+1) cell
-before it. The cells, each path's cell, each event's (bin, cell) key and
-next cell, and the transition tables depend only on the batch, n_cells
-and min_count: a ``CellIndex`` holds them, is built once per batch, and
-every solve on that batch takes it. A solution keeps its cell index.
+Ybar_{k+1} from its path at the last step and from its path's
+step-(k+1) cell before it. The cells, each path's cell and the
+transition tables depend only on the batch, n_cells and min_count: a
+``CellIndex`` holds them, is built once per batch, and every solve on
+that batch takes it. Each step forms its events' (bin, cell) keys from
+the path cells, which costs less than keeping them. A solution keeps
+its cell index.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .drivers import DriverContext, guarded_exp
-from .simulate import PathBatch, _int_dtype
+from .simulate import PathBatch
 
 __all__ = [
     "BasisPartition",
@@ -136,35 +138,25 @@ class CellIndex:
     between them.
 
     ``partitions[k]`` are the cells of S_k, with the cell of each path in
-    its ``sample_ids``, and ``event_keys[k]`` the key
-    ``bin * n_cells + cell`` of each jump event of step k, int32 while
-    n_bins * n_cells <= 2^31 (int64 past it), formed in that type. Each
-    step's prices are sorted once, in ``BasisPartition.from_sample``.
+    its ``sample_ids``. Each step's prices are sorted once, in
+    ``BasisPartition.from_sample``.
 
     For each step k < n - 1, ``pair_counts[k]`` counts the paths in each
     (cell at k, cell at k + 1) pair, an (n_cells_k, n_cells_{k+1}) float
-    table, ``pair_dW[k]`` sums dW_k over the same pairs, and
-    ``event_next[k]`` is the step-(k+1) cell of each jump event of step k,
-    in the type of the cell ids. The pair key ``a * n_cells_{k+1} + b`` is
-    formed in intp, never in the id type.
+    table, and ``pair_dW[k]`` sums dW_k over the same pairs. The pair key
+    ``a * n_cells_{k+1} + b`` is formed in intp, never in the id type.
     """
 
     batch: PathBatch
     partitions: Tuple[BasisPartition, ...]
-    event_keys: Tuple[np.ndarray, ...]
     pair_counts: Tuple[np.ndarray, ...]
     pair_dW: Tuple[np.ndarray, ...]
-    event_next: Tuple[np.ndarray, ...]
 
     @classmethod
     def build(cls, batch: PathBatch, n_cells: int, min_count: int) -> "CellIndex":
         partitions = [BasisPartition.from_sample(s, n_cells=n_cells, min_count=min_count)
                       for s in batch.S[:-1]]
-        key_dtype = _int_dtype(batch.grid.points.size * n_cells, np.int32)
-        event_keys = [np.multiply(ev.bin, part.n_cells, dtype=key_dtype)
-                      + np.take(part.sample_ids, ev.path)
-                      for ev, part in zip(batch.jumps, partitions)]
-        pair_counts, pair_dW, event_next = [], [], []
+        pair_counts, pair_dW = [], []
         for k, (a, b) in enumerate(zip(partitions[:-1], partitions[1:])):
             pair = np.multiply(a.sample_ids, b.n_cells, dtype=np.intp)
             pair += b.sample_ids
@@ -173,10 +165,8 @@ class CellIndex:
                                .astype(float))
             pair_dW.append(np.bincount(pair, weights=batch.dW[k], minlength=size)
                            .reshape(shape))
-            event_next.append(b.sample_ids[batch.jumps[k].path])
         return cls(batch=batch, partitions=tuple(partitions),
-                   event_keys=tuple(event_keys), pair_counts=tuple(pair_counts),
-                   pair_dW=tuple(pair_dW), event_next=tuple(event_next))
+                   pair_counts=tuple(pair_counts), pair_dW=tuple(pair_dW))
 
 
 DriverFn = Callable[[np.ndarray, np.ndarray], tuple]
@@ -207,20 +197,23 @@ def _step_core(y_next, cells, k, driver):
     batch = cells.batch
     dtk = float(batch.time_grid.dt[k])
     partition = cells.partitions[k]
-    nc, n = partition.n_cells, partition.counts
+    ids, nc, n = partition.sample_ids, partition.n_cells, partition.counts
     nu_dt = batch.grid.weights[:, None] * dtk
     ev = batch.jumps[k]
+    # each event's key bin * n_cells + cell, formed in intp, since the
+    # bins' int16 would wrap
+    keys = np.multiply(ev.bin, nc, dtype=np.intp)
+    keys += ids[ev.path]
 
     if k == batch.time_grid.n_steps - 1:
-        ids = partition.sample_ids
         y_sum = np.bincount(ids, weights=y_next, minlength=nc)
         z_sum = np.bincount(ids, weights=y_next * batch.dW[k], minlength=nc)
         y_events = y_next[ev.path]
     else:
         y_sum = cells.pair_counts[k] @ y_next
         z_sum = cells.pair_dW[k] @ y_next
-        y_events = y_next[cells.event_next[k]]
-    jump_sum = np.bincount(cells.event_keys[k], weights=y_events * ev.count,
+        y_events = y_next[cells.partitions[k + 1].sample_ids[ev.path]]
+    jump_sum = np.bincount(keys, weights=y_events * ev.count,
                            minlength=nu_dt.size * nc).reshape(nu_dt.size, nc)
     y_coef = y_sum / n
     z_coef = z_sum / n / dtk

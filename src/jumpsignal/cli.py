@@ -27,7 +27,7 @@ from typing import List, NoReturn, Optional
 
 import numpy as np
 
-from .bsde_solver import CellIndex, solve, value_and_strategy
+from .bsde_solver import BackwardSolution, CellIndex, solve, value_and_strategy
 from .config import (
     FRESH_SEED_OFFSET,
     ExperimentConfig,
@@ -121,6 +121,12 @@ def _cells(cfg, seed) -> CellIndex:
     batch = simulate_batch(spec, cfg.jump_grid(spec), cfg.time_grid(),
                            cfg.scheme.n_paths, seed)
     return CellIndex.build(batch, cfg.scheme.n_cells, cfg.scheme.min_count)
+
+
+def _solution(cfg, seed, ctx) -> BackwardSolution:
+    """The BSDE of driver ``ctx`` solved on the seed's batch and cells."""
+    cells = _cells(cfg, seed)
+    return solve(cells.batch, cfg.payoff_values(cells.batch.S[-1]), ctx, cells)
 
 
 def _row(cfg, cfg_hash, scenario, cells) -> dict:
@@ -284,12 +290,10 @@ def _batch_reports(cfg, spec, grid, ctx, reports):
         else (cfg.scheme.seeds[0], cfg.scheme.seeds[0] + 1)
     # each seed's real-driver BSDE: the first serves every check, the
     # second gives only the spread of Y0 between batches that the
-    # martingale tie allows for
-    cell_indices = [_cells(cfg, s) for s in seeds]
-    sols = [solve(c.batch, cfg.payoff_values(c.batch.S[-1]), ctx, c)
-            for c in cell_indices]
-    eps_reg = abs(sols[0].y0 - sols[1].y0)
-    sol = sols[0]
+    # martingale tie allows for, so only its Y0 is kept and its batch is
+    # freed before the fresh batch is simulated
+    sol = _solution(cfg, seeds[0], ctx)
+    eps_reg = abs(sol.y0 - _solution(cfg, seeds[1], ctx).y0)
     reports.append(verify_mod.check_scheme_oracles(sol))
     delta = 0.05
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -186,15 +186,10 @@ def check_scenario_limits(ctx_nosignal: DriverContext,
     bin; both drivers must then equal the no-signal driver bit for bit.
     """
     grid = ctx_nosignal.grid
-    spec = grid.spec
     c_hi = float(grid.points[-1]) * 2.0
     c_lo = float(grid.first_midpoint()) * 0.5
-    ctx_hs = DriverContext.build(spec, grid, HideSmall(c=c_hi), ctx_nosignal.lam,
-                                 pi_lower=ctx_nosignal.pi_lower,
-                                 pi_upper=ctx_nosignal.pi_upper)
-    ctx_hl = DriverContext.build(spec, grid, HideLarge(c=c_lo), ctx_nosignal.lam,
-                                 pi_lower=ctx_nosignal.pi_lower,
-                                 pi_upper=ctx_nosignal.pi_upper)
+    ctx_hs = replace(ctx_nosignal, scenario=HideSmall(c=c_hi))
+    ctx_hl = replace(ctx_nosignal, scenario=HideLarge(c=c_lo))
     rng = np.random.default_rng(17)
     z, u = _sample_zu(rng, n_samples, grid.points.size)
     f0, p0 = driver_f_batch(z, u, ctx_nosignal)

@@ -153,14 +153,6 @@ def test_cell_index_ids_are_the_assigned_cells(batch_small):
     for k, partition in enumerate(cells.partitions):
         ids = partition.assign(batch_small.S[k])
         assert np.array_equal(partition.sample_ids, ids)
-        ev = batch_small.jumps[k]
-        assert np.array_equal(cells.event_keys[k],
-                              ev.bin * partition.n_cells + ids[ev.path])
-    # the next cell of each event, for every step but the last
-    assert len(cells.event_next) == len(cells.partitions) - 1
-    for k, ev_next in enumerate(cells.event_next):
-        next_ids = cells.partitions[k + 1].assign(batch_small.S[k + 1])
-        assert np.array_equal(ev_next, next_ids[batch_small.jumps[k].path])
 
 
 @pytest.mark.parametrize("n_cells,id_dtype", [(64, np.uint8), (256, np.uint8),
@@ -174,15 +166,10 @@ def test_narrow_layouts_equal_the_int64_formulas(batch_small, n_cells, id_dtype)
     cells = CellIndex.build(batch_small, n_cells=n_cells, min_count=1)
     nc = [part.n_cells for part in cells.partitions]
     ids = [part.assign(s).astype(np.int64) for part, s in zip(cells.partitions, batch_small.S)]
-    for k, (part, ev) in enumerate(zip(cells.partitions, batch_small.jumps)):
+    for k, part in enumerate(cells.partitions):
         assert part.sample_ids.dtype == id_dtype
         assert np.array_equal(part.sample_ids, ids[k])
-        assert cells.event_keys[k].dtype == np.int32
-        assert np.array_equal(cells.event_keys[k],
-                              ev.bin.astype(np.int64) * nc[k] + ids[k][ev.path])
-    for k, ev in enumerate(batch_small.jumps[:-1]):
-        assert cells.event_next[k].dtype == id_dtype
-        assert np.array_equal(cells.event_next[k], ids[k + 1][ev.path])
+    for k in range(len(cells.partitions) - 1):
         pair = ids[k] * nc[k + 1] + ids[k + 1]
         shape = (nc[k], nc[k + 1])
         counts = np.bincount(pair, minlength=nc[k] * nc[k + 1]).reshape(shape)
@@ -458,7 +445,8 @@ def _path_level_pass(batch, F, driver, cells):
         ev = batch.jumps[k]
         y_sum = np.bincount(ids, weights=y, minlength=nc)
         z_sum = np.bincount(ids, weights=y * batch.dW[k], minlength=nc)
-        jump_sum = np.bincount(ev.bin * nc + ids[ev.path], weights=y[ev.path] * ev.count,
+        keys = ev.bin.astype(np.int64) * nc + ids[ev.path]
+        jump_sum = np.bincount(keys, weights=y[ev.path] * ev.count,
                                minlength=nu_dt.size * nc).reshape(nu_dt.size, nc)
         y_coef, z_coef = y_sum / n, z_sum / n / dtk
         u_coef = (jump_sum - nu_dt * y_sum) / n / nu_dt
@@ -469,14 +457,37 @@ def _path_level_pass(batch, F, driver, cells):
     return steps, float(np.mean(y))
 
 
-@pytest.mark.parametrize("driver", ["zero", "constant", "hidesmall"])
-def test_cell_pass_matches_path_reference(batch_small, payoff_small, ctx_hidesmall,
-                                          driver):
+@pytest.fixture(scope="module")
+def batch_wide(spec_small, tg_small):
+    # 40 bins: at 1000 cells the event keys bin * n_cells + cell of bins
+    # 33 to 39 pass 32767, the largest value of the bins' int16
+    grid = build_grid(20, spec_small, e_min=0.5, e_max=2.0)
+    return simulate_batch(spec_small, grid, tg_small, 4096, seed=101)
+
+
+@pytest.mark.parametrize("driver,n_cells,min_count", [
+    *(pytest.param(driver, 8, 50, id=driver) for driver in ("zero", "constant", "hidesmall")),
+    # past 256 cells the ids take two bytes, and on 40 bins at 1000 cells
+    # the key bin * n_cells + cell passes int16's 32767: the reference forms
+    # every key in int64, so an id or a key the solver narrows wraps here
+    # (cells this small overflow the real driver, so the constant one runs)
+    pytest.param("constant", 300, 1, id="constant-300-cells"),
+    pytest.param("constant", 1000, 1, id="constant-wide-keys")])
+def test_cell_pass_matches_path_reference(batch_small, batch_wide, ctx_hidesmall,
+                                          driver, n_cells, min_count):
+    batch = batch_wide if n_cells == 1000 else batch_small
+    payoff = payoff_put(batch.S[-1], 1.0)
     fn = {"zero": constant_driver(0.0), "constant": constant_driver(0.05),
           "hidesmall": ctx_hidesmall}[driver]
-    cells = CellIndex.build(batch_small, n_cells=8, min_count=50)
-    sol = solve(batch_small, payoff_small, fn, cells)
-    ref_steps, ref_y0 = _path_level_pass(batch_small, payoff_small, fn, cells)
+    cells = CellIndex.build(batch, n_cells=n_cells, min_count=min_count)
+    nc = [part.n_cells for part in cells.partitions]
+    if n_cells >= 300:
+        assert max(nc) > 256
+    if n_cells == 1000:
+        assert any(int(ev.bin.max()) * n > np.iinfo(np.int16).max
+                   for ev, n in zip(batch.jumps, nc))
+    sol = solve(batch, payoff, fn, cells)
+    ref_steps, ref_y0 = _path_level_pass(batch, payoff, fn, cells)
     for rec, (y_coef, z_coef, u_coef, y_cells) in zip(sol.steps, ref_steps):
         assert rec.y_coef == pytest.approx(y_coef, rel=1e-12)
         assert rec.z_coef == pytest.approx(z_coef, rel=1e-12)
@@ -485,13 +496,13 @@ def test_cell_pass_matches_path_reference(batch_small, payoff_small, ctx_hidesma
     assert sol.y0 == pytest.approx(ref_y0, rel=1e-12)
 
     # the transition tables: path counts and summed dW_k per cell pair
-    assert len(cells.pair_counts) == len(cells.pair_dW) == batch_small.time_grid.n_steps - 1
+    assert len(cells.pair_counts) == len(cells.pair_dW) == batch.time_grid.n_steps - 1
     for k, (counts, dw) in enumerate(zip(cells.pair_counts, cells.pair_dW)):
         here, there = cells.partitions[k], cells.partitions[k + 1]
         assert counts.shape == dw.shape == (here.n_cells, there.n_cells)
         assert np.array_equal(counts.sum(axis=1), here.counts)
         assert np.array_equal(counts.sum(axis=0), there.counts)
-        dw_rows = np.bincount(here.sample_ids, weights=batch_small.dW[k],
+        dw_rows = np.bincount(here.sample_ids, weights=batch.dW[k],
                               minlength=here.n_cells)
         assert np.max(np.abs(dw.sum(axis=1) - dw_rows)) < 1e-12
 

@@ -356,13 +356,15 @@ def _recording(fn, calls):
 
 @pytest.mark.parametrize("ctx_name", ["ctx_hidesmall", "ctx_hidelarge", "ctx_drift"])
 def test_one_call_checks_give_the_two_call_margins(ctx_name, request, monkeypatch):
-    # a row's search does not depend on its batch, and with 300 rows, a
-    # multiple of 4, in each half BLAS rounds every row as in its own call,
-    # so stacking the two evaluations of a check into one driver call
-    # changes no value and no margin; on the small grid f_m takes exact and penalized rows in each
-    # call, so the stacked rows also move between sub-batches
+    # a row's search does not depend on its batch, and with a multiple of
+    # 4 rows in each half BLAS rounds every row as in its own call, so
+    # stacking the two evaluations of a check into one driver call changes
+    # no value and no margin; on the small grid f_m takes Newton rows and
+    # scan rows in each call, so the stacked rows also move between
+    # sub-batches
     ctx = request.getfixturevalue(ctx_name)
     n, nb = 300, ctx.grid.points.size
+    assert n % 4 == 0
     calls = []
     monkeypatch.setattr(verify, "penalized_driver_fm_batch",
                         _recording(penalized_driver_fm_batch, calls))
