@@ -16,7 +16,6 @@ from .levy_model import (
     SignalScenario,
     DiscreteJumpGrid,
     build_grid,
-    c_kappa_eta,
 )
 from .drivers import (
     DriverContext,

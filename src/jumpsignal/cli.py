@@ -26,6 +26,7 @@ import time
 from typing import List, NoReturn, Optional
 
 import numpy as np
+import yaml
 
 from .bsde_solver import BackwardSolution, CellIndex, solve, value_and_strategy
 from .config import (
@@ -43,11 +44,28 @@ RESULT_COLUMNS = ["scenario", "c", "seed", "y0", "value", "wall_time",
                   "config_hash", "status"]
 
 
-def _load(args) -> ExperimentConfig:
+def _load(args, *outputs: Optional[str]) -> ExperimentConfig:
     """The config of a command: the file (or the defaults) with the
-    command-line overrides. A config error is a usage error."""
+    command-line overrides. A config error, a config file that cannot be
+    read and an output file of ``outputs`` that cannot be written are
+    usage errors, raised before the command does any work."""
     try:
-        return _configure(args)
+        cfg = _configure(args)
+        # appending truncates no file; a file the check made is removed
+        for path in [p for p in outputs if p not in (None, "-")]:
+            existed = os.path.lexists(path)
+            open(path, "a").close()
+            if not existed:
+                os.remove(path)
+        return cfg
+    except OSError as exc:
+        _usage_error(f"{exc.filename}: {exc.strerror}")
+    except yaml.YAMLError as exc:
+        # PyYAML's own text runs over several lines and names no file
+        mark = getattr(exc, "problem_mark", None)
+        if mark is None:
+            _usage_error(f"{args.config}: {str(exc).splitlines()[0]}")
+        _usage_error(f"{args.config}:{mark.line + 1}: {exc.problem}")
     except ValueError as exc:
         _usage_error(exc)
 
@@ -86,25 +104,23 @@ def _output(path: Optional[str]):
 
 
 def cmd_grid_dump(args) -> int:
-    cfg = _load(args)
+    cfg = _load(args, args.out)
     grid = cfg.jump_grid(cfg.market_spec())
     with _output(args.out) as fh:
         w = csv.writer(fh)
         w.writerow(["index", "point", "weight", "eta"])
-        eta = grid.eta_values()
         for i, idx in enumerate(grid.signed_indices):
             w.writerow([int(idx), repr(float(grid.points[i])),
-                        repr(float(grid.weights[i])), repr(float(eta[i]))])
+                        repr(float(grid.weights[i])), repr(float(grid.eta[i]))])
     return 0
 
 
 def cmd_driver_table(args) -> int:
-    cfg = _load(args)
+    cfg = _load(args, args.out)
     spec = cfg.market_spec()
-    grid = cfg.jump_grid(spec)
-    ctx = cfg.driver_context(spec, grid, cfg.scenarios()[0])
+    ctx = cfg.driver_context(spec, cfg.jump_grid(spec), cfg.scenarios()[0])
     z = np.linspace(args.z_min, args.z_max, args.z_steps)
-    u = np.zeros((z.size, grid.points.size))
+    u = np.zeros((z.size, ctx.grid.points.size))
     vals, p0 = driver_f_batch(z, u, ctx)
     with _output(args.out) as fh:
         w = csv.writer(fh)
@@ -213,7 +229,7 @@ def cmd_sweep(args) -> int:
     the summary are the same at any process count, but each row's
     ``wall_time`` is measured while the other processes run.
     """
-    cfg = _load(args)
+    cfg = _load(args, args.out, args.summary)
     rows = _rows(cfg, cfg.scheme.seeds, cfg.scenarios())
     rows.sort(key=lambda r: (r["scenario"], _c_key(r["c"]), r["seed"]))
     with _output(args.out) as fh:
@@ -248,24 +264,23 @@ def _summarize(rows):
 
 
 def cmd_verify(args) -> int:
-    cfg = _load(args)
+    cfg = _load(args, args.csv)
     spec = cfg.market_spec()
-    grid = cfg.jump_grid(spec)
     n = args.samples
-    ctx = cfg.driver_context(spec, grid, cfg.scenarios()[0])
-    ctx0 = cfg.driver_context(spec, grid, NoSignal())
+    ctx = cfg.driver_context(spec, cfg.jump_grid(spec), cfg.scenarios()[0])
 
     reports = [
         verify_mod.check_driver_kkt(n, ctx),
         verify_mod.check_driver_sandwich(n, ctx),
         verify_mod.check_fm_monotone(n, ctx),
         verify_mod.check_lipschitz_z(n, ctx),
-        verify_mod.check_scenario_limits(ctx0, n_samples=n),
+        verify_mod.check_scenario_limits(dataclasses.replace(ctx, scenario=NoSignal()),
+                                         n_samples=n),
     ]
     error = None
     if not args.driver_only:
         try:
-            _batch_reports(cfg, spec, grid, ctx, reports)
+            _batch_reports(cfg, ctx, reports)
         except (ValueError, ArithmeticError) as exc:
             error = exc  # a failed solve: print the reports made, then the error
 
@@ -284,7 +299,7 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _batch_reports(cfg, spec, grid, ctx, reports):
+def _batch_reports(cfg, ctx, reports):
     """Append the batch checks to ``reports``, one at a time."""
     seeds = cfg.scheme.seeds[:2] if len(cfg.scheme.seeds) >= 2 \
         else (cfg.scheme.seeds[0], cfg.scheme.seeds[0] + 1)
@@ -304,7 +319,8 @@ def _batch_reports(cfg, spec, grid, ctx, reports):
     reports.append(verify_mod.check_comparison(sol, sol.F, plus_delta))
     reports.append(verify_mod.check_penalization(sol, ctx))
     fresh_seed = max(cfg.scheme.seeds) + FRESH_SEED_OFFSET
-    fresh = simulate_batch(spec, grid, cfg.time_grid(), cfg.scheme.n_paths, fresh_seed)
+    fresh = simulate_batch(ctx.spec, ctx.grid, cfg.time_grid(), cfg.scheme.n_paths,
+                           fresh_seed)
     reports.append(verify_mod.check_martingale_optimality(
         fresh, sol, ctx, cfg.payoff_values, cfg.utility.x, eps_reg))
     reports.append(verify_mod.check_y_bound(sol, ctx))

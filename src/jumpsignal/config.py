@@ -247,7 +247,8 @@ class ExperimentConfig:
     def market_spec(self) -> LevyMarketSpec:
         mb = self.market
         # "compensate" sets kappa to the integral of eta against nu, which
-        # is zero because eta is odd and nu symmetric (eta_integral)
+        # is zero because eta is odd and nu symmetric; the driver's
+        # risk-premium constant C = kappa / (lam sigma) is then 0
         kappa = 0.0 if mb.kappa == "compensate" else float(mb.kappa)
         return LevyMarketSpec(rho=mb.rho, alpha=mb.alpha, epsilon=mb.epsilon,
                               kappa=kappa, sigma=mb.sigma, s0=mb.s0, T=mb.T)
@@ -269,8 +270,8 @@ class ExperimentConfig:
     def driver_context(self, spec: LevyMarketSpec, grid: DiscreteJumpGrid,
                        scenario: SignalScenario) -> DriverContext:
         ub = self.utility
-        return DriverContext.build(spec, grid, scenario, ub.lam,
-                                   pi_lower=ub.pi_lower, pi_upper=ub.pi_upper)
+        return DriverContext(spec, grid, scenario, ub.lam,
+                             pi_lower=ub.pi_lower, pi_upper=ub.pi_upper)
 
     def payoff_values(self, s_t):
         return payoff_terminal(s_t, self.payoff.type, self.payoff.strike)

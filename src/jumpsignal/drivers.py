@@ -53,12 +53,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .levy_model import (
-    DiscreteJumpGrid,
-    LevyMarketSpec,
-    SignalScenario,
-    c_kappa_eta,
-)
+from .levy_model import DiscreteJumpGrid, LevyMarketSpec, SignalScenario
 
 __all__ = [
     "DriverContext",
@@ -221,24 +216,29 @@ def _as_u_matrix(u, grid: DiscreteJumpGrid, n_rows: Optional[int] = None) -> np.
 class DriverContext:
     """Immutable evaluation context for the drivers.
 
-    Holds the risk aversion, the position bounds, the risk-premium
-    constant, the jump grid and the scenario split of its bins into
-    no-signal bins (position chosen by the inner minimization) and
-    signal bins (position pinned at the boundary by the signal's sign).
-    The signal bins are the marks where the scenario's gamma is nonzero,
-    so a cutoff equal to a mark follows gamma's inclusive test.
-    ``ctx(Z, U)`` is ``driver_f_batch(Z, U, ctx)``: a context is a driver.
+    Holds the market, the jump grid, the scenario, the risk aversion and
+    the position bounds, and derives from them what the drivers read:
+    sigma, the risk-premium constant C = (kappa - int eta d nu) /
+    (lam sigma), where the integral is zero because eta is odd and nu
+    symmetric, so C = kappa / (lam sigma), and the scenario's split of
+    the bins into no-signal bins (position chosen by the inner
+    minimization) and signal bins (position pinned at the boundary by
+    the signal's sign). The signal bins are the marks where the
+    scenario's gamma is nonzero, so a cutoff equal to a mark follows
+    gamma's inclusive test. ``ctx(Z, U)`` is ``driver_f_batch(Z, U, ctx)``:
+    a context is a driver.
     """
 
-    lam: float
-    pi_lower: float
-    pi_upper: float
-    sigma: float
-    c_const: float
+    spec: LevyMarketSpec
     grid: DiscreteJumpGrid
     scenario: SignalScenario
+    lam: float
+    pi_lower: float = 1.0
+    pi_upper: float = 1.0
 
     # derived, filled in __post_init__
+    sigma: float = field(init=False)
+    c_const: float = field(init=False)
     eta_g: np.ndarray = field(init=False, repr=False)
     nu_g: np.ndarray = field(init=False, repr=False)
     sig_mask: np.ndarray = field(init=False, repr=False)
@@ -249,24 +249,15 @@ class DriverContext:
             raise ValueError(f"lam must be > 0, got {self.lam}")
         if self.pi_lower < 0 or self.pi_upper < 0:
             raise ValueError("position bounds must be >= 0 so [-pi_lower, pi_upper] contains 0")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
-        object.__setattr__(self, "eta_g", self.grid.eta_values())
-        object.__setattr__(self, "nu_g", np.asarray(self.grid.weights, dtype=float))
+        object.__setattr__(self, "sigma", self.spec.sigma)
+        object.__setattr__(self, "c_const", self.spec.kappa / (self.lam * self.spec.sigma))
+        object.__setattr__(self, "eta_g", self.grid.eta)
+        object.__setattr__(self, "nu_g", self.grid.weights)
         object.__setattr__(self, "sig_mask",
-                           self.scenario.gamma(self.grid.points, self.grid.spec) != 0)
+                           self.scenario.gamma(self.grid.points, self.spec) != 0)
         object.__setattr__(
             self, "boundary_p",
             np.where(self.grid.points > 0, self.pi_upper, -self.pi_lower),
-        )
-
-    @classmethod
-    def build(cls, spec: LevyMarketSpec, grid: DiscreteJumpGrid,
-              scenario: SignalScenario, lam: float,
-              pi_lower: float = 1.0, pi_upper: float = 1.0) -> "DriverContext":
-        return cls(
-            lam=lam, pi_lower=pi_lower, pi_upper=pi_upper, sigma=spec.sigma,
-            c_const=c_kappa_eta(spec, lam), grid=grid, scenario=scenario,
         )
 
     def __call__(self, Z, U):

@@ -12,7 +12,9 @@ receives a signal gamma(e) about each incoming jump mark e:
 ``build_grid`` produces the finite-activity surrogate of nu used by the
 simulation and the backward solver: symmetric marks e_{-q}..e_q (0
 excluded) with midpoint-bin weights integrating the exact density, the
-outermost bins absorbing the tails up to infinity.
+outermost bins absorbing the tails up to infinity, and the capped jump
+size eta(e_i) of each mark. The grid is all the measure the package
+reads; the market parameters (sigma, kappa, s0, T) stay in the spec.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ __all__ = [
     "SignalScenario",
     "DiscreteJumpGrid",
     "build_grid",
-    "c_kappa_eta",
 ]
 
 
@@ -106,10 +107,6 @@ class LevyMarketSpec:
         upper = 0.0 if math.isinf(b) else b ** (-am1)
         return self.rho * (a ** (-am1) - upper) / am1
 
-    def eta_integral(self) -> float:
-        """Integral of eta against nu; zero since eta is odd and nu symmetric."""
-        return 0.0
-
 
 @dataclass(frozen=True)
 class NoSignal:
@@ -161,15 +158,6 @@ class HideLarge:
 SignalScenario = Union[NoSignal, HideSmall, HideLarge]
 
 
-def c_kappa_eta(spec: LevyMarketSpec, lam: float) -> float:
-    """Risk-premium constant (kappa - integral of eta d nu) / (lam * sigma)."""
-    if lam == 0.0:
-        raise ValueError("lam must be nonzero")
-    if spec.sigma == 0.0:
-        raise ValueError("sigma must be nonzero")
-    return (spec.kappa - spec.eta_integral()) / (lam * spec.sigma)
-
-
 @dataclass(frozen=True)
 class DiscreteJumpGrid:
     """Finite-activity surrogate of nu on symmetric marks.
@@ -178,18 +166,22 @@ class DiscreteJumpGrid:
     (-e_q, .., -e_1, e_1, .., e_q); ``weights`` the matching bin masses
     nu_i. Bin i covers ((e_{i-1}+e_i)/2, (e_i+e_{i+1})/2] with e_0 = 0
     and e_{q+1} = inf, so the innermost bins start at e_1 / 2 and the
-    outermost integrate the exact tails.
+    outermost integrate the exact tails. ``eta`` holds the capped
+    relative jump size eta(e_i) of each mark, inside (-1, 1) so that
+    1 + eta > 0 and prices stay positive.
     """
 
     points: np.ndarray
     weights: np.ndarray
-    spec: LevyMarketSpec
+    eta: np.ndarray
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         w = np.asarray(self.weights, dtype=float)
+        eta = np.asarray(self.eta, dtype=float)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "eta", eta)
         if pts.ndim != 1 or pts.size % 2 or pts.size < 4:
             raise ValueError("points must be a flat symmetric array, >= 2 per side")
         if np.any(np.diff(pts) <= 0):
@@ -201,6 +193,9 @@ class DiscreteJumpGrid:
             raise ValueError("positive-side points must be > 0 (e_0 = 0 excluded)")
         if w.shape != pts.shape or np.any(~np.isfinite(w)) or np.any(w <= 0):
             raise ValueError("weights must be positive, finite, aligned with points")
+        # written so that a NaN eta fails too
+        if eta.shape != pts.shape or not np.all((eta > -1.0) & (eta < 1.0)):
+            raise ValueError("eta must lie in (-1, 1), aligned with points")
 
     @property
     def q(self) -> int:
@@ -211,16 +206,13 @@ class DiscreteJumpGrid:
         q = self.q
         return np.concatenate([np.arange(-q, 0), np.arange(1, q + 1)])
 
-    def eta_values(self) -> np.ndarray:
-        return self.spec.eta(self.points)
-
     def compensator(self) -> float:
         """sum_i eta_i nu_i, the jumps' compensator drift per unit time."""
-        return float(self.eta_values() @ self.weights)
+        return float(self.eta @ self.weights)
 
     def log_jumps(self) -> np.ndarray:
-        """log(1 + eta_i) per bin; 1 + eta > 0 by the cap, prices stay positive."""
-        return np.log1p(self.eta_values())
+        """log(1 + eta_i) per bin; finite as eta_i > -1, so prices stay positive."""
+        return np.log1p(self.eta)
 
     def first_midpoint(self) -> float:
         """Smallest positive bin edge e_1 / 2."""
@@ -268,4 +260,4 @@ def build_grid(
 
     points = np.concatenate([-pos[::-1], pos])
     weights = np.concatenate([w_pos[::-1], w_pos])
-    return DiscreteJumpGrid(points=points, weights=weights, spec=spec)
+    return DiscreteJumpGrid(points=points, weights=weights, eta=spec.eta(points))

@@ -451,7 +451,7 @@ def wealth_forward(batch: PathBatch, ctx: DriverContext, p0, p_sig,
             raise ValueError("strategy position outside [-pi_lower, pi_upper]")
 
     spec = batch.spec
-    eta = batch.grid.eta_values()
+    eta = batch.grid.eta
     comp = batch.grid.compensator()
     dt = batch.time_grid.dt
     X = np.full(batch.n_paths, float(x))

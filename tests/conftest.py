@@ -63,22 +63,22 @@ def grid_drift(spec_drift):
 
 @pytest.fixture(scope="session")
 def ctx_nosignal(spec_small, grid_small):
-    return DriverContext.build(spec_small, grid_small, NoSignal(), lam=0.4)
+    return DriverContext(spec_small, grid_small, NoSignal(), lam=0.4)
 
 
 @pytest.fixture(scope="session")
 def ctx_hidesmall(spec_small, grid_small):
-    return DriverContext.build(spec_small, grid_small, HideSmall(c=0.7), lam=0.4)
+    return DriverContext(spec_small, grid_small, HideSmall(c=0.7), lam=0.4)
 
 
 @pytest.fixture(scope="session")
 def ctx_hidelarge(spec_small, grid_small):
-    return DriverContext.build(spec_small, grid_small, HideLarge(c=0.7), lam=0.4)
+    return DriverContext(spec_small, grid_small, HideLarge(c=0.7), lam=0.4)
 
 
 @pytest.fixture(scope="session")
 def ctx_drift(spec_drift, grid_drift):
-    return DriverContext.build(spec_drift, grid_drift, HideSmall(c=0.7), lam=0.4)
+    return DriverContext(spec_drift, grid_drift, HideSmall(c=0.7), lam=0.4)
 
 
 @pytest.fixture(scope="session")

@@ -251,10 +251,10 @@ def test_one_step_enumeration_oracle():
                           sigma=0.2, s0=1.0, T=0.25)
     grid = build_grid(2, spec, e_min=0.5, e_max=2.0)
     tg = TimeGrid.uniform(1, 0.25)
-    ctx = DriverContext.build(spec, grid, NoSignal(), lam=0.4)
+    ctx = DriverContext(spec, grid, NoSignal(), lam=0.4)
     dt = 0.25
     s_vol = spec.sigma * math.sqrt(dt)
-    eta = grid.eta_values()
+    eta = grid.eta
     mu = grid.weights * dt
 
     def put_given(A):

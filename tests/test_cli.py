@@ -22,7 +22,7 @@ from jumpsignal.config import (
     load_config,
     load_config_text,
 )
-from jumpsignal.levy_model import HideLarge, HideSmall, NoSignal, c_kappa_eta
+from jumpsignal.levy_model import HideLarge, HideSmall, NoSignal
 
 
 SMALL_YAML = """\
@@ -204,7 +204,8 @@ def test_compensated_drift_kills_the_affine_tail():
     spec = cfg.market_spec()
     # symmetric measure and odd eta: compensation lands exactly at zero
     assert spec.kappa == 0.0
-    assert c_kappa_eta(spec, cfg.utility.lam) == 0.0
+    ctx = cfg.driver_context(spec, cfg.jump_grid(spec), cfg.scenarios()[0])
+    assert ctx.c_const == 0.0
     explicit = dataclasses.replace(
         cfg, market=dataclasses.replace(cfg.market, kappa=0.3))
     assert explicit.market_spec().kappa == 0.3
@@ -246,13 +247,12 @@ def test_grid_dump_roundtrips_floats(cfg_file, capsys):
     spec = cfg.market_spec()
     grid = cfg.jump_grid(spec)
     assert len(rows) - 1 == grid.points.size == 6
-    eta = grid.eta_values()
     for i, row in enumerate(rows[1:]):
         assert int(row[0]) == grid.signed_indices[i]
         # repr round-trip must restore the exact binary values
         assert float(row[1]) == grid.points[i]
         assert float(row[2]) == grid.weights[i]
-        assert float(row[3]) == eta[i]
+        assert float(row[3]) == grid.eta[i]
 
 
 def test_driver_table(cfg_file, capsys):
@@ -735,3 +735,70 @@ def test_override_error_is_one_line(capsys):
         main(["solve", "--c", "-1"])
     assert exc.value.code == 2
     assert capsys.readouterr().err == "jumpsignal: error: cutoffs must be > 0\n"
+
+
+@pytest.fixture
+def no_batches(monkeypatch):
+    """A command that simulates a batch fails the test."""
+    from jumpsignal import cli
+
+    def called(*args):
+        raise AssertionError("simulate_batch was called")
+
+    monkeypatch.setattr(cli, "simulate_batch", called)
+
+
+def _one_line_usage_error(argv, capsys) -> str:
+    """Run ``argv``, which must end as a usage error; its stderr line."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    return err
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "yaml-syntax", "yaml-reader"])
+@pytest.mark.parametrize("command", ["driver-table", "solve", "verify", "grid-dump",
+                                     "sweep"])
+def test_unreadable_config_is_one_line(command, case, tmp_path, capsys, no_batches):
+    # a config file that cannot be opened or parsed ends as a bad config
+    # does, and names the file (and, for a YAML syntax error, the line)
+    syntax = tmp_path / "syntax.yaml"
+    syntax.write_text("a: [1,\n")
+    control = tmp_path / "control.yaml"
+    control.write_text("a: \x01\n")
+    path, message = {
+        "missing": (tmp_path / "missing.yaml", "No such file or directory"),
+        "directory": (tmp_path, "Is a directory"),
+        "yaml-syntax": (syntax, "expected the node content, but found '<stream end>'"),
+        "yaml-reader": (control, "unacceptable character #x0001: "
+                                 "special characters are not allowed"),
+    }[case]
+    where = f"{path}:2" if case == "yaml-syntax" else f"{path}"
+    err = _one_line_usage_error([command, "--config", str(path)], capsys)
+    assert err == f"jumpsignal: error: {where}: {message}\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--out", "{missing}"],
+    ["sweep", "--out", "{kept}", "--summary", "{missing}"],
+    ["sweep", "--out", "{fresh}", "--summary", "{missing}"],
+    ["verify", "--csv", "{missing}"],
+    ["grid-dump", "--out", "{missing}"],
+    ["driver-table", "--out", "{missing}"],
+], ids=" ".join)
+def test_unwritable_output_fails_before_any_work(args, cfg_file, tmp_path, capsys,
+                                                 no_batches):
+    # an output path in a missing directory is a usage error before the
+    # first batch; the check truncates no file and leaves none behind
+    missing = tmp_path / "no-such-dir" / "out.csv"
+    kept = tmp_path / "kept.csv"
+    kept.write_text("kept\n")
+    fresh = tmp_path / "fresh.csv"
+    argv = [a.format(missing=missing, kept=kept, fresh=fresh) for a in args]
+    err = _one_line_usage_error(argv + ["--config", str(cfg_file)], capsys)
+    assert err == f"jumpsignal: error: {missing}: No such file or directory\n"
+    assert kept.read_text() == "kept\n"
+    assert not fresh.exists()

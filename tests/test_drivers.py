@@ -343,8 +343,8 @@ def test_fm_argmin_matches_derivative_root(ctx_hidesmall, ctx_hidelarge,
     from jumpsignal import DiscreteJumpGrid, DriverContext, HideSmall
 
     skew = DiscreteJumpGrid(grid_small.points, grid_small.weights * [1, 1, 1, 2, 2, 2],
-                            spec_small)
-    ctx_skew = DriverContext.build(spec_small, skew, HideSmall(c=0.7), lam=0.4)
+                            grid_small.eta)
+    ctx_skew = DriverContext(spec_small, skew, HideSmall(c=0.7), lam=0.4)
     ns = ~ctx_skew.sig_mask
     assert abs(ctx_skew.eta_g[ns] @ ctx_skew.nu_g[ns]) > 0.01
     def root(z, u, m, ctx):
@@ -508,8 +508,8 @@ def test_p_star(ctx_hidesmall, ctx_hidelarge):
 def test_scenario_limit_bit_exact(spec_small, grid_small, ctx_nosignal, rng):
     from jumpsignal import DriverContext, HideLarge, HideSmall
 
-    ctx_hs = DriverContext.build(spec_small, grid_small, HideSmall(c=5.0), lam=0.4)
-    ctx_hl = DriverContext.build(spec_small, grid_small, HideLarge(c=0.2), lam=0.4)
+    ctx_hs = DriverContext(spec_small, grid_small, HideSmall(c=5.0), lam=0.4)
+    ctx_hl = DriverContext(spec_small, grid_small, HideLarge(c=0.2), lam=0.4)
     z = rng.uniform(-3, 3, size=50)
     u = rng.uniform(-1.5, 1.5, size=(50, 6))
     f0, p0 = driver_f_batch(z, u, ctx_nosignal)
@@ -627,10 +627,9 @@ def test_context_validation(spec_small, grid_small):
     from jumpsignal import DriverContext, NoSignal
 
     with pytest.raises(ValueError):
-        DriverContext.build(spec_small, grid_small, NoSignal(), lam=0.0)
+        DriverContext(spec_small, grid_small, NoSignal(), lam=0.0)
     with pytest.raises(ValueError):
-        DriverContext.build(spec_small, grid_small, NoSignal(), lam=0.4,
-                            pi_lower=-0.5)
+        DriverContext(spec_small, grid_small, NoSignal(), lam=0.4, pi_lower=-0.5)
 
 
 # Verbatim copies of the no-signal objective, its slope, the signal sum and

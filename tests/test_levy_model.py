@@ -1,6 +1,7 @@
 """Measure-level oracles: closed forms frozen from a 40-digit computation
 plus independent quadrature cross-checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from jumpsignal import (
     LevyMarketSpec,
     NoSignal,
     build_grid,
-    c_kappa_eta,
 )
 
 # frozen oracles, rho=0.1 alpha=1.5 eps=0.01 unless stated
@@ -65,16 +65,23 @@ def test_nu_interval_validation(spec_small):
         spec_small.nu_interval(1.0, 0.5)
 
 
-def test_eta_integrals(spec_small):
-    assert spec_small.eta_integral() == 0.0
-
-
-def test_c_kappa_eta(spec_small, spec_drift):
-    assert c_kappa_eta(spec_small, 0.4) == 0.0
+def test_c_const(ctx_nosignal, ctx_drift, spec_small, grid_small):
+    # C = kappa / (lam sigma): 0 in the compensated market
+    assert ctx_nosignal.c_const == 0.0
     # 0.3 / (0.4 * 0.2) = 3.75
-    assert c_kappa_eta(spec_drift, 0.4) == pytest.approx(3.75, rel=1e-15)
+    assert ctx_drift.c_const == pytest.approx(3.75, rel=1e-15)
     with pytest.raises(ValueError):
-        c_kappa_eta(spec_small, 0.0)
+        DriverContext(spec_small, grid_small, NoSignal(), lam=0.0)
+
+
+def test_context_replace_rederives(ctx_nosignal, spec_drift, grid_small):
+    # every derived field follows the fields it is derived from
+    ctx = dataclasses.replace(ctx_nosignal, scenario=HideSmall(c=0.7))
+    assert np.array_equal(ctx.sig_mask, [True, True, False, False, True, True])
+    ctx = dataclasses.replace(ctx_nosignal, spec=spec_drift)
+    assert ctx.sigma == spec_drift.sigma
+    assert ctx.c_const == pytest.approx(3.75, rel=1e-15)
+    assert ctx.eta_g is grid_small.eta and ctx.nu_g is grid_small.weights
 
 
 def test_spec_validation():
@@ -97,7 +104,7 @@ def test_gamma_by_scenario(spec_small):
         HideLarge(c=-1.0)
 
 
-def test_grid_small_points_and_weights(grid_small):
+def test_grid_small_points_and_weights(spec_small, grid_small):
     assert np.array_equal(grid_small.points, [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
     assert grid_small.q == 3
     assert np.array_equal(grid_small.signed_indices, [-3, -2, -1, 1, 2, 3])
@@ -106,9 +113,8 @@ def test_grid_small_points_and_weights(grid_small):
     assert np.array_equal(w[:3], w[3:][::-1])
     # mass conservation: bins tile (e_1/2, inf) on each side
     assert np.sum(grid_small.weights) == pytest.approx(
-        2.0 * grid_small.spec.nu_interval(0.25, math.inf), rel=1e-13)
-    assert np.array_equal(grid_small.eta_values(),
-                          [-0.99, -0.99, -0.5, 0.5, 0.99, 0.99])
+        2.0 * spec_small.nu_interval(0.25, math.inf), rel=1e-13)
+    assert np.array_equal(grid_small.eta, [-0.99, -0.99, -0.5, 0.5, 0.99, 0.99])
 
 
 def test_grid_default_profile(spec_small):
@@ -133,7 +139,7 @@ def test_first_midpoint(grid_small):
 def test_signal_masks(spec_small, grid_small):
     def mask(scenario):
         # the context's signal bins are exactly the marks gamma reveals
-        ctx = DriverContext.build(spec_small, grid_small, scenario, lam=0.4)
+        ctx = DriverContext(spec_small, grid_small, scenario, lam=0.4)
         gamma = scenario.gamma(grid_small.points, spec_small)
         assert np.array_equal(ctx.sig_mask, gamma != 0)
         return ctx.sig_mask
@@ -166,11 +172,25 @@ def test_grid_validation(spec_small):
     with pytest.raises(ValueError):
         build_grid(3, spec_small, e_min=2.0, e_max=1.0)
     pts = np.array([-2.0, -1.0, 0.5, 2.0])
+    eta = np.array([-0.9, -0.5, 0.5, 0.9])
     with pytest.raises(ValueError):
-        DiscreteJumpGrid(points=pts, weights=np.ones(4), spec=spec_small)
+        DiscreteJumpGrid(points=pts, weights=np.ones(4), eta=eta)
     sym = np.array([-2.0, -0.5, 0.5, 2.0])
     with pytest.raises(ValueError):
-        DiscreteJumpGrid(points=sym, weights=np.array([1.0, 1.0, 0.0, 1.0]),
-                         spec=spec_small)
+        DiscreteJumpGrid(points=sym, weights=np.array([1.0, 1.0, 0.0, 1.0]), eta=eta)
     with pytest.raises(ValueError):
-        DiscreteJumpGrid(points=sym[1:], weights=np.ones(3), spec=spec_small)
+        DiscreteJumpGrid(points=sym[1:], weights=np.ones(3), eta=eta[1:])
+    DiscreteJumpGrid(points=sym, weights=np.ones(4), eta=eta)
+
+
+@pytest.mark.parametrize("eta", [
+    [-0.9, -0.5, 0.5],              # misaligned with the points
+    [-0.9, -0.5, np.nan, 0.9],      # not finite
+    [-np.inf, -0.5, 0.5, 0.9],
+    [-1.0, -0.5, 0.5, 0.9],         # log1p(-1) = -inf: a price would reach 0
+    [-0.9, -0.5, 0.5, 1.0],
+])
+def test_grid_rejects_eta(eta):
+    sym = np.array([-2.0, -0.5, 0.5, 2.0])
+    with pytest.raises(ValueError, match="eta"):
+        DiscreteJumpGrid(points=sym, weights=np.ones(4), eta=np.array(eta))

@@ -439,7 +439,7 @@ def test_jump_count_moments(spec_small, grid_small):
 
 def test_price_path_hand_recomputation(spec_small, grid_small, batch_small,
                                       dense_counts):
-    eta = grid_small.eta_values()
+    eta = grid_small.eta
     comp = sum(float(eta[i] * grid_small.weights[i]) for i in range(6))
     dt = batch_small.time_grid.dt
     dN = [dense_counts(batch_small, k) for k in range(4)]
@@ -513,7 +513,7 @@ def _hand_batch(spec, grid, dW, dN_sparse, n_paths):
 def test_wealth_hand_case(spec_small, grid_small, ctx_hidesmall):
     batch = _hand_batch(spec_small, grid_small, [0.1, 0.0, -0.2, 0.0],
                         {(5, 1): 1, (2, 2): 1, (2, 3): 1, (5, 3): 2}, 4)
-    eta = grid_small.eta_values()
+    eta = grid_small.eta
     comp = sum(float(eta[i] * grid_small.weights[i]) for i in range(6))
     p_sig = np.array([-1.0, -1.0, 0.25, 0.25, 1.0, 1.0])
     X = wealth_forward(batch, ctx_hidesmall, np.full((1, 4), 0.5), p_sig, 0.0)
@@ -557,6 +557,6 @@ def test_wealth_rejects_shapes(spec_small, grid_small, ctx_nosignal):
             wealth_forward(batch, ctx_nosignal, p0, np.zeros(6), 0.0)
     with pytest.raises(ValueError, match="one entry per bin"):
         wealth_forward(batch, ctx_nosignal, np.zeros((1, 2)), np.zeros((6, 1)), 0.0)
-    other = DriverContext.build(spec_small, build_grid(4, spec_small), NoSignal(), 0.4)
+    other = DriverContext(spec_small, build_grid(4, spec_small), NoSignal(), 0.4)
     with pytest.raises(ValueError, match="jump grid"):
         wealth_forward(batch, other, np.zeros((1, 2)), np.zeros(8), 0.0)
