@@ -93,25 +93,24 @@ def _configure(args) -> ExperimentConfig:
                                        for name, kw in overrides.items() if kw})
 
 
-@contextlib.contextmanager
-def _output(path: Optional[str]):
-    """The file at ``path`` to write, or stdout for None or '-'."""
-    if path is None or path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", newline="") as fh:
-            yield fh
+def _write_csv(path: Optional[str], header, rows) -> None:
+    """Write ``header`` and ``rows`` as CSV to the file at ``path``, or to
+    stdout for None or '-'. A float (numpy's too) is written as
+    ``repr(float(x))``, the shortest text that reads back as the same
+    double; any other value as ``str``."""
+    to_stdout = path in (None, "-")
+    with contextlib.nullcontext(sys.stdout) if to_stdout else open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([repr(float(x)) if isinstance(x, float) else x for x in row]
+                    for row in rows)
 
 
 def cmd_grid_dump(args) -> int:
     cfg = _load(args, args.out)
     grid = cfg.jump_grid(cfg.market_spec())
-    with _output(args.out) as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "point", "weight", "eta"])
-        for i, idx in enumerate(grid.signed_indices):
-            w.writerow([int(idx), repr(float(grid.points[i])),
-                        repr(float(grid.weights[i])), repr(float(grid.eta[i]))])
+    _write_csv(args.out, ["index", "point", "weight", "eta"],
+               zip(grid.signed_indices, grid.points, grid.weights, grid.eta))
     return 0
 
 
@@ -119,15 +118,16 @@ def cmd_driver_table(args) -> int:
     cfg = _load(args, args.out)
     spec = cfg.market_spec()
     ctx = cfg.driver_context(spec, cfg.jump_grid(spec), cfg.scenarios()[0])
-    z = np.linspace(args.z_min, args.z_max, args.z_steps)
+    # a bound that is not finite, or bounds too far apart for a float
+    # spacing, give a z the driver rejects: a usage error, as a bad flag
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.linspace(args.z_min, args.z_max, args.z_steps)
     u = np.zeros((z.size, ctx.grid.points.size))
-    vals, p0 = driver_f_batch(z, u, ctx)
-    with _output(args.out) as fh:
-        w = csv.writer(fh)
-        w.writerow(["z", "f", "p0"])
-        for j in range(z.size):
-            w.writerow([repr(float(z[j])), repr(float(vals[j])),
-                        repr(float(p0[j]))])
+    try:
+        vals, p0 = driver_f_batch(z, u, ctx)
+    except ValueError as exc:
+        _usage_error(exc)
+    _write_csv(args.out, ["z", "f", "p0"], zip(z, vals, p0))
     return 0
 
 
@@ -167,7 +167,7 @@ def _row(cfg, cfg_hash, scenario, cells) -> dict:
     except (ValueError, ArithmeticError) as exc:
         return {**row, "status": f"error: {exc}"}
     wall = time.perf_counter() - t0
-    return {**row, "y0": repr(sol.y0), "value": repr(value),
+    return {**row, "y0": sol.y0, "value": value,
             "wall_time": f"{wall:.3f}", "status": "ok"}
 
 
@@ -215,9 +215,7 @@ def _rows(cfg, seeds, scenarios) -> List[dict]:
 def cmd_solve(args) -> int:
     cfg = _load(args)
     [row] = _rows(cfg, cfg.scheme.seeds[:1], cfg.scenarios()[:1])
-    w = csv.DictWriter(sys.stdout, fieldnames=RESULT_COLUMNS)
-    w.writeheader()
-    w.writerow(row)
+    _write_csv(None, RESULT_COLUMNS, [[row[k] for k in RESULT_COLUMNS]])
     return 0 if row["status"] == "ok" else 1
 
 
@@ -232,14 +230,10 @@ def cmd_sweep(args) -> int:
     cfg = _load(args, args.out, args.summary)
     rows = _rows(cfg, cfg.scheme.seeds, cfg.scenarios())
     rows.sort(key=lambda r: (r["scenario"], _c_key(r["c"]), r["seed"]))
-    with _output(args.out) as fh:
-        w = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
-        w.writeheader()
-        w.writerows(rows)
-    with _output(args.summary) as fh:
-        w = csv.writer(fh)
-        w.writerow(["scenario", "c", "n_seeds", "y0_mean", "y0_spread"])
-        w.writerows(_summarize(rows))
+    _write_csv(args.out, RESULT_COLUMNS, ([r[k] for k in RESULT_COLUMNS] for r in rows))
+    _write_csv(args.summary, ["scenario", "c", "n_seeds", "y0_mean", "y0_spread"],
+               ([scen, c, len(ys), np.mean(ys), np.max(ys) - np.min(ys)]
+                for (scen, c), ys in _ok_groups(rows)))
     return 0
 
 
@@ -255,12 +249,6 @@ def _ok_groups(rows):
         if r["status"] == "ok":
             groups.setdefault((r["scenario"], r["c"]), []).append(float(r["y0"]))
     return sorted(groups.items(), key=lambda kv: (kv[0][0], _c_key(kv[0][1])))
-
-
-def _summarize(rows):
-    return [[scen, c, len(ys), repr(float(np.mean(ys))),
-             repr(float(np.max(ys) - np.min(ys)))]
-            for (scen, c), ys in _ok_groups(rows)]
 
 
 def cmd_verify(args) -> int:
@@ -286,13 +274,10 @@ def cmd_verify(args) -> int:
 
     print(verify_mod.format_reports(reports))
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["name", "samples", "violations", "worst_margin",
-                        "tolerance", "passed"])
-            for r in sorted(reports, key=lambda r: r.name):
-                w.writerow([r.name, r.samples, r.violations,
-                            repr(r.worst_margin), repr(r.tolerance), r.passed])
+        _write_csv(args.csv, ["name", "samples", "violations", "worst_margin",
+                              "tolerance", "passed"],
+                   ([r.name, r.samples, r.violations, r.worst_margin, r.tolerance,
+                     r.passed] for r in sorted(reports, key=lambda r: r.name)))
     if error is not None:
         print(f"jumpsignal: error: {error}", file=sys.stderr)
         return 1
@@ -342,8 +327,7 @@ def cmd_report(args) -> int:
         path = os.path.join(args.out_dir, f"{scen}.dat")
         with open(path, "w") as fh:
             for c, ys in cuts:
-                label = c if c != "" else "-"
-                fh.write(f"{label} {float(np.mean(ys))!r}\n")
+                fh.write(f"{c or '-'} {float(np.mean(ys))!r}\n")
         print(f"{scen}: {len(cuts)} cutoff(s) -> {path}")
     return 0
 
@@ -364,17 +348,27 @@ def _read_results(path) -> List[dict]:
                     raise ValueError(f"{path}:{lineno}: expected "
                                      f"{len(RESULT_COLUMNS)} columns, got {len(row)}")
                 rec = dict(zip(RESULT_COLUMNS, row))
+                if rec["c"] != "":
+                    _finite(rec["c"], f"{path}:{lineno}: bad c")
                 if rec["status"] == "ok":
-                    try:
-                        float(rec["y0"])
-                    except ValueError as exc:
-                        raise ValueError(f"{path}:{lineno}: bad y0: {exc}")
+                    _finite(rec["y0"], f"{path}:{lineno}: bad y0")
                 rows.append(rec)
         except csv.Error as exc:
             raise ValueError(f"{path}:{reader.line_num}: {exc}")
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not a text file: {exc}")
     return rows
+
+
+def _finite(text: str, where: str) -> None:
+    """Raise ValueError, its message led by ``where``, unless ``text`` is
+    a finite number."""
+    try:
+        x = float(text)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    if not np.isfinite(x):
+        raise ValueError(f"{where}: not a finite number: {text}")
 
 
 def _positive_int(text: str) -> int:
@@ -424,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=_positive_int, default=1000)
     sp.add_argument("--driver-only", action="store_true",
                     help="skip the batch-level checks")
-    sp.add_argument("--csv", help="write the check reports as CSV")
+    sp.add_argument("--csv", help="write the check reports as CSV ('-': stdout)")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("report", help="plot-ready files from a results CSV")

@@ -478,6 +478,8 @@ def _driver_rows(Z, U, ctx: DriverContext, m=math.inf, scan=False):
 def _rows(Z, U, ctx: DriverContext):
     """z as a float vector and u as its (rows, 2q) matrix, validated."""
     Z = np.atleast_1d(np.asarray(Z, dtype=float))
+    if not np.all(np.isfinite(Z)):
+        raise ValueError("z must be finite on every row")
     return Z, _as_u_matrix(U, ctx.grid, Z.size)
 
 

@@ -490,6 +490,12 @@ MALFORMED_RESULTS = [
      "short_row.csv:2: expected 8 columns, got 3"),
     ("bad_y0.csv", ",".join(RESULT_COLUMNS) + "\nhide-small,0.7,1,oops,-1.0,0.1,abcd,ok\n",
      "bad_y0.csv:2: bad y0: could not convert string to float: 'oops'"),
+    # a cutoff is empty or a finite number and an ok row's y0 is finite:
+    # a nan or an inf y0 would carry into the mean of the .dat file
+    ("bad_c.csv", ",".join(RESULT_COLUMNS) + "\nhide-small,abc,1,0.25,-1.0,0.1,abcd,ok\n",
+     "bad_c.csv:2: bad c: could not convert string to float: 'abc'"),
+    *((f"y0_{y0}.csv", ",".join(RESULT_COLUMNS) + f"\nhide-small,0.7,1,{y0},-1.0,0.1,abcd,ok\n",
+       f"y0_{y0}.csv:2: bad y0: not a finite number: {y0}") for y0 in ("nan", "inf", "-inf")),
     ("long_field.csv", ",".join(RESULT_COLUMNS) + "\n" + "x" * 200000 + "\n",
      "long_field.csv:2: field larger than field limit (131072)"),
     ("binary.csv", b"\x89PNG\r\n", "binary.csv: not a text file: 'utf-8' codec"),
@@ -559,6 +565,23 @@ def test_verify_driver_only(cfg_file, tmp_path, capsys):
                        "tolerance", "passed"]
     assert len(rows) - 1 == 5
     assert all(r[-1] == "True" for r in rows[1:])
+
+
+def test_verify_csv_dash_is_stdout(cfg_file, tmp_path, monkeypatch, capsys):
+    # '-' means stdout for --csv as for every other output path: the CSV
+    # follows the printout, and no file named '-' is written
+    monkeypatch.chdir(tmp_path)
+    rc = main(["verify", "--config", str(cfg_file), "--driver-only",
+               "--samples", "50", "--csv", "-"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    lines = out.splitlines()
+    assert [ln.split(":")[0] for ln in lines[:5]] == DRIVER_CHECKS
+    rows = _read_csv("\n".join(lines[5:]))
+    assert rows[0] == ["name", "samples", "violations", "worst_margin",
+                       "tolerance", "passed"]
+    assert [r[0] for r in rows[1:]] == DRIVER_CHECKS
+    assert os.listdir(tmp_path) == []
 
 
 DRIVER_CHECKS = ["driver_kkt", "driver_sandwich", "fm_monotone", "lipschitz_z",
@@ -633,6 +656,16 @@ def test_driver_table_rejects_nonpositive_z_steps(z_steps, capsys):
         main(["driver-table", "--z-steps", z_steps])
     assert exc.value.code == 2
     assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bounds", [["--z-min=nan"], ["--z-max=nan"], ["--z-min=inf"],
+                                    ["--z-max=-inf"], ["--z-min=-1e308", "--z-max=1e308"]],
+                         ids=" ".join)
+def test_driver_table_rejects_z_that_is_not_finite(bounds, capsys):
+    # the table would print nan rows and exit 0; the last bounds are finite,
+    # but their spacing overflows
+    err = _one_line_usage_error(["driver-table", *bounds, "--z-steps", "3"], capsys)
+    assert err == "jumpsignal: error: z must be finite on every row\n"
 
 
 @pytest.mark.parametrize("flag", ["--paths", "--seed"])

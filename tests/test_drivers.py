@@ -477,6 +477,17 @@ def test_fm_rejects_invalid_levels(ctx_hidesmall, m):
         penalized_driver_fm_batch(z, u, m, ctx_hidesmall)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_drivers_reject_a_z_that_is_not_finite(ctx_hidesmall, bad):
+    # as for u: a nan z would give f = nan with a made-up argmin
+    z = np.array([bad, 1.0])
+    u = np.zeros((2, 6))
+    with pytest.raises(ValueError, match="z must be finite"):
+        driver_f_batch(z, u, ctx_hidesmall)
+    with pytest.raises(ValueError, match="z must be finite"):
+        penalized_driver_fm_batch(z, u, 2, ctx_hidesmall)
+
+
 def test_driver_overflow_guard(ctx_hidesmall):
     with pytest.raises(ValueError):
         _f_row(0.0, np.full(6, 3000.0), ctx_hidesmall)
