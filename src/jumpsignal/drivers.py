@@ -335,9 +335,11 @@ class _NoSignalPart:
     def __call__(self, P):
         lam = self.lam
         h = _h_lambda_of(self._exponent(P), lam, out=self._h)
-        quad = 0.5 * lam * (self.sigma * P - self.zc) ** 2
+        # a z too large for the square gives inf, or NaN at a fade of 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            quad = 0.5 * lam * (self.sigma * P - self.zc) ** 2 * self.fade
         lin = -P * self.eta_nu
-        return quad * self.fade + h @ self.nu + lin
+        return quad + h @ self.nu + lin
 
     def slope(self, P):
         """First and second derivative in p, per row, of a row whose cap
@@ -390,7 +392,7 @@ def _exact_argmin(f1: _NoSignalPart, ctx: DriverContext):
     lo = np.full(n, a)
     hi = np.full(n, b)
     # start from the secant of f1' across the box
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         p = np.clip(a - ga * (b - a) / (gb - ga), a, b)
     p = np.where(at_a, a, np.where(at_b, b, p))
     active = ~(at_a | at_b)
@@ -401,7 +403,7 @@ def _exact_argmin(f1: _NoSignalPart, ctx: DriverContext):
         lo = np.where(g < 0.0, p, lo)
         hi = np.where(g > 0.0, p, hi)
         # f1_m'' may vanish (an exponential underflows), giving inf or NaN
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             step = p - g / h
         # inclusive test: a step landing on a bracket end is kept, and ends
         # the row, since evaluating that end again cannot shrink the bracket
@@ -463,7 +465,8 @@ def _driver_rows(Z, U, ctx: DriverContext, m=math.inf, scan=False):
     of (z, u); returns (values, argmin). The no-signal part is minimized
     by Newton on its slope, or with ``scan``, for rows whose cap can bind,
     capped, by ``minimize_on_interval``. The signal sum is taken first, so
-    its arrays and the no-signal part's are never held at once."""
+    its arrays and the no-signal part's are never held at once. A value
+    or argmin that is not finite raises, naming its row's z."""
     sig = _signal_sum(U, ctx, m)
     f1 = _NoSignalPart(Z, U, ctx, m, cap=scan)
     if scan:
@@ -471,7 +474,12 @@ def _driver_rows(Z, U, ctx: DriverContext, m=math.inf, scan=False):
     else:
         p0 = _exact_argmin(f1, ctx)
         f1min = f1(p0)
-    vals = f1min + sig + ctx.affine_tail(Z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = f1min + sig + ctx.affine_tail(Z)
+    bad = ~(np.isfinite(vals) & np.isfinite(p0))
+    if bad.any():
+        r = bad.argmax()
+        raise ValueError(f"driver not finite at z = {Z[r]:.6g}: f = {vals[r]}, p0 = {p0[r]}")
     return vals, p0
 
 

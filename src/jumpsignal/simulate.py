@@ -16,10 +16,10 @@ and the uniform of a word w is (w >> 11) 2^-53, as numpy's
 workers therefore reproduces the exact same numbers as a single pass.
 For the same reason the caller draws the Brownian stream, channel 0,
 while a thread pool sized to the CPUs the process may run on draws the
-jump bins, one task per bin over every step; the batch does not depend
-on the pool size, since each stream is fixed by its key alone and the
-events are assembled in bin order. Each price step is formed in place
-in its row of S.
+jumps, one task per step (so at most n_steps threads) over bins 0..nb-1
+in order, all searched in one cdf per distinct mean; the batch does not
+depend on the pool size, since each stream is fixed by its key alone.
+Each price step is formed in place in its row of S.
 
 The Brownian uniforms are drawn straight into the rows of dW, floored at
 2^-64, mapped to standard normals in place by ``_ndtri``, a numpy port
@@ -111,8 +111,7 @@ def _stream(seed: int, step: int, channel: int, start: int) -> tuple:
     it, so any chunking reproduces the same values.
     """
     bg = Philox(key=seed, counter=[0, 0, step, channel])
-    if start >= 4:
-        bg.advance(start // 4)
+    bg.advance(start // 4)
     return bg, start % 4
 
 
@@ -346,36 +345,32 @@ def simulate_batch(
     Same seed gives the same batch for any chunking of the path range
     (``path_offset`` addresses the first path of the chunk).
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    if n_paths < 1 or path_offset < 0:
+        raise ValueError(f"bad path range: n_paths={n_paths}, path_offset={path_offset}")
     n_steps = time_grid.n_steps
     nb = grid.points.size
     dt = time_grid.dt
+    # bin j's mean at step k; mirrored bins and equal steps share one cdf
+    mu = np.outer(dt, grid.weights).tolist()
+    cdfs = {m: _poisson_cdf(m) for m in set().union(*mu)}
+    bins = np.arange(nb, dtype=_int_dtype(nb, np.int16))
+
+    def step(k):
+        # the events of step k, bin j from channel 1 + j, in bin order
+        paths, counts = zip(*(_poisson_events(_words(seed, k, 1 + j, n_paths, path_offset),
+                                              cdfs[m]) for j, m in enumerate(mu[k])))
+        return JumpEvents(path=np.concatenate(paths),
+                          bin=np.repeat(bins, [p.size for p in paths]),
+                          count=np.concatenate(counts))
 
     dW = np.empty((n_steps, n_paths))
-
-    def draw(j):
-        # the jumps of bin j, channel 1 + j, at every step, one cdf per mean
-        mu = (grid.weights[j] * dt).tolist()
-        cdfs = {m: _poisson_cdf(m) for m in set(mu)}
-        return [_poisson_events(_words(seed, k, 1 + j, n_paths, path_offset),
-                                cdfs[mu[k]])
-                for k in range(n_steps)]
-
     # Philox, the ufuncs, the uint64 comparison and flatnonzero release
     # the GIL; each task holds one stream of words at a time, and the
     # caller draws the Brownian stream, channel 0, while the pool runs
     with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
-        tasks = pool.map(draw, range(nb))
+        tasks = pool.map(step, range(n_steps))
         _brownian(seed, dt, path_offset, dW)
-        by_bin = list(tasks)
-    jumps = []
-    for k in range(n_steps):
-        paths, counts = zip(*(events[k] for events in by_bin))
-        bins = np.repeat(np.arange(nb, dtype=_int_dtype(nb, np.int16)),
-                         [p.size for p in paths])
-        jumps.append(JumpEvents(path=np.concatenate(paths), bin=bins,
-                                count=np.concatenate(counts)))
+        jumps = list(tasks)
 
     comp = grid.compensator()
     log_jump = grid.log_jumps()

@@ -6,6 +6,7 @@ import io
 import math
 import multiprocessing
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -666,6 +667,16 @@ def test_driver_table_rejects_z_that_is_not_finite(bounds, capsys):
     # but their spacing overflows
     err = _one_line_usage_error(["driver-table", *bounds, "--z-steps", "3"], capsys)
     assert err == "jumpsignal: error: z must be finite on every row\n"
+
+
+def test_driver_table_rejects_a_driver_that_is_not_finite(capsys):
+    # finite bounds, but the quadratic overflows at z = 1e200: the table
+    # printed f = inf after numpy's overflow warning and exited 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _one_line_usage_error(["driver-table", "--z-max", "1e200",
+                                     "--z-steps", "2"], capsys)
+    assert err.startswith("jumpsignal: error: driver not finite at z = 1e+200:")
 
 
 @pytest.mark.parametrize("flag", ["--paths", "--seed"])

@@ -6,6 +6,7 @@ cannot bind, and checks of the scan plus golden-section minimizer that
 f_m keeps on the rows where it can."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -486,6 +487,22 @@ def test_drivers_reject_a_z_that_is_not_finite(ctx_hidesmall, bad):
         driver_f_batch(z, u, ctx_hidesmall)
     with pytest.raises(ValueError, match="z must be finite"):
         penalized_driver_fm_batch(z, u, 2, ctx_hidesmall)
+
+
+@pytest.mark.parametrize("z", [1e200, -1e200])
+def test_drivers_reject_a_value_that_is_not_finite(ctx_hidesmall, z):
+    # a finite z too large for the quadratic: f overflows to inf, and
+    # f_m, whose fade is 0 there, to 0 * inf = NaN; both must raise and
+    # name the z, without a numpy warning; u = 5 takes f_m's capped scan
+    Z = np.array([1.0, z])
+    named = re.escape(f"not finite at z = {z:.6g}:")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u in (np.zeros((2, 6)), np.full((2, 6), 5.0)):
+            with pytest.raises(ValueError, match=named):
+                driver_f_batch(Z, u, ctx_hidesmall)
+            with pytest.raises(ValueError, match=named):
+                penalized_driver_fm_batch(Z, u, 2, ctx_hidesmall)
 
 
 def test_driver_overflow_guard(ctx_hidesmall):

@@ -86,6 +86,15 @@ def test_batch_shapes_and_determinism(spec_small, grid_small, tg_small,
         simulate_batch(spec_small, grid_small, tg_small, 0, seed=9)
 
 
+def test_negative_path_offset_is_rejected(spec_small, grid_small, tg_small):
+    # the streams would start inside their first Philox block, at
+    # path_offset % 4: a batch labelled -5 would hold the paths of offset 3
+    for offset in (-1, -5):
+        with pytest.raises(ValueError, match="path_offset=-"):
+            simulate_batch(spec_small, grid_small, tg_small, 8, seed=9,
+                           path_offset=offset)
+
+
 def test_chunked_paths_reproduce_full_run(spec_small, grid_small, tg_small):
     full = simulate_batch(spec_small, grid_small, tg_small, 40, seed=55)
     # offsets off the 4-wide Philox block boundary exercise the remainder
@@ -104,9 +113,10 @@ def test_chunked_paths_reproduce_full_run(spec_small, grid_small, tg_small):
     assert np.array_equal(full.S[:, 23:], tail.S)
 
 
-def test_one_cdf_per_bin_and_step_length(monkeypatch, spec_small, grid_small,
-                                         dense_counts):
-    # a non-uniform grid: every step, so every bin's mean, differs
+def test_one_cdf_per_distinct_mean(monkeypatch, spec_small, grid_small,
+                                   dense_counts):
+    # a non-uniform grid: every step differs, while mirrored bins share
+    # a weight, so the six bins' 30 means take 15 values
     tg = TimeGrid(np.array([0.0, 0.02, 0.1, 0.13, 0.3, 0.5]))
     assert np.unique(tg.dt).size == 5
     means = []
@@ -118,7 +128,8 @@ def test_one_cdf_per_bin_and_step_length(monkeypatch, spec_small, grid_small,
 
     monkeypatch.setattr(simulate, "_poisson_cdf", spy)
     b = simulate_batch(spec_small, grid_small, tg, 3000, seed=31)
-    assert sorted(means) == sorted(np.outer(grid_small.weights, tg.dt).ravel())
+    distinct = set(np.outer(grid_small.weights, tg.dt).ravel().tolist())
+    assert len(distinct) == 15 and sorted(means) == sorted(distinct)
     n_events = 0
     for k, ev in enumerate(b.jumps):
         dense = dense_counts(b, k)
@@ -126,13 +137,16 @@ def test_one_cdf_per_bin_and_step_length(monkeypatch, spec_small, grid_small,
         assert np.array_equal(ev.count, dense[ev.bin, ev.path])
         n_events += ev.count.size
     assert n_events > 0
-    # the default grid's ten steps take four float values, so four cdfs
-    # per bin serve them
+    # the reference grid: 40 bins in 20 mirrored pairs over ten steps of
+    # four float lengths, so 80 cdfs serve its 400 jump streams
     means.clear()
-    tg10 = TimeGrid.uniform(10, 1.0)
-    simulate_batch(spec_small, grid_small, tg10, 10, seed=31)
-    assert np.unique(tg10.dt).size == 4
-    assert len(means) == 4 * grid_small.weights.size
+    cfg = ExperimentConfig()
+    spec = cfg.market_spec()
+    grid, tg10 = cfg.jump_grid(spec), cfg.time_grid()
+    simulate_batch(spec, grid, tg10, 10, seed=31)
+    assert grid.points.size * tg10.n_steps == 400
+    assert sorted(means) == sorted(set(np.outer(grid.weights, tg10.dt).ravel().tolist()))
+    assert len(means) == 80
 
 
 def test_market_without_events(tg_small, dense_counts):
