@@ -33,6 +33,10 @@ it several local minima. Every other row, each row of f included, has a
 convex f1_m whose argmin is the clipped root of its slope, found by
 safeguarded Newton (``_exact_argmin``).
 
+h_lam, rho_m and phi_m are one function each, the in-place kernels the
+drivers run (``_h_lambda_of``, ``_rho_m_inplace``, ``_phi_m_inplace``):
+each writes over a float array its caller owns.
+
 The kernel is prepared once per path of a driver call, and each Newton
 step or objective evaluation does only the p-dependent arithmetic, in
 the operation order of the formulas evaluated in one go; each matrix
@@ -98,15 +102,10 @@ def _guard_exponent(a):
         )
 
 
-def h_lambda(x, lam: float):
-    """Convex function (e^(lam x) - lam x - 1) / lam, >= 0, zero at 0."""
-    if not lam > 0:
-        raise ValueError(f"lam must be > 0, got {lam}")
-    return _h_lambda_of(lam * np.asarray(x, dtype=float), lam)
-
-
 def _h_lambda_of(lx, lam: float, out=None):
-    """h_lam(x) from lx = lam x, written into ``out`` (a new array if None)."""
+    """The convex h_lam(x) = (e^(lam x) - lam x - 1) / lam, >= 0 and zero
+    at 0, from the float array lx = lam x, written into ``out`` (a new
+    array if None); lam > 0, as the context checks."""
     _guard_exponent(lx)
     h = np.exp(lx, out=out)
     h -= lx
@@ -115,13 +114,9 @@ def _h_lambda_of(lx, lam: float, out=None):
     return h
 
 
-def rho_m(x, m: int):
-    """Plateau cutoff: 1 on [-m, m], linear to 0 on the unit bands outside."""
-    return _rho_m_inplace(np.array(x, dtype=float), m)
-
-
 def _rho_m_inplace(x, m):
-    """``rho_m`` written over the float array x, with one more array."""
+    """The plateau cutoff rho_m: 1 on [-m, m], linear to 0 on the unit
+    bands outside, written over the float array x, with one more array."""
     up = x + m
     up += 1.0
     np.subtract(m + 1.0, x, out=x)
@@ -129,14 +124,10 @@ def _rho_m_inplace(x, m):
     return np.clip(x, 0.0, 1.0, out=x)
 
 
-def phi_m(x, m: int):
-    """Identity up to m, then m + arctan(x - m): caps growth above the knee."""
-    return _phi_m_inplace(np.array(x, dtype=float), m)
-
-
 def _phi_m_inplace(x, m):
-    """``phi_m`` written over the float array x; arctan is taken only on
-    the entries above the knee."""
+    """The cap phi_m: the identity up to m, then m + arctan(x - m), written
+    over the float array x; arctan is taken only on the entries above the
+    knee."""
     over = x > m
     if over.any():
         at = np.flatnonzero(over)
@@ -217,13 +208,14 @@ class DriverContext:
     """Immutable evaluation context for the drivers.
 
     Holds the market, the jump grid, the scenario, the risk aversion and
-    the position bounds, and derives from them what the drivers read:
-    sigma, the risk-premium constant C = (kappa - int eta d nu) /
-    (lam sigma), where the integral is zero because eta is odd and nu
-    symmetric, so C = kappa / (lam sigma), and the scenario's split of
-    the bins into no-signal bins (position chosen by the inner
-    minimization) and signal bins (position pinned at the boundary by
-    the signal's sign). The signal bins are the marks where the
+    the position bounds; the drivers read sigma from the spec and the
+    marks, eta and weights from the grid. It derives three things: the
+    risk-premium constant C = (kappa - int eta d nu) / (lam sigma), where
+    the integral is zero because eta is odd and nu symmetric, so C =
+    kappa / (lam sigma); the scenario's split of the bins into no-signal
+    bins (position chosen by the inner minimization) and signal bins
+    (position pinned at the boundary by the signal's sign); and each
+    bin's boundary position. The signal bins are the marks where the
     scenario's gamma is nonzero, so a cutoff equal to a mark follows
     gamma's inclusive test. ``ctx(Z, U)`` is ``driver_f_batch(Z, U, ctx)``:
     a context is a driver.
@@ -237,10 +229,7 @@ class DriverContext:
     pi_upper: float = 1.0
 
     # derived, filled in __post_init__
-    sigma: float = field(init=False)
     c_const: float = field(init=False)
-    eta_g: np.ndarray = field(init=False, repr=False)
-    nu_g: np.ndarray = field(init=False, repr=False)
     sig_mask: np.ndarray = field(init=False, repr=False)
     boundary_p: np.ndarray = field(init=False, repr=False)
 
@@ -249,10 +238,7 @@ class DriverContext:
             raise ValueError(f"lam must be > 0, got {self.lam}")
         if self.pi_lower < 0 or self.pi_upper < 0:
             raise ValueError("position bounds must be >= 0 so [-pi_lower, pi_upper] contains 0")
-        object.__setattr__(self, "sigma", self.spec.sigma)
         object.__setattr__(self, "c_const", self.spec.kappa / (self.lam * self.spec.sigma))
-        object.__setattr__(self, "eta_g", self.grid.eta)
-        object.__setattr__(self, "nu_g", self.grid.weights)
         object.__setattr__(self, "sig_mask",
                            self.scenario.gamma(self.grid.points, self.spec) != 0)
         object.__setattr__(
@@ -271,7 +257,8 @@ class DriverContext:
 def u_lambda_norm(u, ctx: DriverContext):
     """Discrete norm sum_i h_lam(u_i) nu_i per row of u; zero iff the row
     vanishes on the grid."""
-    return h_lambda(_as_u_matrix(u, ctx.grid), ctx.lam) @ ctx.nu_g
+    lam = ctx.lam
+    return _h_lambda_of(lam * _as_u_matrix(u, ctx.grid), lam) @ ctx.grid.weights
 
 
 class _NoSignalPart:
@@ -298,16 +285,16 @@ class _NoSignalPart:
     def __init__(self, Z, U, ctx: DriverContext, m=math.inf, cap=False):
         lam = ctx.lam
         ns = ~ctx.sig_mask
-        eta = ctx.eta_g[ns]
-        nu = ctx.nu_g[ns]
-        self.lam, self.sigma = lam, ctx.sigma
+        eta = ctx.grid.eta[ns]
+        nu = ctx.grid.weights[ns]
+        self.lam, self.sigma = lam, ctx.spec.sigma
         self.m_col = np.asarray(m, dtype=float)[..., None]
         self.cap = cap
         # row-major like the work arrays, so u - p eta runs contiguous
         self.u = np.compress(ns, U, axis=1)
         self.zc = Z + ctx.c_const
-        self.fade = rho_m(Z, m)
-        self.curv = self.fade * (lam * ctx.sigma ** 2)
+        self.fade = _rho_m_inplace(np.array(Z, dtype=float), m)
+        self.curv = self.fade * (lam * self.sigma ** 2)
         self.nu = nu
         self.eta_nu = float(eta @ nu)
         self.nu_eta = nu * eta
@@ -425,8 +412,8 @@ def _signal_sum(U, ctx: DriverContext, m=math.inf):
     if not np.any(sig):
         return np.zeros(U.shape[0])
     lam = ctx.lam
-    eta = ctx.eta_g[sig]
-    nu = ctx.nu_g[sig]
+    eta = ctx.grid.eta[sig]
+    nu = ctx.grid.weights[sig]
     shift = ctx.boundary_p[sig] * eta
     lin = -float(shift @ nu) * np.ones(U.shape[0])
     m_col = np.asarray(m, dtype=float)[..., None]
@@ -456,7 +443,7 @@ def _cap_can_bind(U, m, ctx: DriverContext):
     ns = ~ctx.sig_mask
     m_col = np.asarray(m, dtype=float)[:, None]
     reach = np.compress(ns, U, axis=1)
-    reach += max(ctx.pi_lower, ctx.pi_upper) * np.abs(ctx.eta_g[ns])
+    reach += max(ctx.pi_lower, ctx.pi_upper) * np.abs(ctx.grid.eta[ns])
     return np.any((reach > m_col) & _active_bins(ctx, ns, m_col), axis=1)
 
 
@@ -540,7 +527,7 @@ def driver_bounds(z, u, ctx: DriverContext):
     upper has one entry per row of u.
     """
     z = np.asarray(z, dtype=float)
-    abs_eta_mass = float(np.abs(ctx.eta_g) @ ctx.nu_g)
+    abs_eta_mass = float(np.abs(ctx.grid.eta) @ ctx.grid.weights)
     lower = ctx.affine_tail(z) - (ctx.pi_lower + ctx.pi_upper) * abs_eta_mass
     upper = 0.5 * ctx.lam * z ** 2 + u_lambda_norm(u, ctx)
     return lower, upper
@@ -555,7 +542,7 @@ def local_lipschitz_constant(ctx: DriverContext) -> float:
     gives lam ((|z| + |z'|) / 2 + sigma pi_max) |z - z'|, so
     K = lam max(1/2, sigma pi_max).
     """
-    return ctx.lam * max(0.5, ctx.sigma * max(ctx.pi_lower, ctx.pi_upper))
+    return ctx.lam * max(0.5, ctx.spec.sigma * max(ctx.pi_lower, ctx.pi_upper))
 
 
 def fm_exact_threshold(z, u, ctx: DriverContext):
@@ -568,6 +555,6 @@ def fm_exact_threshold(z, u, ctx: DriverContext):
     z = np.asarray(z, dtype=float)
     U = _as_u_matrix(u, ctx.grid)
     pmax = max(ctx.pi_lower, ctx.pi_upper)
-    phi_need = np.max(U + pmax * np.abs(ctx.eta_g), axis=1)
+    phi_need = np.max(U + pmax * np.abs(ctx.grid.eta), axis=1)
     return np.maximum(np.maximum(np.abs(z), np.max(np.abs(U), axis=1)),
                       np.maximum(phi_need, 1.0 / float(ctx.grid.points[ctx.grid.q])))

@@ -80,17 +80,6 @@ class LevyMarketSpec:
         if not self.T > 0:
             raise ValueError(f"T must be > 0, got {self.T}")
 
-    def nu_density(self, e):
-        """Density rho |e|^(-alpha) of the Levy measure. Undefined at e = 0.
-
-        The package reads the measure through ``nu_interval``; this is
-        the density its quadrature test integrates.
-        """
-        e = np.asarray(e, dtype=float)
-        if np.any(e == 0.0):
-            raise ValueError("nu has no density value at e = 0")
-        return self.rho * np.abs(e) ** (-self.alpha)
-
     def eta(self, e):
         """Capped relative jump size: identity on [-(1-eps), 1-eps], clipped outside."""
         cap = 1.0 - self.epsilon

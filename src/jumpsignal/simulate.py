@@ -122,15 +122,16 @@ def _words(seed: int, step: int, channel: int, n: int, start: int = 0) -> np.nda
 
 
 # Cephes ndtri (S. L. Moshier, Methods and Programs for Mathematical
-# Functions, 1989), the algorithm behind scipy.special.ndtri; the leading
-# 1 of each denominator Q is implied, as in Cephes' p1evl
+# Functions, 1989), the algorithm behind scipy.special.ndtri; each
+# denominator Q carries the leading 1 that Cephes' p1evl implies (1.0 x is
+# exact, so Horner's rule gives p1evl's bits)
 _EXP_M2 = 0.13533528323661269189  # exp(-2)
 _SQRT_2PI = 2.50662827463100050242
 # central region, a rational function of y^2 with y = u - 1/2
 _P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
        -5.66762857469070293439E1, 1.39312609387279679503E1,
        -1.23916583867381258016E0)
-_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
+_Q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0,
        8.63602421390890590575E1, -2.25462687854119370527E2,
        2.00260212380060660359E2, -8.20372256168333339912E1,
        1.59056225126211695515E1, -1.18331621121330003142E0)
@@ -140,7 +141,7 @@ _P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
        1.46849561928858024014E1, 2.18663306850790267539E0,
        -1.40256079171354495875E-1, -3.50424626827848203418E-2,
        -8.57456785154685413611E-4)
-_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
+_Q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1,
        4.13172038254672030440E1, 1.50425385692907503408E1,
        2.50464946208309415979E0, -1.42182922854787788574E-1,
        -3.80806407691578277194E-2, -9.33259480895457427372E-4)
@@ -150,20 +151,17 @@ _P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
        2.01485389549179081538E-1, 1.23716634817820021358E-2,
        3.01581553508235416007E-4, 2.65806974686737550832E-6,
        6.23974539184983293730E-9)
-_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
+_Q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0,
        1.37702099489081330271E0, 2.16236993594496635890E-1,
        1.34204006088543189037E-2, 3.28014464682127739104E-4,
        2.89247864745380683936E-6, 6.79019408009981274425E-9)
 
 
-def _polevl(x: np.ndarray, coef: tuple, monic: bool = False) -> np.ndarray:
-    """Horner's rule in Cephes' order; ``monic`` prepends a leading 1."""
-    if monic:
-        acc = np.add(x, coef[0])
-    else:
-        acc = np.multiply(x, coef[0])
-        acc += coef[1]
-    for c in coef[1 if monic else 2:]:
+def _polevl(x: np.ndarray, coef: tuple) -> np.ndarray:
+    """Horner's rule in Cephes' order, highest coefficient first."""
+    acc = np.multiply(x, coef[0])
+    acc += coef[1]
+    for c in coef[2:]:
         acc *= x
         acc += c
     return acc
@@ -174,7 +172,7 @@ def _ndtri_tail(x: np.ndarray, P: tuple, Q: tuple) -> np.ndarray:
     z = np.reciprocal(x)
     r = _polevl(z, P)
     r *= z
-    r /= _polevl(z, Q, monic=True)
+    r /= _polevl(z, Q)
     return r
 
 
@@ -209,7 +207,7 @@ def _ndtri(y: np.ndarray, out: np.ndarray = None) -> np.ndarray:
 
     w = np.subtract(y, 0.5, out=out)
     y2 = np.multiply(w, w)
-    q = _polevl(y2, _Q0, monic=True)
+    q = _polevl(y2, _Q0)
     r = _polevl(y2, _P0)
     r *= y2
     r /= q
@@ -250,11 +248,6 @@ def _poisson_cdf(mu: float) -> np.ndarray:
     return np.asarray(cdf)
 
 
-def _poisson_invcdf(u: np.ndarray, mu: float) -> np.ndarray:
-    """Poisson counts by inverse CDF: one uniform per variate."""
-    return _poisson_cdf(mu).searchsorted(u, side="right").astype(np.int32)
-
-
 def _int_dtype(n: int, floor) -> np.dtype:
     """The narrowest integer type, ``floor`` or wider, that holds 0..n-1."""
     return np.result_type(floor, np.min_scalar_type(n - 1))
@@ -263,13 +256,14 @@ def _int_dtype(n: int, floor) -> np.dtype:
 def _poisson_events(words: np.ndarray, cdf: np.ndarray) -> tuple:
     """Positions and counts of the nonzero draws among raw words.
 
-    Equal to ``np.flatnonzero(c)`` and its entries for ``c =
-    _poisson_invcdf(u, mu)`` with ``u = (words >> 11) 2^-53``, given ``cdf
-    = _poisson_cdf(mu)``: the inverse CDF gives 0 exactly when u lies below
-    p = cdf[0], and a uniform equal to p already counts one jump (the search
-    is right-sided), so a word counts when (w >> 11) >= p 2^53, that is w >=
-    ceil(p 2^53) << 11. When p rounds to 1 (mu = 0 or tiny) no uniform
-    reaches it. Positions are int32 below 2^31 words, counts int32.
+    Equal to ``np.flatnonzero(c)`` and its entries for the inverse-CDF
+    counts ``c = cdf.searchsorted(u, side="right")`` with ``u = (words >>
+    11) 2^-53``, given ``cdf = _poisson_cdf(mu)``: the inverse CDF gives 0
+    exactly when u lies below p = cdf[0], and a uniform equal to p already
+    counts one jump (the search is right-sided), so a word counts when
+    (w >> 11) >= p 2^53, that is w >= ceil(p 2^53) << 11. When p rounds to
+    1 (mu = 0 or tiny) no uniform reaches it. Positions are int32 below
+    2^31 words, counts int32.
     """
     pos_dtype = _int_dtype(words.size, np.int32)
     p = cdf[0]

@@ -313,15 +313,17 @@ def check_y_bound(sol: BackwardSolution, ctx: DriverContext) -> CheckReport:
     with ||F||_inf the largest |F| on the batch (the terminal values of
     the solution) and slack the magnitude of the driver's value at the
     origin taken from the affine lower bound; it takes no allowance, as
-    it holds for the solve on its own batch. Step k's largest
-    |Ybar_k| over the paths is the largest |y_cells| of its cells, since
-    every cell holds at least one path.
+    it holds for the solve on its own batch. The log term is taken as
+    ||F||_inf + log1p(e^{-lam ||F||_inf}) / lam, which cannot overflow
+    for a large ||F||_inf. Step k's largest |Ybar_k| over the paths is
+    the largest |y_cells| of its cells, since every cell holds at least
+    one path.
     """
     lam = ctx.lam
     f_sup = float(np.max(np.abs(sol.F)))
     lo, _ = driver_bounds(0.0, np.zeros(ctx.grid.points.size), ctx)
     slack = -lo
-    base = math.log(math.exp(lam * f_sup) + 1.0) / lam
+    base = f_sup + math.log1p(math.exp(-lam * f_sup)) / lam
     tg = sol.cells.batch.time_grid
     bound = base + slack * (tg.T - tg.times)
     y_sup = [np.max(np.abs(rec.y_cells)) for rec in sol.steps] + [f_sup]

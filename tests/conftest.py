@@ -20,7 +20,7 @@ from jumpsignal import (
     payoff_put,
     simulate_batch,
 )
-from jumpsignal.simulate import _poisson_invcdf
+from jumpsignal.simulate import _poisson_cdf
 
 
 @pytest.fixture(scope="session")
@@ -107,7 +107,18 @@ def payoff_small_b(batch_small_b):
 
 
 @pytest.fixture(scope="session")
-def dense_counts(uniforms):
+def poisson_invcdf():
+    """invcdf(u, mu): Poisson(mu) counts by the full inverse CDF, one
+    uniform per variate, the oracle of the package's sparse event draw."""
+
+    def invcdf(u, mu):
+        return _poisson_cdf(mu).searchsorted(u, side="right").astype(np.int32)
+
+    return invcdf
+
+
+@pytest.fixture(scope="session")
+def dense_counts(uniforms, poisson_invcdf):
     """counts(batch, k): the (n_bins, n_paths) jump counts of step k drawn
     straight from the batch's uniform streams by the full inverse CDF,
     independently of the batch's jump events."""
@@ -115,8 +126,8 @@ def dense_counts(uniforms):
     def counts(batch, k):
         mu = batch.grid.weights * batch.time_grid.dt[k]
         return np.stack([
-            _poisson_invcdf(uniforms(batch.seed, k, 1 + j, batch.n_paths,
-                                     batch.path_offset), mu[j])
+            poisson_invcdf(uniforms(batch.seed, k, 1 + j, batch.n_paths,
+                                    batch.path_offset), mu[j])
             for j in range(mu.size)])
 
     return counts

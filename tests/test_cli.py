@@ -364,10 +364,12 @@ def test_sweep_marks_bound_violation_as_error(cfg_file, tmp_path, monkeypatch):
 # (config with SEEDS for the seed list, status prefix of every row): the
 # small config, and the reference config at 4096 paths and c = 0.6, where
 # every solve trips the driver's overflow guard
+# the same config, and with a put struck at 5000, whose solve fails on
+# the overflow guard at every path count
 PROCESS_CONFIGS = [
     (SMALL_YAML.replace("seeds: [1, 2]", "seeds: SEEDS"), "ok"),
-    ("scheme: {n_paths: 4096, seeds: SEEDS}\nscenario: {c_values: [0.6]}\n",
-     "error: driver failed at step "),
+    (SMALL_YAML.replace("seeds: [1, 2]", "seeds: SEEDS") + "payoff: {strike: 5000}\n",
+     "error: "),
 ]
 
 
@@ -625,20 +627,23 @@ def test_verify_full_solve_count(cfg_file, capsys, monkeypatch):
 
 
 def test_verify_failed_solve_keeps_the_driver_reports(tmp_path, capsys):
-    # at 4096 paths the reference config's solve trips the driver's
-    # overflow guard at step 6: verify prints the five driver-check reports
-    # it made, writes them to its CSV, and ends with one error line
-    csv_path = tmp_path / "checks.csv"
-    rc = main(["verify", "--paths", "4096", "--c", "0.6", "--seed", "1",
+    # with a put struck at 5000 the reference config's solve trips the
+    # overflow guard: verify prints the reports it made, the driver checks
+    # among them, writes the same reports to its CSV, and ends with one
+    # error line
+    config, csv_path = tmp_path / "strike.yaml", tmp_path / "checks.csv"
+    config.write_text("payoff: {strike: 5000}\n")
+    rc = main(["verify", "--config", str(config), "--c", "0.6", "--seed", "1",
                "--csv", str(csv_path)])
     out, err = capsys.readouterr()
     assert rc == 1
-    assert [ln.split(":")[0] for ln in out.splitlines()] == DRIVER_CHECKS
+    names = [ln.split(":")[0] for ln in out.splitlines()]
+    assert set(DRIVER_CHECKS) <= set(names)
     assert all(": PASS (" in ln for ln in out.splitlines())
-    assert [r[0] for r in _read_csv(csv_path.read_text())[1:]] == DRIVER_CHECKS
+    rows = _read_csv(csv_path.read_text())[1:]
+    assert [r[0] for r in rows] == names and all(r[5] == "True" for r in rows)
     [line] = err.splitlines()
-    assert line.startswith("jumpsignal: error: driver failed at step 6: ")
-    assert "overflow guard" in line
+    assert line.startswith("jumpsignal: error: ") and "overflow guard" in line
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])

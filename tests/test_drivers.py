@@ -24,12 +24,12 @@ from jumpsignal.drivers import (
     _NoSignalPart,
     _driver_rows,
     _exact_argmin,
+    _h_lambda_of,
+    _phi_m_inplace,
+    _rho_m_inplace,
     _signal_sum,
-    h_lambda,
     minimize_on_interval,
     nosignal_slope,
-    phi_m,
-    rho_m,
     u_lambda_norm,
 )
 
@@ -65,11 +65,11 @@ def _hand_h(x, lam=0.4):
 def _hand_f1(z, u, p, ctx):
     """Independent scalar re-implementation of the no-signal part."""
     lam, C = ctx.lam, ctx.c_const
-    val = 0.5 * lam * (ctx.sigma * p - (z + C)) ** 2
+    val = 0.5 * lam * (ctx.spec.sigma * p - (z + C)) ** 2
     for i in range(ctx.grid.points.size):
         if ctx.sig_mask[i]:
             continue
-        eta, nu = ctx.eta_g[i], ctx.nu_g[i]
+        eta, nu = ctx.grid.eta[i], ctx.grid.weights[i]
         val += (_hand_h(u[i] - p * eta, lam) - p * eta) * nu
     return val
 
@@ -77,11 +77,11 @@ def _hand_f1(z, u, p, ctx):
 def _hand_f1_slope(z, u, p, ctx):
     """Derivative in p of ``_hand_f1``, term by term: h'(x) = e^(lam x) - 1."""
     lam, C = ctx.lam, ctx.c_const
-    val = lam * ctx.sigma * (ctx.sigma * p - (z + C))
+    val = lam * ctx.spec.sigma * (ctx.spec.sigma * p - (z + C))
     for i in range(ctx.grid.points.size):
         if ctx.sig_mask[i]:
             continue
-        eta, nu = ctx.eta_g[i], ctx.nu_g[i]
+        eta, nu = ctx.grid.eta[i], ctx.grid.weights[i]
         val += (-eta * (math.exp(lam * (u[i] - p * eta)) - 1.0) - eta) * nu
     return val
 
@@ -92,11 +92,11 @@ def _hand_fm1_slope(z, u, p, m, ctx):
     only on the bins |e_i| > 1/m, the linear term on every no-signal bin."""
     lam, C = ctx.lam, ctx.c_const
     fade = min(max(min(z + m + 1.0, m + 1.0 - z), 0.0), 1.0)
-    val = fade * lam * ctx.sigma * (ctx.sigma * p - (z + C))
+    val = fade * lam * ctx.spec.sigma * (ctx.spec.sigma * p - (z + C))
     for i in range(ctx.grid.points.size):
         if ctx.sig_mask[i]:
             continue
-        eta, nu = ctx.eta_g[i], ctx.nu_g[i]
+        eta, nu = ctx.grid.eta[i], ctx.grid.weights[i]
         if abs(ctx.grid.points[i]) > 1.0 / m:
             val -= eta * (math.exp(lam * (u[i] - p * eta)) - 1.0) * nu
         val -= eta * nu
@@ -109,7 +109,7 @@ def _hand_capped(u, m, ctx):
     u = np.atleast_2d(u)
     m_col = np.broadcast_to(m, u.shape[:1])[:, None]
     ns = ~ctx.sig_mask
-    reach = u[:, ns] + max(ctx.pi_lower, ctx.pi_upper) * np.abs(ctx.eta_g[ns])
+    reach = u[:, ns] + max(ctx.pi_lower, ctx.pi_upper) * np.abs(ctx.grid.eta[ns])
     active = np.abs(ctx.grid.points[ns]) > 1.0 / m_col
     return np.any((reach > m_col) & active, axis=1)
 
@@ -120,7 +120,7 @@ def _hand_signal_sum(u, ctx):
         if not ctx.sig_mask[i]:
             continue
         b = ctx.pi_upper if ctx.grid.points[i] > 0 else -ctx.pi_lower
-        eta, nu = ctx.eta_g[i], ctx.nu_g[i]
+        eta, nu = ctx.grid.eta[i], ctx.grid.weights[i]
         val += (_hand_h(u[i] - b * eta, ctx.lam) - b * eta) * nu
     return val
 
@@ -145,47 +145,56 @@ def _hand_driver(z, u, ctx):
 
 
 def test_h_lambda_frozen():
-    assert h_lambda(0.0, 0.4) == 0.0
-    assert h_lambda(1.0, 0.4) == pytest.approx(H_04_1, rel=1e-14)
-    assert h_lambda(-0.5, 0.4) == pytest.approx(H_04_M05, rel=1e-14)
-    vals = h_lambda(np.array([0.0, 1.0]), 0.4)
-    assert vals == pytest.approx([0.0, H_04_1], rel=1e-14)
-    with pytest.raises(ValueError):
-        h_lambda(1.0, 0.0)
+    # the kernel takes lam x: h_0.4 at x = 0, 1 and -0.5
+    lx = 0.4 * np.array([0.0, 1.0, -0.5])
+    vals = _h_lambda_of(lx, 0.4)
+    assert vals[0] == 0.0
+    assert vals[1:] == pytest.approx([H_04_1, H_04_M05], rel=1e-14)
+    out = np.empty(3)
+    assert _h_lambda_of(lx, 0.4, out=out) is out
+    assert _same_bits(out, vals)
 
 
 def test_h_lambda_convex_nonnegative(rng):
     x = rng.uniform(-4.0, 4.0, size=200)
     y = rng.uniform(-4.0, 4.0, size=200)
-    assert np.all(h_lambda(x, 0.4) >= 0.0)
-    mid = h_lambda(0.5 * (x + y), 0.4)
-    assert np.all(mid <= 0.5 * (h_lambda(x, 0.4) + h_lambda(y, 0.4)) + 1e-12)
+
+    def h(v):
+        return _h_lambda_of(0.4 * v, 0.4)
+
+    assert np.all(h(x) >= 0.0)
+    assert np.all(h(0.5 * (x + y)) <= 0.5 * (h(x) + h(y)) + 1e-12)
 
 
 def test_h_lambda_overflow_guard():
-    with pytest.raises(ValueError):
-        h_lambda(1800.0, 0.4)
+    with pytest.raises(ValueError, match="overflow guard"):
+        _h_lambda_of(0.4 * np.array([0.0, 1800.0]), 0.4)
 
 
 def test_rho_m_values():
-    assert rho_m(0.0, 2) == 1.0
-    assert rho_m(2.0, 2) == 1.0 and rho_m(-2.0, 2) == 1.0
-    assert rho_m(2.5, 2) == 0.5
-    assert rho_m(3.0, 2) == 0.0 and rho_m(-3.5, 2) == 0.0
-    assert rho_m(-2.7, 2) == pytest.approx(0.3, rel=1e-14)
+    x = np.array([0.0, 2.0, -2.0, 2.5, 3.0, -3.5, -2.7])
+    assert _rho_m_inplace(x, 2) is x  # written over its argument
+    assert list(x[:6]) == [1.0, 1.0, 1.0, 0.5, 0.0, 0.0]
+    assert x[6] == pytest.approx(0.3, rel=1e-14)
+    # one level per row, as a column
+    rows = _rho_m_inplace(np.full((2, 2), 2.5), np.array([[2.0], [3.0]]))
+    assert np.array_equal(rows, [[0.5, 0.5], [1.0, 1.0]])
 
 
 def test_phi_m_values():
-    assert phi_m(0.3, 1) == 0.3
-    assert phi_m(1.0, 1) == 1.0
-    assert phi_m(-5.0, 1) == -5.0
-    assert phi_m(2.0, 1) == pytest.approx(PHI_1_2, rel=1e-14)
-    assert phi_m(5.0, 2) == pytest.approx(2.0 + math.atan(3.0), rel=1e-14)
+    x = np.array([0.3, 1.0, -5.0, 2.0])
+    assert _phi_m_inplace(x, 1) is x  # written over its argument
+    assert list(x[:3]) == [0.3, 1.0, -5.0]
+    assert x[3] == pytest.approx(PHI_1_2, rel=1e-14)
+    assert _phi_m_inplace(np.array([5.0]), 2)[0] == pytest.approx(2.0 + math.atan(3.0),
+                                                                  rel=1e-14)
     # monotone and capped above the knee
-    x = np.linspace(-3, 8, 101)
-    fx = phi_m(x, 2)
+    fx = _phi_m_inplace(np.linspace(-3, 8, 101), 2)
     assert np.all(np.diff(fx) > 0)
     assert np.max(fx) < 2.0 + math.pi / 2.0
+    # one level per row, as a column
+    rows = _phi_m_inplace(np.full((2, 2), 2.0), np.array([[1.0], [2.0]]))
+    assert np.array_equal(rows, [[PHI_1_2, PHI_1_2], [2.0, 2.0]])
 
 
 def test_u_lambda_norm(ctx_hidesmall):
@@ -242,12 +251,12 @@ def test_minimizer_against_bruteforce(ctx_hidesmall, ctx_drift, rng):
             lo = p_grid[::2000][max(j - 1, 0)]
             hi = p_grid[::2000][min(j + 1, vals.size - 1)]
             dense = np.linspace(lo, hi, 200001)
-            dvals = 0.5 * ctx.lam * (ctx.sigma * dense - (z + ctx.c_const)) ** 2
+            dvals = 0.5 * ctx.lam * (ctx.spec.sigma * dense - (z + ctx.c_const)) ** 2
             ns = ~ctx.sig_mask
             for i in np.flatnonzero(ns):
-                x = u[i] - dense * ctx.eta_g[i]
+                x = u[i] - dense * ctx.grid.eta[i]
                 dvals += ((np.exp(ctx.lam * x) - ctx.lam * x - 1.0) / ctx.lam
-                          - dense * ctx.eta_g[i]) * ctx.nu_g[i]
+                          - dense * ctx.grid.eta[i]) * ctx.grid.weights[i]
             k = int(np.argmin(dvals))
             _, p0 = _f_row(z, u, ctx)
             assert _f1_row(z, u, p0, ctx) <= dvals[k] + 1e-10
@@ -347,7 +356,7 @@ def test_fm_argmin_matches_derivative_root(ctx_hidesmall, ctx_hidelarge,
                             grid_small.eta)
     ctx_skew = DriverContext(spec_small, skew, HideSmall(c=0.7), lam=0.4)
     ns = ~ctx_skew.sig_mask
-    assert abs(ctx_skew.eta_g[ns] @ ctx_skew.nu_g[ns]) > 0.01
+    assert abs(ctx_skew.grid.eta[ns] @ ctx_skew.grid.weights[ns]) > 0.01
     def root(z, u, m, ctx):
         lo, hi = -ctx.pi_lower, ctx.pi_upper
         if _hand_fm1_slope(z, u, lo, m, ctx) >= 0.0:
@@ -607,13 +616,13 @@ def test_fm_hand_reimplementation(ctx_hidesmall):
         fmin = _hand_min(obj, -1.0, 1.0)
         sig = 0.0
         for i, b in ((0, -1.0), (5, 1.0)):
-            x = u[i] - b * ctx_hidesmall.eta_g[i]
+            x = u[i] - b * ctx_hidesmall.grid.eta[i]
             x_phi = x if x <= 1.0 else 1.0 + math.atan(x - 1.0)
             fade = min(max(min(u[i] + 2.0, 2.0 - u[i]), 0.0), 1.0)
             sig += _hand_h(x_phi, lam) * fade * nu[i]
         for i in (0, 1, 4, 5):
             b = 1.0 if grid.points[i] > 0 else -1.0
-            sig -= b * ctx_hidesmall.eta_g[i] * nu[i]
+            sig -= b * ctx_hidesmall.grid.eta[i] * nu[i]
         return fmin + sig
 
     rng = np.random.default_rng(33)
@@ -689,10 +698,10 @@ def _old_phi_m(x, m):
 def _old_nosignal_objective(Z, U, P, ctx, m=None):
     lam = ctx.lam
     ns = ~ctx.sig_mask
-    eta = ctx.eta_g[ns]
-    nu = ctx.nu_g[ns]
+    eta = ctx.grid.eta[ns]
+    nu = ctx.grid.weights[ns]
     x = U[:, ns] - np.multiply.outer(P, eta)
-    quad = 0.5 * lam * (ctx.sigma * P - (Z + ctx.c_const)) ** 2
+    quad = 0.5 * lam * (ctx.spec.sigma * P - (Z + ctx.c_const)) ** 2
     lin = -P * float(eta @ nu)
     if m is None:
         hsum = _old_h_lambda(x, lam) @ nu
@@ -705,10 +714,10 @@ def _old_nosignal_objective(Z, U, P, ctx, m=None):
 
 
 def _old_nosignal_slope(Z, U, P, ctx):
-    lam, sigma = ctx.lam, ctx.sigma
+    lam, sigma = ctx.lam, ctx.spec.sigma
     ns = ~ctx.sig_mask
-    eta = ctx.eta_g[ns]
-    nu_eta = ctx.nu_g[ns] * eta
+    eta = ctx.grid.eta[ns]
+    nu_eta = ctx.grid.weights[ns] * eta
     e = _old_guarded_exp(lam * (U[:, ns] - np.multiply.outer(P, eta)))
     d1 = lam * sigma * (sigma * P - (Z + ctx.c_const)) - e @ nu_eta
     d2 = lam * sigma ** 2 + lam * (e @ (nu_eta * eta))
@@ -719,8 +728,8 @@ def _old_signal_sum(U, ctx, m=None):
     sig = ctx.sig_mask
     if not np.any(sig):
         return np.zeros(U.shape[0])
-    eta = ctx.eta_g[sig]
-    nu = ctx.nu_g[sig]
+    eta = ctx.grid.eta[sig]
+    nu = ctx.grid.weights[sig]
     x = U[:, sig] - ctx.boundary_p[sig][None, :] * eta[None, :]
     lin = -float((ctx.boundary_p[sig] * eta) @ nu) * np.ones(U.shape[0])
     if m is None:
@@ -772,7 +781,7 @@ def test_prepared_kernels_match_the_oracle(ctx_name, n_rows, request):
             want = _old_nosignal_objective(z, u, P, ctx, old_m)
             assert _same_bits(f1(P), want)
             if m is not math.inf:
-                x = u[:, ~ctx.sig_mask] - np.multiply.outer(P, ctx.eta_g[~ctx.sig_mask])
+                x = u[:, ~ctx.sig_mask] - np.multiply.outer(P, ctx.grid.eta[~ctx.sig_mask])
                 capped += int(np.count_nonzero(x > m[:, None]))
         assert _same_bits(_signal_sum(u, ctx, m), _old_signal_sum(u, ctx, old_m))
     assert capped > 0  # the phi_m cap is exercised

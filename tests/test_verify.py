@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from jumpsignal import CellIndex, payoff_put, solve, verify
+from jumpsignal import CellIndex, constant_driver, payoff_put, solve, verify
 from jumpsignal.verify import (
     CheckReport,
     check_comparison,
@@ -258,7 +258,7 @@ def _y_bound_on_paths(sol, ctx, path_values):
     f_sup = float(np.max(np.abs(sol.F)))
     lo, _ = driver_bounds(0.0, np.zeros(ctx.grid.points.size), ctx)
     tg = sol.cells.batch.time_grid
-    bound = math.log(math.exp(lam * f_sup) + 1.0) / lam + -lo * (tg.T - tg.times)
+    bound = f_sup + math.log1p(math.exp(-lam * f_sup)) / lam + -lo * (tg.T - tg.times)
     return bound - np.max(np.abs(path_values(sol)), axis=1)
 
 
@@ -334,6 +334,18 @@ def test_y_bound_reads_sup_from_terminal(batch_small, payoff_small, cells_small,
     sol = solve(batch_small, F, ctx_hidesmall, cells_small)
     r = check_y_bound(sol, ctx_hidesmall)
     assert r.passed and r.violations == 0
+
+
+def test_y_bound_of_a_large_payoff_is_finite(batch_small, cells_small, ctx_hidesmall):
+    # lam max|F| = 0.4 * 5000 is far past exp's range: the bound
+    # log(e^{lam ||F||} + 1) / lam must not overflow, and is ||F|| itself
+    # in floating point, so the terminal margin is exactly 0
+    F = payoff_put(batch_small.S[-1], 5000.0)
+    assert 0.4 * np.max(F) > 709.0
+    sol = solve(batch_small, F, constant_driver(0.0), cells_small)
+    r = check_y_bound(sol, ctx_hidesmall)
+    assert r.passed and r.violations == 0
+    assert r.worst_margin == 0.0
 
 
 def test_format_reports_sorted():
