@@ -37,6 +37,7 @@ from .simulate import (
 from .bsde_solver import (
     BasisPartition,
     CellIndex,
+    simulate_cells,
     StepRecord,
     BackwardSolution,
     solve,

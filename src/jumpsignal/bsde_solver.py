@@ -34,10 +34,13 @@ so no dense (n_bins, n_paths) matrix is formed; an event reads
 Ybar_{k+1} from its path at the last step and from its path's
 step-(k+1) cell before it. The cells, each path's cell and the
 transition tables depend only on the batch, n_cells and min_count: a
-``CellIndex`` holds them, is built once per batch, and every solve on
-that batch takes it. Each step forms its events' (bin, cell) keys from
-the path cells, which costs less than keeping them. A solution keeps
-its cell index.
+``CellIndex`` holds them, with the jump events, the terminal prices and
+the last step's dW, and every solve on the batch takes it alone. It is
+built once per batch, from the seed as the steps are simulated
+(``simulate_cells``), so the batch's S and dW are never held whole, or
+from the rows of a batch at hand (``CellIndex.build``). Each step forms
+its events' (bin, cell) keys from the path cells, which costs less than
+keeping them. A solution keeps its cell index.
 """
 
 from __future__ import annotations
@@ -49,11 +52,13 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .drivers import DriverContext, guarded_exp
-from .simulate import PathBatch
+from .levy_model import DiscreteJumpGrid, LevyMarketSpec
+from .simulate import JumpEvents, PathBatch, TimeGrid, simulate_steps
 
 __all__ = [
     "BasisPartition",
     "CellIndex",
+    "simulate_cells",
     "StepRecord",
     "BackwardSolution",
     "solve",
@@ -134,8 +139,9 @@ class BasisPartition:
 
 @dataclass(frozen=True, eq=False)
 class CellIndex:
-    """The regression cells of one batch, per step, and the transitions
-    between them.
+    """The regression cells of one batch, per step, the transitions
+    between them, and what else of the batch a solve reads; it holds no
+    ``PathBatch``.
 
     ``partitions[k]`` are the cells of S_k, with the cell of each path in
     its ``sample_ids``. Each step's prices are sorted once, in
@@ -145,28 +151,85 @@ class CellIndex:
     (cell at k, cell at k + 1) pair, an (n_cells_k, n_cells_{k+1}) float
     table, and ``pair_dW[k]`` sums dW_k over the same pairs. The pair key
     ``a * n_cells_{k+1} + b`` is formed in intp, never in the id type.
+    ``jumps[k]`` are the jump events of step k; the last step also reads
+    the terminal prices ``S_last`` (S_n) and its increments ``dW_last``
+    (dW_{n-1}).
+
+    ``simulate_cells`` builds it from a seed one step at a time, as the
+    steps are simulated; ``build`` feeds the rows of an existing batch to
+    the same builder.
     """
 
-    batch: PathBatch
+    spec: LevyMarketSpec
+    grid: DiscreteJumpGrid
+    time_grid: TimeGrid
+    seed: int
+    path_offset: int
+    n_paths: int
     partitions: Tuple[BasisPartition, ...]
     pair_counts: Tuple[np.ndarray, ...]
     pair_dW: Tuple[np.ndarray, ...]
+    jumps: Tuple[JumpEvents, ...]
+    S_last: np.ndarray
+    dW_last: np.ndarray
 
     @classmethod
     def build(cls, batch: PathBatch, n_cells: int, min_count: int) -> "CellIndex":
-        partitions = [BasisPartition.from_sample(s, n_cells=n_cells, min_count=min_count)
-                      for s in batch.S[:-1]]
-        pair_counts, pair_dW = [], []
-        for k, (a, b) in enumerate(zip(partitions[:-1], partitions[1:])):
-            pair = np.multiply(a.sample_ids, b.n_cells, dtype=np.intp)
-            pair += b.sample_ids
-            size, shape = a.n_cells * b.n_cells, (a.n_cells, b.n_cells)
-            pair_counts.append(np.bincount(pair, minlength=size).reshape(shape)
-                               .astype(float))
-            pair_dW.append(np.bincount(pair, weights=batch.dW[k], minlength=size)
-                           .reshape(shape))
-        return cls(batch=batch, partitions=tuple(partitions),
-                   pair_counts=tuple(pair_counts), pair_dW=tuple(pair_dW))
+        def feed(add):
+            for k, ev in enumerate(batch.jumps):
+                add(k, batch.dW[k], ev, batch.S[k], batch.S[k + 1])
+
+        return _index(feed, n_cells, min_count, spec=batch.spec, grid=batch.grid,
+                      time_grid=batch.time_grid, seed=batch.seed,
+                      path_offset=batch.path_offset, n_paths=batch.n_paths)
+
+
+def _index(feed, n_cells: int, min_count: int, **batch) -> CellIndex:
+    """The cell index of the rows ``feed(add)`` passes to ``add(k, dW_k,
+    events_k, S_k, S_{k+1})``, step after step; ``batch`` holds the
+    batch's other fields. No row is kept past its step but the last
+    step's S_{k+1} and dW_k, which are copied."""
+    n_steps = batch["time_grid"].n_steps
+    partitions, pair_counts, pair_dW, jumps, last = [], [], [], [], {}
+
+    def add(k, dW_k, ev, S_k, S_next):
+        if k == 0:
+            partitions.append(BasisPartition.from_sample(S_k, n_cells=n_cells,
+                                                         min_count=min_count))
+        jumps.append(ev)
+        if k == n_steps - 1:
+            last.update(S_last=S_next.copy(), dW_last=dW_k.copy())
+            return
+        a = partitions[-1]
+        b = BasisPartition.from_sample(S_next, n_cells=n_cells, min_count=min_count)
+        partitions.append(b)
+        pair = np.multiply(a.sample_ids, b.n_cells, dtype=np.intp)
+        pair += b.sample_ids
+        size, shape = a.n_cells * b.n_cells, (a.n_cells, b.n_cells)
+        pair_counts.append(np.bincount(pair, minlength=size).reshape(shape).astype(float))
+        pair_dW.append(np.bincount(pair, weights=dW_k, minlength=size).reshape(shape))
+
+    feed(add)
+    return CellIndex(**batch, partitions=tuple(partitions), pair_counts=tuple(pair_counts),
+                     pair_dW=tuple(pair_dW), jumps=tuple(jumps), **last)
+
+
+def simulate_cells(spec: LevyMarketSpec, grid: DiscreteJumpGrid, time_grid: TimeGrid,
+                   n_paths: int, seed: int, n_cells: int, min_count: int,
+                   path_offset: int = 0) -> CellIndex:
+    """The cell index of the batch ``simulate_batch`` would return for
+    the same arguments, built while its steps are simulated: the
+    partition of S_k once S_k exists, the pair tables of step k - 1 once
+    the cells of step k exist. S and dW are never held whole, only one
+    dW row and two S rows, reused every step. Equal to ``CellIndex.build``
+    of that batch in every array."""
+
+    def feed(add):
+        simulate_steps(spec, grid, time_grid, n_paths, seed, path_offset,
+                       visit=add, keep_rows=False)
+
+    return _index(feed, n_cells, min_count, spec=spec, grid=grid, time_grid=time_grid,
+                  seed=seed, path_offset=path_offset, n_paths=n_paths)
 
 
 DriverFn = Callable[[np.ndarray, np.ndarray], tuple]
@@ -194,20 +257,19 @@ class StepRecord:
 def _step_core(y_next, cells, k, driver):
     """Step k from Ybar_{k+1}: F on the paths at the last step, the
     step-(k+1) cell values before it."""
-    batch = cells.batch
-    dtk = float(batch.time_grid.dt[k])
+    dtk = float(cells.time_grid.dt[k])
     partition = cells.partitions[k]
     ids, nc, n = partition.sample_ids, partition.n_cells, partition.counts
-    nu_dt = batch.grid.weights[:, None] * dtk
-    ev = batch.jumps[k]
+    nu_dt = cells.grid.weights[:, None] * dtk
+    ev = cells.jumps[k]
     # each event's key bin * n_cells + cell, formed in intp, since the
     # bins' int16 would wrap
     keys = np.multiply(ev.bin, nc, dtype=np.intp)
     keys += ids[ev.path]
 
-    if k == batch.time_grid.n_steps - 1:
+    if k == cells.time_grid.n_steps - 1:
         y_sum = np.bincount(ids, weights=y_next, minlength=nc)
-        z_sum = np.bincount(ids, weights=y_next * batch.dW[k], minlength=nc)
+        z_sum = np.bincount(ids, weights=y_next * cells.dW_last, minlength=nc)
         y_events = y_next[ev.path]
     else:
         y_sum = cells.pair_counts[k] @ y_next
@@ -241,20 +303,18 @@ class BackwardSolution:
     y0: float
 
 
-def solve(batch: PathBatch, f_values, driver: DriverFn,
-          cells: CellIndex) -> BackwardSolution:
-    """Run the scheme from Ybar_n = F down to Y_0.
+def solve(cells: CellIndex, f_values, driver: DriverFn) -> BackwardSolution:
+    """Run the scheme from Ybar_n = F down to Y_0 on ``cells``.
 
-    ``driver`` is a callable (Z, U) -> (values, argmin), such as a driver
-    context; ``cells`` is the batch's cell index. A non-finite Ybar raises
-    ArithmeticError naming the step.
+    ``f_values`` are the terminal values of the cells' paths, one per
+    path; ``driver`` is a callable (Z, U) -> (values, argmin), such as a
+    driver context. A non-finite Ybar raises ArithmeticError naming the
+    step.
     """
     F = np.asarray(f_values, dtype=float)
-    if F.shape != (batch.n_paths,):
-        raise ValueError(f"terminal values shape {F.shape} != ({batch.n_paths},)")
-    if cells.batch is not batch:
-        raise ValueError("the cell index belongs to another batch")
-    n_steps = batch.time_grid.n_steps
+    if F.shape != (cells.n_paths,):
+        raise ValueError(f"terminal values shape {F.shape} != ({cells.n_paths},)")
+    n_steps = cells.time_grid.n_steps
 
     steps: List[Optional[StepRecord]] = [None] * n_steps
     y = F
@@ -265,7 +325,7 @@ def solve(batch: PathBatch, f_values, driver: DriverFn,
             raise ArithmeticError(f"non-finite Ybar at step {k}")
         steps[k] = rec
         y = rec.y_cells
-    y0 = float(cells.partitions[0].counts @ y) / batch.n_paths
+    y0 = float(cells.partitions[0].counts @ y) / cells.n_paths
     return BackwardSolution(cells=cells, steps=list(steps), F=F, y0=y0)
 
 

@@ -28,7 +28,8 @@ from typing import List, NoReturn, Optional
 import numpy as np
 import yaml
 
-from .bsde_solver import BackwardSolution, CellIndex, solve, value_and_strategy
+from .bsde_solver import (BackwardSolution, CellIndex, simulate_cells, solve,
+                          value_and_strategy)
 from .config import (
     FRESH_SEED_OFFSET,
     ExperimentConfig,
@@ -132,17 +133,17 @@ def cmd_driver_table(args) -> int:
 
 
 def _cells(cfg, seed) -> CellIndex:
-    """The seed's batch and its regression cells, shared by every scenario."""
+    """The seed's regression cells, shared by every scenario, built while
+    the seed's steps are simulated: no S or dW of the seed is held whole."""
     spec = cfg.market_spec()
-    batch = simulate_batch(spec, cfg.jump_grid(spec), cfg.time_grid(),
-                           cfg.scheme.n_paths, seed)
-    return CellIndex.build(batch, cfg.scheme.n_cells, cfg.scheme.min_count)
+    return simulate_cells(spec, cfg.jump_grid(spec), cfg.time_grid(), cfg.scheme.n_paths,
+                          seed, cfg.scheme.n_cells, cfg.scheme.min_count)
 
 
 def _solution(cfg, seed, ctx) -> BackwardSolution:
-    """The BSDE of driver ``ctx`` solved on the seed's batch and cells."""
+    """The BSDE of driver ``ctx`` solved on the seed's cells."""
     cells = _cells(cfg, seed)
-    return solve(cells.batch, cfg.payoff_values(cells.batch.S[-1]), ctx, cells)
+    return solve(cells, cfg.payoff_values(cells.S_last), ctx)
 
 
 def _row(cfg, cfg_hash, scenario, cells) -> dict:
@@ -152,14 +153,13 @@ def _row(cfg, cfg_hash, scenario, cells) -> dict:
     ``wall_time`` is the solve with its checks, without the simulation
     and the cell index, which every scenario of the seed shares.
     """
-    batch = cells.batch
     row = {"scenario": scenario.label(), "c": getattr(scenario, "c", ""),
-           "seed": batch.seed, "y0": "", "value": "", "wall_time": "",
+           "seed": cells.seed, "y0": "", "value": "", "wall_time": "",
            "config_hash": cfg_hash}
     t0 = time.perf_counter()
     try:
-        ctx = cfg.driver_context(batch.spec, batch.grid, scenario)
-        sol = solve(batch, cfg.payoff_values(batch.S[-1]), ctx, cells)
+        ctx = cfg.driver_context(cells.spec, cells.grid, scenario)
+        sol = solve(cells, cfg.payoff_values(cells.S_last), ctx)
         bound = verify_mod.check_y_bound(sol, ctx)
         if not bound.passed:
             raise ValueError(f"backward values break the a priori bound: {bound.line()}")
@@ -174,11 +174,11 @@ def _row(cfg, cfg_hash, scenario, cells) -> dict:
 def _seed_rows(cfg, cfg_hash, seeds, scenarios) -> List[dict]:
     """The result row of every scenario on ``seeds``, one seed at a time."""
     rows = []
-    # batches and cells do not depend on the scenario: build them once per seed
+    # cells do not depend on the scenario: build them once per seed
     for seed in seeds:
         cells = _cells(cfg, seed)
         rows += [_row(cfg, cfg_hash, scenario, cells) for scenario in scenarios]
-        # free this seed's batch before the next one is simulated
+        # free this seed's cells before the next one is simulated
         del cells
     return rows
 
@@ -189,8 +189,9 @@ def _rows(cfg, seeds, scenarios) -> List[dict]:
     Seeds are independent, so they run side by side in n = min(seeds,
     CPUs the process may use) processes: this one takes ``seeds[0::n]``
     and n - 1 forked workers take ``seeds[i::n]``. Each process holds one
-    batch at a time. A row does not depend on the process that made it;
-    a worker's exception is raised here. One seed starts no process.
+    seed's cells at a time, never a whole batch. A row does not depend on
+    the process that made it; a worker's exception is raised here. One
+    seed starts no process.
     """
     cfg_hash = config_hash(cfg)
     n = min(len(seeds), len(os.sched_getaffinity(0)))
@@ -202,7 +203,7 @@ def _rows(cfg, seeds, scenarios) -> List[dict]:
 
     # fork, not spawn: a spawned worker imports numpy and the package again
     # (about 0.2 s); the package runs no thread at the fork, as
-    # simulate_batch joins its pool before it returns
+    # simulate_cells joins its jump pool before it returns or raises
     with ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork")) as pool:
         shares = [pool.submit(_seed_rows, cfg, cfg_hash, seeds[i::n], scenarios)
                   for i in range(1, n)]
@@ -290,8 +291,8 @@ def _batch_reports(cfg, ctx, reports):
         else (cfg.scheme.seeds[0], cfg.scheme.seeds[0] + 1)
     # each seed's real-driver BSDE: the first serves every check, the
     # second gives only the spread of Y0 between batches that the
-    # martingale tie allows for, so only its Y0 is kept and its batch is
-    # freed before the fresh batch is simulated
+    # martingale tie allows for, so only its Y0 is kept and its cells are
+    # freed before the fresh batch, the one whole batch, is simulated
     sol = _solution(cfg, seeds[0], ctx)
     eps_reg = abs(sol.y0 - _solution(cfg, seeds[1], ctx).y0)
     reports.append(verify_mod.check_scheme_oracles(sol))

@@ -14,14 +14,22 @@ channel), with the path index addressing the position inside the stream,
 and the uniform of a word w is (w >> 11) 2^-53, as numpy's
 ``Generator.random`` forms it. Chunking the paths across any number of
 workers therefore reproduces the exact same numbers as a single pass.
-For the same reason the caller draws the Brownian stream, channel 0,
-while a thread pool sized to the CPUs the process may run on draws the
-jumps, one task per step (so at most n_steps threads) over bins 0..nb-1
-in order, all searched in one cdf per distinct mean; the batch does not
-depend on the pool size, since each stream is fixed by its key alone.
-Each price step is formed in place in its row of S.
+For the same reason a thread pool sized to the CPUs the process may run
+on draws the jumps, one task per step (so at most n_steps threads) over
+bins 0..nb-1 in order, all searched in one cdf per distinct mean; the
+batch does not depend on the pool size, since each stream is fixed by
+its key alone.
 
-The Brownian uniforms are drawn straight into the rows of dW, floored at
+``simulate_steps`` runs the steps in order, one kernel for all: the
+caller draws dW_k from the Brownian stream, channel 0, takes the events
+of step k from the pool, which meanwhile draws later steps, and forms
+S_{k+1} in place in its row. ``simulate_batch`` runs it into full dW and
+S arrays. The regression cells (``bsde_solver.simulate_cells``) run it
+into one dW row and two S rows that every step reuses, reading each
+step's rows before they are overwritten, so they never hold S or dW
+whole.
+
+The Brownian uniforms are drawn straight into the row of dW, floored at
 2^-64, mapped to standard normals in place by ``_ndtri``, a numpy port
 of Cephes ndtri, and scaled by sqrt(dt_k) in place.
 
@@ -50,7 +58,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -62,6 +70,7 @@ __all__ = [
     "TimeGrid",
     "JumpEvents",
     "PathBatch",
+    "simulate_steps",
     "simulate_batch",
     "payoff_put",
     "payoff_digital",
@@ -218,19 +227,18 @@ def _ndtri(y: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     return out
 
 
-def _brownian(seed: int, dt: np.ndarray, path_offset: int,
-              dW: np.ndarray) -> None:
-    """Fill each row k of dW with the increments of step k, drawn from
-    the (seed, k, 0) stream in place."""
-    for k in range(dW.shape[0]):
-        bg, skip = _stream(seed, k, 0, path_offset)
-        gen = Generator(bg)
-        gen.random(skip)
-        gen.random(out=dW[k])
-        # random() can emit exactly 0, which the quantile maps to -inf
-        np.maximum(dW[k], 2.0 ** -64, out=dW[k])
-        _ndtri(dW[k], out=dW[k])
-        dW[k] *= math.sqrt(dt[k])
+def _brownian(seed: int, k: int, dt_k: float, path_offset: int,
+              out: np.ndarray) -> None:
+    """Fill ``out`` with the increments of step k, drawn from the (seed,
+    k, 0) stream in place."""
+    bg, skip = _stream(seed, k, 0, path_offset)
+    gen = Generator(bg)
+    gen.random(skip)
+    gen.random(out=out)
+    # random() can emit exactly 0, which the quantile maps to -inf
+    np.maximum(out, 2.0 ** -64, out=out)
+    _ndtri(out, out=out)
+    out *= math.sqrt(dt_k)
 
 
 def _poisson_cdf(mu: float) -> np.ndarray:
@@ -326,6 +334,75 @@ class PathBatch:
         return dN
 
 
+def simulate_steps(
+    spec: LevyMarketSpec,
+    grid: DiscreteJumpGrid,
+    time_grid: TimeGrid,
+    n_paths: int,
+    seed: int,
+    path_offset: int = 0,
+    visit: Optional[Callable] = None,
+    keep_rows: bool = True,
+) -> tuple:
+    """Simulate the steps in order and return (dW, jumps, S).
+
+    Step k draws dW_k, takes the events of step k from the jump pool and
+    forms S_{k+1} from S_k, then calls ``visit(k, dW_k, events_k, S_k,
+    S_{k+1})`` if given, with the pool still drawing the later steps'
+    jumps. With ``keep_rows`` dW and S are the full (n_steps, n_paths)
+    and (n_steps + 1, n_paths) arrays. Without it dW is one row and S two
+    rows, reused every step (step k writes row k mod rows), so a row
+    outlives its step only if ``visit`` copies it. The pool is joined
+    before this returns or raises, whatever ``visit`` does.
+    """
+    if n_paths < 1 or path_offset < 0:
+        raise ValueError(f"bad path range: n_paths={n_paths}, path_offset={path_offset}")
+    n_steps = time_grid.n_steps
+    nb = grid.points.size
+    dt = time_grid.dt
+    # bin j's mean at step k; mirrored bins and equal steps share one cdf
+    mu = np.outer(dt, grid.weights).tolist()
+    cdfs = {m: _poisson_cdf(m) for m in set().union(*mu)}
+    bins = np.arange(nb, dtype=_int_dtype(nb, np.int16))
+
+    def step_events(k):
+        # the events of step k, bin j from channel 1 + j, in bin order
+        paths, counts = zip(*(_poisson_events(_words(seed, k, 1 + j, n_paths, path_offset),
+                                              cdfs[m]) for j, m in enumerate(mu[k])))
+        return JumpEvents(path=np.concatenate(paths),
+                          bin=np.repeat(bins, [p.size for p in paths]),
+                          count=np.concatenate(counts))
+
+    comp = grid.compensator()
+    log_jump = grid.log_jumps()
+    dW = np.empty((n_steps if keep_rows else 1, n_paths))
+    S = np.empty((n_steps + 1 if keep_rows else 2, n_paths))
+    S[0] = spec.s0
+    jumps = []
+    # Philox, the ufuncs, the uint64 comparison and flatnonzero release
+    # the GIL; each task holds one stream of words at a time, and the
+    # caller draws the Brownian stream, channel 0, while the pool runs
+    with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
+        tasks = pool.map(step_events, range(n_steps))
+        for k in range(n_steps):
+            w, s, x = dW[k % len(dW)], S[k % len(S)], S[(k + 1) % len(S)]
+            _brownian(seed, k, dt[k], path_offset, w)
+            ev = next(tasks)
+            # S_k exp((drift + sigma dW_k) + jumps), formed in its row in that order
+            np.multiply(w, spec.sigma, out=x)
+            x += (spec.kappa - 0.5 * spec.sigma ** 2 - comp) * dt[k]
+            x += np.bincount(ev.path, weights=np.take(log_jump, ev.bin) * ev.count,
+                             minlength=n_paths)
+            np.exp(x, out=x)
+            x *= s
+            if not np.all(x > 0):
+                raise AssertionError("simulated price lost positivity")
+            jumps.append(ev)
+            if visit is not None:
+                visit(k, w, ev, s, x)
+    return dW, tuple(jumps), S
+
+
 def simulate_batch(
     spec: LevyMarketSpec,
     grid: DiscreteJumpGrid,
@@ -339,50 +416,10 @@ def simulate_batch(
     Same seed gives the same batch for any chunking of the path range
     (``path_offset`` addresses the first path of the chunk).
     """
-    if n_paths < 1 or path_offset < 0:
-        raise ValueError(f"bad path range: n_paths={n_paths}, path_offset={path_offset}")
-    n_steps = time_grid.n_steps
-    nb = grid.points.size
-    dt = time_grid.dt
-    # bin j's mean at step k; mirrored bins and equal steps share one cdf
-    mu = np.outer(dt, grid.weights).tolist()
-    cdfs = {m: _poisson_cdf(m) for m in set().union(*mu)}
-    bins = np.arange(nb, dtype=_int_dtype(nb, np.int16))
-
-    def step(k):
-        # the events of step k, bin j from channel 1 + j, in bin order
-        paths, counts = zip(*(_poisson_events(_words(seed, k, 1 + j, n_paths, path_offset),
-                                              cdfs[m]) for j, m in enumerate(mu[k])))
-        return JumpEvents(path=np.concatenate(paths),
-                          bin=np.repeat(bins, [p.size for p in paths]),
-                          count=np.concatenate(counts))
-
-    dW = np.empty((n_steps, n_paths))
-    # Philox, the ufuncs, the uint64 comparison and flatnonzero release
-    # the GIL; each task holds one stream of words at a time, and the
-    # caller draws the Brownian stream, channel 0, while the pool runs
-    with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
-        tasks = pool.map(step, range(n_steps))
-        _brownian(seed, dt, path_offset, dW)
-        jumps = list(tasks)
-
-    comp = grid.compensator()
-    log_jump = grid.log_jumps()
-    S = np.empty((n_steps + 1, n_paths))
-    S[0] = spec.s0
-    for k, ev in enumerate(jumps):
-        # S_k exp((drift + sigma dW_k) + jumps), formed in its row in that order
-        x = np.multiply(dW[k], spec.sigma, out=S[k + 1])
-        x += (spec.kappa - 0.5 * spec.sigma ** 2 - comp) * dt[k]
-        x += np.bincount(ev.path, weights=np.take(log_jump, ev.bin) * ev.count,
-                         minlength=n_paths)
-        np.exp(x, out=x)
-        x *= S[k]
-    if not np.all(S > 0):
-        raise AssertionError("simulated price lost positivity")
+    dW, jumps, S = simulate_steps(spec, grid, time_grid, n_paths, seed, path_offset)
     return PathBatch(
         spec=spec, grid=grid, time_grid=time_grid, seed=seed,
-        path_offset=path_offset, dW=dW, jumps=tuple(jumps), S=S,
+        path_offset=path_offset, dW=dW, jumps=jumps, S=S,
     )
 
 

@@ -213,7 +213,7 @@ def check_comparison(sol: BackwardSolution, f2_values, driver2: DriverFn) -> Che
     F2 = np.asarray(f2_values, dtype=float)
     if np.any(F2 < sol.F):
         raise ValueError("terminal ordering violated: need F2 >= F1 pathwise")
-    y2 = solve(sol.cells.batch, F2, driver2, sol.cells).y0
+    y2 = solve(sol.cells, F2, driver2).y0
     return _report("comparison", 1, [y2 - sol.y0], 0.0)
 
 
@@ -233,8 +233,7 @@ def check_penalization(sol: BackwardSolution, ctx: DriverContext,
     cells, F = sol.cells, sol.F
 
     def y0_fm(m):
-        return solve(cells.batch, F,
-                     lambda Z, U: penalized_driver_fm_batch(Z, U, m, ctx), cells).y0
+        return solve(cells, F, lambda Z, U: penalized_driver_fm_batch(Z, U, m, ctx)).y0
 
     y0s = [y0_fm(int(m)) for m in m_values]
     margins = list(np.diff(y0s))
@@ -260,7 +259,7 @@ def check_martingale_optimality(fresh_batch: PathBatch, sol: BackwardSolution,
     eps_reg = |Y_0(s1) - Y_0(s2)|, the spread of two seeds' solves,
     allows for the noise between the training batch and the fresh one.
     """
-    if fresh_batch.seed == sol.cells.batch.seed:
+    if fresh_batch.seed == sol.cells.seed:
         raise ValueError("optimality must be checked on a fresh seed")
     value, positions = value_and_strategy(sol, x, ctx)
     p0, p_sig = positions(fresh_batch), ctx.boundary_p
@@ -298,9 +297,9 @@ def check_scheme_oracles(sol: BackwardSolution) -> CheckReport:
     cells, F = sol.cells, sol.F
     mean_f = float(np.mean(F))
     scale = max(1.0, abs(mean_f))
-    T = cells.batch.time_grid.T
-    y0_zero = solve(cells.batch, F, constant_driver(0.0), cells).y0
-    y0_const = solve(cells.batch, F, constant_driver(0.05), cells).y0
+    T = cells.time_grid.T
+    y0_zero = solve(cells, F, constant_driver(0.0)).y0
+    y0_const = solve(cells, F, constant_driver(0.05)).y0
     margins = [1e-12 * scale - abs(y0_zero - mean_f),
                1e-12 * scale - abs(y0_const - (mean_f + 0.05 * T))]
     return _report("scheme_oracles", 2, margins, 0.0)
@@ -324,7 +323,7 @@ def check_y_bound(sol: BackwardSolution, ctx: DriverContext) -> CheckReport:
     lo, _ = driver_bounds(0.0, np.zeros(ctx.grid.points.size), ctx)
     slack = -lo
     base = f_sup + math.log1p(math.exp(-lam * f_sup)) / lam
-    tg = sol.cells.batch.time_grid
+    tg = sol.cells.time_grid
     bound = base + slack * (tg.T - tg.times)
     y_sup = [np.max(np.abs(rec.y_cells)) for rec in sol.steps] + [f_sup]
     margins = bound - np.array(y_sup)

@@ -92,7 +92,7 @@ def ctx_ns(cfg, spec, grid):
 
 
 def _solve_all(cells, payoffs, ctx):
-    return [solve(c.batch, f, ctx, c) for c, f in zip(cells, payoffs)]
+    return [solve(c, f, ctx) for c, f in zip(cells, payoffs)]
 
 
 @pytest.fixture(scope="module")
@@ -150,10 +150,10 @@ def test_scenario_limit_exactness(cfg, spec, grid, batches, cells, payoffs,
     # through the whole backward recursion, so Y0 agrees bit for bit
     c_hi = 2.0 * float(grid.points[-1])
     c_lo = 0.5 * float(grid.first_midpoint())
-    y_ns = solve(batches[0], payoffs[0], ctx_ns, cells[0]).y0
+    y_ns = solve(cells[0], payoffs[0], ctx_ns).y0
     for scenario in (HideSmall(c=c_hi), HideLarge(c=c_lo)):
         ctx = cfg.driver_context(spec, grid, scenario)
-        y = solve(batches[0], payoffs[0], ctx, cells[0]).y0
+        y = solve(cells[0], payoffs[0], ctx).y0
         print(f"{scenario.label()} c={scenario.c:g}: Y0 {y!r} vs {y_ns!r}")
         assert y == y_ns
 
@@ -181,7 +181,7 @@ def test_comparison_oracle(cfg, batches, cells, payoffs, ctx_hs, eps_hs, sol_ref
         assert r.passed
 
     T = cfg.market.T
-    y_shift = solve(batches[0], payoffs[0], shifted_fn, cells[0]).y0
+    y_shift = solve(cells[0], payoffs[0], shifted_fn).y0
     gap = y_shift - sol_ref.y0
     print(f"driver shift {delta:g}: Y0 gap {gap:.6f} target {delta * T:.6f}")
     assert abs(gap - delta * T) <= eps_hs + 1e-10

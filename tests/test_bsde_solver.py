@@ -4,6 +4,8 @@ enumeration of truncated jump counts."""
 
 import itertools
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from jumpsignal import (
     BasisPartition,
     CellIndex,
     DriverContext,
+    HideSmall,
     LevyMarketSpec,
     NoSignal,
     PathBatch,
@@ -22,9 +25,11 @@ from jumpsignal import (
     driver_f_batch,
     payoff_put,
     simulate_batch,
+    simulate_cells,
     solve,
     value_and_strategy,
 )
+from jumpsignal.config import ExperimentConfig
 from jumpsignal.simulate import JumpEvents
 
 
@@ -189,7 +194,7 @@ def test_fit_recovers_cell_means(spec_small, grid_small, rng, path_values):
     s = batch.S[0]
     t = s ** 2
     cells = CellIndex.build(batch, n_cells=8, min_count=50)
-    sol = solve(batch, t, constant_driver(0.0), cells)
+    sol = solve(cells, t, constant_driver(0.0))
     assert sol.cells is cells
     rec, partition = sol.steps[0], cells.partitions[0]
     ids = partition.assign(s)
@@ -199,19 +204,15 @@ def test_fit_recovers_cell_means(spec_small, grid_small, rng, path_values):
         assert rec.y_coef[c] == pytest.approx(float(np.mean(t[cell])), rel=1e-12)
     # piecewise-constant targets are reproduced exactly
     g = np.cos(np.arange(partition.n_cells))[ids]
-    sol = solve(batch, g, constant_driver(0.0), cells)
+    sol = solve(cells, g, constant_driver(0.0))
     assert path_values(sol)[0] == pytest.approx(g, rel=1e-12)
     # Y_0 weighs each cell by its paths: 2000 paths fill 7 cells unevenly
     uneven = CellIndex.build(batch, n_cells=7, min_count=50)
     assert np.unique(uneven.partitions[0].counts).size > 1
-    y0 = solve(batch, t, constant_driver(0.0), uneven).y0
+    y0 = solve(uneven, t, constant_driver(0.0)).y0
     assert y0 == pytest.approx(float(np.mean(t)), rel=1e-12)
     with pytest.raises(ValueError):
-        solve(batch, t[:100], constant_driver(0.0), cells)
-    # a cell index only serves the batch it was built on
-    twin = _flat_batch(spec_small, grid_small, np.zeros((1, 2000)), 2000, 1, rng)
-    with pytest.raises(ValueError, match="another batch"):
-        solve(twin, t, constant_driver(0.0), cells)
+        solve(cells, t[:100], constant_driver(0.0))
 
 
 @pytest.fixture(scope="module")
@@ -235,12 +236,12 @@ def test_context_is_its_driver(ctx_hidesmall, rng):
 
 def test_zero_and_constant_driver_telescopes(batch_small, payoff_small, cells_small):
     mean_f = float(np.mean(payoff_small))
-    y0_zero = solve(batch_small, payoff_small, constant_driver(0.0), cells_small).y0
+    y0_zero = solve(cells_small, payoff_small, constant_driver(0.0)).y0
     assert abs(y0_zero - mean_f) < 1e-12
-    y0_const = solve(batch_small, payoff_small, constant_driver(0.05), cells_small).y0
+    y0_const = solve(cells_small, payoff_small, constant_driver(0.05)).y0
     assert abs(y0_const - (mean_f + 0.05 * 0.5)) < 1e-12
     with pytest.raises(ValueError):
-        solve(batch_small, payoff_small[:-1], constant_driver(0.0), cells_small)
+        solve(cells_small, payoff_small[:-1], constant_driver(0.0))
 
 
 def test_one_step_enumeration_oracle():
@@ -289,7 +290,7 @@ def test_one_step_enumeration_oracle():
     se = float(np.std(F, ddof=1)) / math.sqrt(F.size)
     assert abs(float(np.mean(F)) - EF) < 4.0 * se
 
-    sol = solve(batch, F, ctx, CellIndex.build(batch, n_cells=64, min_count=50))
+    sol = solve(CellIndex.build(batch, n_cells=64, min_count=50), F, ctx)
     assert abs(sol.y0 - y0_star) < 1e-3
 
     # the regressed fields behind that value sit near their exact targets
@@ -320,9 +321,9 @@ def test_jump_free_closed_form(spec_small, grid_small, rng, path_values):
     dW = rng.uniform(-0.05, 0.05, size=(4, 200))
     batch = _flat_batch(spec_small, grid_small, dW, 200, 4, rng)
     cells = CellIndex.build(batch, n_cells=4, min_count=10)
-    y0_zero = solve(batch, np.zeros(200), sigma_only, cells).y0
+    y0_zero = solve(cells, np.zeros(200), sigma_only).y0
     assert y0_zero == 0.0
-    sol = solve(batch, np.full(200, 0.3), sigma_only, cells)
+    sol = solve(cells, np.full(200, 0.3), sigma_only)
     # |Z| <= 0.3 * 0.05 / 0.25 < 0.2 keeps the quadratic vertex in the box
     assert abs(sol.y0 - 0.3) < 1e-15
     assert np.max(np.abs(path_values(sol) - 0.3)) < 1e-15
@@ -331,8 +332,8 @@ def test_jump_free_closed_form(spec_small, grid_small, rng, path_values):
 def test_step_cellwise_oracle(batch_small, payoff_small, dense_counts, path_values):
     # the last step (k = 3 of 4) regresses on the terminal values
     k = 3
-    sol = solve(batch_small, payoff_small, constant_driver(0.0),
-                CellIndex.build(batch_small, n_cells=8, min_count=50))
+    sol = solve(CellIndex.build(batch_small, n_cells=8, min_count=50), payoff_small,
+                constant_driver(0.0))
     rec = sol.steps[k]
     assert rec.y_coef.shape == (8,) and rec.z_coef.shape == (8,)
     assert rec.u_coef.shape == (6, 8)
@@ -357,7 +358,7 @@ def test_jump_target_event_scatter(batch_small, ctx_hidesmall, payoff_small,
     # every step, bin and cell: the event scatter equals the in-cell mean
     # of Ybar_{k+1} (dN_k(i) - nu_i dt_k) over the dense counts, / nu_i dt_k
     cells = CellIndex.build(batch_small, n_cells=8, min_count=50)
-    sol = solve(batch_small, payoff_small, ctx_hidesmall, cells)
+    sol = solve(cells, payoff_small, ctx_hidesmall)
     nu = batch_small.grid.weights
     y_paths = path_values(sol)
     for k, rec in enumerate(sol.steps):
@@ -375,8 +376,8 @@ def test_jump_target_event_scatter(batch_small, ctx_hidesmall, payoff_small,
 
 def test_solve_records(batch_small, payoff_small, ctx_hidesmall, cells_small,
                        path_values):
-    sol = solve(batch_small, payoff_small, ctx_hidesmall, cells_small)
-    assert sol.cells is cells_small and sol.cells.batch is batch_small
+    sol = solve(cells_small, payoff_small, ctx_hidesmall)
+    assert sol.cells is cells_small
     assert len(sol.steps) == 4
     assert np.array_equal(sol.F, payoff_small)
     assert sol.y0 == pytest.approx(float(np.mean(path_values(sol)[0])), rel=1e-15)
@@ -399,7 +400,7 @@ def test_driver_failure_reports_step(batch_small, payoff_small, cells_small):
         raise ValueError("boom")
 
     with pytest.raises(ValueError, match=r"driver failed at step 3: boom"):
-        solve(batch_small, payoff_small, bad, cells_small)
+        solve(cells_small, payoff_small, bad)
 
 
 def test_nonfinite_y_reports_step(batch_small, payoff_small, cells_small):
@@ -408,12 +409,12 @@ def test_nonfinite_y_reports_step(batch_small, payoff_small, cells_small):
         return np.full(n, np.nan), np.zeros(n)
 
     with pytest.raises(ArithmeticError, match=r"non-finite Ybar at step 3"):
-        solve(batch_small, payoff_small, nan_driver, cells_small)
+        solve(cells_small, payoff_small, nan_driver)
 
 
 def test_value_and_strategy(batch_small, batch_small_b, payoff_small, ctx_hidesmall,
                             cells_small):
-    sol = solve(batch_small, payoff_small, ctx_hidesmall, cells_small)
+    sol = solve(cells_small, payoff_small, ctx_hidesmall)
     value, positions = value_and_strategy(sol, 0.3, ctx_hidesmall)
     assert value == pytest.approx(-math.exp(-0.4 * (0.3 - sol.y0)), rel=1e-14)
     # each step's prices of any batch land in that step's cells
@@ -486,7 +487,7 @@ def test_cell_pass_matches_path_reference(batch_small, batch_wide, ctx_hidesmall
     if n_cells == 1000:
         assert any(int(ev.bin.max()) * n > np.iinfo(np.int16).max
                    for ev, n in zip(batch.jumps, nc))
-    sol = solve(batch, payoff, fn, cells)
+    sol = solve(cells, payoff, fn)
     ref_steps, ref_y0 = _path_level_pass(batch, payoff, fn, cells)
     for rec, (y_coef, z_coef, u_coef, y_cells) in zip(sol.steps, ref_steps):
         assert rec.y_coef == pytest.approx(y_coef, rel=1e-12)
@@ -513,5 +514,95 @@ def test_same_seed_same_y0(spec_small, grid_small, tg_small, ctx_hidesmall):
     for _ in range(2):
         batch = simulate_batch(spec_small, grid_small, tg_small, 4096, seed=101)
         cells = CellIndex.build(batch, n_cells=64, min_count=50)
-        y0s.append(solve(batch, payoff_put(batch.S[-1], 1.0), ctx_hidesmall, cells).y0)
+        y0s.append(solve(cells, payoff_put(batch.S[-1], 1.0), ctx_hidesmall).y0)
     assert np.float64(y0s[0]).tobytes() == np.float64(y0s[1]).tobytes()
+
+
+def _reference_args(n_paths=None):
+    """The reference config, and the spec, jump grid, time grid and path
+    count under it: the leading arguments of simulate_cells."""
+    cfg = ExperimentConfig()
+    spec = cfg.market_spec()
+    return cfg, (spec, cfg.jump_grid(spec), cfg.time_grid(),
+                 n_paths or cfg.scheme.n_paths)
+
+
+def _assert_same_cells(got, want):
+    for name in ("spec", "grid", "time_grid", "seed", "path_offset", "n_paths"):
+        assert getattr(got, name) == getattr(want, name)
+    assert len(got.partitions) == len(want.partitions) == got.time_grid.n_steps
+    for a, b in zip(got.partitions, want.partitions):
+        for name in ("edges", "counts", "sample_ids"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+    for name in ("pair_counts", "pair_dW"):
+        assert len(getattr(got, name)) == got.time_grid.n_steps - 1
+        for x, y in zip(getattr(got, name), getattr(want, name)):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert len(got.jumps) == len(want.jumps)
+    for ev, ev_want in zip(got.jumps, want.jumps):
+        for name in ("path", "bin", "count"):
+            x, y = getattr(ev, name), getattr(ev_want, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+    for name in ("S_last", "dW_last"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("n_paths,path_offset,n_cells", [
+    (None, 0, 64),
+    # an offset inside a Philox 4-word block; 1000 paths fill 8 cells
+    (1000, 3, 8)])
+def test_streamed_cells_equal_the_batch_build(n_paths, path_offset, n_cells):
+    cfg, args = _reference_args(n_paths)
+    streamed = simulate_cells(*args, 1, n_cells, 50, path_offset=path_offset)
+    batch = simulate_batch(*args, 1, path_offset=path_offset)
+    built = CellIndex.build(batch, n_cells, 50)
+    _assert_same_cells(streamed, built)
+    assert np.array_equal(streamed.S_last, batch.S[-1])
+    assert np.array_equal(streamed.dW_last, batch.dW[-1])
+    # the index keeps no batch, and of the batch's arrays two rows
+    assert not any(isinstance(val, PathBatch) for val in vars(streamed).values())
+    assert [name for name, val in vars(streamed).items()
+            if isinstance(val, np.ndarray)] == ["S_last", "dW_last"]
+    F = cfg.payoff_values(batch.S[-1])
+    ctx = cfg.driver_context(args[0], args[1], HideSmall(c=0.6))
+    for driver in (ctx, constant_driver(0.05)):
+        y0s = [solve(cells, F, driver).y0 for cells in (streamed, built)]
+        assert np.float64(y0s[0]).tobytes() == np.float64(y0s[1]).tobytes()
+
+
+def test_streamed_cells_never_hold_s_and_dw():
+    # one dW row and two S rows at a time: building one seed's cells at
+    # the reference config peaks below the size of S and dW together,
+    # 21 rows of 65536 doubles; simulating the whole batch first peaked
+    # at 14.9 MB, above it
+    cfg, args = _reference_args()
+    n_rows = 2 * cfg.time_grid().n_steps + 1
+    tracemalloc.start()
+    try:
+        simulate_cells(*args, 1, cfg.scheme.n_cells, cfg.scheme.min_count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n_rows * cfg.scheme.n_paths * 8
+
+
+def test_failed_build_joins_the_jump_pool(monkeypatch, spec_small, grid_small):
+    # the cells are built while the jump pool draws later steps: a build
+    # that fails mid-stream must still join the pool before it raises, or
+    # a sweep would fork with the pool's threads running
+    real, calls = BasisPartition.from_sample.__func__, []
+
+    def failing(cls, s, n_cells, min_count):
+        calls.append(1)
+        if len(calls) == 4:  # the cells of S_3, of ten steps
+            raise RuntimeError("injected partition failure")
+        return real(cls, s, n_cells, min_count)
+
+    before = threading.active_count()
+    monkeypatch.setattr(BasisPartition, "from_sample", classmethod(failing))
+    with pytest.raises(RuntimeError, match="injected partition failure"):
+        simulate_cells(spec_small, grid_small, TimeGrid.uniform(10, 0.5), 4096, 9, 16, 50)
+    assert len(calls) == 4
+    assert threading.active_count() == before

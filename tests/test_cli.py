@@ -435,16 +435,16 @@ def test_sweep_raises_a_worker_failure(cfg_file, tmp_path, monkeypatch, cpus, st
     # sweep in the caller, and no process is left running
     from jumpsignal import cli
 
-    exact = cli.simulate_batch
+    exact = cli.simulate_cells
     seen = []
 
-    def failing(spec, grid, time_grid, n_paths, seed):
+    def failing(spec, grid, time_grid, n_paths, seed, n_cells, min_count):
         seen.append(seed)
         if seed == 2:
             raise AssertionError("simulated price lost positivity")
-        return exact(spec, grid, time_grid, n_paths, seed)
+        return exact(spec, grid, time_grid, n_paths, seed, n_cells, min_count)
 
-    monkeypatch.setattr(cli, "simulate_batch", failing)
+    monkeypatch.setattr(cli, "simulate_cells", failing)
     cpus(2)
     with pytest.raises(AssertionError, match="lost positivity"):
         main(["sweep", "--config", str(cfg_file), "--out", str(tmp_path / "r.csv")])
@@ -788,13 +788,14 @@ def test_override_error_is_one_line(capsys):
 
 @pytest.fixture
 def no_batches(monkeypatch):
-    """A command that simulates a batch fails the test."""
+    """A command that simulates a batch or a seed's cells fails the test."""
     from jumpsignal import cli
 
-    def called(*args):
-        raise AssertionError("simulate_batch was called")
+    for name in ("simulate_batch", "simulate_cells"):
+        def called(*args, name=name):
+            raise AssertionError(f"{name} was called")
 
-    monkeypatch.setattr(cli, "simulate_batch", called)
+        monkeypatch.setattr(cli, name, called)
 
 
 def _one_line_usage_error(argv, capsys) -> str:

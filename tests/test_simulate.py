@@ -198,10 +198,10 @@ def test_pool_size_does_not_change_the_batch(n_cpus, monkeypatch, spec_small,
     monkeypatch.setattr(simulate, "_brownian", brownian_spy)
     b = simulate_batch(*args, seed=9)
     # the pool had at most n_cpus threads, none of them the caller, which
-    # drew the Brownian stream and no jump bin
+    # drew the Brownian stream, one row per step, and no jump bin
     assert 1 <= len(workers) <= n_cpus
     assert threading.get_ident() not in workers
-    assert brownian == [threading.get_ident()]
+    assert brownian == [threading.get_ident()] * tg_small.n_steps
     _assert_same_batch(b, default)
     for k, ev in enumerate(b.jumps):
         dense = dense_counts(b, k)

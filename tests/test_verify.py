@@ -44,15 +44,14 @@ def cells_small(batch_small):
 def sol_small(batch_small, payoff_small, ctx_hidesmall, cells_small):
     # shared by the checks that only read it; tests that alter a
     # solution solve their own
-    return solve(batch_small, payoff_small, ctx_hidesmall, cells_small)
+    return solve(cells_small, payoff_small, ctx_hidesmall)
 
 
 @pytest.fixture(scope="module")
 def eps_reg(sol_small, batch_small_b, payoff_small_b, ctx_hidesmall):
     # the Y_0 spread between two batches, as verify computes it
     cells_b = CellIndex.build(batch_small_b, n_cells=N_CELLS, min_count=50)
-    return abs(sol_small.y0 - solve(batch_small_b, payoff_small_b,
-                                    ctx_hidesmall, cells_b).y0)
+    return abs(sol_small.y0 - solve(cells_b, payoff_small_b, ctx_hidesmall).y0)
 
 
 def test_eps_reg_magnitude(eps_reg):
@@ -188,8 +187,7 @@ def test_penalization_pass(sol_small, ctx_hidesmall):
 def test_penalization_detects_foreign_solution(batch_small, payoff_small,
                                                cells_small, ctx_hidesmall):
     # f_m past the threshold reproduces the solve under f, not one under f + 0.05
-    sol_up = solve(batch_small, payoff_small, _shifted(ctx_hidesmall, 0.05),
-                   cells_small)
+    sol_up = solve(cells_small, payoff_small, _shifted(ctx_hidesmall, 0.05))
     r = check_penalization(sol_up, ctx_hidesmall, m_values=range(1, 6))
     assert not r.passed and r.violations == 1
 
@@ -257,7 +255,7 @@ def _y_bound_on_paths(sol, ctx, path_values):
     lam = ctx.lam
     f_sup = float(np.max(np.abs(sol.F)))
     lo, _ = driver_bounds(0.0, np.zeros(ctx.grid.points.size), ctx)
-    tg = sol.cells.batch.time_grid
+    tg = sol.cells.time_grid
     bound = f_sup + math.log1p(math.exp(-lam * f_sup)) / lam + -lo * (tg.T - tg.times)
     return bound - np.max(np.abs(path_values(sol)), axis=1)
 
@@ -277,7 +275,7 @@ def report_margins(monkeypatch):
 
 def test_y_bound_pass(batch_small, payoff_small, cells_small, ctx_hidesmall,
                      path_values, report_margins):
-    sol = solve(batch_small, payoff_small, ctx_hidesmall, cells_small)
+    sol = solve(cells_small, payoff_small, ctx_hidesmall)
     r = check_y_bound(sol, ctx_hidesmall)
     assert r.passed and r.samples == batch_small.time_grid.n_steps + 1
     # the largest cell value is the largest path value, bit for bit
@@ -302,18 +300,18 @@ def test_one_batch_checks_take_no_allowance(batch_small, payoff_small, cells_sma
     # of sol, so the margins are the raw differences of the solves
     driver2 = _shifted(ctx_hidesmall, 0.05)
     check_comparison(sol_small, payoff_small, driver2)
-    y2 = solve(batch_small, payoff_small, driver2, cells_small).y0
+    y2 = solve(cells_small, payoff_small, driver2).y0
     assert report_margins[-1].tobytes() == np.array([y2 - sol_small.y0]).tobytes()
 
     check_penalization(sol_small, ctx_hidesmall, m_values=range(1, 6))
-    y0s = [solve(batch_small, payoff_small,
-                 lambda Z, U, m=m: penalized_driver_fm_batch(Z, U, m, ctx_hidesmall),
-                 cells_small).y0 for m in range(1, 6)]
+    y0s = [solve(cells_small, payoff_small,
+                 lambda Z, U, m=m: penalized_driver_fm_batch(Z, U, m, ctx_hidesmall)).y0
+           for m in range(1, 6)]
     assert report_margins[-1][:-1].tobytes() == np.diff(y0s).tobytes()
 
     # a solve past the bound by half the two-batch spread fails, where an
     # allowance of that spread passed it
-    sol = solve(batch_small, payoff_small, ctx_hidesmall, cells_small)
+    sol = solve(cells_small, payoff_small, ctx_hidesmall)
     check_y_bound(sol, ctx_hidesmall)
     for rec, margin in zip(sol.steps, report_margins[-1]):
         j = np.argmax(np.abs(rec.y_cells))
@@ -331,7 +329,7 @@ def test_y_bound_reads_sup_from_terminal(batch_small, payoff_small, cells_small,
     # log(e^0.4 + 1)/0.4 = 2.28 at maturity, below the payoff itself
     F = payoff_small + 3.0
     assert np.max(F) > 3.0
-    sol = solve(batch_small, F, ctx_hidesmall, cells_small)
+    sol = solve(cells_small, F, ctx_hidesmall)
     r = check_y_bound(sol, ctx_hidesmall)
     assert r.passed and r.violations == 0
 
@@ -342,7 +340,7 @@ def test_y_bound_of_a_large_payoff_is_finite(batch_small, cells_small, ctx_hides
     # in floating point, so the terminal margin is exactly 0
     F = payoff_put(batch_small.S[-1], 5000.0)
     assert 0.4 * np.max(F) > 709.0
-    sol = solve(batch_small, F, constant_driver(0.0), cells_small)
+    sol = solve(cells_small, F, constant_driver(0.0))
     r = check_y_bound(sol, ctx_hidesmall)
     assert r.passed and r.violations == 0
     assert r.worst_margin == 0.0
