@@ -53,7 +53,7 @@ import numpy as np
 
 from .drivers import DriverContext, guarded_exp
 from .levy_model import DiscreteJumpGrid, LevyMarketSpec
-from .simulate import JumpEvents, PathBatch, TimeGrid, simulate_steps
+from .simulate import JumpEvents, PathBatch, TimeGrid, _simulate_steps
 
 __all__ = [
     "BasisPartition",
@@ -164,7 +164,6 @@ class CellIndex:
     grid: DiscreteJumpGrid
     time_grid: TimeGrid
     seed: int
-    path_offset: int
     n_paths: int
     partitions: Tuple[BasisPartition, ...]
     pair_counts: Tuple[np.ndarray, ...]
@@ -180,8 +179,7 @@ class CellIndex:
                 add(k, batch.dW[k], ev, batch.S[k], batch.S[k + 1])
 
         return _index(feed, n_cells, min_count, spec=batch.spec, grid=batch.grid,
-                      time_grid=batch.time_grid, seed=batch.seed,
-                      path_offset=batch.path_offset, n_paths=batch.n_paths)
+                      time_grid=batch.time_grid, seed=batch.seed, n_paths=batch.n_paths)
 
 
 def _index(feed, n_cells: int, min_count: int, **batch) -> CellIndex:
@@ -215,21 +213,20 @@ def _index(feed, n_cells: int, min_count: int, **batch) -> CellIndex:
 
 
 def simulate_cells(spec: LevyMarketSpec, grid: DiscreteJumpGrid, time_grid: TimeGrid,
-                   n_paths: int, seed: int, n_cells: int, min_count: int,
-                   path_offset: int = 0) -> CellIndex:
+                   n_paths: int, seed: int, n_cells: int, min_count: int) -> CellIndex:
     """The cell index of the batch ``simulate_batch`` would return for
-    the same arguments, built while its steps are simulated: the
+    the same leading arguments, built while its steps are simulated: the
     partition of S_k once S_k exists, the pair tables of step k - 1 once
     the cells of step k exist. S and dW are never held whole, only one
     dW row and two S rows, reused every step. Equal to ``CellIndex.build``
     of that batch in every array."""
 
     def feed(add):
-        simulate_steps(spec, grid, time_grid, n_paths, seed, path_offset,
-                       visit=add, keep_rows=False)
+        _simulate_steps(spec, grid, time_grid, seed, 0, np.empty((1, n_paths)),
+                        np.empty((2, n_paths)), add)
 
     return _index(feed, n_cells, min_count, spec=spec, grid=grid, time_grid=time_grid,
-                  seed=seed, path_offset=path_offset, n_paths=n_paths)
+                  seed=seed, n_paths=n_paths)
 
 
 DriverFn = Callable[[np.ndarray, np.ndarray], tuple]

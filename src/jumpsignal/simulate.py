@@ -20,14 +20,13 @@ bins 0..nb-1 in order, all searched in one cdf per distinct mean; the
 batch does not depend on the pool size, since each stream is fixed by
 its key alone.
 
-``simulate_steps`` runs the steps in order, one kernel for all: the
-caller draws dW_k from the Brownian stream, channel 0, takes the events
-of step k from the pool, which meanwhile draws later steps, and forms
-S_{k+1} in place in its row. ``simulate_batch`` runs it into full dW and
-S arrays. The regression cells (``bsde_solver.simulate_cells``) run it
-into one dW row and two S rows that every step reuses, reading each
-step's rows before they are overwritten, so they never hold S or dW
-whole.
+One step kernel runs the steps in order, for every caller: it draws
+dW_k from the Brownian stream, channel 0, takes the events of step k
+from the pool, which meanwhile draws later steps, and forms S_{k+1} in
+place in a row the caller owns. ``simulate_batch`` gives it full dW and
+S arrays. The regression cells (``bsde_solver.simulate_cells``) give it
+one dW row and two S rows that every step reuses, reading each step's
+rows before they are overwritten, so they never hold S or dW whole.
 
 The Brownian uniforms are drawn straight into the row of dW, floored at
 2^-64, mapped to standard normals in place by ``_ndtri``, a numpy port
@@ -58,7 +57,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -70,7 +69,6 @@ __all__ = [
     "TimeGrid",
     "JumpEvents",
     "PathBatch",
-    "simulate_steps",
     "simulate_batch",
     "payoff_put",
     "payoff_digital",
@@ -334,27 +332,27 @@ class PathBatch:
         return dN
 
 
-def simulate_steps(
+def _simulate_steps(
     spec: LevyMarketSpec,
     grid: DiscreteJumpGrid,
     time_grid: TimeGrid,
-    n_paths: int,
     seed: int,
-    path_offset: int = 0,
-    visit: Optional[Callable] = None,
-    keep_rows: bool = True,
-) -> tuple:
-    """Simulate the steps in order and return (dW, jumps, S).
+    path_offset: int,
+    dW: np.ndarray,
+    S: np.ndarray,
+    visit: Callable,
+) -> None:
+    """Simulate the steps in order into the caller's rows.
 
-    Step k draws dW_k, takes the events of step k from the jump pool and
-    forms S_{k+1} from S_k, then calls ``visit(k, dW_k, events_k, S_k,
-    S_{k+1})`` if given, with the pool still drawing the later steps'
-    jumps. With ``keep_rows`` dW and S are the full (n_steps, n_paths)
-    and (n_steps + 1, n_paths) arrays. Without it dW is one row and S two
-    rows, reused every step (step k writes row k mod rows), so a row
+    Step k draws dW_k into row k mod len(dW), takes the events of step k
+    from the jump pool and forms S_{k+1} from S_k in rows of S taken mod
+    len(S), then calls ``visit(k, dW_k, events_k, S_k, S_{k+1})`` with
+    the pool still drawing the later steps' jumps. Full arrays keep every
+    row; one dW row and two S rows are reused every step, so a row
     outlives its step only if ``visit`` copies it. The pool is joined
     before this returns or raises, whatever ``visit`` does.
     """
+    n_paths = dW.shape[1]
     if n_paths < 1 or path_offset < 0:
         raise ValueError(f"bad path range: n_paths={n_paths}, path_offset={path_offset}")
     n_steps = time_grid.n_steps
@@ -375,10 +373,7 @@ def simulate_steps(
 
     comp = grid.compensator()
     log_jump = grid.log_jumps()
-    dW = np.empty((n_steps if keep_rows else 1, n_paths))
-    S = np.empty((n_steps + 1 if keep_rows else 2, n_paths))
     S[0] = spec.s0
-    jumps = []
     # Philox, the ufuncs, the uint64 comparison and flatnonzero release
     # the GIL; each task holds one stream of words at a time, and the
     # caller draws the Brownian stream, channel 0, while the pool runs
@@ -397,10 +392,7 @@ def simulate_steps(
             x *= s
             if not np.all(x > 0):
                 raise AssertionError("simulated price lost positivity")
-            jumps.append(ev)
-            if visit is not None:
-                visit(k, w, ev, s, x)
-    return dW, tuple(jumps), S
+            visit(k, w, ev, s, x)
 
 
 def simulate_batch(
@@ -416,10 +408,14 @@ def simulate_batch(
     Same seed gives the same batch for any chunking of the path range
     (``path_offset`` addresses the first path of the chunk).
     """
-    dW, jumps, S = simulate_steps(spec, grid, time_grid, n_paths, seed, path_offset)
+    n_steps = time_grid.n_steps
+    dW, S = np.empty((n_steps, n_paths)), np.empty((n_steps + 1, n_paths))
+    jumps = []
+    _simulate_steps(spec, grid, time_grid, seed, path_offset, dW, S,
+                    lambda k, w, ev, s, x: jumps.append(ev))
     return PathBatch(
         spec=spec, grid=grid, time_grid=time_grid, seed=seed,
-        path_offset=path_offset, dW=dW, jumps=jumps, S=S,
+        path_offset=path_offset, dW=dW, jumps=tuple(jumps), S=S,
     )
 
 
