@@ -27,12 +27,10 @@ from .drivers import (
 )
 from .simulate import (
     TimeGrid,
-    PathBatch,
-    simulate_batch,
     payoff_put,
     payoff_digital,
     payoff_terminal,
-    wealth_forward,
+    wealth_step,
 )
 from .bsde_solver import (
     BasisPartition,

@@ -36,10 +36,9 @@ step-(k+1) cell before it. The cells, each path's cell and the
 transition tables depend only on the batch, n_cells and min_count: a
 ``CellIndex`` holds them, with the jump events, the terminal prices and
 the last step's dW, and every solve on the batch takes it alone. It is
-built once per batch, from the seed as the steps are simulated
-(``simulate_cells``), so the batch's S and dW are never held whole, or
-from the rows of a batch at hand (``CellIndex.build``). Each step forms
-its events' (bin, cell) keys from the path cells, which costs less than
+built once per seed, as the steps are simulated (``simulate_cells``),
+so the batch's S and dW are never held whole. Each step forms its
+events' (bin, cell) keys from the path cells, which costs less than
 keeping them. A solution keeps its cell index.
 """
 
@@ -53,7 +52,7 @@ import numpy as np
 
 from .drivers import DriverContext, guarded_exp
 from .levy_model import DiscreteJumpGrid, LevyMarketSpec
-from .simulate import JumpEvents, PathBatch, TimeGrid, _simulate_steps
+from .simulate import JumpEvents, TimeGrid, _simulate_steps
 
 __all__ = [
     "BasisPartition",
@@ -141,7 +140,7 @@ class BasisPartition:
 class CellIndex:
     """The regression cells of one batch, per step, the transitions
     between them, and what else of the batch a solve reads; it holds no
-    ``PathBatch``.
+    prices but the terminal ones.
 
     ``partitions[k]`` are the cells of S_k, with the cell of each path in
     its ``sample_ids``. Each step's prices are sorted once, in
@@ -156,8 +155,7 @@ class CellIndex:
     (dW_{n-1}).
 
     ``simulate_cells`` builds it from a seed one step at a time, as the
-    steps are simulated; ``build`` feeds the rows of an existing batch to
-    the same builder.
+    steps are simulated.
     """
 
     spec: LevyMarketSpec
@@ -171,15 +169,6 @@ class CellIndex:
     jumps: Tuple[JumpEvents, ...]
     S_last: np.ndarray
     dW_last: np.ndarray
-
-    @classmethod
-    def build(cls, batch: PathBatch, n_cells: int, min_count: int) -> "CellIndex":
-        def feed(add):
-            for k, ev in enumerate(batch.jumps):
-                add(k, batch.dW[k], ev, batch.S[k], batch.S[k + 1])
-
-        return _index(feed, n_cells, min_count, spec=batch.spec, grid=batch.grid,
-                      time_grid=batch.time_grid, seed=batch.seed, n_paths=batch.n_paths)
 
 
 def _index(feed, n_cells: int, min_count: int, **batch) -> CellIndex:
@@ -214,16 +203,14 @@ def _index(feed, n_cells: int, min_count: int, **batch) -> CellIndex:
 
 def simulate_cells(spec: LevyMarketSpec, grid: DiscreteJumpGrid, time_grid: TimeGrid,
                    n_paths: int, seed: int, n_cells: int, min_count: int) -> CellIndex:
-    """The cell index of the batch ``simulate_batch`` would return for
-    the same leading arguments, built while its steps are simulated: the
-    partition of S_k once S_k exists, the pair tables of step k - 1 once
-    the cells of step k exist. S and dW are never held whole, only one
-    dW row and two S rows, reused every step. Equal to ``CellIndex.build``
-    of that batch in every array."""
+    """The cell index of the seed's paths, built while its steps are
+    simulated: the partition of S_k once S_k exists, the pair tables of
+    step k - 1 once the cells of step k exist. S and dW are never held
+    whole, only the step kernel's one dW row and two S rows. A price that
+    is not positive raises ArithmeticError naming its step."""
 
     def feed(add):
-        _simulate_steps(spec, grid, time_grid, seed, 0, np.empty((1, n_paths)),
-                        np.empty((2, n_paths)), add)
+        _simulate_steps(spec, grid, time_grid, seed, n_paths, add)
 
     return _index(feed, n_cells, min_count, spec=spec, grid=grid, time_grid=time_grid,
                   seed=seed, n_paths=n_paths)
@@ -330,16 +317,14 @@ def value_and_strategy(sol: BackwardSolution, x: float,
                        ctx: DriverContext) -> tuple:
     """Certainty-equivalent value and the extracted optimal positions.
 
-    V = -exp(-lam (x - Y_0)). ``positions(batch)`` places the prices
-    S_{t_k} of a batch in the cells of step k and returns the
-    (n_steps, n_paths) array of those cells' argmins p*: the strategy's
-    no-signal positions. On a jump of a signal bin the strategy trades
-    ``ctx.boundary_p``.
+    V = -exp(-lam (x - Y_0)). ``positions(k, S_k)`` places prices S_k of
+    any paths in the cells of step k and returns those cells' argmins p*:
+    the strategy's no-signal positions over step k. On a jump of a signal
+    bin the strategy trades ``ctx.boundary_p``.
     """
     value = -guarded_exp(-ctx.lam * (x - sol.y0), math.exp)
 
-    def positions(batch: PathBatch) -> np.ndarray:
-        return np.stack([rec.p_cells[part.assign(s)] for rec, part, s
-                         in zip(sol.steps, sol.cells.partitions, batch.S)])
+    def positions(k: int, S_k) -> np.ndarray:
+        return sol.steps[k].p_cells[sol.cells.partitions[k].assign(S_k)]
 
     return value, positions

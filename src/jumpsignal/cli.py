@@ -38,11 +38,13 @@ from .config import (
 )
 from .drivers import driver_f_batch
 from .levy_model import NoSignal
-from .simulate import simulate_batch
 from . import verify as verify_mod
 
 RESULT_COLUMNS = ["scenario", "c", "seed", "y0", "value", "wall_time",
                   "config_hash", "status"]
+# the labels of the three scenarios: a results row's scenario is one, and
+# report names its output files after it
+SCENARIO_LABELS = ("no-signal", "hide-small", "hide-large")
 
 
 def _load(args, *outputs: Optional[str]) -> ExperimentConfig:
@@ -146,6 +148,13 @@ def _solution(cfg, seed, ctx) -> BackwardSolution:
     return solve(cells, cfg.payoff_values(cells.S_last), ctx)
 
 
+def _blank_row(cfg_hash, scenario, seed) -> dict:
+    """A result row of the scenario on the seed, with no values or status."""
+    return {"scenario": scenario.label(), "c": getattr(scenario, "c", ""),
+            "seed": seed, "y0": "", "value": "", "wall_time": "",
+            "config_hash": cfg_hash}
+
+
 def _row(cfg, cfg_hash, scenario, cells) -> dict:
     """One scenario on a seed's cells as a result row: status ``ok``, or
     ``error: ...`` and no values when the solve or its bound check fails.
@@ -153,9 +162,7 @@ def _row(cfg, cfg_hash, scenario, cells) -> dict:
     ``wall_time`` is the solve with its checks, without the simulation
     and the cell index, which every scenario of the seed shares.
     """
-    row = {"scenario": scenario.label(), "c": getattr(scenario, "c", ""),
-           "seed": cells.seed, "y0": "", "value": "", "wall_time": "",
-           "config_hash": cfg_hash}
+    row = _blank_row(cfg_hash, scenario, cells.seed)
     t0 = time.perf_counter()
     try:
         ctx = cfg.driver_context(cells.spec, cells.grid, scenario)
@@ -172,11 +179,18 @@ def _row(cfg, cfg_hash, scenario, cells) -> dict:
 
 
 def _seed_rows(cfg, cfg_hash, seeds, scenarios) -> List[dict]:
-    """The result row of every scenario on ``seeds``, one seed at a time."""
+    """The result row of every scenario on ``seeds``, one seed at a time.
+    A seed whose simulation or cells fail gives each scenario an
+    ``error: ...`` row."""
     rows = []
     # cells do not depend on the scenario: build them once per seed
     for seed in seeds:
-        cells = _cells(cfg, seed)
+        try:
+            cells = _cells(cfg, seed)
+        except (ValueError, ArithmeticError) as exc:
+            rows += [{**_blank_row(cfg_hash, scenario, seed), "status": f"error: {exc}"}
+                     for scenario in scenarios]
+            continue
         rows += [_row(cfg, cfg_hash, scenario, cells) for scenario in scenarios]
         # free this seed's cells before the next one is simulated
         del cells
@@ -292,7 +306,7 @@ def _batch_reports(cfg, ctx, reports):
     # each seed's real-driver BSDE: the first serves every check, the
     # second gives only the spread of Y0 between batches that the
     # martingale tie allows for, so only its Y0 is kept and its cells are
-    # freed before the fresh batch, the one whole batch, is simulated
+    # freed before the fresh seed is simulated
     sol = _solution(cfg, seeds[0], ctx)
     eps_reg = abs(sol.y0 - _solution(cfg, seeds[1], ctx).y0)
     reports.append(verify_mod.check_scheme_oracles(sol))
@@ -305,10 +319,8 @@ def _batch_reports(cfg, ctx, reports):
     reports.append(verify_mod.check_comparison(sol, sol.F, plus_delta))
     reports.append(verify_mod.check_penalization(sol, ctx))
     fresh_seed = max(cfg.scheme.seeds) + FRESH_SEED_OFFSET
-    fresh = simulate_batch(ctx.spec, ctx.grid, cfg.time_grid(), cfg.scheme.n_paths,
-                           fresh_seed)
     reports.append(verify_mod.check_martingale_optimality(
-        fresh, sol, ctx, cfg.payoff_values, cfg.utility.x, eps_reg))
+        fresh_seed, sol, ctx, cfg.payoff_values, cfg.utility.x, eps_reg))
     reports.append(verify_mod.check_y_bound(sol, ctx))
 
 
@@ -349,6 +361,9 @@ def _read_results(path) -> List[dict]:
                     raise ValueError(f"{path}:{lineno}: expected "
                                      f"{len(RESULT_COLUMNS)} columns, got {len(row)}")
                 rec = dict(zip(RESULT_COLUMNS, row))
+                if rec["scenario"] not in SCENARIO_LABELS:
+                    raise ValueError(f"{path}:{lineno}: unknown scenario {rec['scenario']!r}; "
+                                     f"options: {', '.join(SCENARIO_LABELS)}")
                 if rec["c"] != "":
                     _finite(rec["c"], f"{path}:{lineno}: bad c")
                 if rec["status"] == "ok":

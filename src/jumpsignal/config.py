@@ -31,7 +31,7 @@ from .levy_model import (
     SignalScenario,
     build_grid,
 )
-from .simulate import _PAYOFFS, TimeGrid, payoff_terminal
+from .simulate import _PAYOFFS, TimeGrid, _poisson_cdf, payoff_terminal
 
 __all__ = [
     "MarketBlock",
@@ -202,7 +202,8 @@ class ExperimentConfig:
         # checks reject a bad config when it loads, not inside a command
         spec = self.market_spec()
         grid = self.jump_grid(spec)
-        self.time_grid()
+        # the largest jump-bin mean nu_i dt_k must have a Poisson cdf
+        _poisson_cdf(float(grid.weights.max()) * float(self.time_grid().dt.max()))
         for scenario in self.scenarios():
             self.driver_context(spec, grid, scenario)
         self.payoff_values(spec.s0)

@@ -23,10 +23,11 @@ its key alone.
 One step kernel runs the steps in order, for every caller: it draws
 dW_k from the Brownian stream, channel 0, takes the events of step k
 from the pool, which meanwhile draws later steps, and forms S_{k+1} in
-place in a row the caller owns. ``simulate_batch`` gives it full dW and
-S arrays. The regression cells (``bsde_solver.simulate_cells``) give it
-one dW row and two S rows that every step reuses, reading each step's
-rows before they are overwritten, so they never hold S or dW whole.
+place. It owns one dW row and two S rows, which every step reuses, and
+passes each step's rows to its caller's visitor: the regression cells
+(``bsde_solver.simulate_cells``) and the optimality check's forward
+wealth (``verify.check_martingale_optimality``) read them before the
+next step overwrites them, so no command holds S or dW whole.
 
 The Brownian uniforms are drawn straight into the row of dW, floored at
 2^-64, mapped to standard normals in place by ``_ndtri``, a numpy port
@@ -47,17 +48,19 @@ charges the no-signal position only,
     dX = p(0) (kappa dt + sigma dW) + sum_i p(gamma(e_i)) eta_i dN(i)
          - p(0) sum_i eta_i nu_i dt.
 
-A strategy is two arrays: the no-signal positions p(0) of every path
-and step, shape (n_steps, n_paths), and one signal position per bin.
+A strategy is, at each step, the no-signal positions p(0) of the paths,
+read from S_k, and one signal position per bin; ``wealth_step`` moves
+wealth over one step under it.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -68,12 +71,10 @@ from .levy_model import DiscreteJumpGrid, LevyMarketSpec
 __all__ = [
     "TimeGrid",
     "JumpEvents",
-    "PathBatch",
-    "simulate_batch",
     "payoff_put",
     "payoff_digital",
     "payoff_terminal",
-    "wealth_forward",
+    "wealth_step",
 ]
 
 
@@ -240,10 +241,19 @@ def _brownian(seed: int, k: int, dt_k: float, path_offset: int,
 
 
 def _poisson_cdf(mu: float) -> np.ndarray:
-    """The Poisson(mu) cdf, summed until it saturates: at most 100 001 terms."""
+    """The Poisson(mu) cdf, summed until it saturates: at most 100 001 terms.
+
+    Every term carries the rounding of its first, exp(-mu), so a mean
+    whose exp(-mu) is no normal float (mu > 708.39) is rejected: past
+    745.13 exp(-mu) is 0 and every draw would count one jump, and between
+    the two the subnormal start leaves the cdf short of or past 1.
+    """
     if mu < 0:
         raise ValueError(f"Poisson mean must be >= 0, got {mu}")
     term = math.exp(-mu)
+    if term < sys.float_info.min:
+        raise ValueError(f"jump bin mean nu_i dt_k = {mu:.6g} is too large for the "
+                         f"Poisson draw: exp(-mu) underflows past 708.39")
     cdf = [term]
     for i in range(1, 100_001):
         term *= mu / i
@@ -287,7 +297,7 @@ class JumpEvents:
     ``bin[e]`` on path ``path[e]``, bin-major with paths increasing
     inside a bin.
 
-    ``simulate_batch`` stores ``path`` as int32 (int64 only past 2^31
+    The step kernel stores ``path`` as int32 (int64 only past 2^31
     paths), ``bin`` as int16 (int32 past 32768 bins) and ``count`` as
     int32, which holds every count: the inverse Poisson CDF stops at
     100 001 terms. Arithmetic that can leave a type's range, such as a
@@ -298,61 +308,26 @@ class JumpEvents:
     count: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class PathBatch:
-    """Simulated increments and prices for a block of paths.
-
-    dW has shape (n_steps, n_paths) and S (n_steps + 1, n_paths) with
-    S[0] = s0; ``jumps[k]`` holds the jump events of step k, path indices
-    counted from the first path of the batch.
-    """
-
-    spec: LevyMarketSpec
-    grid: DiscreteJumpGrid
-    time_grid: TimeGrid
-    seed: int
-    path_offset: int
-    dW: np.ndarray
-    jumps: Tuple[JumpEvents, ...]
-    S: np.ndarray
-
-    @property
-    def n_paths(self) -> int:
-        return self.dW.shape[1]
-
-    @property
-    def dN(self) -> np.ndarray:
-        """Dense int16 counts (n_steps, n_bins, n_paths), built from the
-        events on every access; for outside readers of the dense layout
-        only, the package never builds it."""
-        dN = np.zeros((self.time_grid.n_steps, self.grid.points.size,
-                       self.n_paths), dtype=np.int16)
-        for k, ev in enumerate(self.jumps):
-            dN[k, ev.bin, ev.path] = ev.count
-        return dN
-
-
 def _simulate_steps(
     spec: LevyMarketSpec,
     grid: DiscreteJumpGrid,
     time_grid: TimeGrid,
     seed: int,
-    path_offset: int,
-    dW: np.ndarray,
-    S: np.ndarray,
+    n_paths: int,
     visit: Callable,
+    path_offset: int = 0,
 ) -> None:
-    """Simulate the steps in order into the caller's rows.
+    """Simulate the steps of paths path_offset.. path_offset + n_paths - 1
+    in order.
 
-    Step k draws dW_k into row k mod len(dW), takes the events of step k
-    from the jump pool and forms S_{k+1} from S_k in rows of S taken mod
-    len(S), then calls ``visit(k, dW_k, events_k, S_k, S_{k+1})`` with
-    the pool still drawing the later steps' jumps. Full arrays keep every
-    row; one dW row and two S rows are reused every step, so a row
-    outlives its step only if ``visit`` copies it. The pool is joined
-    before this returns or raises, whatever ``visit`` does.
+    Step k draws dW_k, takes the events of step k from the jump pool and
+    forms S_{k+1} from S_k, then calls ``visit(k, dW_k, events_k, S_k,
+    S_{k+1})`` with the pool still drawing the later steps' jumps. One dW
+    row and two S rows are reused every step, so a row outlives its step
+    only if ``visit`` copies it. A price that is not positive raises
+    ArithmeticError naming its step. The pool is joined before this
+    returns or raises, whatever ``visit`` does.
     """
-    n_paths = dW.shape[1]
     if n_paths < 1 or path_offset < 0:
         raise ValueError(f"bad path range: n_paths={n_paths}, path_offset={path_offset}")
     n_steps = time_grid.n_steps
@@ -373,14 +348,13 @@ def _simulate_steps(
 
     comp = grid.compensator()
     log_jump = grid.log_jumps()
-    S[0] = spec.s0
+    w, s, x = np.empty(n_paths), np.full(n_paths, float(spec.s0)), np.empty(n_paths)
     # Philox, the ufuncs, the uint64 comparison and flatnonzero release
     # the GIL; each task holds one stream of words at a time, and the
     # caller draws the Brownian stream, channel 0, while the pool runs
     with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
         tasks = pool.map(step_events, range(n_steps))
         for k in range(n_steps):
-            w, s, x = dW[k % len(dW)], S[k % len(S)], S[(k + 1) % len(S)]
             _brownian(seed, k, dt[k], path_offset, w)
             ev = next(tasks)
             # S_k exp((drift + sigma dW_k) + jumps), formed in its row in that order
@@ -391,32 +365,9 @@ def _simulate_steps(
             np.exp(x, out=x)
             x *= s
             if not np.all(x > 0):
-                raise AssertionError("simulated price lost positivity")
+                raise ArithmeticError(f"simulated price lost positivity at step {k}")
             visit(k, w, ev, s, x)
-
-
-def simulate_batch(
-    spec: LevyMarketSpec,
-    grid: DiscreteJumpGrid,
-    time_grid: TimeGrid,
-    n_paths: int,
-    seed: int,
-    path_offset: int = 0,
-) -> PathBatch:
-    """Simulate dW, the jump events, and the exact price paths.
-
-    Same seed gives the same batch for any chunking of the path range
-    (``path_offset`` addresses the first path of the chunk).
-    """
-    n_steps = time_grid.n_steps
-    dW, S = np.empty((n_steps, n_paths)), np.empty((n_steps + 1, n_paths))
-    jumps = []
-    _simulate_steps(spec, grid, time_grid, seed, path_offset, dW, S,
-                    lambda k, w, ev, s, x: jumps.append(ev))
-    return PathBatch(
-        spec=spec, grid=grid, time_grid=time_grid, seed=seed,
-        path_offset=path_offset, dW=dW, jumps=tuple(jumps), S=S,
-    )
+            s, x = x, s
 
 
 def payoff_put(s_t, strike: float):
@@ -445,43 +396,36 @@ def payoff_terminal(s_t, kind: str, strike: float):
     return fn(s_t, strike)
 
 
-def wealth_forward(batch: PathBatch, ctx: DriverContext, p0, p_sig,
-                   x: float) -> np.ndarray:
-    """Terminal wealth per path under a signal strategy.
+def wealth_step(X: np.ndarray, ctx: DriverContext, dt_k: float, dW_k: np.ndarray,
+                ev: JumpEvents, p0_k, p_sig) -> np.ndarray:
+    """Wealth per path at the end of a step, from the wealth X at its
+    start, under a signal strategy.
 
-    ``p0`` of shape (n_steps, n_paths) holds each path's no-signal
-    position over each step, taken from the state at the step's left
-    endpoint. ``p_sig`` holds one position per bin, traded when a jump
-    of a signal bin (``ctx.sig_mask``) arrives; jumps of the other bins
-    trade at p0. Raises if a shape or the jump grid differs from the
-    batch's, or if any traded position leaves [-pi_lower, pi_upper] or
-    is NaN.
+    ``p0_k`` holds each path's no-signal position over the step, taken
+    from the state at its left endpoint. ``p_sig`` holds one position
+    per bin, traded when a jump of a signal bin (``ctx.sig_mask``)
+    arrives; jumps of the other bins trade at p0_k. ``dW_k`` and ``ev``
+    are the step's increments and jump events on the grid of ``ctx``.
+    Raises if a shape is wrong or if any traded position leaves
+    [-pi_lower, pi_upper] or is NaN.
     """
-    p0 = np.asarray(p0, dtype=float)
+    p0_k = np.asarray(p0_k, dtype=float)
     p_sig = np.asarray(p_sig, dtype=float)
-    if p0.shape != batch.dW.shape:
-        raise ValueError(f"p0 must have shape {batch.dW.shape}, got {p0.shape}")
+    if p0_k.shape != X.shape:
+        raise ValueError(f"p0_k must have shape {X.shape}, got {p0_k.shape}")
     if p_sig.shape != ctx.sig_mask.shape:
         raise ValueError(f"p_sig must have one entry per bin, got shape {p_sig.shape}")
-    if not np.array_equal(ctx.grid.points, batch.grid.points):
-        raise ValueError("the strategy's jump grid differs from the batch's")
     sig_mask = ctx.sig_mask
     lo, hi = -ctx.pi_lower - 1e-12, ctx.pi_upper + 1e-12
-    for p in (p0, p_sig[sig_mask]):
+    for p in (p0_k, p_sig[sig_mask]):
         # written so that a NaN position fails too
         if not np.all((p >= lo) & (p <= hi)):
             raise ValueError("strategy position outside [-pi_lower, pi_upper]")
 
-    spec = batch.spec
-    eta = batch.grid.eta
-    comp = batch.grid.compensator()
-    dt = batch.time_grid.dt
-    X = np.full(batch.n_paths, float(x))
-    for k, ev in enumerate(batch.jumps):
-        pos = np.where(np.take(sig_mask, ev.bin), np.take(p_sig, ev.bin),
-                       np.take(p0[k], ev.path))
-        jump_pnl = np.bincount(ev.path, weights=pos * np.take(eta, ev.bin) * ev.count,
-                               minlength=batch.n_paths)
-        X = X + p0[k] * (spec.kappa * dt[k] + spec.sigma * batch.dW[k]) \
-            + jump_pnl - p0[k] * comp * dt[k]
-    return X
+    spec, grid = ctx.spec, ctx.grid
+    pos = np.where(np.take(sig_mask, ev.bin), np.take(p_sig, ev.bin),
+                   np.take(p0_k, ev.path))
+    jump_pnl = np.bincount(ev.path, weights=pos * np.take(grid.eta, ev.bin) * ev.count,
+                           minlength=X.size)
+    return X + p0_k * (spec.kappa * dt_k + spec.sigma * dW_k) \
+        + jump_pnl - p0_k * grid.compensator() * dt_k

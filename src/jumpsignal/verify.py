@@ -15,14 +15,16 @@ number of golden-section steps (``drivers.minimize_on_interval``). The
 batch checks take the BSDE solved under the real driver and run the
 solves they add on its cells and terminal values F (``sol.F``), so no
 noise between batches enters them. The statistical check,
-``check_martingale_optimality``, runs on a freshly seeded batch, never
-on the batch the solution was trained on, and only it allows for the
-noise between the two. A solution holds Ybar_k for k < n as one value
-per cell (``StepRecord.y_cells``), not one per path, and
-``check_y_bound`` reads those cell values. A strategy is plain data:
-``check_martingale_optimality`` reads the extracted no-signal positions
-on the fresh batch once, as an (n_steps, n_paths) array, forms each
-rival from it, and runs every one through ``simulate.wealth_forward``.
+``check_martingale_optimality``, runs on a fresh seed, never on the
+seed the solution was trained on, and only it allows for the noise
+between the two. A solution holds Ybar_k for k < n as one value per
+cell (``StepRecord.y_cells``), not one per path, and ``check_y_bound``
+reads those cell values. ``check_martingale_optimality`` streams the
+fresh seed through the step kernel, as the training seeds' cells are
+built: at each step it reads the extracted no-signal positions from
+S_k, forms each rival from them, and moves the wealth of the strategy
+and its seven rivals over the step with ``simulate.wealth_step``, so
+it holds eight wealth rows, never the fresh S or dW whole.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .drivers import (
     penalized_driver_fm_batch,
 )
 from .levy_model import HideLarge, HideSmall
-from .simulate import PathBatch, wealth_forward
+from .simulate import _simulate_steps, wealth_step
 
 __all__ = [
     "CheckReport",
@@ -246,41 +248,56 @@ def check_penalization(sol: BackwardSolution, ctx: DriverContext,
     return _report("penalization", len(margins), margins, 0.0)
 
 
-def check_martingale_optimality(fresh_batch: PathBatch, sol: BackwardSolution,
+def check_martingale_optimality(fresh_seed: int, sol: BackwardSolution,
                                 ctx: DriverContext, payoff_fn: Callable,
                                 x: float, eps_reg: float) -> CheckReport:
-    """Extracted strategy beats perturbations on a fresh batch, MC-wise.
+    """Extracted strategy beats perturbations on a fresh seed, MC-wise.
 
-    The rivals shift every position by each of +-0.05 and +-0.2 (clipped
-    to the box) or hold one box constant, 0, pi_upper or -pi_lower; each
-    margin is the mean utility gain over the rival plus 3 standard
-    errors. Also ties the simulated utility of the extracted strategy
-    back to -exp(-lam (x - Y_0)) within 3 (stderr + eps_reg), where
-    eps_reg = |Y_0(s1) - Y_0(s2)|, the spread of two seeds' solves,
-    allows for the noise between the training batch and the fresh one.
+    The fresh seed's paths are as many as the solution's, on its time
+    grid and on the market and jump grid of ``ctx``. The rivals shift
+    every position by each of +-0.05 and +-0.2 (clipped to the box) or
+    hold one box constant, 0, pi_upper or -pi_lower; each margin is the
+    mean utility gain over the rival plus 3 standard errors. Also ties
+    the simulated utility of the extracted strategy back to -exp(-lam
+    (x - Y_0)) within 3 (stderr + eps_reg), where eps_reg = |Y_0(s1) -
+    Y_0(s2)|, the spread of two seeds' solves, allows for the noise
+    between the training batch and the fresh one.
     """
-    if fresh_batch.seed == sol.cells.seed:
+    cells, tg = sol.cells, sol.cells.time_grid
+    if fresh_seed == cells.seed:
         raise ValueError("optimality must be checked on a fresh seed")
     value, positions = value_and_strategy(sol, x, ctx)
-    p0, p_sig = positions(fresh_batch), ctx.boundary_p
-    F = payoff_fn(fresh_batch.S[-1])
+    p_sig = ctx.boundary_p
     lo, hi = -ctx.pi_lower, ctx.pi_upper
+    shifts, constants = (0.05, -0.05, 0.2, -0.2), (0.0, hi, lo)
+    # the strategy, then its rivals, in the order of the margins
+    wealth = [np.full(cells.n_paths, float(x))
+              for _ in range(1 + len(shifts) + len(constants))]
+    dt, terminal = tg.dt, {}
 
-    def utility(*strategy):
-        X = wealth_forward(fresh_batch, ctx, *strategy, x)
-        return -guarded_exp(-ctx.lam * (X - F))
+    def step(k, dW_k, ev, S_k, S_next):
+        p0 = positions(k, S_k)
+        strategies = itertools.chain(
+            [(p0, p_sig)],
+            ((np.clip(p0 + d, lo, hi), np.clip(p_sig + d, lo, hi)) for d in shifts),
+            ((np.full(p0.shape, c), np.full(p_sig.shape, c)) for c in constants))
+        for i, strategy in enumerate(strategies):
+            wealth[i] = wealth_step(wealth[i], ctx, dt[k], dW_k, ev, *strategy)
+        if k == tg.n_steps - 1:
+            terminal["F"] = payoff_fn(S_next)
+
+    _simulate_steps(ctx.spec, ctx.grid, tg, fresh_seed, cells.n_paths, step)
+
+    def utility(X):
+        return -guarded_exp(-ctx.lam * (X - terminal["F"]))
 
     def mean_se(v):
         return float(np.mean(v)), float(np.std(v, ddof=1) / math.sqrt(v.size))
 
-    util_star = utility(p0, p_sig)
-    shifted = ((np.clip(p0 + d, lo, hi), np.clip(p_sig + d, lo, hi))
-               for d in (0.05, -0.05, 0.2, -0.2))
-    constant = ((np.full(p0.shape, c), np.full(p_sig.shape, c))
-                for c in (0.0, hi, lo))
+    util_star = utility(wealth[0])
     margins = []
-    for rival in itertools.chain(shifted, constant):
-        mean, se = mean_se(util_star - utility(*rival))
+    for X in wealth[1:]:
+        mean, se = mean_se(util_star - utility(X))
         margins.append(mean + 3.0 * se)
 
     mean_star, se_star = mean_se(util_star)

@@ -3,7 +3,15 @@
 The small grid has q = 3 marks per side at 0.5, 1, 2 so every bin weight
 has a short closed form; cutoff 0.7 splits it into one inner no-signal
 pair and two outer signal pairs under HideSmall.
+
+The package never holds a batch whole; the tests do, as a reference:
+``simulate_batch`` copies every step's rows out of the package's step
+kernel, and ``cells_of`` feeds the rows of a batch, simulated or made by
+hand, to the builder of ``simulate_cells``.
 """
+
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 import pytest
@@ -18,9 +26,62 @@ from jumpsignal import (
     TimeGrid,
     build_grid,
     payoff_put,
-    simulate_batch,
 )
-from jumpsignal.simulate import _poisson_cdf
+from jumpsignal.bsde_solver import CellIndex, _index
+from jumpsignal.levy_model import DiscreteJumpGrid
+from jumpsignal.simulate import JumpEvents, _poisson_cdf, _simulate_steps
+
+
+@dataclass(frozen=True, eq=False)
+class Batch:
+    """Increments and prices of a block of paths, every step kept.
+
+    dW has shape (n_steps, n_paths) and S (n_steps + 1, n_paths);
+    ``jumps[k]`` holds the jump events of step k, path indices counted
+    from the first path of the block, ``path_offset``.
+    """
+
+    spec: LevyMarketSpec
+    grid: DiscreteJumpGrid
+    time_grid: TimeGrid
+    seed: int
+    path_offset: int
+    dW: np.ndarray
+    jumps: Tuple[JumpEvents, ...]
+    S: np.ndarray
+
+    @property
+    def n_paths(self) -> int:
+        return self.dW.shape[1]
+
+
+def simulate_batch(spec, grid, time_grid, n_paths, seed, path_offset=0) -> Batch:
+    """The paths path_offset.. path_offset + n_paths - 1 of the seed, each
+    step's rows copied out of the step kernel as it reuses them."""
+    n_steps = time_grid.n_steps
+    dW, S, jumps = np.empty((n_steps, n_paths)), np.empty((n_steps + 1, n_paths)), []
+
+    def keep(k, dW_k, ev, S_k, S_next):
+        if k == 0:
+            S[0] = S_k
+        dW[k], S[k + 1] = dW_k, S_next
+        jumps.append(ev)
+
+    _simulate_steps(spec, grid, time_grid, seed, n_paths, keep, path_offset)
+    return Batch(spec=spec, grid=grid, time_grid=time_grid, seed=seed,
+                 path_offset=path_offset, dW=dW, jumps=tuple(jumps), S=S)
+
+
+def cells_of(batch: Batch, n_cells: int, min_count: int) -> CellIndex:
+    """The cell index of a batch at hand, its rows fed step after step to
+    the builder ``simulate_cells`` feeds as it simulates."""
+
+    def feed(add):
+        for k, ev in enumerate(batch.jumps):
+            add(k, batch.dW[k], ev, batch.S[k], batch.S[k + 1])
+
+    return _index(feed, n_cells, min_count, spec=batch.spec, grid=batch.grid,
+                  time_grid=batch.time_grid, seed=batch.seed, n_paths=batch.n_paths)
 
 
 @pytest.fixture(scope="session")

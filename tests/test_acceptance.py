@@ -13,7 +13,7 @@ strike 1, 65536 paths, 10 steps, 64 cells, 40-point jump grid, seeds
   moves Y0 by delta T
 * penalized solves increase in m and match the unpenalized solve to
   1e-12 once every truncation is inactive
-* the extracted strategy beats perturbed strategies on a fresh batch
+* the extracted strategy beats perturbed strategies on a fresh seed
   and its simulated utility ties back to the certainty equivalent
 * exactly solvable drivers recovered to 1e-12; backward values inside
   the a priori bound
@@ -22,10 +22,9 @@ strike 1, 65536 paths, 10 steps, 64 cells, 40-point jump grid, seeds
 import numpy as np
 import pytest
 
-from jumpsignal.bsde_solver import CellIndex, solve
+from jumpsignal.bsde_solver import simulate_cells, solve
 from jumpsignal.config import ExperimentConfig
 from jumpsignal.levy_model import HideLarge, HideSmall, NoSignal
-from jumpsignal.simulate import simulate_batch
 from jumpsignal.verify import (
     check_comparison,
     check_driver_kkt,
@@ -58,22 +57,17 @@ def grid(cfg, spec):
 
 
 @pytest.fixture(scope="module")
-def batches(cfg, spec, grid):
+def cells(cfg, spec, grid):
+    # one cell index per seed, shared by every solve on its paths
     tg = cfg.time_grid()
-    return [simulate_batch(spec, grid, tg, cfg.scheme.n_paths, s)
+    return [simulate_cells(spec, grid, tg, cfg.scheme.n_paths, s, cfg.scheme.n_cells,
+                           cfg.scheme.min_count)
             for s in cfg.scheme.seeds]
 
 
 @pytest.fixture(scope="module")
-def cells(cfg, batches):
-    # one cell index per batch, shared by every solve on it
-    return [CellIndex.build(b, cfg.scheme.n_cells, cfg.scheme.min_count)
-            for b in batches]
-
-
-@pytest.fixture(scope="module")
-def payoffs(cfg, batches):
-    return [cfg.payoff_values(b.S[-1]) for b in batches]
+def payoffs(cfg, cells):
+    return [cfg.payoff_values(c.S_last) for c in cells]
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +134,7 @@ def test_c_sweep_monotonicity(cfg, spec, grid, cells, payoffs, eps_hs, eps_hl):
     assert all(b - a <= eps for a, b in zip(hl, hl[1:])), hl
 
 
-def test_scenario_limit_exactness(cfg, spec, grid, batches, cells, payoffs,
+def test_scenario_limit_exactness(cfg, spec, grid, cells, payoffs,
                                   ctx_ns):
     r = check_scenario_limits(ctx_ns, n_samples=1000)
     print(r.line())
@@ -167,7 +161,7 @@ def test_driver_property_suite(ctx_hs):
         assert report.passed and report.violations == 0
 
 
-def test_comparison_oracle(cfg, batches, cells, payoffs, ctx_hs, eps_hs, sol_ref):
+def test_comparison_oracle(cfg, cells, payoffs, ctx_hs, eps_hs, sol_ref):
     delta = 0.05
 
     def shifted_fn(Z, U):
@@ -193,9 +187,8 @@ def test_penalization_convergence(sol_ref, ctx_hs):
     assert r.passed and r.violations == 0
 
 
-def test_martingale_optimality(cfg, spec, grid, sol_ref, ctx_hs, eps_hs):
-    fresh = simulate_batch(spec, grid, cfg.time_grid(), cfg.scheme.n_paths, 6053)
-    r = check_martingale_optimality(fresh, sol_ref, ctx_hs,
+def test_martingale_optimality(cfg, sol_ref, ctx_hs, eps_hs):
+    r = check_martingale_optimality(6053, sol_ref, ctx_hs,
                                     cfg.payoff_values, cfg.utility.x, eps_hs)
     print(r.line())
     assert r.passed and r.violations == 0

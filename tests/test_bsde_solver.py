@@ -11,20 +11,18 @@ import numpy as np
 import pytest
 from scipy.stats import norm, poisson
 
+from conftest import Batch, cells_of, simulate_batch
 from jumpsignal import (
     BasisPartition,
-    CellIndex,
     DriverContext,
     HideSmall,
     LevyMarketSpec,
     NoSignal,
-    PathBatch,
     TimeGrid,
     build_grid,
     constant_driver,
     driver_f_batch,
     payoff_put,
-    simulate_batch,
     simulate_cells,
     solve,
     value_and_strategy,
@@ -154,7 +152,7 @@ def test_partition_sort_matches_search(case, rng):
 
 
 def test_cell_index_ids_are_the_assigned_cells(batch_small):
-    cells = CellIndex.build(batch_small, n_cells=64, min_count=50)
+    cells = cells_of(batch_small, n_cells=64, min_count=50)
     for k, partition in enumerate(cells.partitions):
         ids = partition.assign(batch_small.S[k])
         assert np.array_equal(partition.sample_ids, ids)
@@ -168,7 +166,7 @@ def test_narrow_layouts_equal_the_int64_formulas(batch_small, n_cells, id_dtype)
     # wrap or a silent widening fails here
     for ev in batch_small.jumps:
         assert (ev.path.dtype, ev.bin.dtype, ev.count.dtype) == (np.int32, np.int16, np.int32)
-    cells = CellIndex.build(batch_small, n_cells=n_cells, min_count=1)
+    cells = cells_of(batch_small, n_cells=n_cells, min_count=1)
     nc = [part.n_cells for part in cells.partitions]
     ids = [part.assign(s).astype(np.int64) for part, s in zip(cells.partitions, batch_small.S)]
     for k, part in enumerate(cells.partitions):
@@ -193,7 +191,7 @@ def test_fit_recovers_cell_means(spec_small, grid_small, rng, path_values):
     batch = _flat_batch(spec_small, grid_small, np.zeros((1, 2000)), 2000, 1, rng)
     s = batch.S[0]
     t = s ** 2
-    cells = CellIndex.build(batch, n_cells=8, min_count=50)
+    cells = cells_of(batch, n_cells=8, min_count=50)
     sol = solve(cells, t, constant_driver(0.0))
     assert sol.cells is cells
     rec, partition = sol.steps[0], cells.partitions[0]
@@ -207,7 +205,7 @@ def test_fit_recovers_cell_means(spec_small, grid_small, rng, path_values):
     sol = solve(cells, g, constant_driver(0.0))
     assert path_values(sol)[0] == pytest.approx(g, rel=1e-12)
     # Y_0 weighs each cell by its paths: 2000 paths fill 7 cells unevenly
-    uneven = CellIndex.build(batch, n_cells=7, min_count=50)
+    uneven = cells_of(batch, n_cells=7, min_count=50)
     assert np.unique(uneven.partitions[0].counts).size > 1
     y0 = solve(uneven, t, constant_driver(0.0)).y0
     assert y0 == pytest.approx(float(np.mean(t)), rel=1e-12)
@@ -218,7 +216,7 @@ def test_fit_recovers_cell_means(spec_small, grid_small, rng, path_values):
 @pytest.fixture(scope="module")
 def cells_small(batch_small):
     # the reference experiment's 64 cells of at least 50 paths
-    return CellIndex.build(batch_small, n_cells=64, min_count=50)
+    return cells_of(batch_small, n_cells=64, min_count=50)
 
 
 def test_context_is_its_driver(ctx_hidesmall, rng):
@@ -290,7 +288,7 @@ def test_one_step_enumeration_oracle():
     se = float(np.std(F, ddof=1)) / math.sqrt(F.size)
     assert abs(float(np.mean(F)) - EF) < 4.0 * se
 
-    sol = solve(CellIndex.build(batch, n_cells=64, min_count=50), F, ctx)
+    sol = solve(cells_of(batch, n_cells=64, min_count=50), F, ctx)
     assert abs(sol.y0 - y0_star) < 1e-3
 
     # the regressed fields behind that value sit near their exact targets
@@ -306,8 +304,8 @@ def _flat_batch(spec, grid, dW, n_paths, n_steps, rng):
                   for _ in range(n_steps))
     S = 1.0 + 0.3 * rng.random((n_steps + 1, n_paths))
     tg = TimeGrid.uniform(n_steps, 1.0)
-    return PathBatch(spec=spec, grid=grid, time_grid=tg, seed=0,
-                     path_offset=0, dW=dW, jumps=jumps, S=S)
+    return Batch(spec=spec, grid=grid, time_grid=tg, seed=0,
+                 path_offset=0, dW=dW, jumps=jumps, S=S)
 
 
 def test_jump_free_closed_form(spec_small, grid_small, rng, path_values):
@@ -320,7 +318,7 @@ def test_jump_free_closed_form(spec_small, grid_small, rng, path_values):
 
     dW = rng.uniform(-0.05, 0.05, size=(4, 200))
     batch = _flat_batch(spec_small, grid_small, dW, 200, 4, rng)
-    cells = CellIndex.build(batch, n_cells=4, min_count=10)
+    cells = cells_of(batch, n_cells=4, min_count=10)
     y0_zero = solve(cells, np.zeros(200), sigma_only).y0
     assert y0_zero == 0.0
     sol = solve(cells, np.full(200, 0.3), sigma_only)
@@ -332,7 +330,7 @@ def test_jump_free_closed_form(spec_small, grid_small, rng, path_values):
 def test_step_cellwise_oracle(batch_small, payoff_small, dense_counts, path_values):
     # the last step (k = 3 of 4) regresses on the terminal values
     k = 3
-    sol = solve(CellIndex.build(batch_small, n_cells=8, min_count=50), payoff_small,
+    sol = solve(cells_of(batch_small, n_cells=8, min_count=50), payoff_small,
                 constant_driver(0.0))
     rec = sol.steps[k]
     assert rec.y_coef.shape == (8,) and rec.z_coef.shape == (8,)
@@ -357,7 +355,7 @@ def test_jump_target_event_scatter(batch_small, ctx_hidesmall, payoff_small,
                                    dense_counts, path_values):
     # every step, bin and cell: the event scatter equals the in-cell mean
     # of Ybar_{k+1} (dN_k(i) - nu_i dt_k) over the dense counts, / nu_i dt_k
-    cells = CellIndex.build(batch_small, n_cells=8, min_count=50)
+    cells = cells_of(batch_small, n_cells=8, min_count=50)
     sol = solve(cells, payoff_small, ctx_hidesmall)
     nu = batch_small.grid.weights
     y_paths = path_values(sol)
@@ -418,15 +416,14 @@ def test_value_and_strategy(batch_small, batch_small_b, payoff_small, ctx_hidesm
     value, positions = value_and_strategy(sol, 0.3, ctx_hidesmall)
     assert value == pytest.approx(-math.exp(-0.4 * (0.3 - sol.y0)), rel=1e-14)
     # each step's prices of any batch land in that step's cells
-    p0 = positions(batch_small_b)
+    p0 = np.stack([positions(k, S_k) for k, S_k in enumerate(batch_small_b.S[:-1])])
     assert p0.shape == batch_small_b.dW.shape
     for k, rec in enumerate(sol.steps):
         ids = cells_small.partitions[k].assign(batch_small_b.S[k])
         assert np.array_equal(p0[k], rec.p_cells[ids])
     # on the training batch they are the argmins of the paths' own cells
-    p0_train = positions(batch_small)
     for k, rec in enumerate(sol.steps):
-        assert np.array_equal(p0_train[k],
+        assert np.array_equal(positions(k, batch_small.S[k]),
                               rec.p_cells[cells_small.partitions[k].sample_ids])
     assert np.all(p0 >= -1.0) and np.all(p0 <= 1.0)
     with pytest.raises(ValueError):
@@ -480,7 +477,7 @@ def test_cell_pass_matches_path_reference(batch_small, batch_wide, ctx_hidesmall
     payoff = payoff_put(batch.S[-1], 1.0)
     fn = {"zero": constant_driver(0.0), "constant": constant_driver(0.05),
           "hidesmall": ctx_hidesmall}[driver]
-    cells = CellIndex.build(batch, n_cells=n_cells, min_count=min_count)
+    cells = cells_of(batch, n_cells=n_cells, min_count=min_count)
     nc = [part.n_cells for part in cells.partitions]
     if n_cells >= 300:
         assert max(nc) > 256
@@ -513,7 +510,7 @@ def test_same_seed_same_y0(spec_small, grid_small, tg_small, ctx_hidesmall):
     y0s = []
     for _ in range(2):
         batch = simulate_batch(spec_small, grid_small, tg_small, 4096, seed=101)
-        cells = CellIndex.build(batch, n_cells=64, min_count=50)
+        cells = cells_of(batch, n_cells=64, min_count=50)
         y0s.append(solve(cells, payoff_put(batch.S[-1], 1.0), ctx_hidesmall).y0)
     assert np.float64(y0s[0]).tobytes() == np.float64(y0s[1]).tobytes()
 
@@ -555,12 +552,12 @@ def test_streamed_cells_equal_the_batch_build(n_paths, n_cells):
     cfg, args = _reference_args(n_paths)
     streamed = simulate_cells(*args, 1, n_cells, 50)
     batch = simulate_batch(*args, 1)
-    built = CellIndex.build(batch, n_cells, 50)
+    built = cells_of(batch, n_cells, 50)
     _assert_same_cells(streamed, built)
     assert np.array_equal(streamed.S_last, batch.S[-1])
     assert np.array_equal(streamed.dW_last, batch.dW[-1])
     # the index keeps no batch, and of the batch's arrays two rows
-    assert not any(isinstance(val, PathBatch) for val in vars(streamed).values())
+    assert not any(isinstance(val, Batch) for val in vars(streamed).values())
     assert [name for name, val in vars(streamed).items()
             if isinstance(val, np.ndarray)] == ["S_last", "dW_last"]
     F = cfg.payoff_values(batch.S[-1])

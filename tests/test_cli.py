@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from jumpsignal.cli import RESULT_COLUMNS, main
+from jumpsignal.cli import RESULT_COLUMNS, SCENARIO_LABELS, main
 from jumpsignal.config import (
     ExperimentConfig,
     MarketBlock,
@@ -376,7 +376,7 @@ PROCESS_CONFIGS = [
 @pytest.fixture
 def cpus(monkeypatch):
     """cpus(n): every caller of os.sched_getaffinity sees n CPUs: the
-    sweep's process count and simulate_batch's thread pool alike."""
+    sweep's process count and the step kernel's thread pool alike."""
     def set_cpus(n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
     return set_cpus
@@ -441,12 +441,12 @@ def test_sweep_raises_a_worker_failure(cfg_file, tmp_path, monkeypatch, cpus, st
     def failing(spec, grid, time_grid, n_paths, seed, n_cells, min_count):
         seen.append(seed)
         if seed == 2:
-            raise AssertionError("simulated price lost positivity")
+            raise RuntimeError("injected worker failure")
         return exact(spec, grid, time_grid, n_paths, seed, n_cells, min_count)
 
     monkeypatch.setattr(cli, "simulate_cells", failing)
     cpus(2)
-    with pytest.raises(AssertionError, match="lost positivity"):
+    with pytest.raises(RuntimeError, match="injected worker failure"):
         main(["sweep", "--config", str(cfg_file), "--out", str(tmp_path / "r.csv")])
     assert seen == [1]  # seed 2 failed in the worker
     assert len(started) == 1
@@ -470,6 +470,54 @@ def test_solve_writes_error_row_and_exits_1(cfg_file, capsys, monkeypatch):
     assert row["config_hash"] == config_hash(load_config(cfg_file))
     assert row["status"].startswith("error: driver failed at step ")
     assert "overflow guard" in row["status"]
+
+
+def test_a_seed_that_loses_positivity_gives_error_rows(tmp_path, cpus, capsys):
+    # at rho = 1500 the compensator drift takes every price to 0 in the
+    # first step: each scenario of each seed gets an error row naming the
+    # step, in the worker process too, and verify ends on its error line
+    config = tmp_path / "rho.yaml"
+    config.write_text(SMALL_YAML.replace("market: {T: 0.5}", "market: {T: 0.5, rho: 1500}"))
+    status = "error: simulated price lost positivity at step 0"
+    assert main(["solve", "--config", str(config)]) == 1
+    [row] = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert (row["scenario"], row["c"], row["seed"], row["status"]) == \
+        ("hide-small", "0.7", "1", status)
+    assert row["y0"] == row["value"] == row["wall_time"] == ""
+
+    cpus(2)
+    results, summary = tmp_path / "results.csv", tmp_path / "summary.csv"
+    assert main(["sweep", "--config", str(config), "--out", str(results),
+                 "--summary", str(summary)]) == 0
+    rows = list(csv.DictReader(io.StringIO(results.read_text())))
+    assert [(r["c"], r["seed"], r["status"]) for r in rows] == \
+        [(c, seed, status) for c in ("0.7", "1.5") for seed in ("1", "2")]
+    assert summary.read_text().splitlines() == ["scenario,c,n_seeds,y0_mean,y0_spread"]
+
+    assert main(["verify", "--config", str(config), "--samples", "60"]) == 1
+    out, err = capsys.readouterr()
+    assert set(DRIVER_CHECKS) <= {ln.split(":")[0] for ln in out.splitlines()}
+    assert err.splitlines() == [f"jumpsignal: error: {status[len('error: '):]}"]
+
+
+def test_report_rejects_an_unknown_scenario(tmp_path, capsys):
+    # report names its files after the scenario: '../escaped' would write
+    # <out-dir>/../escaped.dat, outside the out-dir
+    assert SCENARIO_LABELS == (NoSignal().label(), HideSmall(c=1.0).label(),
+                               HideLarge(c=1.0).label())
+    results, out_dir = tmp_path / "results.csv", tmp_path / "out"
+    results.write_text(",".join(RESULT_COLUMNS) + "\n"
+                       "hide-small,0.7,1,0.25,-1.0,0.1,abcd,ok\n"
+                       "../escaped,0.7,1,0.25,-1.0,0.1,abcd,ok\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--results", str(results), "--out-dir", str(out_dir)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"jumpsignal: error: {results}:3: unknown scenario '../escaped'; "
+        "options: no-signal, hide-small, hide-large"]
+    assert sorted(os.listdir(tmp_path)) == ["results.csv"]
 
 
 def test_report_files(sweep_files, tmp_path, capsys):
@@ -710,6 +758,11 @@ BAD_RANGES = {
     "grid: {layout: spiral}": "unknown grid layout 'spiral'",
     "grid: {e_min: 6.0}": "need 0 < e_min < e_max, got (6.0, 5.0)",
     "payoff: {strike: -1.0}": "strike must be > 0, got -1.0",
+    # bins this narrow near 0 carry a Poisson mean whose exp(-mu) underflows
+    "grid: {e_min: 1.0e-10}": "jump bin mean nu_i dt_k = 1517.74 is too large for the "
+                              "Poisson draw: exp(-mu) underflows past 708.39",
+    "grid: {e_min: 3.0e-10}": "jump bin mean nu_i dt_k = 859 is too large for the "
+                              "Poisson draw: exp(-mu) underflows past 708.39",
 }
 
 
@@ -788,14 +841,15 @@ def test_override_error_is_one_line(capsys):
 
 @pytest.fixture
 def no_batches(monkeypatch):
-    """A command that simulates a batch or a seed's cells fails the test."""
-    from jumpsignal import cli
+    """A command that simulates a seed's cells or verify's fresh seed
+    fails the test."""
+    from jumpsignal import cli, verify
 
-    for name in ("simulate_batch", "simulate_cells"):
+    for module, name in ((cli, "simulate_cells"), (verify, "_simulate_steps")):
         def called(*args, name=name):
             raise AssertionError(f"{name} was called")
 
-        monkeypatch.setattr(cli, name, called)
+        monkeypatch.setattr(module, name, called)
 
 
 def _one_line_usage_error(argv, capsys) -> str:

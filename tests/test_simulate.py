@@ -14,18 +14,15 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import poisson
 
+from conftest import simulate_batch
 from jumpsignal import (
-    DriverContext,
     LevyMarketSpec,
-    NoSignal,
-    PathBatch,
     TimeGrid,
     build_grid,
     payoff_digital,
     payoff_put,
     payoff_terminal,
-    simulate_batch,
-    wealth_forward,
+    wealth_step,
 )
 from jumpsignal import simulate
 from jumpsignal.config import ExperimentConfig
@@ -71,9 +68,6 @@ def test_batch_shapes_and_determinism(spec_small, grid_small, tg_small,
         dense = dense_counts(b, k)
         assert np.array_equal(ev.count, dense[ev.bin, ev.path])
         assert ev.count.size == np.count_nonzero(dense)
-        # the dense view for outside readers agrees
-        assert np.array_equal(b.dN[k], dense)
-    assert b.dN.shape == (4, 6, 64) and b.dN.dtype == np.int16
     again = simulate_batch(spec_small, grid_small, tg_small, 64, seed=9)
     assert np.array_equal(b.dW, again.dW)
     for ev, ev_again in zip(b.jumps, again.jumps):
@@ -402,6 +396,24 @@ def test_poisson_cdf_runs_until_it_saturates():
         _poisson_cdf(-1.0)
 
 
+def test_poisson_mean_past_underflow_is_rejected():
+    # past mu = 745.13 exp(-mu) is 0: the cdf was [0.0] and every draw
+    # counted exactly one jump; from 708.39 on exp(-mu) is subnormal and the
+    # cdf ends off 1 (at 745.1 it summed to 1.93)
+    for mu in (708.4, 720.0, 745.1, 745.2, 1517.7):
+        with pytest.raises(ValueError, match="underflows past 708.39"):
+            _poisson_cdf(mu)
+    assert _poisson_cdf(708.3)[-1] == pytest.approx(1.0, abs=1e-12)
+    # the reference market on bins from 1e-10: the two innermost bins
+    # carry 1517.7 jumps a step, and no batch is drawn
+    cfg = ExperimentConfig()
+    spec = cfg.market_spec()
+    grid = build_grid(20, spec, e_min=1e-10, e_max=5.0)
+    assert float(grid.weights.max()) * 0.1 == pytest.approx(1517.7, rel=1e-4)
+    with pytest.raises(ValueError, match="nu_i dt_k = 1517.74"):
+        simulate_batch(spec, grid, cfg.time_grid(), 64, seed=1)
+
+
 def test_poisson_events_are_the_nonzero_inverse_cdf(poisson_invcdf):
     words = np.random.default_rng(78).integers(0, 2 ** 64, size=20000,
                                                dtype=np.uint64)
@@ -508,28 +520,21 @@ def test_payoffs():
             payoff_terminal(s, kind, 1.0)
 
 
-def _hand_batch(spec, grid, dW, dN_sparse, n_paths):
-    """One-step batch with prescribed increments, jumps given as
-    {(bin, path): count}; prices are only used as regressors so any
-    positive values do."""
-    tg = TimeGrid.uniform(1, 0.5)
+def _hand_step(dN_sparse):
+    """The jump events of one step, given as {(bin, path): count}."""
     keys = sorted(dN_sparse)  # (bin, path) order is bin-major
-    ev = JumpEvents(path=np.array([p for _, p in keys], dtype=np.intp),
-                    bin=np.array([j for j, _ in keys], dtype=np.intp),
-                    count=np.array([dN_sparse[key] for key in keys], dtype=np.int64))
-    S = np.ones((2, n_paths))
-    return PathBatch(spec=spec, grid=grid, time_grid=tg, seed=0,
-                     path_offset=0, dW=np.asarray(dW, float).reshape(1, -1),
-                     jumps=(ev,), S=S)
+    return JumpEvents(path=np.array([p for _, p in keys], dtype=np.intp),
+                      bin=np.array([j for j, _ in keys], dtype=np.intp),
+                      count=np.array([dN_sparse[key] for key in keys], dtype=np.int64))
 
 
-def test_wealth_hand_case(spec_small, grid_small, ctx_hidesmall):
-    batch = _hand_batch(spec_small, grid_small, [0.1, 0.0, -0.2, 0.0],
-                        {(5, 1): 1, (2, 2): 1, (2, 3): 1, (5, 3): 2}, 4)
+def test_wealth_hand_case(grid_small, ctx_hidesmall):
+    ev = _hand_step({(5, 1): 1, (2, 2): 1, (2, 3): 1, (5, 3): 2})
+    dW = np.array([0.1, 0.0, -0.2, 0.0])
     eta = grid_small.eta
     comp = sum(float(eta[i] * grid_small.weights[i]) for i in range(6))
     p_sig = np.array([-1.0, -1.0, 0.25, 0.25, 1.0, 1.0])
-    X = wealth_forward(batch, ctx_hidesmall, np.full((1, 4), 0.5), p_sig, 0.0)
+    X = wealth_step(np.zeros(4), ctx_hidesmall, 0.5, dW, ev, np.full(4, 0.5), p_sig)
     drift = -0.5 * comp * 0.5  # p0 * comp * dt charged on every path
     # path 0: Brownian only; path 1: signal jump at +2 trades p_sig = 1;
     # path 2: no-signal jump at -0.5 trades p0 despite p_sig = 0.25;
@@ -538,38 +543,38 @@ def test_wealth_hand_case(spec_small, grid_small, ctx_hidesmall):
     assert X[1] == pytest.approx(1.0 * 0.99 + drift, abs=1e-14)
     assert X[2] == pytest.approx(0.5 * 0.2 * -0.2 + 0.5 * -0.5 + drift, abs=1e-14)
     assert X[3] == pytest.approx(2 * 1.0 * 0.99 + 0.5 * -0.5 + drift, abs=1e-14)
+    # a step adds to the wealth at its start
+    X1 = wealth_step(np.full(4, 0.25), ctx_hidesmall, 0.5, dW, ev, np.full(4, 0.5), p_sig)
+    assert X1 - 0.25 == pytest.approx(X, abs=1e-15)
 
 
-def test_wealth_nosignal_ignores_psig(spec_small, grid_small, ctx_nosignal):
-    batch = _hand_batch(spec_small, grid_small, [0.05, -0.1], {(4, 0): 2}, 2)
-    p0 = np.full((1, 2), 0.7)
+def test_wealth_nosignal_ignores_psig(ctx_nosignal):
+    ev, dW = _hand_step({(4, 0): 2}), np.array([0.05, -0.1])
+    p0 = np.full(2, 0.7)
     wild = np.full(6, 77.0)  # never applied, so not checked against the box
-    assert np.array_equal(wealth_forward(batch, ctx_nosignal, p0, np.full(6, 0.7), 0.0),
-                          wealth_forward(batch, ctx_nosignal, p0, wild, 0.0))
+    assert np.array_equal(wealth_step(np.zeros(2), ctx_nosignal, 0.5, dW, ev, p0,
+                                      np.full(6, 0.7)),
+                          wealth_step(np.zeros(2), ctx_nosignal, 0.5, dW, ev, p0, wild))
 
 
-def test_wealth_bounds_enforced(spec_small, grid_small, ctx_nosignal, ctx_hidesmall):
-    batch = _hand_batch(spec_small, grid_small, [0.0, 0.0], {}, 2)
-    ok = np.full((1, 2), 0.5)
-    for p0 in (np.array([[0.5, 1.5]]), np.array([[np.nan, 0.5]])):
+def test_wealth_bounds_enforced(ctx_nosignal, ctx_hidesmall):
+    ev, dW = _hand_step({}), np.zeros(2)
+    ok = np.full(2, 0.5)
+    for p0 in (np.array([0.5, 1.5]), np.array([np.nan, 0.5])):
         with pytest.raises(ValueError, match="outside"):
-            wealth_forward(batch, ctx_nosignal, p0, np.zeros(6), 0.0)
+            wealth_step(np.zeros(2), ctx_nosignal, 0.5, dW, ev, p0, np.zeros(6))
     # hide-small signals the outer bins 0, 1, 4 and 5
     for bad in (-1.2, np.nan):
         p_sig = np.array([0.5, 0.5, 0.5, 0.5, 0.5, bad])
         with pytest.raises(ValueError, match="outside"):
-            wealth_forward(batch, ctx_hidesmall, ok, p_sig, 0.0)
+            wealth_step(np.zeros(2), ctx_hidesmall, 0.5, dW, ev, ok, p_sig)
 
 
-def test_wealth_rejects_shapes(spec_small, grid_small, ctx_nosignal):
-    # positions for every step and path, one signal position per bin, and
-    # the strategy's grid is the batch's
-    batch = _hand_batch(spec_small, grid_small, [0.0, 0.0], {}, 2)
-    for p0 in (np.zeros(2), np.zeros((1, 3)), np.zeros((2, 2))):
-        with pytest.raises(ValueError, match="p0 must have shape"):
-            wealth_forward(batch, ctx_nosignal, p0, np.zeros(6), 0.0)
+def test_wealth_rejects_shapes(ctx_nosignal):
+    # one position per path, one signal position per bin
+    ev, dW = _hand_step({}), np.zeros(2)
+    for p0 in (np.zeros(1), np.zeros(3), np.zeros((1, 2))):
+        with pytest.raises(ValueError, match="p0_k must have shape"):
+            wealth_step(np.zeros(2), ctx_nosignal, 0.5, dW, ev, p0, np.zeros(6))
     with pytest.raises(ValueError, match="one entry per bin"):
-        wealth_forward(batch, ctx_nosignal, np.zeros((1, 2)), np.zeros((6, 1)), 0.0)
-    other = DriverContext(spec_small, build_grid(4, spec_small), NoSignal(), 0.4)
-    with pytest.raises(ValueError, match="jump grid"):
-        wealth_forward(batch, other, np.zeros((1, 2)), np.zeros(8), 0.0)
+        wealth_step(np.zeros(2), ctx_nosignal, 0.5, dW, ev, np.zeros(2), np.zeros((6, 1)))

@@ -3,12 +3,16 @@ just as importantly, fail loudly on a corrupted one."""
 
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from jumpsignal import CellIndex, constant_driver, payoff_put, solve, verify
+from conftest import cells_of, simulate_batch
+from jumpsignal import (constant_driver, payoff_put, simulate_cells, solve, value_and_strategy,
+                        verify)
+from jumpsignal.config import FRESH_SEED_OFFSET, ExperimentConfig
 from jumpsignal.verify import (
     CheckReport,
     check_comparison,
@@ -37,7 +41,7 @@ N_CELLS = 16  # 4096-path batches: keep cells well populated
 
 @pytest.fixture(scope="module")
 def cells_small(batch_small):
-    return CellIndex.build(batch_small, n_cells=N_CELLS, min_count=50)
+    return cells_of(batch_small, n_cells=N_CELLS, min_count=50)
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +54,7 @@ def sol_small(batch_small, payoff_small, ctx_hidesmall, cells_small):
 @pytest.fixture(scope="module")
 def eps_reg(sol_small, batch_small_b, payoff_small_b, ctx_hidesmall):
     # the Y_0 spread between two batches, as verify computes it
-    cells_b = CellIndex.build(batch_small_b, n_cells=N_CELLS, min_count=50)
+    cells_b = cells_of(batch_small_b, n_cells=N_CELLS, min_count=50)
     return abs(sol_small.y0 - solve(cells_b, payoff_small_b, ctx_hidesmall).y0)
 
 
@@ -209,7 +213,7 @@ def test_penalization_detects_a_wrong_fm_slope(sol_small, ctx_hidesmall, monkeyp
 
 def test_martingale_optimality_pass(batch_small_b, sol_small, ctx_hidesmall,
                                     eps_reg):
-    r = check_martingale_optimality(batch_small_b, sol_small, ctx_hidesmall,
+    r = check_martingale_optimality(batch_small_b.seed, sol_small, ctx_hidesmall,
                                     lambda s: payoff_put(s, 1.0), 0.0, eps_reg)
     assert r.passed and r.violations == 0
 
@@ -220,7 +224,7 @@ def test_martingale_optimality_detects_signal_position(batch_small_b, sol_small,
     # jumps gives up what the signal reveals: some rival must beat it
     mutant = copy.copy(ctx_hidesmall)
     object.__setattr__(mutant, "boundary_p", np.zeros_like(ctx_hidesmall.boundary_p))
-    r = check_martingale_optimality(batch_small_b, sol_small, mutant,
+    r = check_martingale_optimality(batch_small_b.seed, sol_small, mutant,
                                     lambda s: payoff_put(s, 1.0), 0.0, eps_reg)
     print(r.line())
     assert not r.passed and r.violations > 0
@@ -229,8 +233,92 @@ def test_martingale_optimality_detects_signal_position(batch_small_b, sol_small,
 def test_martingale_rejects_training_seed(batch_small, sol_small, ctx_hidesmall,
                                           eps_reg):
     with pytest.raises(ValueError):
-        check_martingale_optimality(batch_small, sol_small, ctx_hidesmall,
+        check_martingale_optimality(batch_small.seed, sol_small, ctx_hidesmall,
                                     lambda s: payoff_put(s, 1.0), 0.0, eps_reg)
+
+
+def _martingale_margins_of_a_batch(batch, sol, ctx, payoff_fn, x, eps_reg, dense_counts):
+    """check_martingale_optimality's margins recomputed on a whole batch:
+    every step's positions at once, and each strategy's jump P&L summed
+    over the bins of the dense counts, which are drawn from the uniform
+    streams apart from the batch's events; the terms of a path add up in
+    the events' bin order, so every margin keeps its bits."""
+    value, positions = value_and_strategy(sol, x, ctx)
+    n_steps = batch.time_grid.n_steps
+    p0 = np.stack([positions(k, batch.S[k]) for k in range(n_steps)])
+    p_sig, lo, hi = ctx.boundary_p, -ctx.pi_lower, ctx.pi_upper
+    strategies = [(p0, p_sig)]
+    strategies += [(np.clip(p0 + d, lo, hi), np.clip(p_sig + d, lo, hi))
+                   for d in (0.05, -0.05, 0.2, -0.2)]
+    strategies += [(np.full(p0.shape, c), np.full(p_sig.shape, c)) for c in (0.0, hi, lo)]
+    eta, comp, dt = ctx.grid.eta, ctx.grid.compensator(), batch.time_grid.dt
+    dN = [dense_counts(batch, k) for k in range(n_steps)]
+    F = payoff_fn(batch.S[-1])
+    utils = []
+    for q0, q_sig in strategies:
+        X = np.full(batch.n_paths, float(x))
+        for k in range(n_steps):
+            jump_pnl = np.zeros(batch.n_paths)
+            for j in range(eta.size):
+                pos = q_sig[j] if ctx.sig_mask[j] else q0[k]
+                jump_pnl += pos * eta[j] * dN[k][j]
+            X = X + q0[k] * (ctx.spec.kappa * dt[k] + ctx.spec.sigma * batch.dW[k]) \
+                + jump_pnl - q0[k] * comp * dt[k]
+        utils.append(-np.exp(-ctx.lam * (X - F)))
+
+    def mean_se(v):
+        return float(np.mean(v)), float(np.std(v, ddof=1) / math.sqrt(v.size))
+
+    margins = []
+    for u in utils[1:]:
+        mean, se = mean_se(utils[0] - u)
+        margins.append(mean + 3.0 * se)
+    mean_star, se_star = mean_se(utils[0])
+    margins.append(3.0 * (se_star + eps_reg) - abs(mean_star - value))
+    return np.array(margins)
+
+
+@pytest.mark.parametrize("ctx_name,x", [("ctx_hidesmall", 0.0), ("ctx_hidelarge", 0.3),
+                                        ("ctx_nosignal", 0.0), ("ctx_drift", -0.2)])
+def test_streamed_martingale_margins_equal_the_whole_batch(ctx_name, x, request, tg_small,
+                                                           dense_counts, report_margins):
+    # the check streams the fresh seed one step at a time; the margins
+    # recomputed on the whole fresh batch agree bit for bit
+    ctx = request.getfixturevalue(ctx_name)
+    train, fresh = (simulate_batch(ctx.spec, ctx.grid, tg_small, 4096, seed)
+                    for seed in (101, 202))
+    sol = solve(cells_of(train, N_CELLS, 50), payoff_put(train.S[-1], 1.0), ctx)
+
+    def payoff_fn(s):
+        return payoff_put(s, 1.0)
+
+    r = check_martingale_optimality(fresh.seed, sol, ctx, payoff_fn, x, 0.01)
+    want = _martingale_margins_of_a_batch(fresh, sol, ctx, payoff_fn, x, 0.01, dense_counts)
+    assert r.samples == 8
+    assert report_margins[-1].tobytes() == want.tobytes()
+
+
+def test_fresh_seed_is_never_held_whole():
+    # the reference config: the check holds eight wealth rows, the
+    # strategy's and its seven rivals', and the step kernel's three rows;
+    # simulating the whole fresh batch first, 21 rows of 65536 doubles,
+    # and then running the check peaked at 33.1 MB
+    cfg = ExperimentConfig()
+    spec = cfg.market_spec()
+    grid = cfg.jump_grid(spec)
+    ctx = cfg.driver_context(spec, grid, cfg.scenarios()[0])
+    cells = simulate_cells(spec, grid, cfg.time_grid(), cfg.scheme.n_paths, 1,
+                           cfg.scheme.n_cells, cfg.scheme.min_count)
+    sol = solve(cells, cfg.payoff_values(cells.S_last), ctx)
+    tracemalloc.start()
+    try:
+        r = check_martingale_optimality(1 + FRESH_SEED_OFFSET, sol, ctx, cfg.payoff_values,
+                                        cfg.utility.x, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.samples == 8
+    assert peak < 20 * 2 ** 20
 
 
 def test_scheme_oracles_pass(sol_small):
