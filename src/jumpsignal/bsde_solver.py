@@ -17,29 +17,24 @@ step-0 cell values.
 
 The regressed fields are cell-constant, so the driver is evaluated once
 per cell, and every Ybar_k for k < n is constant on step k's cells: the
-pass carries one value per cell, never one per path. Only the last step
-regresses the terminal values F over the paths. At every earlier step the
-in-cell sums of Ybar_{k+1} and Ybar_{k+1} dW_k are the batch's
-(cell at k, cell at k + 1) transition tables, of path counts and of
-summed dW_k, times the cell vector of Ybar_{k+1}. So after the terminal
-step a solve's cost does not grow with the path count.
-
-The jump target of cell j and bin i is a scatter over the step's jump
-events (the jump regression of Bouchard and Elie, 2008),
+pass carries one value per cell, never one per path. The jump target
+of cell j and bin i is a scatter over the step's jump events (the jump
+regression of Bouchard and Elie, 2008),
 
     (sum over events of bin i in j of Ybar_{k+1} count
      - nu_i dt_k sum over paths in j of Ybar_{k+1}) / n_j,
 
-so no dense (n_bins, n_paths) matrix is formed; an event reads
-Ybar_{k+1} from its path at the last step and from its path's
-step-(k+1) cell before it. The cells, each path's cell and the
-transition tables depend only on the batch, n_cells and min_count: a
-``CellIndex`` holds them, with the jump events, the terminal prices and
-the last step's dW, and every solve on the batch takes it alone. It is
-built once per seed, as the steps are simulated (``simulate_cells``),
-so the batch's S and dW are never held whole. Each step forms its
-events' (bin, cell) keys from the path cells, which costs less than
-keeping them. A solution keeps its cell index.
+so no dense (n_bins, n_paths) matrix is formed. The terminal values F
+depend only on the batch and the payoff, so the last step's in-cell sums
+of F, F dW_{n-1} and F count are taken once, as the cells are built. At
+every earlier step the sums are the (cell at k, cell at k + 1) tables of
+path counts and of summed dW_k times the cell vector of Ybar_{k+1}, and
+a scatter of that vector over the events, each kept as its (bin, cell)
+key, next cell and count. A ``CellIndex`` holds all of this and no array
+with one entry per path, so a solve's cost does not grow with the path
+count. It is built once per (seed, payoff) while the steps are simulated
+(``simulate_cells``), so S and dW are never held whole. A solution keeps
+its cell index.
 """
 
 from __future__ import annotations
@@ -52,7 +47,7 @@ import numpy as np
 
 from .drivers import DriverContext, guarded_exp
 from .levy_model import DiscreteJumpGrid, LevyMarketSpec
-from .simulate import JumpEvents, TimeGrid, _simulate_steps
+from .simulate import TimeGrid, _simulate_steps
 
 __all__ = [
     "BasisPartition",
@@ -80,12 +75,12 @@ class BasisPartition:
     ``from_sample`` sorts the sample once: each candidate edge is a sample
     price, the sorted price at index ceil((n - 1) j / m) (numpy's "higher"
     quantile), each cell is counted by locating the edges in it, and the
-    cell of every sample price (``sample_ids``) is scattered back through
-    the sort order. ``assign`` places fresh prices: a price equal to an
-    edge takes the cell right of it, and a price between an edge and the
-    sample price below it takes the cell left of it.
+    cell of every sample price is scattered back through the sort order
+    and returned with the partition. ``assign`` places fresh prices: a
+    price equal to an edge takes the cell right of it, and a price between
+    an edge and the sample price below it takes the cell left of it.
 
-    ``sample_ids`` has the narrowest unsigned type that holds the cell ids
+    The ids have the narrowest unsigned type that holds the cell ids
     below the requested ``n_cells`` (uint8 up to 256 cells, uint16 up to
     65536); the ``min_count`` rule only lowers the count. A reader that
     multiplies ids widens them first: under NumPy 2 promotion an id array
@@ -94,7 +89,6 @@ class BasisPartition:
 
     edges: np.ndarray
     counts: np.ndarray
-    sample_ids: Optional[np.ndarray] = None
 
     def __post_init__(self):
         e = np.asarray(self.edges, dtype=float)
@@ -111,7 +105,8 @@ class BasisPartition:
         return np.searchsorted(self.edges, np.asarray(s, dtype=float), side="right")
 
     @classmethod
-    def from_sample(cls, s, n_cells: int, min_count: int) -> "BasisPartition":
+    def from_sample(cls, s, n_cells: int,
+                    min_count: int) -> Tuple["BasisPartition", np.ndarray]:
         s = np.asarray(s, dtype=float)
         if s.ndim != 1 or s.size == 0:
             raise ValueError("sample must be a nonempty 1d array")
@@ -133,29 +128,30 @@ class BasisPartition:
         counts = np.diff(below[keep], prepend=0, append=s.size)
         ids = np.empty(s.size, dtype=np.min_scalar_type(n_cells - 1))
         ids[order] = np.repeat(np.arange(edges.size + 1, dtype=ids.dtype), counts)
-        return cls(edges=edges, counts=counts, sample_ids=ids)
+        return cls(edges=edges, counts=counts), ids
 
 
 @dataclass(frozen=True, eq=False)
 class CellIndex:
-    """The regression cells of one batch, per step, the transitions
-    between them, and what else of the batch a solve reads; it holds no
-    prices but the terminal ones.
+    """The regression cells of one batch, per step, and all else a solve
+    reads of the batch and its payoff; no array has one entry per path.
 
-    ``partitions[k]`` are the cells of S_k, with the cell of each path in
-    its ``sample_ids``. Each step's prices are sorted once, in
-    ``BasisPartition.from_sample``.
+    ``partitions[k]`` are the cells of S_k; a path's cell is
+    ``partitions[k].assign(S_k)``.
 
     For each step k < n - 1, ``pair_counts[k]`` counts the paths in each
     (cell at k, cell at k + 1) pair, an (n_cells_k, n_cells_{k+1}) float
     table, and ``pair_dW[k]`` sums dW_k over the same pairs. The pair key
     ``a * n_cells_{k+1} + b`` is formed in intp, never in the id type.
-    ``jumps[k]`` are the jump events of step k; the last step also reads
-    the terminal prices ``S_last`` (S_n) and its increments ``dW_last``
-    (dW_{n-1}).
-
-    ``simulate_cells`` builds it from a seed one step at a time, as the
-    steps are simulated.
+    ``jumps[k]`` holds the step's jump events in three arrays: the key
+    ``bin * n_cells_k + cell at k``, formed in intp and kept in the
+    narrowest unsigned type (uint16 at 40 bins and 64 cells), the cell at
+    k + 1 and the count. The last step reads F = payoff(S_n) only through
+    ``terminal_sums``: per cell of S_{n-1}, the sums of F and F dW_{n-1},
+    and the (n_bins, n_cells) sums of F count over the events. ``f_mean``
+    is the mean of F over the paths and ``f_sup`` its largest |F|.
+    ``simulate_cells`` builds it one step at a time, as the steps are
+    simulated.
     """
 
     spec: LevyMarketSpec
@@ -166,54 +162,83 @@ class CellIndex:
     partitions: Tuple[BasisPartition, ...]
     pair_counts: Tuple[np.ndarray, ...]
     pair_dW: Tuple[np.ndarray, ...]
-    jumps: Tuple[JumpEvents, ...]
-    S_last: np.ndarray
-    dW_last: np.ndarray
+    jumps: Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    terminal_sums: Tuple[np.ndarray, np.ndarray, np.ndarray]
+    f_mean: float
+    f_sup: float
+
+    def step_sums(self, k: int, y_next: np.ndarray) -> tuple:
+        """Step k < n - 1's in-cell sums of Ybar_{k+1}, Ybar_{k+1} dW_k
+        and Ybar_{k+1} count per bin, from the cell values ``y_next``."""
+        keys, next_cells, counts = self.jumps[k]
+        shape = (self.grid.points.size, self.partitions[k].n_cells)
+        jump_sum = np.bincount(keys, weights=y_next[next_cells] * counts,
+                               minlength=shape[0] * shape[1]).reshape(shape)
+        return self.pair_counts[k] @ y_next, self.pair_dW[k] @ y_next, jump_sum
 
 
-def _index(feed, n_cells: int, min_count: int, **batch) -> CellIndex:
+def _index(feed, n_cells: int, min_count: int, payoff: Callable, **batch) -> CellIndex:
     """The cell index of the rows ``feed(add)`` passes to ``add(k, dW_k,
-    events_k, S_k, S_{k+1})``, step after step; ``batch`` holds the
-    batch's other fields. No row is kept past its step but the last
-    step's S_{k+1} and dW_k, which are copied."""
-    n_steps = batch["time_grid"].n_steps
-    partitions, pair_counts, pair_dW, jumps, last = [], [], [], [], {}
+    events_k, S_k, S_{k+1})``, step after step, and of the terminal
+    values ``payoff(S_n)``; ``batch`` holds the batch's other fields. No
+    row is kept past its step, and of the paths' cells only one step's."""
+    n_steps, n_bins = batch["time_grid"].n_steps, batch["grid"].points.size
+    partitions, pair_counts, pair_dW, jumps, terminal = [], [], [], [], {}
+    ids = None  # the cell ids of S_k, the step the next row starts from
 
     def add(k, dW_k, ev, S_k, S_next):
+        nonlocal ids
         if k == 0:
-            partitions.append(BasisPartition.from_sample(S_k, n_cells=n_cells,
-                                                         min_count=min_count))
-        jumps.append(ev)
+            partition, ids = BasisPartition.from_sample(S_k, n_cells, min_count)
+            partitions.append(partition)
+        nc = partitions[-1].n_cells
+        # each event's key bin * n_cells + cell, formed in intp, since the
+        # bins' int16 would wrap
+        keys = np.multiply(ev.bin, nc, dtype=np.intp)
+        keys += ids[ev.path]
         if k == n_steps - 1:
-            last.update(S_last=S_next.copy(), dW_last=dW_k.copy())
+            F = np.asarray(payoff(S_next), dtype=float)
+            if F.shape != S_next.shape:
+                raise ValueError(f"terminal values shape {F.shape} != {S_next.shape}")
+            jump_sum = np.bincount(keys, weights=F[ev.path] * ev.count,
+                                   minlength=n_bins * nc).reshape(n_bins, nc)
+            terminal.update(terminal_sums=(np.bincount(ids, weights=F, minlength=nc),
+                                           np.bincount(ids, weights=F * dW_k, minlength=nc),
+                                           jump_sum),
+                            f_mean=float(np.mean(F)), f_sup=float(np.max(np.abs(F))))
             return
-        a = partitions[-1]
-        b = BasisPartition.from_sample(S_next, n_cells=n_cells, min_count=min_count)
-        partitions.append(b)
-        pair = np.multiply(a.sample_ids, b.n_cells, dtype=np.intp)
-        pair += b.sample_ids
-        size, shape = a.n_cells * b.n_cells, (a.n_cells, b.n_cells)
+        partition, there = BasisPartition.from_sample(S_next, n_cells, min_count)
+        partitions.append(partition)
+        nc_next = partition.n_cells
+        pair = np.multiply(ids, nc_next, dtype=np.intp)
+        pair += there
+        size, shape = nc * nc_next, (nc, nc_next)
         pair_counts.append(np.bincount(pair, minlength=size).reshape(shape).astype(float))
         pair_dW.append(np.bincount(pair, weights=dW_k, minlength=size).reshape(shape))
+        jumps.append((keys.astype(np.min_scalar_type(n_bins * nc - 1)), there[ev.path],
+                      ev.count))
+        ids = there
 
     feed(add)
     return CellIndex(**batch, partitions=tuple(partitions), pair_counts=tuple(pair_counts),
-                     pair_dW=tuple(pair_dW), jumps=tuple(jumps), **last)
+                     pair_dW=tuple(pair_dW), jumps=tuple(jumps), **terminal)
 
 
 def simulate_cells(spec: LevyMarketSpec, grid: DiscreteJumpGrid, time_grid: TimeGrid,
-                   n_paths: int, seed: int, n_cells: int, min_count: int) -> CellIndex:
-    """The cell index of the seed's paths, built while its steps are
-    simulated: the partition of S_k once S_k exists, the pair tables of
-    step k - 1 once the cells of step k exist. S and dW are never held
-    whole, only the step kernel's one dW row and two S rows. A price that
-    is not positive raises ArithmeticError naming its step."""
+                   n_paths: int, seed: int, n_cells: int, min_count: int,
+                   payoff: Callable) -> CellIndex:
+    """The cell index of the seed's paths and of ``payoff(S_n)``, built
+    while the steps are simulated: the partition of S_k once S_k exists,
+    the tables of step k - 1 once the cells of step k exist. S and dW are
+    never held whole, only the step kernel's one dW row and two S rows. A
+    price that is not positive or not finite raises ArithmeticError
+    naming its step."""
 
     def feed(add):
         _simulate_steps(spec, grid, time_grid, seed, n_paths, add)
 
-    return _index(feed, n_cells, min_count, spec=spec, grid=grid, time_grid=time_grid,
-                  seed=seed, n_paths=n_paths)
+    return _index(feed, n_cells, min_count, payoff, spec=spec, grid=grid,
+                  time_grid=time_grid, seed=seed, n_paths=n_paths)
 
 
 DriverFn = Callable[[np.ndarray, np.ndarray], tuple]
@@ -238,29 +263,13 @@ class StepRecord:
     y_cells: np.ndarray           # (n_cells,) Ybar_k = y_coef + dt_k f_cells
 
 
-def _step_core(y_next, cells, k, driver):
-    """Step k from Ybar_{k+1}: F on the paths at the last step, the
-    step-(k+1) cell values before it."""
+def _step_core(sums, cells, k, driver):
+    """Step k from its in-cell sums of Ybar_{k+1}, Ybar_{k+1} dW_k and
+    Ybar_{k+1} count per bin."""
     dtk = float(cells.time_grid.dt[k])
-    partition = cells.partitions[k]
-    ids, nc, n = partition.sample_ids, partition.n_cells, partition.counts
+    n = cells.partitions[k].counts
     nu_dt = cells.grid.weights[:, None] * dtk
-    ev = cells.jumps[k]
-    # each event's key bin * n_cells + cell, formed in intp, since the
-    # bins' int16 would wrap
-    keys = np.multiply(ev.bin, nc, dtype=np.intp)
-    keys += ids[ev.path]
-
-    if k == cells.time_grid.n_steps - 1:
-        y_sum = np.bincount(ids, weights=y_next, minlength=nc)
-        z_sum = np.bincount(ids, weights=y_next * cells.dW_last, minlength=nc)
-        y_events = y_next[ev.path]
-    else:
-        y_sum = cells.pair_counts[k] @ y_next
-        z_sum = cells.pair_dW[k] @ y_next
-        y_events = y_next[cells.partitions[k + 1].sample_ids[ev.path]]
-    jump_sum = np.bincount(keys, weights=y_events * ev.count,
-                           minlength=nu_dt.size * nc).reshape(nu_dt.size, nc)
+    y_sum, z_sum, jump_sum = sums
     y_coef = y_sum / n
     z_coef = z_sum / n / dtk
     u_coef = (jump_sum - nu_dt * y_sum) / n / nu_dt
@@ -277,40 +286,34 @@ def _step_core(y_next, cells, k, driver):
 
 @dataclass(eq=False)
 class BackwardSolution:
-    """Full backward pass: its cells, the terminal values and per-step
-    cell tables. Ybar_k of a path is ``steps[k].y_cells`` at the path's
-    cell, ``cells.partitions[k].sample_ids``; no per-path Ybar is kept."""
+    """Full backward pass: its cells and per-step cell tables. Ybar_k of
+    a path is ``steps[k].y_cells`` at the path's cell,
+    ``cells.partitions[k].assign(S_k)``; no per-path Ybar is kept."""
 
     cells: CellIndex
     steps: List[StepRecord]
-    F: np.ndarray                 # (n_paths,) terminal values Ybar_n
     y0: float
 
 
-def solve(cells: CellIndex, f_values, driver: DriverFn) -> BackwardSolution:
-    """Run the scheme from Ybar_n = F down to Y_0 on ``cells``.
+def solve(cells: CellIndex, driver: DriverFn) -> BackwardSolution:
+    """Run the scheme from Ybar_n = F, the payoff the cells were built
+    with, down to Y_0 on ``cells``.
 
-    ``f_values`` are the terminal values of the cells' paths, one per
-    path; ``driver`` is a callable (Z, U) -> (values, argmin), such as a
-    driver context. A non-finite Ybar raises ArithmeticError naming the
-    step.
+    ``driver`` is a callable (Z, U) -> (values, argmin), such as a driver
+    context. A non-finite Ybar raises ArithmeticError naming the step.
     """
-    F = np.asarray(f_values, dtype=float)
-    if F.shape != (cells.n_paths,):
-        raise ValueError(f"terminal values shape {F.shape} != ({cells.n_paths},)")
     n_steps = cells.time_grid.n_steps
-
     steps: List[Optional[StepRecord]] = [None] * n_steps
-    y = F
     for k in range(n_steps - 1, -1, -1):
-        rec = _step_core(y, cells, k, driver)
+        sums = cells.terminal_sums if k == n_steps - 1 else cells.step_sums(k, y)
+        rec = _step_core(sums, cells, k, driver)
         # every cell holds a path, so this tests every path's Ybar_k
         if not np.all(np.isfinite(rec.y_cells)):
             raise ArithmeticError(f"non-finite Ybar at step {k}")
         steps[k] = rec
         y = rec.y_cells
     y0 = float(cells.partitions[0].counts @ y) / cells.n_paths
-    return BackwardSolution(cells=cells, steps=list(steps), F=F, y0=y0)
+    return BackwardSolution(cells=cells, steps=list(steps), y0=y0)
 
 
 def value_and_strategy(sol: BackwardSolution, x: float,

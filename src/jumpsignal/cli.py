@@ -135,17 +135,17 @@ def cmd_driver_table(args) -> int:
 
 
 def _cells(cfg, seed) -> CellIndex:
-    """The seed's regression cells, shared by every scenario, built while
-    the seed's steps are simulated: no S or dW of the seed is held whole."""
+    """The seed's cells and payoff sums, shared by every scenario, built
+    while the seed's steps are simulated: no S or dW is held whole."""
     spec = cfg.market_spec()
     return simulate_cells(spec, cfg.jump_grid(spec), cfg.time_grid(), cfg.scheme.n_paths,
-                          seed, cfg.scheme.n_cells, cfg.scheme.min_count)
+                          seed, cfg.scheme.n_cells, cfg.scheme.min_count,
+                          cfg.payoff_values)
 
 
 def _solution(cfg, seed, ctx) -> BackwardSolution:
     """The BSDE of driver ``ctx`` solved on the seed's cells."""
-    cells = _cells(cfg, seed)
-    return solve(cells, cfg.payoff_values(cells.S_last), ctx)
+    return solve(_cells(cfg, seed), ctx)
 
 
 def _blank_row(cfg_hash, scenario, seed) -> dict:
@@ -166,7 +166,7 @@ def _row(cfg, cfg_hash, scenario, cells) -> dict:
     t0 = time.perf_counter()
     try:
         ctx = cfg.driver_context(cells.spec, cells.grid, scenario)
-        sol = solve(cells, cfg.payoff_values(cells.S_last), ctx)
+        sol = solve(cells, ctx)
         bound = verify_mod.check_y_bound(sol, ctx)
         if not bound.passed:
             raise ValueError(f"backward values break the a priori bound: {bound.line()}")
@@ -316,7 +316,7 @@ def _batch_reports(cfg, ctx, reports):
         vals, p0 = ctx(Z, U)
         return vals + delta, p0
 
-    reports.append(verify_mod.check_comparison(sol, sol.F, plus_delta))
+    reports.append(verify_mod.check_comparison(sol, plus_delta))
     reports.append(verify_mod.check_penalization(sol, ctx))
     fresh_seed = max(cfg.scheme.seeds) + FRESH_SEED_OFFSET
     reports.append(verify_mod.check_martingale_optimality(

@@ -324,9 +324,9 @@ def _simulate_steps(
     forms S_{k+1} from S_k, then calls ``visit(k, dW_k, events_k, S_k,
     S_{k+1})`` with the pool still drawing the later steps' jumps. One dW
     row and two S rows are reused every step, so a row outlives its step
-    only if ``visit`` copies it. A price that is not positive raises
-    ArithmeticError naming its step. The pool is joined before this
-    returns or raises, whatever ``visit`` does.
+    only if ``visit`` copies it. A price that is not positive or not
+    finite raises ArithmeticError naming its step. The pool is joined
+    before this returns or raises, whatever ``visit`` does.
     """
     if n_paths < 1 or path_offset < 0:
         raise ValueError(f"bad path range: n_paths={n_paths}, path_offset={path_offset}")
@@ -362,10 +362,13 @@ def _simulate_steps(
             x += (spec.kappa - 0.5 * spec.sigma ** 2 - comp) * dt[k]
             x += np.bincount(ev.path, weights=np.take(log_jump, ev.bin) * ev.count,
                              minlength=n_paths)
-            np.exp(x, out=x)
-            x *= s
+            with np.errstate(over="ignore"):  # an overflow raises below
+                np.exp(x, out=x)
+                x *= s
             if not np.all(x > 0):
                 raise ArithmeticError(f"simulated price lost positivity at step {k}")
+            if not np.all(x < np.inf):
+                raise ArithmeticError(f"simulated price overflowed to inf at step {k}")
             visit(k, w, ev, s, x)
             s, x = x, s
 

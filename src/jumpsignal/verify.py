@@ -13,8 +13,8 @@ and ends its Newton search on its own test (``drivers._exact_argmin``);
 each f_m row whose cap can bind applies the cap and takes the same
 number of golden-section steps (``drivers.minimize_on_interval``). The
 batch checks take the BSDE solved under the real driver and run the
-solves they add on its cells and terminal values F (``sol.F``), so no
-noise between batches enters them. The statistical check,
+solves they add on its cells, which hold the sums of the terminal
+values F, so no noise between batches enters them. The statistical check,
 ``check_martingale_optimality``, runs on a fresh seed, never on the
 seed the solution was trained on, and only it allows for the noise
 between the two. A solution holds Ybar_k for k < n as one value per
@@ -204,18 +204,14 @@ def check_scenario_limits(ctx_nosignal: DriverContext,
     return _report("scenario_limits", 2 * n_samples, np.concatenate(margins), 0.0)
 
 
-def check_comparison(sol: BackwardSolution, f2_values, driver2: DriverFn) -> CheckReport:
-    """Ordered terminals and ordered drivers give ordered Y_0.
+def check_comparison(sol: BackwardSolution, driver2: DriverFn) -> CheckReport:
+    """Ordered drivers give ordered Y_0.
 
-    ``sol`` is the solve under (F1, driver1). Caller guarantees f2 >= f1
-    pathwise and driver2 >= driver1 pointwise; this is validated for the
-    terminals. The second solve runs on the cells of ``sol``: the margin
-    is Y_0(F2, driver2) - Y_0, with no allowance.
+    ``sol`` is the solve under driver1; the caller guarantees driver2 >=
+    driver1 pointwise. The second solve runs on the cells of ``sol``: the
+    margin is Y_0(driver2) - Y_0, with no allowance.
     """
-    F2 = np.asarray(f2_values, dtype=float)
-    if np.any(F2 < sol.F):
-        raise ValueError("terminal ordering violated: need F2 >= F1 pathwise")
-    y2 = solve(sol.cells, F2, driver2).y0
+    y2 = solve(sol.cells, driver2).y0
     return _report("comparison", 1, [y2 - sol.y0], 0.0)
 
 
@@ -225,17 +221,15 @@ def check_penalization(sol: BackwardSolution, ctx: DriverContext,
     once every truncation is inactive along the fields of ``sol``, the
     solve under the driver of ``ctx``.
 
-    Every f_m solve runs on the cells and terminal values of ``sol``:
+    Every f_m solve runs on the cells of ``sol``:
     the monotone margins are the differences of consecutive Y_0s, with
     no allowance. The last margin, at m* = floor(max threshold) + 1,
     compares f_m with f through a full solve, to 1e-12: every row the solve passes lies past
     its ``fm_exact_threshold``, where the no-signal part of f_m does f's
     arithmetic bit for bit, and only its signal sum can differ by rounding.
     """
-    cells, F = sol.cells, sol.F
-
     def y0_fm(m):
-        return solve(cells, F, lambda Z, U: penalized_driver_fm_batch(Z, U, m, ctx)).y0
+        return solve(sol.cells, lambda Z, U: penalized_driver_fm_batch(Z, U, m, ctx)).y0
 
     y0s = [y0_fm(int(m)) for m in m_values]
     margins = list(np.diff(y0s))
@@ -311,12 +305,11 @@ def check_scheme_oracles(sol: BackwardSolution) -> CheckReport:
     Both must hold to 1e-12 relative to the payoff scale; the constant
     0.05 adds 0.05 T through the time sum.
     """
-    cells, F = sol.cells, sol.F
-    mean_f = float(np.mean(F))
+    cells, mean_f = sol.cells, sol.cells.f_mean
     scale = max(1.0, abs(mean_f))
     T = cells.time_grid.T
-    y0_zero = solve(cells, F, constant_driver(0.0)).y0
-    y0_const = solve(cells, F, constant_driver(0.05)).y0
+    y0_zero = solve(cells, constant_driver(0.0)).y0
+    y0_const = solve(cells, constant_driver(0.05)).y0
     margins = [1e-12 * scale - abs(y0_zero - mean_f),
                1e-12 * scale - abs(y0_const - (mean_f + 0.05 * T))]
     return _report("scheme_oracles", 2, margins, 0.0)
@@ -326,8 +319,8 @@ def check_y_bound(sol: BackwardSolution, ctx: DriverContext) -> CheckReport:
     """Backward values respect the a priori bound.
 
     |Ybar_k| <= (1/lam) log(e^{lam ||F||_inf} + 1) + slack (T - t_k),
-    with ||F||_inf the largest |F| on the batch (the terminal values of
-    the solution) and slack the magnitude of the driver's value at the
+    with ||F||_inf the largest |F| on the batch (``cells.f_sup`` of the
+    solution) and slack the magnitude of the driver's value at the
     origin taken from the affine lower bound; it takes no allowance, as
     it holds for the solve on its own batch. The log term is taken as
     ||F||_inf + log1p(e^{-lam ||F||_inf}) / lam, which cannot overflow
@@ -336,7 +329,7 @@ def check_y_bound(sol: BackwardSolution, ctx: DriverContext) -> CheckReport:
     one path.
     """
     lam = ctx.lam
-    f_sup = float(np.max(np.abs(sol.F)))
+    f_sup = sol.cells.f_sup
     lo, _ = driver_bounds(0.0, np.zeros(ctx.grid.points.size), ctx)
     slack = -lo
     base = f_sup + math.log1p(math.exp(-lam * f_sup)) / lam

@@ -72,16 +72,23 @@ def simulate_batch(spec, grid, time_grid, n_paths, seed, path_offset=0) -> Batch
                  path_offset=path_offset, dW=dW, jumps=tuple(jumps), S=S)
 
 
-def cells_of(batch: Batch, n_cells: int, min_count: int) -> CellIndex:
-    """The cell index of a batch at hand, its rows fed step after step to
-    the builder ``simulate_cells`` feeds as it simulates."""
+def cells_of(batch: Batch, n_cells: int, min_count: int, payoff) -> CellIndex:
+    """The cell index of a batch at hand and of the terminal values
+    ``payoff(S_n)``, its rows fed step after step to the cell build that
+    ``simulate_cells`` feeds as it simulates. A test with terminal values
+    at hand passes a payoff that returns them."""
 
     def feed(add):
         for k, ev in enumerate(batch.jumps):
             add(k, batch.dW[k], ev, batch.S[k], batch.S[k + 1])
 
-    return _index(feed, n_cells, min_count, spec=batch.spec, grid=batch.grid,
+    return _index(feed, n_cells, min_count, payoff, spec=batch.spec, grid=batch.grid,
                   time_grid=batch.time_grid, seed=batch.seed, n_paths=batch.n_paths)
+
+
+def put_1(s):
+    """The put struck at 1, the payoff of the small batches."""
+    return payoff_put(s, 1.0)
 
 
 @pytest.fixture(scope="session")
@@ -159,12 +166,7 @@ def batch_small_b(spec_small, grid_small, tg_small):
 
 @pytest.fixture(scope="session")
 def payoff_small(batch_small):
-    return payoff_put(batch_small.S[-1], 1.0)
-
-
-@pytest.fixture(scope="session")
-def payoff_small_b(batch_small_b):
-    return payoff_put(batch_small_b.S[-1], 1.0)
+    return put_1(batch_small.S[-1])
 
 
 @pytest.fixture(scope="session")
@@ -196,13 +198,13 @@ def dense_counts(uniforms, poisson_invcdf):
 
 @pytest.fixture(scope="session")
 def path_values():
-    """path_values(sol): the (n_steps + 1, n_paths) Ybar of a solution on
-    the paths of its batch, each step's cell values expanded through the
-    cells of the paths, then the terminal values F."""
+    """path_values(sol, batch, F): the (n_steps + 1, n_paths) Ybar of a
+    solution on the paths of its batch, each step's cell values expanded
+    through the cells of the paths' prices, then the terminal values F."""
 
-    def expand(sol):
-        return np.stack([rec.y_cells[part.sample_ids] for rec, part
-                         in zip(sol.steps, sol.cells.partitions)] + [sol.F])
+    def expand(sol, batch, F):
+        return np.stack([rec.y_cells[part.assign(S_k)] for rec, part, S_k
+                         in zip(sol.steps, sol.cells.partitions, batch.S)] + [F])
 
     return expand
 

@@ -56,18 +56,15 @@ def grid(cfg, spec):
     return cfg.jump_grid(spec)
 
 
+def _cells(cfg, spec, grid, seed, payoff):
+    return simulate_cells(spec, grid, cfg.time_grid(), cfg.scheme.n_paths, seed,
+                          cfg.scheme.n_cells, cfg.scheme.min_count, payoff)
+
+
 @pytest.fixture(scope="module")
 def cells(cfg, spec, grid):
     # one cell index per seed, shared by every solve on its paths
-    tg = cfg.time_grid()
-    return [simulate_cells(spec, grid, tg, cfg.scheme.n_paths, s, cfg.scheme.n_cells,
-                           cfg.scheme.min_count)
-            for s in cfg.scheme.seeds]
-
-
-@pytest.fixture(scope="module")
-def payoffs(cfg, cells):
-    return [cfg.payoff_values(c.S_last) for c in cells]
+    return [_cells(cfg, spec, grid, s, cfg.payoff_values) for s in cfg.scheme.seeds]
 
 
 @pytest.fixture(scope="module")
@@ -85,13 +82,13 @@ def ctx_ns(cfg, spec, grid):
     return cfg.driver_context(spec, grid, NoSignal())
 
 
-def _solve_all(cells, payoffs, ctx):
-    return [solve(c, f, ctx) for c, f in zip(cells, payoffs)]
+def _solve_all(cells, ctx):
+    return [solve(c, ctx) for c in cells]
 
 
 @pytest.fixture(scope="module")
-def sols_hs(cells, payoffs, ctx_hs):
-    return _solve_all(cells, payoffs, ctx_hs)
+def sols_hs(cells, ctx_hs):
+    return _solve_all(cells, ctx_hs)
 
 
 def _spread(sols):
@@ -105,8 +102,8 @@ def eps_hs(sols_hs):
 
 
 @pytest.fixture(scope="module")
-def eps_hl(cells, payoffs, ctx_hl):
-    return _spread(_solve_all(cells, payoffs, ctx_hl))
+def eps_hl(cells, ctx_hl):
+    return _spread(_solve_all(cells, ctx_hl))
 
 
 @pytest.fixture(scope="module")
@@ -114,13 +111,13 @@ def sol_ref(sols_hs):
     return sols_hs[0]
 
 
-def test_c_sweep_monotonicity(cfg, spec, grid, cells, payoffs, eps_hs, eps_hl):
+def test_c_sweep_monotonicity(cfg, spec, grid, cells, eps_hs, eps_hl):
     means = {}
     for variant, eps in ((HideSmall, eps_hs), (HideLarge, eps_hl)):
         ms = []
         for c in C_VALUES:
             ctx = cfg.driver_context(spec, grid, variant(c=c))
-            ms.append(float(np.mean([s.y0 for s in _solve_all(cells, payoffs, ctx)])))
+            ms.append(float(np.mean([s.y0 for s in _solve_all(cells, ctx)])))
         means[variant.__name__] = (ms, eps)
 
     hs, eps = means["HideSmall"]
@@ -134,8 +131,7 @@ def test_c_sweep_monotonicity(cfg, spec, grid, cells, payoffs, eps_hs, eps_hl):
     assert all(b - a <= eps for a, b in zip(hl, hl[1:])), hl
 
 
-def test_scenario_limit_exactness(cfg, spec, grid, cells, payoffs,
-                                  ctx_ns):
+def test_scenario_limit_exactness(cfg, spec, grid, cells, ctx_ns):
     r = check_scenario_limits(ctx_ns, n_samples=1000)
     print(r.line())
     assert r.passed and r.violations == 0
@@ -144,10 +140,10 @@ def test_scenario_limit_exactness(cfg, spec, grid, cells, payoffs,
     # through the whole backward recursion, so Y0 agrees bit for bit
     c_hi = 2.0 * float(grid.points[-1])
     c_lo = 0.5 * float(grid.first_midpoint())
-    y_ns = solve(cells[0], payoffs[0], ctx_ns).y0
+    y_ns = solve(cells[0], ctx_ns).y0
     for scenario in (HideSmall(c=c_hi), HideLarge(c=c_lo)):
         ctx = cfg.driver_context(spec, grid, scenario)
-        y = solve(cells[0], payoffs[0], ctx).y0
+        y = solve(cells[0], ctx).y0
         print(f"{scenario.label()} c={scenario.c:g}: Y0 {y!r} vs {y_ns!r}")
         assert y == y_ns
 
@@ -161,21 +157,26 @@ def test_driver_property_suite(ctx_hs):
         assert report.passed and report.violations == 0
 
 
-def test_comparison_oracle(cfg, cells, payoffs, ctx_hs, eps_hs, sol_ref):
+def test_comparison_oracle(cfg, spec, grid, cells, ctx_hs, eps_hs, sol_ref):
     delta = 0.05
 
     def shifted_fn(Z, U):
         vals, p0 = ctx_hs(Z, U)
         return vals + delta, p0
 
-    r_term = check_comparison(sol_ref, payoffs[0] + 0.1, ctx_hs)
-    r_driver = check_comparison(sol_ref, payoffs[0], shifted_fn)
-    for r in (r_term, r_driver):
-        print(r.line())
-        assert r.passed
+    r = check_comparison(sol_ref, shifted_fn)
+    print(r.line())
+    assert r.passed
+    # ordered terminals on the paths of seed 1 give ordered Y0, with no
+    # allowance
+    cells_up = _cells(cfg, spec, grid, cfg.scheme.seeds[0],
+                      lambda s: cfg.payoff_values(s) + 0.1)
+    y_up = solve(cells_up, ctx_hs).y0
+    print(f"terminal shift 0.1: Y0 {y_up!r} vs {sol_ref.y0!r}")
+    assert y_up >= sol_ref.y0
 
     T = cfg.market.T
-    y_shift = solve(cells[0], payoffs[0], shifted_fn).y0
+    y_shift = solve(cells[0], shifted_fn).y0
     gap = y_shift - sol_ref.y0
     print(f"driver shift {delta:g}: Y0 gap {gap:.6f} target {delta * T:.6f}")
     assert abs(gap - delta * T) <= eps_hs + 1e-10

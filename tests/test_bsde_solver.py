@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm, poisson
 
-from conftest import Batch, cells_of, simulate_batch
+from conftest import Batch, cells_of, put_1, simulate_batch
 from jumpsignal import (
     BasisPartition,
     DriverContext,
@@ -27,13 +27,14 @@ from jumpsignal import (
     solve,
     value_and_strategy,
 )
+from jumpsignal.bsde_solver import CellIndex
 from jumpsignal.config import ExperimentConfig
 from jumpsignal.simulate import JumpEvents
 
 
 def test_partition_basic(rng):
     s = rng.uniform(0.5, 2.0, size=4000)
-    part = BasisPartition.from_sample(s, n_cells=8, min_count=50)
+    part, _ = BasisPartition.from_sample(s, n_cells=8, min_count=50)
     assert part.n_cells == 8
     assert int(part.counts.sum()) == 4000
     assert np.all(part.counts >= 50)
@@ -50,7 +51,7 @@ def test_partition_basic(rng):
 def test_partition_merges_small_cells(rng):
     # 85% of the mass at one atom collapses most quantile edges
     s = np.concatenate([np.full(850, 1.0), rng.uniform(1.5, 2.0, size=150)])
-    part = BasisPartition.from_sample(s, n_cells=16, min_count=60)
+    part, _ = BasisPartition.from_sample(s, n_cells=16, min_count=60)
     assert np.all(part.counts >= 60)
     assert np.all(np.diff(part.edges) > 0)
     assert int(part.counts.sum()) == 1000
@@ -107,10 +108,10 @@ def _assert_interpolated_cells(s, n_cells, min_count):
     """The cells of ``from_sample``, whose edges are sample prices, are
     those of edges at numpy's interpolated ('linear') quantiles, with the
     same keep rule: every sample price takes the same cell."""
-    part = BasisPartition.from_sample(s, n_cells=n_cells, min_count=min_count)
+    part, sample_ids = BasisPartition.from_sample(s, n_cells=n_cells, min_count=min_count)
     _, counts, ids = _partition_by_search(s, n_cells, min_count, method="linear")
     assert np.array_equal(part.counts, counts)
-    assert np.array_equal(part.sample_ids, ids)
+    assert np.array_equal(sample_ids, ids)
     assert np.isin(part.edges, s).all()
     return part
 
@@ -137,10 +138,10 @@ def test_partition_sort_matches_search(case, rng):
     s, n_cells = _partition_case(case, rng)
     min_count = 50 if case == "overfull" else 60
     edges, counts, ids = _partition_by_search(s, n_cells, min_count)
-    part = BasisPartition.from_sample(s, n_cells=n_cells, min_count=min_count)
+    part, sample_ids = BasisPartition.from_sample(s, n_cells=n_cells, min_count=min_count)
     assert np.array_equal(part.edges, edges)
     assert np.array_equal(part.counts, counts)
-    assert np.array_equal(part.sample_ids, ids)
+    assert np.array_equal(sample_ids, ids)
     assert np.array_equal(part.assign(s), ids)
     if case == "ties":
         assert edges.size > 0 and np.isin(edges, s).all()
@@ -152,10 +153,13 @@ def test_partition_sort_matches_search(case, rng):
 
 
 def test_cell_index_ids_are_the_assigned_cells(batch_small):
-    cells = cells_of(batch_small, n_cells=64, min_count=50)
+    # the build places each path by the ids of the sort, and keeps only
+    # the partition: assign gives every path of the sample the same cell
+    cells = cells_of(batch_small, n_cells=64, min_count=50, payoff=put_1)
     for k, partition in enumerate(cells.partitions):
-        ids = partition.assign(batch_small.S[k])
-        assert np.array_equal(partition.sample_ids, ids)
+        part, sample_ids = BasisPartition.from_sample(batch_small.S[k], 64, 50)
+        assert np.array_equal(part.edges, partition.edges)
+        assert np.array_equal(sample_ids, partition.assign(batch_small.S[k]))
 
 
 @pytest.mark.parametrize("n_cells,id_dtype", [(64, np.uint8), (256, np.uint8),
@@ -166,12 +170,21 @@ def test_narrow_layouts_equal_the_int64_formulas(batch_small, n_cells, id_dtype)
     # wrap or a silent widening fails here
     for ev in batch_small.jumps:
         assert (ev.path.dtype, ev.bin.dtype, ev.count.dtype) == (np.int32, np.int16, np.int32)
-    cells = cells_of(batch_small, n_cells=n_cells, min_count=1)
+    cells = cells_of(batch_small, n_cells=n_cells, min_count=1, payoff=put_1)
     nc = [part.n_cells for part in cells.partitions]
     ids = [part.assign(s).astype(np.int64) for part, s in zip(cells.partitions, batch_small.S)]
-    for k, part in enumerate(cells.partitions):
-        assert part.sample_ids.dtype == id_dtype
-        assert np.array_equal(part.sample_ids, ids[k])
+    for k, s in enumerate(batch_small.S[:-1]):
+        sample_ids = BasisPartition.from_sample(s, n_cells, 1)[1]
+        assert sample_ids.dtype == id_dtype
+        assert np.array_equal(sample_ids, ids[k])
+    n_bins = batch_small.grid.points.size
+    for k, (keys, next_cells, counts) in enumerate(cells.jumps):
+        ev = batch_small.jumps[k]
+        assert keys.dtype == np.min_scalar_type(n_bins * nc[k] - 1)
+        assert np.array_equal(keys, ev.bin.astype(np.int64) * nc[k] + ids[k][ev.path])
+        assert next_cells.dtype == id_dtype
+        assert np.array_equal(next_cells, ids[k + 1][ev.path])
+        assert counts.dtype == np.int32 and np.array_equal(counts, ev.count)
     for k in range(len(cells.partitions) - 1):
         pair = ids[k] * nc[k + 1] + ids[k + 1]
         shape = (nc[k], nc[k + 1])
@@ -191,8 +204,8 @@ def test_fit_recovers_cell_means(spec_small, grid_small, rng, path_values):
     batch = _flat_batch(spec_small, grid_small, np.zeros((1, 2000)), 2000, 1, rng)
     s = batch.S[0]
     t = s ** 2
-    cells = cells_of(batch, n_cells=8, min_count=50)
-    sol = solve(cells, t, constant_driver(0.0))
+    cells = cells_of(batch, n_cells=8, min_count=50, payoff=lambda s_n: t)
+    sol = solve(cells, constant_driver(0.0))
     assert sol.cells is cells
     rec, partition = sol.steps[0], cells.partitions[0]
     ids = partition.assign(s)
@@ -202,21 +215,22 @@ def test_fit_recovers_cell_means(spec_small, grid_small, rng, path_values):
         assert rec.y_coef[c] == pytest.approx(float(np.mean(t[cell])), rel=1e-12)
     # piecewise-constant targets are reproduced exactly
     g = np.cos(np.arange(partition.n_cells))[ids]
-    sol = solve(cells, g, constant_driver(0.0))
-    assert path_values(sol)[0] == pytest.approx(g, rel=1e-12)
+    sol = solve(cells_of(batch, n_cells=8, min_count=50, payoff=lambda s_n: g),
+                constant_driver(0.0))
+    assert path_values(sol, batch, g)[0] == pytest.approx(g, rel=1e-12)
     # Y_0 weighs each cell by its paths: 2000 paths fill 7 cells unevenly
-    uneven = cells_of(batch, n_cells=7, min_count=50)
+    uneven = cells_of(batch, n_cells=7, min_count=50, payoff=lambda s_n: t)
     assert np.unique(uneven.partitions[0].counts).size > 1
-    y0 = solve(uneven, t, constant_driver(0.0)).y0
+    y0 = solve(uneven, constant_driver(0.0)).y0
     assert y0 == pytest.approx(float(np.mean(t)), rel=1e-12)
     with pytest.raises(ValueError):
-        solve(cells, t[:100], constant_driver(0.0))
+        cells_of(batch, n_cells=8, min_count=50, payoff=lambda s_n: t[:100])
 
 
 @pytest.fixture(scope="module")
 def cells_small(batch_small):
     # the reference experiment's 64 cells of at least 50 paths
-    return cells_of(batch_small, n_cells=64, min_count=50)
+    return cells_of(batch_small, n_cells=64, min_count=50, payoff=put_1)
 
 
 def test_context_is_its_driver(ctx_hidesmall, rng):
@@ -234,12 +248,12 @@ def test_context_is_its_driver(ctx_hidesmall, rng):
 
 def test_zero_and_constant_driver_telescopes(batch_small, payoff_small, cells_small):
     mean_f = float(np.mean(payoff_small))
-    y0_zero = solve(cells_small, payoff_small, constant_driver(0.0)).y0
+    y0_zero = solve(cells_small, constant_driver(0.0)).y0
     assert abs(y0_zero - mean_f) < 1e-12
-    y0_const = solve(cells_small, payoff_small, constant_driver(0.05)).y0
+    y0_const = solve(cells_small, constant_driver(0.05)).y0
     assert abs(y0_const - (mean_f + 0.05 * 0.5)) < 1e-12
     with pytest.raises(ValueError):
-        solve(cells_small, payoff_small[:-1], constant_driver(0.0))
+        cells_of(batch_small, 64, 50, payoff=lambda s_n: payoff_small[:-1])
 
 
 def test_one_step_enumeration_oracle():
@@ -288,7 +302,7 @@ def test_one_step_enumeration_oracle():
     se = float(np.std(F, ddof=1)) / math.sqrt(F.size)
     assert abs(float(np.mean(F)) - EF) < 4.0 * se
 
-    sol = solve(cells_of(batch, n_cells=64, min_count=50), F, ctx)
+    sol = solve(cells_of(batch, n_cells=64, min_count=50, payoff=put_1), ctx)
     assert abs(sol.y0 - y0_star) < 1e-3
 
     # the regressed fields behind that value sit near their exact targets
@@ -318,26 +332,26 @@ def test_jump_free_closed_form(spec_small, grid_small, rng, path_values):
 
     dW = rng.uniform(-0.05, 0.05, size=(4, 200))
     batch = _flat_batch(spec_small, grid_small, dW, 200, 4, rng)
-    cells = cells_of(batch, n_cells=4, min_count=10)
-    y0_zero = solve(cells, np.zeros(200), sigma_only).y0
+    y0_zero = solve(cells_of(batch, 4, 10, payoff=np.zeros_like), sigma_only).y0
     assert y0_zero == 0.0
-    sol = solve(cells, np.full(200, 0.3), sigma_only)
+    F = np.full(200, 0.3)
+    sol = solve(cells_of(batch, 4, 10, payoff=lambda s_n: F), sigma_only)
     # |Z| <= 0.3 * 0.05 / 0.25 < 0.2 keeps the quadratic vertex in the box
     assert abs(sol.y0 - 0.3) < 1e-15
-    assert np.max(np.abs(path_values(sol) - 0.3)) < 1e-15
+    assert np.max(np.abs(path_values(sol, batch, F) - 0.3)) < 1e-15
 
 
 def test_step_cellwise_oracle(batch_small, payoff_small, dense_counts, path_values):
     # the last step (k = 3 of 4) regresses on the terminal values
     k = 3
-    sol = solve(cells_of(batch_small, n_cells=8, min_count=50), payoff_small,
+    sol = solve(cells_of(batch_small, n_cells=8, min_count=50, payoff=put_1),
                 constant_driver(0.0))
     rec = sol.steps[k]
     assert rec.y_coef.shape == (8,) and rec.z_coef.shape == (8,)
     assert rec.u_coef.shape == (6, 8)
     ids = sol.cells.partitions[k].assign(batch_small.S[k])
     dtk = float(batch_small.time_grid.dt[k])
-    y_k = path_values(sol)[k]
+    y_k = path_values(sol, batch_small, payoff_small)[k]
     for c in (0, 4, 7):
         cell = ids == c
         z_hand = float(np.mean(payoff_small[cell] * batch_small.dW[k][cell])) / dtk
@@ -355,17 +369,16 @@ def test_jump_target_event_scatter(batch_small, ctx_hidesmall, payoff_small,
                                    dense_counts, path_values):
     # every step, bin and cell: the event scatter equals the in-cell mean
     # of Ybar_{k+1} (dN_k(i) - nu_i dt_k) over the dense counts, / nu_i dt_k
-    cells = cells_of(batch_small, n_cells=8, min_count=50)
-    sol = solve(cells, payoff_small, ctx_hidesmall)
+    cells = cells_of(batch_small, n_cells=8, min_count=50, payoff=put_1)
+    sol = solve(cells, ctx_hidesmall)
     nu = batch_small.grid.weights
-    y_paths = path_values(sol)
+    y_paths = path_values(sol, batch_small, payoff_small)
     for k, rec in enumerate(sol.steps):
         nu_dt = nu[:, None] * batch_small.time_grid.dt[k]
         comp = dense_counts(batch_small, k) - nu_dt
         y = y_paths[k + 1]
         partition = cells.partitions[k]
-        ids = partition.sample_ids
-        assert np.array_equal(ids, partition.assign(batch_small.S[k]))
+        ids = partition.assign(batch_small.S[k])
         hand = np.stack([[np.mean(y[ids == c] * comp[i, ids == c])
                           for c in range(partition.n_cells)]
                          for i in range(nu.size)]) / nu_dt
@@ -374,11 +387,11 @@ def test_jump_target_event_scatter(batch_small, ctx_hidesmall, payoff_small,
 
 def test_solve_records(batch_small, payoff_small, ctx_hidesmall, cells_small,
                        path_values):
-    sol = solve(cells_small, payoff_small, ctx_hidesmall)
+    sol = solve(cells_small, ctx_hidesmall)
     assert sol.cells is cells_small
     assert len(sol.steps) == 4
-    assert np.array_equal(sol.F, payoff_small)
-    assert sol.y0 == pytest.approx(float(np.mean(path_values(sol)[0])), rel=1e-15)
+    assert sol.y0 == pytest.approx(
+        float(np.mean(path_values(sol, batch_small, payoff_small)[0])), rel=1e-15)
     rec = sol.steps[0]
     n = cells_small.partitions[0].n_cells
     assert rec.z_coef.shape == (n,) and rec.u_coef.shape == (6, n)
@@ -387,10 +400,10 @@ def test_solve_records(batch_small, payoff_small, ctx_hidesmall, cells_small,
     dt = batch_small.time_grid.dt
     for k, rec in enumerate(sol.steps):
         assert np.array_equal(rec.y_cells, rec.y_coef + dt[k] * rec.f_cells)
-    # the solution keeps no per-path Ybar: F is its one path-sized array
+    # the solution keeps no per-path array, not even F
     path_sized = [name for name, val in vars(sol).items()
                   if np.shape(val)[-1:] == (batch_small.n_paths,)]
-    assert path_sized == ["F"]
+    assert path_sized == []
 
 
 def test_driver_failure_reports_step(batch_small, payoff_small, cells_small):
@@ -398,7 +411,7 @@ def test_driver_failure_reports_step(batch_small, payoff_small, cells_small):
         raise ValueError("boom")
 
     with pytest.raises(ValueError, match=r"driver failed at step 3: boom"):
-        solve(cells_small, payoff_small, bad)
+        solve(cells_small, bad)
 
 
 def test_nonfinite_y_reports_step(batch_small, payoff_small, cells_small):
@@ -407,12 +420,12 @@ def test_nonfinite_y_reports_step(batch_small, payoff_small, cells_small):
         return np.full(n, np.nan), np.zeros(n)
 
     with pytest.raises(ArithmeticError, match=r"non-finite Ybar at step 3"):
-        solve(cells_small, payoff_small, nan_driver)
+        solve(cells_small, nan_driver)
 
 
 def test_value_and_strategy(batch_small, batch_small_b, payoff_small, ctx_hidesmall,
                             cells_small):
-    sol = solve(cells_small, payoff_small, ctx_hidesmall)
+    sol = solve(cells_small, ctx_hidesmall)
     value, positions = value_and_strategy(sol, 0.3, ctx_hidesmall)
     assert value == pytest.approx(-math.exp(-0.4 * (0.3 - sol.y0)), rel=1e-14)
     # each step's prices of any batch land in that step's cells
@@ -423,8 +436,8 @@ def test_value_and_strategy(batch_small, batch_small_b, payoff_small, ctx_hidesm
         assert np.array_equal(p0[k], rec.p_cells[ids])
     # on the training batch they are the argmins of the paths' own cells
     for k, rec in enumerate(sol.steps):
-        assert np.array_equal(positions(k, batch_small.S[k]),
-                              rec.p_cells[cells_small.partitions[k].sample_ids])
+        own = BasisPartition.from_sample(batch_small.S[k], 64, 50)[1]
+        assert np.array_equal(positions(k, batch_small.S[k]), rec.p_cells[own])
     assert np.all(p0 >= -1.0) and np.all(p0 <= 1.0)
     with pytest.raises(ValueError):
         value_and_strategy(sol, -2000.0, ctx_hidesmall)
@@ -438,7 +451,7 @@ def _path_level_pass(batch, F, driver, cells):
     for k in range(batch.time_grid.n_steps - 1, -1, -1):
         dtk = float(batch.time_grid.dt[k])
         part = cells.partitions[k]
-        ids, nc, n = part.sample_ids, part.n_cells, part.counts
+        ids, nc, n = part.assign(batch.S[k]), part.n_cells, part.counts
         nu_dt = batch.grid.weights[:, None] * dtk
         ev = batch.jumps[k]
         y_sum = np.bincount(ids, weights=y, minlength=nc)
@@ -477,14 +490,14 @@ def test_cell_pass_matches_path_reference(batch_small, batch_wide, ctx_hidesmall
     payoff = payoff_put(batch.S[-1], 1.0)
     fn = {"zero": constant_driver(0.0), "constant": constant_driver(0.05),
           "hidesmall": ctx_hidesmall}[driver]
-    cells = cells_of(batch, n_cells=n_cells, min_count=min_count)
+    cells = cells_of(batch, n_cells=n_cells, min_count=min_count, payoff=put_1)
     nc = [part.n_cells for part in cells.partitions]
     if n_cells >= 300:
         assert max(nc) > 256
     if n_cells == 1000:
         assert any(int(ev.bin.max()) * n > np.iinfo(np.int16).max
                    for ev, n in zip(batch.jumps, nc))
-    sol = solve(cells, payoff, fn)
+    sol = solve(cells, fn)
     ref_steps, ref_y0 = _path_level_pass(batch, payoff, fn, cells)
     for rec, (y_coef, z_coef, u_coef, y_cells) in zip(sol.steps, ref_steps):
         assert rec.y_coef == pytest.approx(y_coef, rel=1e-12)
@@ -500,7 +513,7 @@ def test_cell_pass_matches_path_reference(batch_small, batch_wide, ctx_hidesmall
         assert counts.shape == dw.shape == (here.n_cells, there.n_cells)
         assert np.array_equal(counts.sum(axis=1), here.counts)
         assert np.array_equal(counts.sum(axis=0), there.counts)
-        dw_rows = np.bincount(here.sample_ids, weights=batch.dW[k],
+        dw_rows = np.bincount(here.assign(batch.S[k]), weights=batch.dW[k],
                               minlength=here.n_cells)
         assert np.max(np.abs(dw.sum(axis=1) - dw_rows)) < 1e-12
 
@@ -510,8 +523,8 @@ def test_same_seed_same_y0(spec_small, grid_small, tg_small, ctx_hidesmall):
     y0s = []
     for _ in range(2):
         batch = simulate_batch(spec_small, grid_small, tg_small, 4096, seed=101)
-        cells = cells_of(batch, n_cells=64, min_count=50)
-        y0s.append(solve(cells, payoff_put(batch.S[-1], 1.0), ctx_hidesmall).y0)
+        cells = cells_of(batch, n_cells=64, min_count=50, payoff=put_1)
+        y0s.append(solve(cells, ctx_hidesmall).y0)
     assert np.float64(y0s[0]).tobytes() == np.float64(y0s[1]).tobytes()
 
 
@@ -524,25 +537,31 @@ def _reference_args(n_paths=None):
                  n_paths or cfg.scheme.n_paths)
 
 
+def _arrays(obj):
+    """Every array a cell index holds, in its fields, its tuples and its
+    partitions."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _arrays(item)
+    elif isinstance(obj, (CellIndex, BasisPartition)):
+        for val in vars(obj).values():
+            yield from _arrays(val)
+
+
 def _assert_same_cells(got, want):
     for name in ("spec", "grid", "time_grid", "seed", "n_paths"):
         assert getattr(got, name) == getattr(want, name)
     assert len(got.partitions) == len(want.partitions) == got.time_grid.n_steps
-    for a, b in zip(got.partitions, want.partitions):
-        for name in ("edges", "counts", "sample_ids"):
-            x, y = getattr(a, name), getattr(b, name)
-            assert x.dtype == y.dtype and np.array_equal(x, y)
-    for name in ("pair_counts", "pair_dW"):
+    for name in ("pair_counts", "pair_dW", "jumps"):
         assert len(getattr(got, name)) == got.time_grid.n_steps - 1
-        for x, y in zip(getattr(got, name), getattr(want, name)):
-            assert x.dtype == y.dtype and np.array_equal(x, y)
-    assert len(got.jumps) == len(want.jumps)
-    for ev, ev_want in zip(got.jumps, want.jumps):
-        for name in ("path", "bin", "count"):
-            x, y = getattr(ev, name), getattr(ev_want, name)
-            assert x.dtype == y.dtype and np.array_equal(x, y)
-    for name in ("S_last", "dW_last"):
-        x, y = getattr(got, name), getattr(want, name)
+    for name in ("f_mean", "f_sup"):
+        assert np.float64(getattr(got, name)).tobytes() == \
+            np.float64(getattr(want, name)).tobytes()
+    arrays = list(zip(_arrays(got), _arrays(want), strict=True))
+    assert arrays
+    for x, y in arrays:
         assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
@@ -550,21 +569,44 @@ def _assert_same_cells(got, want):
 @pytest.mark.parametrize("n_paths,n_cells", [(None, 64), (1000, 8)])
 def test_streamed_cells_equal_the_batch_build(n_paths, n_cells):
     cfg, args = _reference_args(n_paths)
-    streamed = simulate_cells(*args, 1, n_cells, 50)
+    streamed = simulate_cells(*args, 1, n_cells, 50, cfg.payoff_values)
     batch = simulate_batch(*args, 1)
-    built = cells_of(batch, n_cells, 50)
+    built = cells_of(batch, n_cells, 50, cfg.payoff_values)
     _assert_same_cells(streamed, built)
-    assert np.array_equal(streamed.S_last, batch.S[-1])
-    assert np.array_equal(streamed.dW_last, batch.dW[-1])
-    # the index keeps no batch, and of the batch's arrays two rows
+    # the index keeps no batch, and no array with one entry per path
     assert not any(isinstance(val, Batch) for val in vars(streamed).values())
-    assert [name for name, val in vars(streamed).items()
-            if isinstance(val, np.ndarray)] == ["S_last", "dW_last"]
-    F = cfg.payoff_values(batch.S[-1])
+    assert all(batch.n_paths not in a.shape for a in _arrays(streamed))
     ctx = cfg.driver_context(args[0], args[1], HideSmall(c=0.6))
     for driver in (ctx, constant_driver(0.05)):
-        y0s = [solve(cells, F, driver).y0 for cells in (streamed, built)]
+        y0s = [solve(cells, driver).y0 for cells in (streamed, built)]
         assert np.float64(y0s[0]).tobytes() == np.float64(y0s[1]).tobytes()
+
+
+def test_cells_equal_a_per_path_recomputation(batch_small, spec_small, grid_small, tg_small):
+    # the streamed cells against the whole batch, path by path in int64
+    # keys: the terminal sums, mean(F) and max |F|, and each step's event
+    # keys, next cells and counts, bit for bit
+    cells = simulate_cells(spec_small, grid_small, tg_small, batch_small.n_paths,
+                           batch_small.seed, 64, 50, put_1)
+    nc = [part.n_cells for part in cells.partitions]
+    ids = [part.assign(s) for part, s in zip(cells.partitions, batch_small.S)]
+    n_bins, last = grid_small.points.size, tg_small.n_steps - 1
+    keys = [ev.bin.astype(np.int64) * nc[k] + ids[k][ev.path]
+            for k, ev in enumerate(batch_small.jumps)]
+    for k, (key, next_cells, counts) in enumerate(cells.jumps):
+        ev = batch_small.jumps[k]
+        assert np.array_equal(key, keys[k])
+        assert np.array_equal(next_cells, ids[k + 1][ev.path])
+        assert np.array_equal(counts, ev.count)
+    F, ev = put_1(batch_small.S[-1]), batch_small.jumps[last]
+    want = (np.bincount(ids[last], weights=F, minlength=nc[last]),
+            np.bincount(ids[last], weights=F * batch_small.dW[last], minlength=nc[last]),
+            np.bincount(keys[last], weights=F[ev.path] * ev.count,
+                        minlength=n_bins * nc[last]).reshape(n_bins, nc[last]))
+    for got, sums in zip(cells.terminal_sums, want, strict=True):
+        assert got.tobytes() == sums.tobytes()
+    assert np.float64(cells.f_mean).tobytes() == np.mean(F).tobytes()
+    assert np.float64(cells.f_sup).tobytes() == np.max(np.abs(F)).tobytes()
 
 
 def test_streamed_cells_never_hold_s_and_dw():
@@ -576,11 +618,32 @@ def test_streamed_cells_never_hold_s_and_dw():
     n_rows = 2 * cfg.time_grid().n_steps + 1
     tracemalloc.start()
     try:
-        simulate_cells(*args, 1, cfg.scheme.n_cells, cfg.scheme.min_count)
+        simulate_cells(*args, 1, cfg.scheme.n_cells, cfg.scheme.min_count,
+                       cfg.payoff_values)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < n_rows * cfg.scheme.n_paths * 8
+
+
+def test_solves_read_no_path_arrays():
+    # the sweep's five hide-small solves on one reference seed's cells:
+    # they read per-cell tables only, and together added 0.54 MB over the
+    # cells; forming F and regressing it over the 65536 paths in each
+    # solve added 1.63 MB
+    cfg, args = _reference_args()
+    cells = simulate_cells(*args, 1, cfg.scheme.n_cells, cfg.scheme.min_count,
+                           cfg.payoff_values)
+    ctxs = [cfg.driver_context(args[0], args[1], scenario) for scenario in cfg.scenarios()]
+    assert len(ctxs) == 5
+    tracemalloc.start()
+    try:
+        for ctx in ctxs:
+            solve(cells, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_failed_build_joins_the_jump_pool(monkeypatch, spec_small, grid_small):
@@ -598,6 +661,7 @@ def test_failed_build_joins_the_jump_pool(monkeypatch, spec_small, grid_small):
     before = threading.active_count()
     monkeypatch.setattr(BasisPartition, "from_sample", classmethod(failing))
     with pytest.raises(RuntimeError, match="injected partition failure"):
-        simulate_cells(spec_small, grid_small, TimeGrid.uniform(10, 0.5), 4096, 9, 16, 50)
+        simulate_cells(spec_small, grid_small, TimeGrid.uniform(10, 0.5), 4096, 9, 16, 50,
+                       put_1)
     assert len(calls) == 4
     assert threading.active_count() == before

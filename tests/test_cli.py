@@ -438,11 +438,11 @@ def test_sweep_raises_a_worker_failure(cfg_file, tmp_path, monkeypatch, cpus, st
     exact = cli.simulate_cells
     seen = []
 
-    def failing(spec, grid, time_grid, n_paths, seed, n_cells, min_count):
+    def failing(spec, grid, time_grid, n_paths, seed, n_cells, min_count, payoff):
         seen.append(seed)
         if seed == 2:
             raise RuntimeError("injected worker failure")
-        return exact(spec, grid, time_grid, n_paths, seed, n_cells, min_count)
+        return exact(spec, grid, time_grid, n_paths, seed, n_cells, min_count, payoff)
 
     monkeypatch.setattr(cli, "simulate_cells", failing)
     cpus(2)
@@ -498,6 +498,27 @@ def test_a_seed_that_loses_positivity_gives_error_rows(tmp_path, cpus, capsys):
     out, err = capsys.readouterr()
     assert set(DRIVER_CHECKS) <= {ln.split(":")[0] for ln in out.splitlines()}
     assert err.splitlines() == [f"jumpsignal: error: {status[len('error: '):]}"]
+
+
+def test_a_seed_whose_prices_overflow_gives_error_rows(tmp_path, cpus, capsys):
+    # at kappa = 10000 the drift alone, 1667 per step, takes every price
+    # past the float range in the first step: the step kernel names the
+    # step and the overflow, numpy's overflow warning (an error under
+    # pytest) stays silent, and each scenario of each seed gets an error
+    # row, where an infinite price once reached the driver's guard
+    config = tmp_path / "kappa.yaml"
+    config.write_text(SMALL_YAML.replace("market: {T: 0.5}", "market: {T: 0.5, kappa: 10000}"))
+    status = "error: simulated price overflowed to inf at step 0"
+    assert main(["solve", "--config", str(config)]) == 1
+    [row] = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert (row["seed"], row["y0"], row["status"]) == ("1", "", status)
+
+    cpus(2)
+    results = tmp_path / "results.csv"
+    assert main(["sweep", "--config", str(config), "--out", str(results)]) == 0
+    rows = list(csv.DictReader(io.StringIO(results.read_text())))
+    assert [(r["c"], r["seed"], r["status"]) for r in rows] == \
+        [(c, seed, status) for c in ("0.7", "1.5") for seed in ("1", "2")]
 
 
 def test_report_rejects_an_unknown_scenario(tmp_path, capsys):

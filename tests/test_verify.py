@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import cells_of, simulate_batch
+from conftest import cells_of, put_1, simulate_batch
 from jumpsignal import (constant_driver, payoff_put, simulate_cells, solve, value_and_strategy,
                         verify)
 from jumpsignal.config import FRESH_SEED_OFFSET, ExperimentConfig
@@ -41,21 +41,21 @@ N_CELLS = 16  # 4096-path batches: keep cells well populated
 
 @pytest.fixture(scope="module")
 def cells_small(batch_small):
-    return cells_of(batch_small, n_cells=N_CELLS, min_count=50)
+    return cells_of(batch_small, n_cells=N_CELLS, min_count=50, payoff=put_1)
 
 
 @pytest.fixture(scope="module")
-def sol_small(batch_small, payoff_small, ctx_hidesmall, cells_small):
+def sol_small(ctx_hidesmall, cells_small):
     # shared by the checks that only read it; tests that alter a
     # solution solve their own
-    return solve(cells_small, payoff_small, ctx_hidesmall)
+    return solve(cells_small, ctx_hidesmall)
 
 
 @pytest.fixture(scope="module")
-def eps_reg(sol_small, batch_small_b, payoff_small_b, ctx_hidesmall):
+def eps_reg(sol_small, batch_small_b, ctx_hidesmall):
     # the Y_0 spread between two batches, as verify computes it
-    cells_b = cells_of(batch_small_b, n_cells=N_CELLS, min_count=50)
-    return abs(sol_small.y0 - solve(cells_b, payoff_small_b, ctx_hidesmall).y0)
+    cells_b = cells_of(batch_small_b, n_cells=N_CELLS, min_count=50, payoff=put_1)
+    return abs(sol_small.y0 - solve(cells_b, ctx_hidesmall).y0)
 
 
 def test_eps_reg_magnitude(eps_reg):
@@ -161,21 +161,16 @@ def _shifted(ctx, shift):
     return driver
 
 
-def test_comparison_pass_and_ordering_guard(sol_small, payoff_small,
-                                            ctx_hidesmall):
-    r = check_comparison(sol_small, payoff_small, _shifted(ctx_hidesmall, 0.05))
+def test_comparison_pass_and_ordering_guard(sol_small, ctx_hidesmall):
+    r = check_comparison(sol_small, _shifted(ctx_hidesmall, 0.05))
     assert r.passed
-    with pytest.raises(ValueError):
-        check_comparison(sol_small, payoff_small - 0.1,
-                         _shifted(ctx_hidesmall, 0.05))
 
 
-def test_comparison_detects_lower_driver(sol_small, payoff_small, ctx_hidesmall,
-                                         eps_reg, batch_small):
+def test_comparison_detects_lower_driver(sol_small, ctx_hidesmall, eps_reg, batch_small):
     # a driver shifted down lowers Y_0 by about shift T, ten times eps_reg:
     # the check must compare the second solve with sol, not sol with itself
     shift = 10.0 * eps_reg / batch_small.time_grid.T
-    r = check_comparison(sol_small, payoff_small, _shifted(ctx_hidesmall, -shift))
+    r = check_comparison(sol_small, _shifted(ctx_hidesmall, -shift))
     assert not r.passed and r.violations == 1
     assert r.worst_margin < -5.0 * eps_reg
 
@@ -188,10 +183,9 @@ def test_penalization_pass(sol_small, ctx_hidesmall):
     assert r.worst_margin <= 1e-12 + 1e-15
 
 
-def test_penalization_detects_foreign_solution(batch_small, payoff_small,
-                                               cells_small, ctx_hidesmall):
+def test_penalization_detects_foreign_solution(cells_small, ctx_hidesmall):
     # f_m past the threshold reproduces the solve under f, not one under f + 0.05
-    sol_up = solve(cells_small, payoff_small, _shifted(ctx_hidesmall, 0.05))
+    sol_up = solve(cells_small, _shifted(ctx_hidesmall, 0.05))
     r = check_penalization(sol_up, ctx_hidesmall, m_values=range(1, 6))
     assert not r.passed and r.violations == 1
 
@@ -287,7 +281,7 @@ def test_streamed_martingale_margins_equal_the_whole_batch(ctx_name, x, request,
     ctx = request.getfixturevalue(ctx_name)
     train, fresh = (simulate_batch(ctx.spec, ctx.grid, tg_small, 4096, seed)
                     for seed in (101, 202))
-    sol = solve(cells_of(train, N_CELLS, 50), payoff_put(train.S[-1], 1.0), ctx)
+    sol = solve(cells_of(train, N_CELLS, 50, put_1), ctx)
 
     def payoff_fn(s):
         return payoff_put(s, 1.0)
@@ -308,8 +302,8 @@ def test_fresh_seed_is_never_held_whole():
     grid = cfg.jump_grid(spec)
     ctx = cfg.driver_context(spec, grid, cfg.scenarios()[0])
     cells = simulate_cells(spec, grid, cfg.time_grid(), cfg.scheme.n_paths, 1,
-                           cfg.scheme.n_cells, cfg.scheme.min_count)
-    sol = solve(cells, cfg.payoff_values(cells.S_last), ctx)
+                           cfg.scheme.n_cells, cfg.scheme.min_count, cfg.payoff_values)
+    sol = solve(cells, ctx)
     tracemalloc.start()
     try:
         r = check_martingale_optimality(1 + FRESH_SEED_OFFSET, sol, ctx, cfg.payoff_values,
@@ -337,15 +331,16 @@ def test_empty_checks_fail(ctx_hidesmall, ctx_nosignal):
         assert not r.passed and "FAIL" in r.line()
 
 
-def _y_bound_on_paths(sol, ctx, path_values):
-    """check_y_bound's margins from every path's Ybar: the bound less the
-    largest |Ybar_k| over the paths, per step."""
+def _y_bound_on_paths(sol, ctx, Y):
+    """check_y_bound's margins from every path's Ybar, the rows of ``Y``
+    and F last: the bound less the largest |Ybar_k| over the paths, per
+    step."""
     lam = ctx.lam
-    f_sup = float(np.max(np.abs(sol.F)))
+    f_sup = float(np.max(np.abs(Y[-1])))
     lo, _ = driver_bounds(0.0, np.zeros(ctx.grid.points.size), ctx)
     tg = sol.cells.time_grid
     bound = f_sup + math.log1p(math.exp(-lam * f_sup)) / lam + -lo * (tg.T - tg.times)
-    return bound - np.max(np.abs(path_values(sol)), axis=1)
+    return bound - np.max(np.abs(Y), axis=1)
 
 
 @pytest.fixture()
@@ -363,12 +358,12 @@ def report_margins(monkeypatch):
 
 def test_y_bound_pass(batch_small, payoff_small, cells_small, ctx_hidesmall,
                      path_values, report_margins):
-    sol = solve(cells_small, payoff_small, ctx_hidesmall)
+    sol = solve(cells_small, ctx_hidesmall)
     r = check_y_bound(sol, ctx_hidesmall)
     assert r.passed and r.samples == batch_small.time_grid.n_steps + 1
     # the largest cell value is the largest path value, bit for bit
-    assert report_margins[-1].tobytes() == \
-        _y_bound_on_paths(sol, ctx_hidesmall, path_values).tobytes()
+    assert report_margins[-1].tobytes() == _y_bound_on_paths(
+        sol, ctx_hidesmall, path_values(sol, batch_small, payoff_small)).tobytes()
     # the log-sum floor keeps the bound above log(2)/lam, so blow up the
     # solution to force a violation; the terminal values are F itself and
     # set the bound, so they stay
@@ -377,29 +372,28 @@ def test_y_bound_pass(batch_small, payoff_small, cells_small, ctx_hidesmall,
     r_bad = check_y_bound(sol, ctx_hidesmall)
     assert not r_bad.passed
     assert r_bad.violations == batch_small.time_grid.n_steps
-    assert report_margins[-1].tobytes() == \
-        _y_bound_on_paths(sol, ctx_hidesmall, path_values).tobytes()
+    assert report_margins[-1].tobytes() == _y_bound_on_paths(
+        sol, ctx_hidesmall, path_values(sol, batch_small, payoff_small)).tobytes()
 
 
-def test_one_batch_checks_take_no_allowance(batch_small, payoff_small, cells_small,
-                                            sol_small, ctx_hidesmall, eps_reg,
-                                            report_margins):
-    # every solve these checks add runs on the cells and terminal values
-    # of sol, so the margins are the raw differences of the solves
+def test_one_batch_checks_take_no_allowance(batch_small, cells_small, sol_small,
+                                            ctx_hidesmall, eps_reg, report_margins):
+    # every solve these checks add runs on the cells of sol, so the
+    # margins are the raw differences of the solves
     driver2 = _shifted(ctx_hidesmall, 0.05)
-    check_comparison(sol_small, payoff_small, driver2)
-    y2 = solve(cells_small, payoff_small, driver2).y0
+    check_comparison(sol_small, driver2)
+    y2 = solve(cells_small, driver2).y0
     assert report_margins[-1].tobytes() == np.array([y2 - sol_small.y0]).tobytes()
 
     check_penalization(sol_small, ctx_hidesmall, m_values=range(1, 6))
-    y0s = [solve(cells_small, payoff_small,
+    y0s = [solve(cells_small,
                  lambda Z, U, m=m: penalized_driver_fm_batch(Z, U, m, ctx_hidesmall)).y0
            for m in range(1, 6)]
     assert report_margins[-1][:-1].tobytes() == np.diff(y0s).tobytes()
 
     # a solve past the bound by half the two-batch spread fails, where an
     # allowance of that spread passed it
-    sol = solve(cells_small, payoff_small, ctx_hidesmall)
+    sol = solve(cells_small, ctx_hidesmall)
     check_y_bound(sol, ctx_hidesmall)
     for rec, margin in zip(sol.steps, report_margins[-1]):
         j = np.argmax(np.abs(rec.y_cells))
@@ -411,24 +405,23 @@ def test_one_batch_checks_take_no_allowance(batch_small, payoff_small, cells_sma
     assert np.all(report_margins[-1][:n] + eps_reg > 0.0)
 
 
-def test_y_bound_reads_sup_from_terminal(batch_small, payoff_small, cells_small,
-                                         ctx_hidesmall):
+def test_y_bound_reads_sup_from_terminal(batch_small, payoff_small, ctx_hidesmall):
     # max|F| above the strike: a bound built on the strike (1.0) sits at
     # log(e^0.4 + 1)/0.4 = 2.28 at maturity, below the payoff itself
     F = payoff_small + 3.0
     assert np.max(F) > 3.0
-    sol = solve(cells_small, F, ctx_hidesmall)
+    sol = solve(cells_of(batch_small, N_CELLS, 50, payoff=lambda s: F), ctx_hidesmall)
     r = check_y_bound(sol, ctx_hidesmall)
     assert r.passed and r.violations == 0
 
 
-def test_y_bound_of_a_large_payoff_is_finite(batch_small, cells_small, ctx_hidesmall):
+def test_y_bound_of_a_large_payoff_is_finite(batch_small, ctx_hidesmall):
     # lam max|F| = 0.4 * 5000 is far past exp's range: the bound
     # log(e^{lam ||F||} + 1) / lam must not overflow, and is ||F|| itself
     # in floating point, so the terminal margin is exactly 0
-    F = payoff_put(batch_small.S[-1], 5000.0)
-    assert 0.4 * np.max(F) > 709.0
-    sol = solve(cells_small, F, constant_driver(0.0))
+    cells = cells_of(batch_small, N_CELLS, 50, payoff=lambda s: payoff_put(s, 5000.0))
+    assert 0.4 * cells.f_sup > 709.0
+    sol = solve(cells, constant_driver(0.0))
     r = check_y_bound(sol, ctx_hidesmall)
     assert r.passed and r.violations == 0
     assert r.worst_margin == 0.0
