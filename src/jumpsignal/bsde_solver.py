@@ -47,7 +47,7 @@ import numpy as np
 
 from .drivers import DriverContext, guarded_exp
 from .levy_model import DiscreteJumpGrid, LevyMarketSpec
-from .simulate import TimeGrid, _simulate_steps
+from .simulate import TimeGrid, _blocks, _simulate_steps
 
 __all__ = [
     "BasisPartition",
@@ -146,10 +146,12 @@ class CellIndex:
     ``jumps[k]`` holds the step's jump events in three arrays: the key
     ``bin * n_cells_k + cell at k``, formed in intp and kept in the
     narrowest unsigned type (uint16 at 40 bins and 64 cells), the cell at
-    k + 1 and the count. The last step reads F = payoff(S_n) only through
-    ``terminal_sums``: per cell of S_{n-1}, the sums of F and F dW_{n-1},
-    and the (n_bins, n_cells) sums of F count over the events. ``f_mean``
-    is the mean of F over the paths and ``f_sup`` its largest |F|.
+    k + 1 and the count, in the narrowest unsigned type that holds the
+    step's largest count (uint8 at the reference scale). The last step
+    reads F = payoff(S_n) only through ``terminal_sums``: per cell of
+    S_{n-1}, the sums of F and F dW_{n-1}, and the (n_bins, n_cells) sums
+    of F count over the events. ``f_mean`` is the mean of F over the
+    paths and ``f_sup`` its largest |F|.
     ``simulate_cells`` builds it one step at a time, as the steps are
     simulated.
     """
@@ -172,7 +174,7 @@ class CellIndex:
         and Ybar_{k+1} count per bin, from the cell values ``y_next``."""
         keys, next_cells, counts = self.jumps[k]
         shape = (self.grid.points.size, self.partitions[k].n_cells)
-        jump_sum = np.bincount(keys, weights=y_next[next_cells] * counts,
+        jump_sum = np.bincount(keys, weights=y_next.take(next_cells) * counts,
                                minlength=shape[0] * shape[1]).reshape(shape)
         return self.pair_counts[k] @ y_next, self.pair_dW[k] @ y_next, jump_sum
 
@@ -181,7 +183,9 @@ def _index(feed, n_cells: int, min_count: int, payoff: Callable, **batch) -> Cel
     """The cell index of the rows ``feed(add)`` passes to ``add(k, dW_k,
     events_k, S_k, S_{k+1})``, step after step, and of the terminal
     values ``payoff(S_n)``; ``batch`` holds the batch's other fields. No
-    row is kept past its step, and of the paths' cells only one step's."""
+    row is kept past its step, and of the paths' cells only one step's.
+    Besides F at the last step, every temporary is at most ``BLOCK``
+    paths long or one entry per event."""
     n_steps, n_bins = batch["time_grid"].n_steps, batch["grid"].points.size
     partitions, pair_counts, pair_dW, jumps, terminal = [], [], [], [], {}
     ids = None  # the cell ids of S_k, the step the next row starts from
@@ -195,28 +199,37 @@ def _index(feed, n_cells: int, min_count: int, payoff: Callable, **batch) -> Cel
         # each event's key bin * n_cells + cell, formed in intp, since the
         # bins' int16 would wrap
         keys = np.multiply(ev.bin, nc, dtype=np.intp)
-        keys += ids[ev.path]
+        keys += ids.take(ev.path)
         if k == n_steps - 1:
             F = np.asarray(payoff(S_next), dtype=float)
             if F.shape != S_next.shape:
                 raise ValueError(f"terminal values shape {F.shape} != {S_next.shape}")
-            jump_sum = np.bincount(keys, weights=F[ev.path] * ev.count,
+            # bincount's sums, in its order, a block of paths at a time
+            f_sum, f_dW = np.zeros(nc), np.zeros(nc)
+            for b in _blocks(S_k.size):
+                np.add.at(f_sum, ids[b], F[b])
+                np.add.at(f_dW, ids[b], F[b] * dW_k[b])
+            jump_sum = np.bincount(keys, weights=F.take(ev.path) * ev.count,
                                    minlength=n_bins * nc).reshape(n_bins, nc)
-            terminal.update(terminal_sums=(np.bincount(ids, weights=F, minlength=nc),
-                                           np.bincount(ids, weights=F * dW_k, minlength=nc),
-                                           jump_sum),
-                            f_mean=float(np.mean(F)), f_sup=float(np.max(np.abs(F))))
+            terminal.update(terminal_sums=(f_sum, f_dW, jump_sum), f_mean=float(np.mean(F)),
+                            f_sup=float(max(abs(F.max()), abs(F.min()))))
             return
         partition, there = BasisPartition.from_sample(S_next, n_cells, min_count)
         partitions.append(partition)
         nc_next = partition.n_cells
-        pair = np.multiply(ids, nc_next, dtype=np.intp)
-        pair += there
-        size, shape = nc * nc_next, (nc, nc_next)
-        pair_counts.append(np.bincount(pair, minlength=size).reshape(shape).astype(float))
-        pair_dW.append(np.bincount(pair, weights=dW_k, minlength=size).reshape(shape))
-        jumps.append((keys.astype(np.min_scalar_type(n_bins * nc - 1)), there[ev.path],
-                      ev.count))
+        size = nc * nc_next
+        counts, dW_sum = np.zeros(size, dtype=np.intp), np.zeros(size)
+        for b in _blocks(S_k.size):
+            # the (cell at k, cell at k + 1) key, formed in intp
+            pair = np.multiply(ids[b], nc_next, dtype=np.intp)
+            pair += there[b]
+            counts += np.bincount(pair, minlength=size)
+            np.add.at(dW_sum, pair, dW_k[b])
+        pair_counts.append(counts.reshape(nc, nc_next).astype(float))
+        pair_dW.append(dW_sum.reshape(nc, nc_next))
+        count_type = np.min_scalar_type(ev.count.max(initial=0))
+        jumps.append((keys.astype(np.min_scalar_type(n_bins * nc - 1)), there.take(ev.path),
+                      ev.count.astype(count_type)))
         ids = there
 
     feed(add)
@@ -226,16 +239,17 @@ def _index(feed, n_cells: int, min_count: int, payoff: Callable, **batch) -> Cel
 
 def simulate_cells(spec: LevyMarketSpec, grid: DiscreteJumpGrid, time_grid: TimeGrid,
                    n_paths: int, seed: int, n_cells: int, min_count: int,
-                   payoff: Callable) -> CellIndex:
+                   payoff: Callable, threads: int) -> CellIndex:
     """The cell index of the seed's paths and of ``payoff(S_n)``, built
     while the steps are simulated: the partition of S_k once S_k exists,
     the tables of step k - 1 once the cells of step k exist. S and dW are
-    never held whole, only the step kernel's one dW row and two S rows. A
-    price that is not positive or not finite raises ArithmeticError
-    naming its step."""
+    never held whole, only the step kernel's one dW row and two S rows.
+    ``threads`` is the step kernel's thread budget: 1 draws the jumps in
+    the calling thread. A price that is not positive or not finite raises
+    ArithmeticError naming its step."""
 
     def feed(add):
-        _simulate_steps(spec, grid, time_grid, seed, n_paths, add)
+        _simulate_steps(spec, grid, time_grid, seed, n_paths, add, threads)
 
     return _index(feed, n_cells, min_count, payoff, spec=spec, grid=grid,
                   time_grid=time_grid, seed=seed, n_paths=n_paths)

@@ -23,7 +23,7 @@ import dataclasses
 import os
 import sys
 import time
-from typing import List, NoReturn, Optional
+from typing import Callable, List, NoReturn, Optional
 
 import numpy as np
 import yaml
@@ -134,18 +134,20 @@ def cmd_driver_table(args) -> int:
     return 0
 
 
-def _cells(cfg, seed) -> CellIndex:
+def _cells(cfg, seed, threads) -> CellIndex:
     """The seed's cells and payoff sums, shared by every scenario, built
-    while the seed's steps are simulated: no S or dW is held whole."""
+    while the seed's steps are simulated: no S or dW is held whole.
+    ``threads`` is the step kernel's thread budget."""
     spec = cfg.market_spec()
     return simulate_cells(spec, cfg.jump_grid(spec), cfg.time_grid(), cfg.scheme.n_paths,
                           seed, cfg.scheme.n_cells, cfg.scheme.min_count,
-                          cfg.payoff_values)
+                          cfg.payoff_values, threads)
 
 
 def _solution(cfg, seed, ctx) -> BackwardSolution:
-    """The BSDE of driver ``ctx`` solved on the seed's cells."""
-    return solve(_cells(cfg, seed), ctx)
+    """The BSDE of driver ``ctx`` solved on the seed's cells, simulated
+    on every CPU."""
+    return solve(_cells(cfg, seed, len(os.sched_getaffinity(0))), ctx)
 
 
 def _blank_row(cfg_hash, scenario, seed) -> dict:
@@ -178,15 +180,16 @@ def _row(cfg, cfg_hash, scenario, cells) -> dict:
             "wall_time": f"{wall:.3f}", "status": "ok"}
 
 
-def _seed_rows(cfg, cfg_hash, seeds, scenarios) -> List[dict]:
-    """The result row of every scenario on ``seeds``, one seed at a time.
+def _seed_rows(cfg, cfg_hash, seeds, scenarios, threads: Callable[[], int]) -> List[dict]:
+    """The result row of every scenario on ``seeds``, one seed at a time;
+    ``threads()``, asked as each seed starts, is the seed's thread budget.
     A seed whose simulation or cells fail gives each scenario an
     ``error: ...`` row."""
     rows = []
     # cells do not depend on the scenario: build them once per seed
     for seed in seeds:
         try:
-            cells = _cells(cfg, seed)
+            cells = _cells(cfg, seed, threads())
         except (ValueError, ArithmeticError) as exc:
             rows += [{**_blank_row(cfg_hash, scenario, seed), "status": f"error: {exc}"}
                      for scenario in scenarios]
@@ -195,6 +198,11 @@ def _seed_rows(cfg, cfg_hash, seeds, scenarios) -> List[dict]:
         # free this seed's cells before the next one is simulated
         del cells
     return rows
+
+
+def _worker_rows(cfg, cfg_hash, seeds, scenarios) -> List[dict]:
+    """A sweep worker's rows: it draws its seeds' jumps in-line."""
+    return _seed_rows(cfg, cfg_hash, seeds, scenarios, lambda: 1)
 
 
 def _rows(cfg, seeds, scenarios) -> List[dict]:
@@ -206,22 +214,29 @@ def _rows(cfg, seeds, scenarios) -> List[dict]:
     seed's cells at a time, never a whole batch. A row does not depend on
     the process that made it; a worker's exception is raised here. One
     seed starts no process.
+
+    One kind of parallelism at a time: a worker draws its jumps in-line,
+    and this process, before each of its seeds, takes the CPUs that no
+    running worker holds, so it draws in-line while any worker runs. One
+    seed, or one CPU, keeps every CPU for the step kernel's jump threads.
     """
     cfg_hash = config_hash(cfg)
-    n = min(len(seeds), len(os.sched_getaffinity(0)))
+    cpus = len(os.sched_getaffinity(0))
+    n = min(len(seeds), cpus)
     if n == 1:
-        return _seed_rows(cfg, cfg_hash, seeds, scenarios)
+        return _seed_rows(cfg, cfg_hash, seeds, scenarios, lambda: cpus)
     # imported here: one seed (solve) does not pay for the import
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     # fork, not spawn: a spawned worker imports numpy and the package again
-    # (about 0.2 s); the package runs no thread at the fork, as
-    # simulate_cells joins its jump pool before it returns or raises
+    # (about 0.2 s); the first submit forks every worker, before this
+    # process starts a seed, so no jump thread runs at a fork
     with ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-        shares = [pool.submit(_seed_rows, cfg, cfg_hash, seeds[i::n], scenarios)
+        shares = [pool.submit(_worker_rows, cfg, cfg_hash, seeds[i::n], scenarios)
                   for i in range(1, n)]
-        rows = _seed_rows(cfg, cfg_hash, seeds[0::n], scenarios)
+        rows = _seed_rows(cfg, cfg_hash, seeds[0::n], scenarios,
+                          lambda: max(1, cpus - sum(not share.done() for share in shares)))
         for share in shares:
             rows += share.result()
     return rows

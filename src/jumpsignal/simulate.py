@@ -14,24 +14,31 @@ channel), with the path index addressing the position inside the stream,
 and the uniform of a word w is (w >> 11) 2^-53, as numpy's
 ``Generator.random`` forms it. Chunking the paths across any number of
 workers therefore reproduces the exact same numbers as a single pass.
-For the same reason a thread pool sized to the CPUs the process may run
-on draws the jumps, one task per step (so at most n_steps threads) over
-bins 0..nb-1 in order, all searched in one cdf per distinct mean; the
-batch does not depend on the pool size, since each stream is fixed by
-its key alone.
+For the same reason the jumps may be drawn by any number of threads: each
+step's events are drawn over bins 0..nb-1 in order, all searched in one
+cdf per distinct mean, and do not depend on the thread that draws them,
+since each stream is fixed by its key alone.
 
 One step kernel runs the steps in order, for every caller: it draws
 dW_k from the Brownian stream, channel 0, takes the events of step k
-from the pool, which meanwhile draws later steps, and forms S_{k+1} in
-place. It owns one dW row and two S rows, which every step reuses, and
-passes each step's rows to its caller's visitor: the regression cells
-(``bsde_solver.simulate_cells``) and the optimality check's forward
-wealth (``verify.check_martingale_optimality``) read them before the
-next step overwrites them, so no command holds S or dW whole.
+and forms S_{k+1} in place. Its caller gives it a thread budget: with
+one thread the caller draws each step's events itself, in step order;
+with more, a pool of that many threads draws them, at most that many
+steps ahead of the step being formed. A command that runs one seed
+gives it every CPU; a sweep's forked workers give it one, so that the
+jump threads never compete with the other seeds' processes (see
+``cli._rows``). The kernel owns one dW row and two S rows, which every
+step reuses, and passes each step's rows to its caller's visitor: the
+regression cells (``bsde_solver.simulate_cells``) and the optimality
+check's forward wealth (``verify.check_martingale_optimality``) read
+them before the next step overwrites them, so no command holds S or dW
+whole. Every other temporary of a step is at most ``BLOCK`` paths long
+or one entry per event.
 
 The Brownian uniforms are drawn straight into the row of dW, floored at
 2^-64, mapped to standard normals in place by ``_ndtri``, a numpy port
-of Cephes ndtri, and scaled by sqrt(dt_k) in place.
+of Cephes ndtri, one block of paths at a time, and scaled by sqrt(dt_k)
+in place.
 
 Jump counts are stored as events, not as a dense (n_steps, n_bins,
 n_paths) array: at the reference scale fewer than 1% of the counts are
@@ -56,9 +63,10 @@ wealth over one step under it.
 from __future__ import annotations
 
 import math
-import os
 import sys
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
@@ -226,6 +234,15 @@ def _ndtri(y: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     return out
 
 
+# paths per block of the step kernel's temporaries
+BLOCK = 8192
+
+
+def _blocks(n: int):
+    """The slices of paths 0..n-1, ``BLOCK`` paths each but the last."""
+    return (slice(start, min(start + BLOCK, n)) for start in range(0, n, BLOCK))
+
+
 def _brownian(seed: int, k: int, dt_k: float, path_offset: int,
               out: np.ndarray) -> None:
     """Fill ``out`` with the increments of step k, drawn from the (seed,
@@ -236,7 +253,10 @@ def _brownian(seed: int, k: int, dt_k: float, path_offset: int,
     gen.random(out=out)
     # random() can emit exactly 0, which the quantile maps to -inf
     np.maximum(out, 2.0 ** -64, out=out)
-    _ndtri(out, out=out)
+    # elementwise, so a block at a time gives the same bits with
+    # block-sized temporaries
+    for b in _blocks(out.size):
+        _ndtri(out[b], out=out[b])
     out *= math.sqrt(dt_k)
 
 
@@ -315,18 +335,24 @@ def _simulate_steps(
     seed: int,
     n_paths: int,
     visit: Callable,
+    threads: int,
     path_offset: int = 0,
 ) -> None:
     """Simulate the steps of paths path_offset.. path_offset + n_paths - 1
     in order.
 
-    Step k draws dW_k, takes the events of step k from the jump pool and
-    forms S_{k+1} from S_k, then calls ``visit(k, dW_k, events_k, S_k,
-    S_{k+1})`` with the pool still drawing the later steps' jumps. One dW
-    row and two S rows are reused every step, so a row outlives its step
-    only if ``visit`` copies it. A price that is not positive or not
-    finite raises ArithmeticError naming its step. The pool is joined
-    before this returns or raises, whatever ``visit`` does.
+    Step k draws dW_k, takes the events of step k and forms S_{k+1} from
+    S_k, then calls ``visit(k, dW_k, events_k, S_k, S_{k+1})``. With
+    ``threads`` 1 the caller draws each step's events itself, as the step
+    comes; with more, a pool of ``threads`` threads draws them, keeping
+    at most ``threads`` steps submitted ahead, while the caller draws the
+    Brownian stream and runs ``visit``. The events are the same at any
+    thread count. One dW row and two S rows are reused every step, so a
+    row outlives its step only if ``visit`` copies it; every other
+    temporary is at most ``BLOCK`` paths long or one entry per event. A
+    price that is not positive or not finite raises ArithmeticError
+    naming its step. The pool is joined before this returns or raises,
+    whatever ``visit`` does.
     """
     if n_paths < 1 or path_offset < 0:
         raise ValueError(f"bad path range: n_paths={n_paths}, path_offset={path_offset}")
@@ -348,26 +374,35 @@ def _simulate_steps(
 
     comp = grid.compensator()
     log_jump = grid.log_jumps()
+    drift = (spec.kappa - 0.5 * spec.sigma ** 2 - comp) * dt
     w, s, x = np.empty(n_paths), np.full(n_paths, float(spec.s0)), np.empty(n_paths)
+    tmp = np.empty(min(n_paths, BLOCK))
     # Philox, the ufuncs, the uint64 comparison and flatnonzero release
-    # the GIL; each task holds one stream of words at a time, and the
-    # caller draws the Brownian stream, channel 0, while the pool runs
-    with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
-        tasks = pool.map(step_events, range(n_steps))
+    # the GIL; each task holds one stream of words at a time
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        ahead = deque()  # the submitted steps, step k first
         for k in range(n_steps):
+            while pool and len(ahead) <= threads and k + len(ahead) < n_steps:
+                ahead.append(pool.submit(step_events, k + len(ahead)))
             _brownian(seed, k, dt[k], path_offset, w)
-            ev = next(tasks)
-            # S_k exp((drift + sigma dW_k) + jumps), formed in its row in that order
-            np.multiply(w, spec.sigma, out=x)
-            x += (spec.kappa - 0.5 * spec.sigma ** 2 - comp) * dt[k]
-            x += np.bincount(ev.path, weights=np.take(log_jump, ev.bin) * ev.count,
-                             minlength=n_paths)
+            ev = ahead.popleft().result() if pool else step_events(k)
+            # S_k exp((drift + sigma dW_k) + jumps): the jump sum is
+            # accumulated in x from 0.0 in event order, as bincount would,
+            # and drift + sigma dW_k is added to it a block at a time
+            x.fill(0.0)
+            np.add.at(x, ev.path, np.take(log_jump, ev.bin) * ev.count)
+            for b in _blocks(n_paths):
+                t = tmp[:b.stop - b.start]
+                np.multiply(w[b], spec.sigma, out=t)
+                t += drift[k]
+                x[b] += t
             with np.errstate(over="ignore"):  # an overflow raises below
                 np.exp(x, out=x)
                 x *= s
-            if not np.all(x > 0):
+            # min and max are NaN if any price is: NaN fails both tests
+            if not x.min() > 0:
                 raise ArithmeticError(f"simulated price lost positivity at step {k}")
-            if not np.all(x < np.inf):
+            if not x.max() < np.inf:
                 raise ArithmeticError(f"simulated price overflowed to inf at step {k}")
             visit(k, w, ev, s, x)
             s, x = x, s

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -280,7 +281,9 @@ def check_martingale_optimality(fresh_seed: int, sol: BackwardSolution,
         if k == tg.n_steps - 1:
             terminal["F"] = payoff_fn(S_next)
 
-    _simulate_steps(ctx.spec, ctx.grid, tg, fresh_seed, cells.n_paths, step)
+    # one batch in this process: its jumps may take every CPU
+    _simulate_steps(ctx.spec, ctx.grid, tg, fresh_seed, cells.n_paths, step,
+                    len(os.sched_getaffinity(0)))
 
     def utility(X):
         return -guarded_exp(-ctx.lam * (X - terminal["F"]))

@@ -10,6 +10,7 @@ kernel, and ``cells_of`` feeds the rows of a batch, simulated or made by
 hand, to the builder of ``simulate_cells``.
 """
 
+import os
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -55,9 +56,14 @@ class Batch:
         return self.dW.shape[1]
 
 
-def simulate_batch(spec, grid, time_grid, n_paths, seed, path_offset=0) -> Batch:
+def simulate_batch(spec, grid, time_grid, n_paths, seed, path_offset=0,
+                   threads=None) -> Batch:
     """The paths path_offset.. path_offset + n_paths - 1 of the seed, each
-    step's rows copied out of the step kernel as it reuses them."""
+    step's rows copied out of the step kernel as it reuses them; the
+    kernel's thread budget is ``threads``, or every CPU the process may
+    use."""
+    if threads is None:
+        threads = len(os.sched_getaffinity(0))
     n_steps = time_grid.n_steps
     dW, S, jumps = np.empty((n_steps, n_paths)), np.empty((n_steps + 1, n_paths)), []
 
@@ -67,7 +73,7 @@ def simulate_batch(spec, grid, time_grid, n_paths, seed, path_offset=0) -> Batch
         dW[k], S[k + 1] = dW_k, S_next
         jumps.append(ev)
 
-    _simulate_steps(spec, grid, time_grid, seed, n_paths, keep, path_offset)
+    _simulate_steps(spec, grid, time_grid, seed, n_paths, keep, threads, path_offset)
     return Batch(spec=spec, grid=grid, time_grid=time_grid, seed=seed,
                  path_offset=path_offset, dW=dW, jumps=tuple(jumps), S=S)
 

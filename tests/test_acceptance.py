@@ -19,6 +19,8 @@ strike 1, 65536 paths, 10 steps, 64 cells, 40-point jump grid, seeds
   the a priori bound
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -58,7 +60,8 @@ def grid(cfg, spec):
 
 def _cells(cfg, spec, grid, seed, payoff):
     return simulate_cells(spec, grid, cfg.time_grid(), cfg.scheme.n_paths, seed,
-                          cfg.scheme.n_cells, cfg.scheme.min_count, payoff)
+                          cfg.scheme.n_cells, cfg.scheme.min_count, payoff,
+                          len(os.sched_getaffinity(0)))
 
 
 @pytest.fixture(scope="module")

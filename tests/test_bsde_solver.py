@@ -184,7 +184,9 @@ def test_narrow_layouts_equal_the_int64_formulas(batch_small, n_cells, id_dtype)
         assert np.array_equal(keys, ev.bin.astype(np.int64) * nc[k] + ids[k][ev.path])
         assert next_cells.dtype == id_dtype
         assert np.array_equal(next_cells, ids[k + 1][ev.path])
-        assert counts.dtype == np.int32 and np.array_equal(counts, ev.count)
+        # the counts take the narrowest type that holds the step's largest
+        assert counts.dtype == np.min_scalar_type(ev.count.max(initial=0))
+        assert counts.dtype.kind == "u" and np.array_equal(counts, ev.count)
     for k in range(len(cells.partitions) - 1):
         pair = ids[k] * nc[k + 1] + ids[k + 1]
         shape = (nc[k], nc[k + 1])
@@ -569,7 +571,7 @@ def _assert_same_cells(got, want):
 @pytest.mark.parametrize("n_paths,n_cells", [(None, 64), (1000, 8)])
 def test_streamed_cells_equal_the_batch_build(n_paths, n_cells):
     cfg, args = _reference_args(n_paths)
-    streamed = simulate_cells(*args, 1, n_cells, 50, cfg.payoff_values)
+    streamed = simulate_cells(*args, 1, n_cells, 50, cfg.payoff_values, 2)
     batch = simulate_batch(*args, 1)
     built = cells_of(batch, n_cells, 50, cfg.payoff_values)
     _assert_same_cells(streamed, built)
@@ -587,7 +589,7 @@ def test_cells_equal_a_per_path_recomputation(batch_small, spec_small, grid_smal
     # keys: the terminal sums, mean(F) and max |F|, and each step's event
     # keys, next cells and counts, bit for bit
     cells = simulate_cells(spec_small, grid_small, tg_small, batch_small.n_paths,
-                           batch_small.seed, 64, 50, put_1)
+                           batch_small.seed, 64, 50, put_1, 1)
     nc = [part.n_cells for part in cells.partitions]
     ids = [part.assign(s) for part, s in zip(cells.partitions, batch_small.S)]
     n_bins, last = grid_small.points.size, tg_small.n_steps - 1
@@ -619,11 +621,39 @@ def test_streamed_cells_never_hold_s_and_dw():
     tracemalloc.start()
     try:
         simulate_cells(*args, 1, cfg.scheme.n_cells, cfg.scheme.min_count,
-                       cfg.payoff_values)
+                       cfg.payoff_values, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < n_rows * cfg.scheme.n_paths * 8
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_cells_do_not_depend_on_the_thread_count(threads):
+    # 20000 paths: two full blocks of the step kernel and a short one
+    cfg, args = _reference_args(20000)
+    in_line = simulate_cells(*args, 1, 16, 50, cfg.payoff_values, 1)
+    pooled = simulate_cells(*args, 1, 16, 50, cfg.payoff_values, threads)
+    _assert_same_cells(pooled, in_line)
+    _assert_same_cells(in_line, cells_of(simulate_batch(*args, 1, threads=threads), 16, 50,
+                                         cfg.payoff_values))
+
+
+def test_cells_built_in_line_hold_no_path_temporaries():
+    # past the step kernel's one dW row, two S rows and the cell ids, the
+    # build forms no temporary with one entry per path: one reference
+    # seed built in-line traced a 4.2 MB peak, and 6.6 MB with whole-row
+    # quantile and jump-sum temporaries (the jump threads add their word
+    # buffers, 5.2 MB with two)
+    cfg, args = _reference_args()
+    tracemalloc.start()
+    try:
+        simulate_cells(*args, 1, cfg.scheme.n_cells, cfg.scheme.min_count,
+                       cfg.payoff_values, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.0e6
 
 
 def test_solves_read_no_path_arrays():
@@ -633,7 +663,7 @@ def test_solves_read_no_path_arrays():
     # solve added 1.63 MB
     cfg, args = _reference_args()
     cells = simulate_cells(*args, 1, cfg.scheme.n_cells, cfg.scheme.min_count,
-                           cfg.payoff_values)
+                           cfg.payoff_values, 1)
     ctxs = [cfg.driver_context(args[0], args[1], scenario) for scenario in cfg.scenarios()]
     assert len(ctxs) == 5
     tracemalloc.start()
@@ -662,6 +692,6 @@ def test_failed_build_joins_the_jump_pool(monkeypatch, spec_small, grid_small):
     monkeypatch.setattr(BasisPartition, "from_sample", classmethod(failing))
     with pytest.raises(RuntimeError, match="injected partition failure"):
         simulate_cells(spec_small, grid_small, TimeGrid.uniform(10, 0.5), 4096, 9, 16, 50,
-                       put_1)
+                       put_1, 2)
     assert len(calls) == 4
     assert threading.active_count() == before

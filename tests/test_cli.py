@@ -6,6 +6,7 @@ import io
 import math
 import multiprocessing
 import os
+import time
 import warnings
 
 import numpy as np
@@ -376,7 +377,7 @@ PROCESS_CONFIGS = [
 @pytest.fixture
 def cpus(monkeypatch):
     """cpus(n): every caller of os.sched_getaffinity sees n CPUs: the
-    sweep's process count and the step kernel's thread pool alike."""
+    sweep's process count and the jump threads' budget alike."""
     def set_cpus(n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
     return set_cpus
@@ -430,6 +431,68 @@ def test_one_seed_starts_no_process(cfg_file, tmp_path, cpus, started, capsys):
     assert started == []
 
 
+def test_jump_threads_run_only_on_free_cpus(tmp_path, monkeypatch, cpus, started):
+    # one kind of parallelism at a time: with as many seeds as CPUs, no
+    # worker starts a jump thread pool; the caller draws in-line while a
+    # worker runs, and a seed it starts after every worker has finished
+    # gets every CPU
+    from jumpsignal import cli, simulate
+
+    caller = os.getpid()
+    real_pool = simulate.ThreadPoolExecutor
+
+    def pool_in_the_caller(*args, **kwargs):
+        if os.getpid() != caller:
+            raise AssertionError("a sweep worker started a jump thread pool")
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", pool_in_the_caller)
+    config, results = tmp_path / "seeds.yaml", tmp_path / "results.csv"
+    config.write_text(PROCESS_CONFIGS[0][0].replace("SEEDS", "[1, 2, 3]"))
+    cpus(3)
+    assert main(["sweep", "--config", str(config), "--out", str(results)]) == 0
+    assert len(started) == 2
+
+    # at two CPUs the caller takes seeds 1 and 3 and the worker seed 2,
+    # which starts only once the caller has its first budget
+    marker, budgets, threads_used = tmp_path / "first-budget", [], []
+    real_rows, real_cells = cli._seed_rows, cli.simulate_cells
+
+    def wait_for(ready):
+        deadline = time.monotonic() + 60
+        while not ready() and time.monotonic() < deadline:
+            time.sleep(0.01)
+
+    def seed_rows(cfg, cfg_hash, seeds, scenarios, threads):
+        if os.getpid() != caller:
+            return real_rows(cfg, cfg_hash, seeds, scenarios, threads)
+
+        def budget():
+            if budgets:  # a later seed: once the worker has finished
+                wait_for(lambda: threads() == 2)
+            budgets.append(threads())
+            marker.touch()
+            return budgets[-1]
+
+        return real_rows(cfg, cfg_hash, seeds, scenarios, budget)
+
+    def cells(*args):
+        if os.getpid() == caller:
+            threads_used.append(args[-1])
+        else:
+            wait_for(marker.exists)
+        return real_cells(*args)
+
+    monkeypatch.setattr(cli, "_seed_rows", seed_rows)
+    monkeypatch.setattr(cli, "simulate_cells", cells)
+    cpus(2)
+    started.clear()
+    assert main(["sweep", "--config", str(config), "--out", str(results)]) == 0
+    assert len(started) == 1
+    assert budgets == threads_used == [1, 2]
+    assert multiprocessing.active_children() == []
+
+
 def test_sweep_raises_a_worker_failure(cfg_file, tmp_path, monkeypatch, cpus, started):
     # at two CPUs the worker owns seed 2 of (1, 2): its exception ends the
     # sweep in the caller, and no process is left running
@@ -438,11 +501,12 @@ def test_sweep_raises_a_worker_failure(cfg_file, tmp_path, monkeypatch, cpus, st
     exact = cli.simulate_cells
     seen = []
 
-    def failing(spec, grid, time_grid, n_paths, seed, n_cells, min_count, payoff):
+    def failing(spec, grid, time_grid, n_paths, seed, n_cells, min_count, payoff, threads):
         seen.append(seed)
         if seed == 2:
             raise RuntimeError("injected worker failure")
-        return exact(spec, grid, time_grid, n_paths, seed, n_cells, min_count, payoff)
+        return exact(spec, grid, time_grid, n_paths, seed, n_cells, min_count, payoff,
+                     threads)
 
     monkeypatch.setattr(cli, "simulate_cells", failing)
     cpus(2)

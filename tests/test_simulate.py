@@ -191,10 +191,14 @@ def test_pool_size_does_not_change_the_batch(n_cpus, monkeypatch, spec_small,
     monkeypatch.setattr(simulate, "_poisson_events", spy)
     monkeypatch.setattr(simulate, "_brownian", brownian_spy)
     b = simulate_batch(*args, seed=9)
-    # the pool had at most n_cpus threads, none of them the caller, which
+    # at one CPU the caller drew every jump bin itself; at more, a pool
+    # of at most n_cpus threads drew them, none of them the caller, which
     # drew the Brownian stream, one row per step, and no jump bin
-    assert 1 <= len(workers) <= n_cpus
-    assert threading.get_ident() not in workers
+    if n_cpus == 1:
+        assert workers == {threading.get_ident()}
+    else:
+        assert 1 <= len(workers) <= n_cpus
+        assert threading.get_ident() not in workers
     assert brownian == [threading.get_ident()] * tg_small.n_steps
     _assert_same_batch(b, default)
     for k, ev in enumerate(b.jumps):
@@ -252,7 +256,7 @@ def test_pool_cleans_up_and_reports_errors(monkeypatch, spec_small, grid_small,
 
     monkeypatch.setattr(simulate, "_poisson_events", failing)
     with pytest.raises(ValueError, match="injected failure"):
-        simulate_batch(*args, seed=9)
+        simulate_batch(*args, seed=9, threads=2)
     # the pool is shut down before the error reaches the caller
     assert threading.active_count() == before
     assert not pool_threads()
@@ -267,7 +271,7 @@ def test_pool_cleans_up_and_reports_errors(monkeypatch, spec_small, grid_small,
 
     monkeypatch.setattr(simulate, "_ndtri", failing_ndtri)
     with pytest.raises(FloatingPointError, match="injected quantile failure"):
-        simulate_batch(*args, seed=9)
+        simulate_batch(*args, seed=9, threads=2)
     assert queued and queued[0] >= 1
     assert threading.active_count() == before
     assert not pool_threads()
@@ -496,6 +500,27 @@ def test_price_step_bit_for_bit(spec_small, grid_small, batch_small):
         want = batch_small.S[k] * np.exp(
             (drift + spec_small.sigma * batch_small.dW[k]) + jump_sum)
         assert np.array_equal(batch_small.S[k + 1], want)
+
+
+def test_block_kernel_equals_the_whole_row_formulas(spec_small, grid_small, tg_small,
+                                                    uniforms, dense_counts):
+    # two blocks and a short one: the quantiles, taken a block at a time,
+    # and the jump sum, accumulated in the price row by add.at, equal the
+    # whole-row quantile and bincount formulas bit for bit, on a batch
+    # with paths that take two or more jumps in one step
+    n = 2 * simulate.BLOCK + 1000
+    b = simulate_batch(spec_small, grid_small, tg_small, n, seed=9, threads=1)
+    comp, log_jump = grid_small.compensator(), grid_small.log_jumps()
+    multi = 0
+    for k, (dt, ev) in enumerate(zip(tg_small.dt, b.jumps)):
+        u = np.maximum(uniforms(9, k, 0, n), 2.0 ** -64)
+        assert np.array_equal(b.dW[k], _ndtri(u) * math.sqrt(dt))
+        multi += np.count_nonzero(dense_counts(b, k).sum(axis=0) >= 2)
+        drift = (spec_small.kappa - 0.5 * spec_small.sigma ** 2 - comp) * dt
+        jump_sum = np.bincount(ev.path, weights=log_jump[ev.bin] * ev.count, minlength=n)
+        want = b.S[k] * np.exp((drift + spec_small.sigma * b.dW[k]) + jump_sum)
+        assert np.array_equal(b.S[k + 1], want)
+    assert multi > 0
 
 
 def test_price_mean_is_martingale(spec_small, grid_small, tg_small):

@@ -302,7 +302,7 @@ def test_fresh_seed_is_never_held_whole():
     grid = cfg.jump_grid(spec)
     ctx = cfg.driver_context(spec, grid, cfg.scenarios()[0])
     cells = simulate_cells(spec, grid, cfg.time_grid(), cfg.scheme.n_paths, 1,
-                           cfg.scheme.n_cells, cfg.scheme.min_count, cfg.payoff_values)
+                           cfg.scheme.n_cells, cfg.scheme.min_count, cfg.payoff_values, 1)
     sol = solve(cells, ctx)
     tracemalloc.start()
     try:
